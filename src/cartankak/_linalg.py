@@ -14,6 +14,8 @@ from .errors import DecompositionError, InvalidMatrixError, NotAbelianError
 # Representation-exact checks use STRUCT_TOL; results of eigensolves use SOLVE_TOL.
 STRUCT_TOL = 1e-12
 SOLVE_TOL = 1e-9
+# Eigenvalues closer than CLUSTER_TOL (relative) are split by the next matrix.
+CLUSTER_TOL = 1e-6
 
 
 def dagger(m):
@@ -100,13 +102,46 @@ def all_commute(mats, tol=STRUCT_TOL) -> bool:
     return True
 
 
-def simultaneous_diagonalize(mats, seed=0, tol=1e-10, retries=40):
+def joint_eigenbasis(mats):
+    """Orthonormal columns that diagonalize every matrix of a commuting Hermitian family.
+
+    eigh of the first matrix; each run of eigenvalues with gaps below
+    CLUSTER_TOL (relative to the matrix norm) is then split by the next
+    matrix restricted to it, and so on. A restriction that is already
+    diagonal only sorts its columns: eigh of a (nearly) scalar block would
+    return an arbitrary rotation and undo what earlier matrices resolved.
+    Without such runs the result is eigh(mats[0]) unless mats[0] is diagonal.
+    """
+    n = mats[0].shape[0]
+    vecs = np.eye(n, dtype=np.result_type(*mats))
+    clusters = [np.arange(n)]
+    for m in mats:
+        scale = max(1.0, frob(m))
+        refined = []
+        for idx in clusters:
+            if len(idx) == 1:
+                refined.append(idx)
+                continue
+            sub = dagger(vecs[:, idx]) @ m @ vecs[:, idx]
+            evals = np.real(np.diag(sub))
+            if frob(sub - np.diag(evals)) > STRUCT_TOL * scale:
+                evals, rot = np.linalg.eigh(sub)
+            else:
+                order = np.argsort(evals, kind="stable")
+                evals, rot = evals[order], np.eye(len(idx))[:, order]
+            vecs[:, idx] = vecs[:, idx] @ rot
+            splits = np.flatnonzero(np.diff(evals) > CLUSTER_TOL * scale) + 1
+            refined.extend(np.split(idx, splits))
+        clusters = refined
+    return vecs
+
+
+def simultaneous_diagonalize(mats, tol=1e-10):
     """Unitary U (det 1) with U m U^dag diagonal for every commuting Hermitian m.
 
-    Takes a seeded random real combination of the inputs; a draw whose spectrum
-    has accidental collisions is retried with a new draw. Columns are ordered
-    canonically by the tuple of per-matrix eigenvalues, so the result is
-    deterministic for a given seed.
+    The eigenbasis comes from joint_eigenbasis; columns are then ordered by the
+    tuple of per-matrix eigenvalues and phase-fixed, so the result does not
+    depend on the order in which clusters were split.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     n = mats[0].shape[0]
@@ -118,20 +153,7 @@ def simultaneous_diagonalize(mats, seed=0, tol=1e-10, retries=40):
     if not all_commute(mats, 1e-10):
         raise NotAbelianError("matrices do not commute")
 
-    rng = np.random.default_rng(seed)
-    scale = max(frob(m) for m in mats) or 1.0
-    vecs = None
-    for _ in range(retries):
-        coeffs = rng.normal(size=len(mats))
-        combo = sum(c * m for c, m in zip(coeffs, mats))
-        evals, cand = np.linalg.eigh(combo)
-        if n > 1 and np.min(np.diff(np.sort(evals))) < 1e-8 * scale:
-            continue
-        vecs = cand
-        break
-    if vecs is None:
-        # Genuinely degenerate joint spectrum: refine eigenspaces matrix by matrix.
-        vecs = _refine_degenerate(mats, n)
+    vecs = joint_eigenbasis(mats)
     keys = np.array(
         [[float(np.real(dagger(vecs[:, k]) @ m @ vecs[:, k])) for m in mats] for k in range(n)]
     )
@@ -149,46 +171,24 @@ def simultaneous_diagonalize(mats, seed=0, tol=1e-10, retries=40):
     return u
 
 
-def _refine_degenerate(mats, n):
-    vecs = np.eye(n, dtype=complex)
-    blocks = [list(range(n))]
-    for m in mats:
-        new_blocks = []
-        for blk in blocks:
-            sub = dagger(vecs[:, blk]) @ m @ vecs[:, blk]
-            evals, ev = np.linalg.eigh(sub)
-            vecs[:, blk] = vecs[:, blk] @ ev
-            start = 0
-            for k in range(1, len(blk) + 1):
-                if k == len(blk) or evals[k] - evals[start] > 1e-8:
-                    new_blocks.append([blk[i] for i in range(start, k)])
-                    start = k
-        blocks = new_blocks
-    return vecs
-
-
-def complex_symmetric_eigenbasis(s, seed=0, tol=1e-9, retries=40):
+def complex_symmetric_eigenbasis(s, tol=1e-9):
     """Real orthogonal O and unit phases w with s = O diag(w) O^T.
 
     `s` must be symmetric unitary; its real and imaginary parts are commuting
-    real symmetric matrices, diagonalized through a seeded random combination
-    (retried when the combination has accidental collisions).
+    real symmetric matrices. A diagonal `s` keeps O = I; otherwise a fixed
+    combination of the two parts is diagonalized first and its clusters are
+    split by the parts themselves.
     """
     n = s.shape[0]
-    if frob(s - np.diag(np.diag(s))) < 1e-12 * n:
-        w = np.diag(s).copy()
-        return np.eye(n), w / np.abs(w)
-    re, im = np.real(s), np.imag(s)
-    rng = np.random.default_rng(seed)
-    angles = np.concatenate(([np.pi / 6], rng.uniform(0.0, np.pi, retries)))
-    for phi in angles:
-        combo = np.cos(phi) * re + np.sin(phi) * im
-        _, o = np.linalg.eigh(combo)
-        d = o.T @ s @ o
-        if frob(d - np.diag(np.diag(d))) < tol * n:
-            w = np.diag(d).copy()
-            return o, w / np.abs(w)
-    raise DecompositionError("no eigenbasis draw diagonalized the symmetric unitary")
+    o = np.eye(n)
+    if frob(s - np.diag(np.diag(s))) >= 1e-12 * n:
+        re, im = np.real(s), np.imag(s)
+        o = joint_eigenbasis([np.cos(np.pi / 6) * re + np.sin(np.pi / 6) * im, re, im])
+    d = o.T @ s @ o
+    if frob(d - np.diag(np.diag(d))) > tol * n:
+        raise DecompositionError("joint eigenbasis did not diagonalize the symmetric unitary")
+    w = np.diag(d)
+    return o, w / np.abs(w)
 
 
 def real_log_special_orthogonal(o):
@@ -231,7 +231,7 @@ def random_special_unitary(n, rng):
 
 
 # ---------------------------------------------------------------------------
-# Cosine-sine decomposition, canonicalized to per-slot rotation form.
+# Cosine-sine decomposition in per-slot rotation form.
 # ---------------------------------------------------------------------------
 
 def rotation_middle(n, p, thetas):
@@ -246,10 +246,6 @@ def rotation_middle(n, p, thetas):
     return r
 
 
-def block_diag(a, b):
-    return scipy.linalg.block_diag(a, b)
-
-
 def cs_decompose_so(x, p, q, tol=SOLVE_TOL):
     """CS decomposition of special orthogonal x under the (p, q) row partition.
 
@@ -258,8 +254,7 @@ def cs_decompose_so(x, p, q, tol=SOLVE_TOL):
         x = blockdiag(u1, u2) @ rotation_middle(p + q, p, thetas) @ blockdiag(v1, v2)
 
     where thetas has min(p, q) entries and all four blocks are special
-    orthogonal. LAPACK's cossin layout (block-internal permutations,
-    reflections, unmatched signs) is absorbed into the blocks.
+    orthogonal.
     """
     n = p + q
     x = np.asarray(x)
@@ -267,180 +262,52 @@ def cs_decompose_so(x, p, q, tol=SOLVE_TOL):
         if frob(np.imag(x)) > 1e-9:
             raise InvalidMatrixError("cs_decompose_so requires a real orthogonal matrix")
         x = np.real(x)
-    if min(p, q) == 0:
+    r = min(p, q)
+    if r == 0:
         u1 = x if p else np.eye(0)
         u2 = x if q else np.eye(0)
-        return u1, u2, np.zeros(0), np.eye(p), np.eye(q)
-
-    # scipy's q counts the columns of the upper-left block; pass p so the row
-    # and column partitions agree and both K factors are (p, q) block-diagonal.
-    u, cs, vdh = scipy.linalg.cossin(x, p=p, q=p)
-    u1, u2 = u[:p, :p].copy(), u[p:, p:].copy()
-    v1, v2 = vdh[:p, :p].copy(), vdh[p:, p:].copy()
-    mid, u1, u2, v1, v2 = _canonicalize_middle(cs.copy(), u1, u2, v1, v2, p, q)
-
-    r = min(p, q)
-    thetas = np.array([np.arctan2(mid[p + m, m], mid[m, m]) for m in range(r)])
-    if frob(rotation_middle(n, p, thetas) - mid) > tol:
-        raise DecompositionError("cosine-sine middle factor is not in rotation form")
+        thetas, v1, v2 = np.zeros(0), np.eye(p), np.eye(q)
+    else:
+        # scipy's q counts the columns of the upper-left block; passing p keeps
+        # both K factors (p, q) block-diagonal. LAPACK then pairs row p - r + m
+        # with row n - r + m and puts the unpaired (identity) rows first in each
+        # block, so rolling both index sets by r gives rotation_middle form.
+        (u1, u2), thetas, (v1, v2) = scipy.linalg.cossin(x, p=p, q=p, separate=True)
+        p_idx, q_idx = np.roll(np.arange(p), r), np.roll(np.arange(q), r)
+        u1, v1 = u1[:, p_idx], v1[p_idx]
+        u2, v2 = u2[:, q_idx], v2[q_idx]
 
     u1, u2, thetas, v1, v2 = _fix_determinants(u1, u2, thetas, v1, v2)
-    full = block_diag(u1, u2) @ rotation_middle(n, p, thetas) @ block_diag(v1, v2)
+    mid = rotation_middle(n, p, thetas)
+    full = np.vstack([u1 @ mid[:p], u2 @ mid[p:]])
+    full = np.hstack([full[:, :p] @ v1, full[:, p:] @ v2])
     if frob(full - x) > tol:
         raise DecompositionError("cosine-sine reassembly failed")
     return u1, u2, thetas, v1, v2
 
 
-def _canonicalize_middle(mid, u1, u2, v1, v2, p, q, tol=1e-11):
-    """Permute/sign-fix LAPACK's cs matrix into rotation_middle form.
-
-    The cs matrix couples each p-row to at most one p-column and one q-column
-    (likewise q-rows), so its support splits into 2x2 rotation components and
-    1x1 identity components. Components are reassigned to target positions
-    (pair m on rows/cols (m, p+m)) by signed permutations that stay inside the
-    row/column blocks and are absorbed into the four corner blocks.
-    """
-    n = p + q
-
-    def support(vec, lo, hi):
-        cols = [j for j in range(lo, hi) if abs(vec[j]) > tol]
-        if len(cols) > 1:
-            raise DecompositionError("unexpected cosine-sine sparsity pattern")
-        return cols[0] if cols else None
-
-    prow_pcol = {i: support(mid[i], 0, p) for i in range(p)}
-    prow_qcol = {i: support(mid[i], p, n) for i in range(p)}
-    qrow_pcol = {k: support(mid[k], 0, p) for k in range(p, n)}
-    qrow_qcol = {k: support(mid[k], p, n) for k in range(p, n)}
-
-    # Pair p-rows with q-rows sharing a column; leftovers with a cross entry
-    # (pure theta = pi/2 rotations) pair up by order.
-    paired_q = {}
-    for i in range(p):
-        for k in range(p, n):
-            if k in paired_q.values():
-                continue
-            shares_p = prow_pcol[i] is not None and qrow_pcol[k] == prow_pcol[i]
-            shares_q = prow_qcol[i] is not None and qrow_qcol[k] == prow_qcol[i]
-            if shares_p or shares_q:
-                paired_q[i] = k
-                break
-    lone_p = [i for i in range(p) if i not in paired_q and prow_qcol[i] is not None]
-    lone_q = [k for k in range(p, n) if k not in paired_q.values() and qrow_pcol[k] is not None]
-    if len(lone_p) != len(lone_q):
-        raise DecompositionError("unmatched cross entries in cosine-sine factor")
-    for i, k in zip(lone_p, lone_q):
-        paired_q[i] = k
-
-    rotations = sorted(paired_q)  # p-rows participating in a rotation pair
-    identity_p = [i for i in range(p) if i not in paired_q]
-    identity_q = [k for k in range(p, n) if k not in paired_q.values()]
-
-    row_dst = np.zeros(n, dtype=int)
-    col_dst = np.zeros(n, dtype=int)
-    used_pcols = ({prow_pcol[i] for i in range(p)} | {qrow_pcol[k] for k in range(p, n)}) - {None}
-    used_qcols = ({prow_qcol[i] for i in range(p)} | {qrow_qcol[k] for k in range(p, n)}) - {None}
-    free_pcols = [c for c in range(p) if c not in used_pcols]
-    free_qcols = [c for c in range(p, n) if c not in used_qcols]
-    target = 0
-    for i in rotations:
-        k = paired_q[i]
-        pcol = prow_pcol[i] if prow_pcol[i] is not None else qrow_pcol[k]
-        qcol = prow_qcol[i] if prow_qcol[i] is not None else qrow_qcol[k]
-        if pcol is None:
-            pcol = free_pcols.pop(0)
-        if qcol is None:
-            qcol = free_qcols.pop(0)
-        row_dst[i], row_dst[k] = target, p + target
-        col_dst[pcol], col_dst[qcol] = target, p + target
-        target += 1
-    next_p = target
-    for i in identity_p:
-        pcol = prow_pcol[i] if prow_pcol[i] is not None else free_pcols.pop(0)
-        row_dst[i] = next_p
-        col_dst[pcol] = next_p
-        next_p += 1
-    next_q = p + target
-    for k in identity_q:
-        qcol = qrow_qcol[k] if qrow_qcol[k] is not None else free_qcols.pop(0)
-        row_dst[k] = next_q
-        col_dst[qcol] = next_q
-        next_q += 1
-
-    pl = np.zeros((n, n))
-    pl[row_dst, np.arange(n)] = 1.0
-    pr = np.zeros((n, n))
-    pr[np.arange(n), col_dst] = 1.0
-    mid = pl @ mid @ pr
-    u1 = u1 @ pl[:p, :p].T
-    u2 = u2 @ pl[p:, p:].T
-    v1 = pr[:p, :p].T @ v1
-    v2 = pr[p:, p:].T @ v2
-
-    r = min(p, q)
-    for i in range(n):
-        on_pair = i < target or p <= i < p + target
-        if not on_pair and mid[i, i] < 0:
-            mid[:, i] = -mid[:, i]
-            if i < p:
-                v1[i, :] = -v1[i, :]
-            else:
-                v2[i - p, :] = -v2[i - p, :]
-    for m in range(r):
-        det2 = mid[m, m] * mid[p + m, p + m] - mid[m, p + m] * mid[p + m, m]
-        if det2 < -tol:
-            mid[:, p + m] = -mid[:, p + m]
-            v2[m, :] = -v2[m, :]
-    return mid, u1, u2, v1, v2
-
-
 def _fix_determinants(u1, u2, thetas, v1, v2):
-    """Flip sign gauges until all four CS blocks have determinant +1.
+    """Flip sign gauges on the first CS pair until all four blocks have det +1.
 
-    Four gauge moves act on the first CS pair: theta sign flips paired with
-    (u1, v1) or (u2, v2), and theta +/- pi shifts paired with (u1, u2) or
-    (v1, v2). They generate every even sign pattern on the block determinants,
-    and the pattern is always even because det x = +1.
+    Each move negates the first column/row of two blocks and keeps the
+    product fixed: (u1, v1) and (u2, v2) negate theta_0, (v1, v2) shifts it by
+    pi. After the first two moves det v1 = det v2 because det x = +1, so the
+    third move finishes the job.
     """
     thetas = np.array(thetas, dtype=float)
-
-    def move_u1v1():
-        u1[:, 0] *= -1.0
-        v1[0, :] *= -1.0
-        thetas[0] = -thetas[0]
-
-    def move_u2v2():
-        u2[:, 0] *= -1.0
-        v2[0, :] *= -1.0
-        thetas[0] = -thetas[0]
-
-    def move_u1u2():
-        u1[:, 0] *= -1.0
-        u2[:, 0] *= -1.0
-        thetas[0] = thetas[0] - np.pi if thetas[0] > 0 else thetas[0] + np.pi
-
-    def move_v1v2():
-        v1[0, :] *= -1.0
-        v2[0, :] *= -1.0
-        thetas[0] = thetas[0] - np.pi if thetas[0] > 0 else thetas[0] + np.pi
-
-    plans = {
-        frozenset(): [],
-        frozenset({0, 2}): [move_u1v1],
-        frozenset({1, 3}): [move_u2v2],
-        frozenset({0, 1}): [move_u1u2],
-        frozenset({2, 3}): [move_v1v2],
-        frozenset({0, 3}): [move_u1v1, move_v1v2],
-        frozenset({1, 2}): [move_u2v2, move_v1v2],
-        frozenset({0, 1, 2, 3}): [move_u1v1, move_u2v2],
-    }
-    neg = frozenset(i for i, b in enumerate((u1, u2, v1, v2)) if np.linalg.det(b) < 0)
-    if neg not in plans:
-        raise DecompositionError("odd determinant pattern in CS blocks")
-    if neg and len(thetas) == 0:
-        raise DecompositionError("cannot fix determinants without a CS pair")
-    for move in plans[neg]:
-        move()
+    for lead, cols, rows in ((u1, [u1], [v1]), (u2, [u2], [v2]), (v1, [], [v1, v2])):
+        if np.linalg.det(lead) > 0:
+            continue
+        if len(thetas) == 0:
+            raise DecompositionError("cannot fix determinants without a CS pair")
+        for b in cols:
+            b[:, 0] *= -1.0
+        for b in rows:
+            b[0, :] *= -1.0
+        if cols:
+            thetas[0] = -thetas[0]
+        else:
+            thetas[0] += -np.pi if thetas[0] > 0 else np.pi
     if any(np.linalg.det(b) < 0 for b in (u1, u2, v1, v2)):
         raise DecompositionError("determinant normalization of CS blocks failed")
     return u1, u2, thetas, v1, v2

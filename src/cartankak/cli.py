@@ -187,7 +187,7 @@ def cmd_decompose(args) -> int:
     qa = _build_qa(args.dim, args.center)
     seq = _sequence_for(args, qa)
     try:
-        fact = recursive_decompose(u, seq, seed=args.seed)
+        fact = recursive_decompose(u, seq)
     except DecompositionError as exc:
         log.error("decomposition failed: %s", exc)
         return EXIT_DECOMPOSITION_FAILED
@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dim", type=int, required=True, help="dimension N of su(N)")
         p.add_argument("--center", default="intrinsic",
                        help="'intrinsic' or a JSON file with center generators")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted for compatibility; factorizations do not depend on it")
         p.add_argument("--input", help="input file (matrix or algebra JSON)")
         p.add_argument("--output", help="output file (atomic write); stdout otherwise")
         p.add_argument("--format", choices=("json", "table"), default="json")

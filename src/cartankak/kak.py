@@ -222,9 +222,9 @@ def _space_slots(images: Sequence[np.ndarray], n: int, tol=1e-9) -> Tuple[Tuple[
     return tuple(sorted(slots))
 
 
-def _build_frame(qa, spaces: Dict[str, AbelianSpace], seed: int) -> _Frame:
+def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
     n = qa.dim
-    u_a = diagonalize_abelian(qa.center, seed=seed)
+    u_a = diagonalize_abelian(qa.center)
     raw_images = {
         lab: [u_a @ g.matrix @ dagger(u_a) for g in sp.generators]
         for lab, sp in spaces.items()
@@ -257,11 +257,11 @@ def _build_frame(qa, spaces: Dict[str, AbelianSpace], seed: int) -> _Frame:
 # Level-1 computation: M = O1 D O2 via the symmetric eigendecomposition
 # ---------------------------------------------------------------------------
 
-def _ai_step(m: np.ndarray, seed: int):
+def _ai_step(m: np.ndarray):
     """Split M = O1 diag(exp(i lam)) O2, O1/O2 special orthogonal, sum(lam) = 0."""
     n = m.shape[0]
     s = m @ m.T
-    o1, w = complex_symmetric_eigenbasis(s, seed=seed)
+    o1, w = complex_symmetric_eigenbasis(s)
     lam = np.angle(w) / 2.0  # branch (-pi/2, pi/2]
     if np.linalg.det(o1) < 0:
         o1 = o1.copy()
@@ -339,17 +339,15 @@ def _solve_diagonal_expansion(images, target) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Engine:
-    def __init__(self, seq: DecompositionSequence, seed: int):
+    def __init__(self, seq: DecompositionSequence):
         self.seq = seq
         self.qa = seq.qa
         self.n = seq.dim
         self.p = seq.qa.p
-        self.seed = seed
         spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
-        self.frame = _build_frame(self.qa, spaces, seed)
+        self.frame = _build_frame(self.qa, spaces)
         self.blocks: List[AbelianBlock] = []
         self.position = 0
-        self.phase = 1.0 + 0.0j
 
     # -- tree bookkeeping ---------------------------------------------------
 
@@ -384,7 +382,7 @@ class _Engine:
 
     def run(self, u_su: np.ndarray) -> None:
         m = self.frame.matrix @ u_su @ dagger(self.frame.matrix)
-        o1, lam, o2 = _ai_step(m, self.seed)
+        o1, lam, o2 = _ai_step(m)
         level1 = self.seq.levels[0]
         images = [self.frame.image(g) for g in level1.center_core.generators]
         self._expand_orthogonal(o1, 2, "L")
@@ -519,7 +517,7 @@ class _Engine:
         self._emit(self.p + 1, final, omega)
 
 
-def recursive_decompose(u: np.ndarray, seq: DecompositionSequence, seed: int = 0) -> Factorization:
+def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorization:
     """Factor a unitary into single-generator exponentials along `seq`.
 
     Applies the single-level split at each recursion level, descending into
@@ -533,7 +531,7 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence, seed: int = 0
             f"unitary is {u.shape}, sequence expects dim {seq.dim}"
         )
     u_su, phase = ingest_unitary(u)
-    engine = _Engine(seq, seed)
+    engine = _Engine(seq)
     try:
         engine.run(u_su)
     except DecompositionError as exc:
@@ -543,7 +541,7 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence, seed: int = 0
         dim=seq.dim,
         factors=factors,
         blocks=tuple(engine.blocks),
-        global_phase=complex(phase * engine.phase),
+        global_phase=complex(phase),
         reconstruction_error=0.0,
     )
     err = frob(reconstruct(fact, seq.dim) - u)
@@ -566,7 +564,7 @@ def reconstruct(fact: Factorization, dim: int) -> np.ndarray:
 # Single level and abelian exponentials as standalone operations
 # ---------------------------------------------------------------------------
 
-def kak_single_level(u: np.ndarray, split: CartanSplit, seed: int = 0):
+def kak_single_level(u: np.ndarray, split: CartanSplit):
     """One KAK step U = K1 exp(i a) K2 for a Cartan split.
 
     K1 and K2 lie in exp(t) (their logarithms project onto span t) and `a` is
@@ -582,10 +580,10 @@ def kak_single_level(u: np.ndarray, split: CartanSplit, seed: int = 0):
     if abs(np.linalg.det(u) - 1.0) > 1e-8:
         raise InvalidMatrixError("determinant is not 1; run ingest_unitary first")
     spaces = {s.binary_label: s for s in split.t}
-    frame = _build_frame(split.qa, spaces, seed)
+    frame = _build_frame(split.qa, spaces)
     f = frame.matrix
     m = f @ u @ dagger(f)
-    o1, lam, o2 = _ai_step(m, seed)
+    o1, lam, o2 = _ai_step(m)
     k1 = dagger(f) @ o1.astype(complex) @ f
     k2 = dagger(f) @ o2.astype(complex) @ f
     a = dagger(f) @ np.diag(lam).astype(complex) @ f
@@ -605,7 +603,7 @@ def kak_single_level(u: np.ndarray, split: CartanSplit, seed: int = 0):
 
 
 def factor_abelian_exponential(
-    v: np.ndarray, space: AbelianSpace, seed: int = 0
+    v: np.ndarray, space: AbelianSpace
 ) -> Tuple[List[GateFactor], complex]:
     """Expand a unitary inside exp(i span(space)) over the space's generators.
 
@@ -620,7 +618,7 @@ def factor_abelian_exponential(
     if not is_unitary(v, 1e-10):
         raise InvalidMatrixError("matrix is not unitary within 1e-10")
     space.validate(1e-10)
-    w = diagonalize_abelian(space, seed=seed)
+    w = diagonalize_abelian(space)
     d = w @ v @ dagger(w)
     off = frob(d - np.diag(np.diag(d)))
     if off > SOLVE_TOL * n:

@@ -243,7 +243,7 @@ def lambda_basis(n: int) -> List[Generator]:
 # Simultaneous diagonalization
 # ---------------------------------------------------------------------------
 
-def diagonalize_abelian(space, seed: int = 0) -> np.ndarray:
+def diagonalize_abelian(space) -> np.ndarray:
     """Unitary U (det 1) with U g U^dag diagonal for every g in the space.
 
     Returns the identity when the space is already diagonal, so intrinsic
@@ -255,7 +255,7 @@ def diagonalize_abelian(space, seed: int = 0) -> np.ndarray:
     n = mats[0].shape[0]
     if all(frob(m - np.diag(np.diag(m))) < STRUCT_TOL * max(1.0, frob(m)) for m in mats):
         return np.eye(n, dtype=complex)
-    return simultaneous_diagonalize(mats, seed=seed)
+    return simultaneous_diagonalize(mats)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import numpy as np
 import pytest
+from scipy.stats import special_ortho_group
 
+from cartankak.cartan import build_decomposition_sequence
+from cartankak.kak import _build_frame
 from cartankak.partition import (
     build_quotient_algebra,
     intrinsic_quotient_algebra,
     removing_process,
     standard_basis,
+    standard_quotient_algebra,
     standard_word_center,
 )
 
@@ -35,3 +40,46 @@ def lambda_qa():
         return cache[n]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def std_seq():
+    """Default decomposition sequences over standard_quotient_algebra, by dimension."""
+    cache = {}
+
+    def get(n):
+        if n not in cache:
+            cache[n] = build_decomposition_sequence(standard_quotient_algebra(n))
+        return cache[n]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def near_collision(std_seq):
+    """Exact SU(n) inputs whose level-1 eigenphases nearly collide.
+
+    u = F^dag O1 diag(exp(i lam)) O2 F with F the level-1 frame and seeded
+    special orthogonal O1, O2. lam0 + lam1 = pi/6 + delta makes the pi/6
+    combination of Re/Im of M M^T nearly degenerate, and lam2 + lam3 = delta
+    does the same for its real part. With quarter=True, lam0 and lam1 are
+    pi/4 -+ delta/2 instead: that pair is near-degenerate in the combination
+    and in Re, and exactly degenerate in Im = sin(2 lam).
+    """
+
+    def make(n, delta, seed, quarter=False):
+        seq = std_seq(n)
+        spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
+        f = _build_frame(seq.qa, spaces).matrix
+        rng = np.random.default_rng(seed)
+        o1 = special_ortho_group.rvs(n, random_state=rng)
+        o2 = special_ortho_group.rvs(n, random_state=rng)
+        lam = rng.uniform(-1.0, 1.0, n)
+        lam[1] = np.pi / 6 + delta - lam[0]
+        lam[3] = delta - lam[2]
+        if quarter:
+            lam[0], lam[1] = np.pi / 4 - delta / 2, np.pi / 4 + delta / 2
+        lam[-1] = -lam[:-1].sum()
+        return f.conj().T @ o1 @ np.diag(np.exp(1j * lam)) @ o2 @ f, seq
+
+    return make

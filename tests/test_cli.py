@@ -121,6 +121,22 @@ class TestDecompose:
         inp = write_json(tmp_path / "u.json", serialize.matrix_to_json(u))
         assert main(["decompose", "--dim", "4", "--input", inp]) == 3
 
+    def test_near_collision_exits_0(self, tmp_path, near_collision):
+        u, _ = near_collision(6, 1e-7, 0)
+        inp = write_json(tmp_path / "u6.json", serialize.matrix_to_json(u))
+        out = tmp_path / "fact6.json"
+        assert main(["decompose", "--dim", "6", "--input", inp, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["reconstruction_error"] < 1e-8
+
+    def test_seed_does_not_change_factors(self, tmp_path):
+        u = random_special_unitary(4, np.random.default_rng(5))
+        inp = write_json(tmp_path / "u4.json", serialize.matrix_to_json(u))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["decompose", "--dim", "4", "--input", inp, "--output", str(a)]) == 0
+        assert main(["decompose", "--dim", "4", "--input", inp, "--output", str(b),
+                     "--seed", "7"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_choice_bits_flag(self, tmp_path):
         u = random_special_unitary(8, np.random.default_rng(3))
         inp = write_json(tmp_path / "u8.json", serialize.matrix_to_json(u))

@@ -176,12 +176,43 @@ class TestReconstruct:
 
 
 class TestRecursiveDecompose:
-    def test_identity_has_no_factors(self, word_qa):
-        seq = build_decomposition_sequence(word_qa(8))
-        fact = recursive_decompose(np.eye(8), seq)
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_identity_has_no_factors(self, n, std_seq):
+        seq = std_seq(n)
+        fact = recursive_decompose(np.eye(n), seq)
         assert fact.factors == ()
         assert fact.reconstruction_error < 1e-12
-        assert len(fact.blocks) == 15
+        assert len(fact.blocks) == 2 ** (seq.qa.p + 1) - 1
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_structured_inputs_round_trip(self, n, std_seq):
+        seq = std_seq(n)
+        qa = seq.qa
+        rng = np.random.default_rng(n)
+        k = np.arange(n)
+        inputs = {
+            "-I": -np.eye(n),
+            "permutation": np.eye(n)[rng.permutation(n)],
+            "cyclic shift": np.roll(np.eye(n), 1, axis=0),
+            "QFT": np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n),
+        }
+        generators = {"center": qa.center.generators[0], "pair": qa.pairs[0].w.generators[0]}
+        for name, g in generators.items():
+            for angle in (np.pi / 4, np.pi / 2, np.pi):
+                inputs[f"exp({angle:.3f} {name})"] = expm_hermitian(g.matrix, angle)
+        for name, u in inputs.items():
+            fact = recursive_decompose(u, seq)
+            assert fact.reconstruction_error < 1e-8, name
+
+    @pytest.mark.parametrize("n", [6, 8, 9, 16])
+    def test_near_collision_eigenphases(self, n, near_collision):
+        cases = [(d, False) for d in (1e-7, 1e-8, 1e-9, 0.0)]
+        cases += [(eta, True) for eta in (1e-6, 1e-7, 1e-8)]
+        for delta, quarter in cases:
+            for seed in range(3):
+                u, seq = near_collision(n, delta, seed, quarter)
+                fact = recursive_decompose(u, seq)
+                assert fact.reconstruction_error < 1e-8, (delta, quarter, seed)
 
     @pytest.mark.parametrize("n,blocks", [(4, 7), (6, 15), (8, 15)])
     def test_round_trip_random(self, n, blocks, word_qa):
@@ -243,8 +274,8 @@ class TestRecursiveDecompose:
     def test_determinism(self, word_qa):
         seq = build_decomposition_sequence(word_qa(6))
         u = random_special_unitary(6, np.random.default_rng(33))
-        f1 = recursive_decompose(u, seq, seed=0)
-        f2 = recursive_decompose(u, seq, seed=0)
+        f1 = recursive_decompose(u, seq)
+        f2 = recursive_decompose(u, seq)
         assert len(f1.factors) == len(f2.factors)
         for a, b in zip(f1.factors, f2.factors):
             assert a.tree_index == b.tree_index

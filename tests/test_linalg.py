@@ -1,0 +1,188 @@
+"""The cosine-sine step and the joint eigenbasis, branch by branch."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from scipy.stats import ortho_group, special_ortho_group
+
+from cartankak._linalg import (
+    CLUSTER_TOL,
+    _fix_determinants,
+    complex_symmetric_eigenbasis,
+    cs_decompose_so,
+    frob,
+    joint_eigenbasis,
+    rotation_middle,
+)
+from cartankak.errors import DecompositionError, InvalidMatrixError
+
+
+def assemble(u1, u2, thetas, v1, v2):
+    n, p = len(u1) + len(u2), len(u1)
+    k1 = scipy.linalg.block_diag(u1, u2)
+    k2 = scipy.linalg.block_diag(v1, v2)
+    return k1 @ rotation_middle(n, p, thetas) @ k2
+
+
+def off_diagonal(d):
+    return frob(d - np.diag(np.diag(d)))
+
+
+class TestCsDecomposeSo:
+    @pytest.mark.parametrize("p,q", [(5, 3), (3, 5), (4, 4), (6, 1), (1, 6), (1, 1)])
+    def test_random_special_orthogonal(self, p, q):
+        x = special_ortho_group.rvs(p + q, random_state=10 * p + q)
+        u1, u2, thetas, v1, v2 = cs_decompose_so(x, p, q)
+        assert len(thetas) == min(p, q)
+        assert frob(assemble(u1, u2, thetas, v1, v2) - x) < 1e-12
+        for b in (u1, u2, v1, v2):
+            assert frob(b @ b.T - np.eye(len(b))) < 1e-12
+            assert abs(np.linalg.det(b) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (2, 3), (3, 3)])
+    def test_theta_exactly_zero(self, p, q):
+        u1, u2, thetas, v1, v2 = cs_decompose_so(np.eye(p + q), p, q)
+        assert np.all(thetas == 0.0)
+        assert frob(assemble(u1, u2, thetas, v1, v2) - np.eye(p + q)) < 1e-12
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (2, 3), (3, 3)])
+    def test_theta_exactly_half_pi(self, p, q):
+        x = rotation_middle(p + q, p, [np.pi / 2] * min(p, q))
+        u1, u2, thetas, v1, v2 = cs_decompose_so(x, p, q)
+        np.testing.assert_allclose(np.abs(thetas), np.pi / 2, atol=1e-12)
+        assert frob(assemble(u1, u2, thetas, v1, v2) - x) < 1e-12
+
+    def test_empty_partition_passes_through(self):
+        x = special_ortho_group.rvs(3, random_state=1)
+        u1, u2, thetas, v1, v2 = cs_decompose_so(x, 0, 3)
+        assert u1.shape == (0, 0) and len(thetas) == 0
+        np.testing.assert_array_equal(u2, x)
+        np.testing.assert_array_equal(v2, np.eye(3))
+
+    @pytest.mark.parametrize("p,q", [(3, 0), (0, 3)])
+    def test_no_cs_pair_error(self, p, q):
+        with pytest.raises(DecompositionError, match="without a CS pair"):
+            cs_decompose_so(np.diag([-1.0, 1.0, 1.0]), p, q)
+
+    def test_determinant_minus_one_rejected(self):
+        with pytest.raises(DecompositionError, match="determinant normalization"):
+            cs_decompose_so(np.diag([-1.0, 1.0, 1.0, 1.0]), 2, 2)
+
+    def test_non_orthogonal_rejected(self):
+        with pytest.raises(DecompositionError, match="reassembly"):
+            cs_decompose_so(2.0 * np.eye(4), 2, 2)
+
+    def test_complex_input(self):
+        x = special_ortho_group.rvs(4, random_state=2)
+        u1, u2, thetas, v1, v2 = cs_decompose_so(x.astype(complex), 2, 2)
+        assert frob(assemble(u1, u2, thetas, v1, v2) - x) < 1e-12
+        with pytest.raises(InvalidMatrixError):
+            cs_decompose_so(x + 1e-3j, 2, 2)
+
+
+class TestFixDeterminants:
+    @staticmethod
+    def blocks(negative, seed):
+        rng = np.random.default_rng(seed)
+        out = {}
+        for name, size in (("u1", 3), ("u2", 2), ("v1", 3), ("v2", 2)):
+            b = ortho_group.rvs(size, random_state=rng)
+            if (np.linalg.det(b) < 0) != (name in negative):
+                b[:, -1] *= -1.0
+            out[name] = b
+        thetas = rng.uniform(-np.pi, np.pi, 2)
+        return out["u1"], out["u2"], thetas, out["v1"], out["v2"]
+
+    @pytest.mark.parametrize(
+        "negative,theta0",
+        [
+            ((), lambda t: t),
+            (("u1", "v1"), lambda t: -t),
+            (("u2", "v2"), lambda t: -t),
+            (("v1", "v2"), lambda t: t - np.pi if t > 0 else t + np.pi),
+            (("u1", "u2"), lambda t: t - np.pi if t > 0 else t + np.pi),
+            (("u1", "u2", "v1", "v2"), lambda t: t),
+        ],
+    )
+    def test_moves_keep_product(self, negative, theta0):
+        u1, u2, thetas, v1, v2 = self.blocks(negative, seed=len(negative))
+        x = assemble(u1, u2, thetas, v1, v2)
+        fixed = _fix_determinants(u1.copy(), u2.copy(), thetas, v1.copy(), v2.copy())
+        assert all(np.linalg.det(b) > 0 for b in fixed[:2] + fixed[3:])
+        assert frob(assemble(*fixed) - x) < 1e-12
+        assert fixed[2][0] == pytest.approx(theta0(thetas[0]), abs=1e-15)
+        assert fixed[2][1] == thetas[1]
+
+
+class TestJointEigenbasis:
+    def test_non_degenerate_first_matrix_is_plain_eigh(self):
+        m0 = special_ortho_group.rvs(5, random_state=3)
+        m0 = m0 @ np.diag([0.0, 1.0, 2.0, 3.0, 4.0]) @ m0.T
+        np.testing.assert_array_equal(joint_eigenbasis([m0, np.eye(5)]), np.linalg.eigh(m0)[1])
+
+    def test_exactly_degenerate_first_matrix(self):
+        q = ortho_group.rvs(4, random_state=4)
+        m0 = q @ np.diag([1.0, 1.0, -1.0, -1.0]) @ q.T
+        m1 = q @ np.diag([1.0, -1.0, 1.0, -1.0]) @ q.T
+        v = joint_eigenbasis([m0, m1])
+        assert off_diagonal(v.T @ m0 @ v) < 1e-12
+        assert off_diagonal(v.T @ m1 @ v) < 1e-12
+
+    def test_gap_just_under_cluster_tolerance(self):
+        # eigh alone leaves ~1e-10 of m1 off the diagonal at this gap.
+        q = ortho_group.rvs(6, random_state=5)
+        ev0 = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0])
+        ev0[2] += 0.5 * CLUSTER_TOL * np.linalg.norm(ev0)
+        m0 = q @ np.diag(ev0) @ q.T
+        m1 = q @ np.diag([1.0, 5.0, -3.0, 1.0, 2.0, 7.0]) @ q.T
+        v = joint_eigenbasis([m0, m1])
+        assert off_diagonal(v.T @ m0 @ v) < 1e-12
+        assert off_diagonal(v.T @ m1 @ v) < 1e-12
+
+    def test_scalar_restriction_keeps_resolved_basis(self):
+        # m1 resolves m0's degenerate pair at a gap below CLUSTER_TOL; m2 is
+        # scalar on that pair, so rotating by its eigh would scramble m1.
+        q = ortho_group.rvs(4, random_state=9)
+        m0 = q @ np.diag([0.0, 0.0, 1.0, 2.0]) @ q.T
+        m1 = q @ np.diag([1e-8, -1e-8, 3.0, 5.0]) @ q.T
+        m2 = q @ np.diag([1.0, 1.0, 0.0, 4.0]) @ q.T
+        v = joint_eigenbasis([m0, m1, m2])
+        for m in (m0, m1, m2):
+            assert off_diagonal(v.T @ m @ v) < 1e-12
+
+    def test_complex_hermitian_family(self):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        w, _ = np.linalg.qr(z)
+        m0 = w @ np.diag([2.0, 2.0, 0.0, 0.0]) @ w.conj().T
+        m1 = w @ np.diag([1.0, 0.0, 1.0, 0.0]) @ w.conj().T
+        v = joint_eigenbasis([m0, m1])
+        assert frob(v.conj().T @ v - np.eye(4)) < 1e-12
+        for m in (m0, m1):
+            assert off_diagonal(v.conj().T @ m @ v) < 1e-12
+
+
+class TestComplexSymmetricEigenbasis:
+    def test_near_collision_in_first_combination(self):
+        # 2(lam0 + lam1) = pi/3 makes cos(2 lam - pi/6) collide for the pair.
+        o = special_ortho_group.rvs(5, random_state=7)
+        lam = np.array([0.2, np.pi / 6 - 0.2 + 1e-9, 0.4, -0.3, 0.9])
+        s = o @ np.diag(np.exp(2j * lam)) @ o.T
+        o_got, w = complex_symmetric_eigenbasis(s)
+        assert frob(o_got @ np.diag(w) @ o_got.T - s) < 1e-12
+
+    @pytest.mark.parametrize("eta", [1e-7, 1e-8])
+    def test_near_collision_at_quarter_turn(self, eta):
+        # 2 lam = pi/2 -+ eta: Re separates the pair by only 2 eta and Im is
+        # scalar on it.
+        o = special_ortho_group.rvs(5, random_state=10)
+        lam = np.array([np.pi / 4 - eta / 2, np.pi / 4 + eta / 2, 0.4, -0.3, 0.9])
+        s = o @ np.diag(np.exp(2j * lam)) @ o.T
+        o_got, w = complex_symmetric_eigenbasis(s)
+        assert frob(o_got @ np.diag(w) @ o_got.T - s) < 1e-12
+
+    def test_non_commuting_parts_rejected(self):
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        with pytest.raises(DecompositionError, match="did not diagonalize"):
+            complex_symmetric_eigenbasis(a + a.T + 1j * (b + b.T))
