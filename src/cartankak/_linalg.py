@@ -93,6 +93,20 @@ def span_fingerprint(mats, tol=SOLVE_TOL, digits=9) -> bytes:
     return rounded.tobytes() + bytes([rows.shape[0]])
 
 
+def slot_support(mats, tol):
+    """Where a stack of matrices is non-zero: (slots, diagonal).
+
+    slots are the sorted 0-based (i, j), i < j, at which some matrix has a
+    real or imaginary part above tol; diagonal says whether some diagonal
+    entry does. For lambda-basis expansions, a slot is one lambda_ij or
+    lambdahat_ij subscript pair and the diagonal is the d part.
+    """
+    stack = np.asarray(mats)
+    hit = ((np.abs(stack.real) > tol) | (np.abs(stack.imag) > tol)).any(axis=0)
+    rows, cols = np.nonzero(np.triu(hit, 1))
+    return tuple(zip(rows.tolist(), cols.tolist())), bool(np.diagonal(hit).any())
+
+
 def all_commute(mats, tol=STRUCT_TOL) -> bool:
     mats = list(mats)
     for i, a in enumerate(mats):

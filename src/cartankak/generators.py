@@ -204,8 +204,7 @@ def site_factors(symbol: str) -> Tuple[int, np.ndarray]:
 
 
 def _site_is_identity(symbol: str) -> bool:
-    d, m = site_factors(symbol)
-    return frob(m - np.eye(d)) < STRUCT_TOL
+    return symbol in ("p0", "g0") or re.fullmatch(r"i\d+", symbol) is not None
 
 
 def standard_sites(n: int) -> List[int]:

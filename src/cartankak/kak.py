@@ -22,6 +22,7 @@ import numpy as np
 from . import generators as gen
 from ._linalg import (
     SOLVE_TOL,
+    STRUCT_TOL,
     complex_symmetric_eigenbasis,
     cs_decompose_so,
     dagger,
@@ -30,6 +31,7 @@ from ._linalg import (
     is_unitary,
     project_residual,
     real_log_special_orthogonal,
+    slot_support,
     span_rows,
 )
 from .cartan import CartanSplit, DecompositionSequence
@@ -40,7 +42,7 @@ from .errors import (
     NotInSpanError,
     UnsupportedLabelError,
 )
-from .generators import Generator, TensorWord
+from .generators import Diag, Generator, Lambda, LambdaHat, TensorWord
 from .partition import AbelianSpace, diagonalize_abelian, standard_basis
 
 __all__ = [
@@ -100,15 +102,21 @@ class Factorization:
 def ingest_unitary(m: np.ndarray) -> Tuple[np.ndarray, complex]:
     """Check unitarity and normalize the determinant to 1.
 
-    Returns (u, phase) with m = phase * u, det(u) = 1 and |phase| = 1; the
-    phase spreads det(m)^(1/N) evenly across the diagonal.
+    Returns (u, phase) with det(u) = 1 and |phase| = 1; the phase spreads
+    det(m)^(1/N) evenly across the diagonal. phase * u is m itself when m is
+    unitary within STRUCT_TOL, else its nearest unitary W Vh from the SVD,
+    because later steps assume exact unitarity. Projecting an already exact
+    input would move it by an ulp, and that can flip a CS sign gauge.
     """
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidMatrixError("unitary must be square")
+    n = m.shape[0]
     if not is_unitary(m, 1e-10):
         raise InvalidMatrixError("matrix is not unitary within 1e-10")
+    if not is_unitary(m, STRUCT_TOL):
+        w, _, vh = np.linalg.svd(m)
+        m = w @ vh
     phase = np.exp(1j * np.angle(np.linalg.det(m)) / n)
     return m / phase, phase
 
@@ -116,15 +124,18 @@ def ingest_unitary(m: np.ndarray) -> Tuple[np.ndarray, complex]:
 def classify_gate(g: Generator) -> str:
     """'local' when exactly one tensor site is non-identity, else 'nonlocal'.
 
-    Generators without a word label are matched against the standard word
-    basis of their dimension; a prime dimension is a single site, so every
-    generator there is local.
+    Decided from the label where it can be: a prime dimension is a single
+    site, so every generator there is local; a lambda, lambdahat or d
+    generator has rank 2, while a word over two or more sites has rank at
+    least 4, so none of them is a word. Unlabeled and orthod generators are
+    matched against the standard word basis of their dimension.
     """
     if isinstance(g.label, TensorWord):
         return "local" if gen.word_site_count(g) == 1 else "nonlocal"
-    sites = gen.standard_sites(g.dim)
-    if len(sites) == 1:
+    if len(gen.standard_sites(g.dim)) == 1:
         return "local"
+    if isinstance(g.label, (Lambda, LambdaHat, Diag)):
+        raise UnsupportedLabelError(f"{g.label} is not a word of the site structure")
     for word in standard_basis(g.dim):
         overlap = np.trace(dagger(word.matrix) @ g.matrix)
         denom = np.trace(dagger(word.matrix) @ word.matrix)
@@ -147,7 +158,7 @@ def _locality_or_none(g: Generator) -> Optional[str]:
 # Frames: diagonalize the center, rotate t onto the antisymmetric generators
 # ---------------------------------------------------------------------------
 
-def _binary_phase_frame(n: int, space_images: Sequence[Sequence[np.ndarray]], tol=1e-9):
+def _binary_phase_frame(n: int, images: Sequence[np.ndarray]):
     """Diagonal unitary V with V G V^dag antisymmetric-imaginary for all images.
 
     Each off-diagonal slot carries a one-dimensional direction; solving
@@ -155,24 +166,16 @@ def _binary_phase_frame(n: int, space_images: Sequence[Sequence[np.ndarray]], to
     the per-index phases. Inconsistency means the structure is not conjugate
     to a binary-partitioned one.
     """
+    stack = np.array(images)
+    slots, _ = slot_support(stack, SOLVE_TOL)
     deltas: Dict[Tuple[int, int], float] = {}
-    for images in space_images:
-        for g in images:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    z = g[i, j]
-                    if abs(z) < tol:
-                        continue
-                    delta = (-np.pi / 2.0 - np.angle(z)) % np.pi
-                    if (i, j) in deltas:
-                        diff = abs(deltas[(i, j)] - delta)
-                        diff = min(diff, abs(diff - np.pi))
-                        if diff > 1e-7:
-                            raise DecompositionError(
-                                f"slot ({i + 1},{j + 1}) carries two phase directions"
-                            )
-                    else:
-                        deltas[(i, j)] = delta
+    for i, j in slots:
+        z = stack[:, i, j]
+        delta = (-np.pi / 2.0 - np.angle(z[np.abs(z) >= SOLVE_TOL])) % np.pi
+        diff = np.abs(delta - delta[0])
+        if np.any(np.minimum(diff, np.abs(diff - np.pi)) > 1e-7):
+            raise DecompositionError(f"slot ({i + 1},{j + 1}) carries two phase directions")
+        deltas[(i, j)] = delta[0]
     phi = np.zeros(n)
     seen = [False] * n
     for start in range(n):
@@ -212,16 +215,6 @@ class _Frame:
         return self.matrix @ g.matrix @ dagger(self.matrix)
 
 
-def _space_slots(images: Sequence[np.ndarray], n: int, tol=1e-9) -> Tuple[Tuple[int, int], ...]:
-    slots = set()
-    for g in images:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(g[i, j]) > tol:
-                    slots.add((i, j))
-    return tuple(sorted(slots))
-
-
 def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
     n = qa.dim
     u_a = diagonalize_abelian(qa.center)
@@ -229,13 +222,13 @@ def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
         lab: [u_a @ g.matrix @ dagger(u_a) for g in sp.generators]
         for lab, sp in spaces.items()
     }
-    v = _binary_phase_frame(n, list(raw_images.values()))
+    v = _binary_phase_frame(n, [g for images in raw_images.values() for g in images])
     f = v @ u_a
     slots: Dict[str, Tuple[Tuple[int, int], ...]] = {}
     taken = set()
     for lab, images in raw_images.items():
         rotated = [v @ g @ dagger(v) for g in images]
-        ss = _space_slots(rotated, n)
+        ss, _ = slot_support(rotated, SOLVE_TOL)
         if len(ss) != len(images):
             raise DecompositionError(
                 f"space {lab} covers {len(ss)} slots for {len(images)} generators"
@@ -303,11 +296,8 @@ def _ai_step(m: np.ndarray):
 
 def _slot_coefficients(images: Sequence[np.ndarray], slots) -> np.ndarray:
     """c[a, s]: expansion of image a over the antisymmetric slot generators."""
-    c = np.zeros((len(images), len(slots)))
-    for a, g in enumerate(images):
-        for s, (i, j) in enumerate(slots):
-            c[a, s] = -np.imag(g[i, j])
-    return c
+    rows, cols = np.array(slots).T
+    return -np.imag(np.array(images)[:, rows, cols])
 
 
 def _solve_expansion(images, slots, phis_by_slot) -> np.ndarray:
@@ -396,23 +386,12 @@ class _Engine:
             labels = self.seq.levels[level - 1].chosen_labels
         else:
             labels = (self.seq.final.binary_label,)
-        edges = []
-        for lab in labels:
-            edges.extend(self.frame.slots[lab])
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in edges:
-            parent[find(i)] = find(j)
-        groups: Dict[int, List[int]] = {}
-        for i in range(self.n):
-            groups.setdefault(find(i), []).append(i)
-        return sorted(groups.values())
+        rows, cols = np.array([s for lab in labels for s in self.frame.slots[lab]]).T
+        reach = np.eye(self.n, dtype=bool)
+        reach[rows, cols] = reach[cols, rows] = True
+        for _ in range(self.n.bit_length()):  # each squaring doubles the path length
+            reach = reach @ reach
+        return [list(c) for c in sorted({tuple(np.flatnonzero(r).tolist()) for r in reach})]
 
     def _expand_orthogonal(self, o: np.ndarray, level: int, branch: str) -> None:
         if level == self.p + 1:

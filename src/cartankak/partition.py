@@ -26,6 +26,7 @@ from ._linalg import (
     in_span,
     project_residual,
     simultaneous_diagonalize,
+    slot_support,
     span_rank,
     span_rows,
 )
@@ -340,100 +341,100 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
         used = {id(g) for g in ws + hats}
         remaining = [g for g in remaining if id(g) not in used]
 
-    merged = _merge_pairs(raw_pairs, n)
+    merged = _merge_pairs(raw_pairs)
     p = max(1, math.ceil(math.log2(n)))
-    pairs = _label_pairs(merged, n, p)
+    pairs = _label_pairs(merged, p)
     qa = QuotientAlgebra(center=center, pairs=tuple(pairs), dim=n, p=p)
     if qa.generator_count() != n * n - 1:
         raise InvalidMatrixError("constructed algebra has the wrong generator count")
     return qa
 
 
+def _xor_label(gens: Sequence[Generator]) -> int:
+    """The one XOR of 0-based lambda subscripts shared by every slot the generators fill."""
+    slots, diagonal = slot_support([g.matrix for g in gens], STRUCT_TOL)
+    if diagonal:
+        raise NotBinaryPartitionedError(
+            "pair generator has diagonal components; no subscript pattern"
+        )
+    patterns = {i ^ j for i, j in slots}
+    if len(patterns) != 1:
+        raise NotBinaryPartitionedError(
+            f"pair carries {len(patterns)} distinct binary strings; "
+            "inconsistent subscript partition"
+        )
+    return patterns.pop()
+
+
+def _fragment_label(gens: Sequence[Generator]) -> Optional[int]:
+    try:
+        return _xor_label(gens)
+    except NotBinaryPartitionedError:
+        return None
+
+
 def _hat_parity_of_fragment(ws: List[Generator]) -> Optional[bool]:
     """False for pure-lambda fragments, True for pure-hat, None if mixed."""
-    kinds = set()
-    for g in ws:
-        for _, label in gen.to_lambda_basis(g.matrix):
-            kinds.add(type(label).__name__)
-    if kinds == {"Lambda"}:
-        return False
-    if kinds == {"LambdaHat"}:
-        return True
-    return None
+    mats = np.array([g.matrix for g in ws])
+    real_slots, diagonal = slot_support(mats.real, STRUCT_TOL)
+    imag_slots, _ = slot_support(mats.imag, STRUCT_TOL)
+    if diagonal or bool(real_slots) == bool(imag_slots):
+        return None
+    return bool(imag_slots)
 
 
-def _fragment_label(ws: List[Generator], hats: List[Generator]) -> Optional[int]:
-    patterns = set()
-    for g in ws + hats:
-        for _, label in gen.to_lambda_basis(g.matrix):
-            if isinstance(label, (Lambda, LambdaHat)):
-                patterns.add((label.i - 1) ^ (label.j - 1))
-            else:
-                return None
-    return patterns.pop() if len(patterns) == 1 else None
-
-
-def _merge_pairs(raw_pairs, n):
+def _merge_pairs(raw_pairs):
     """Merge commuting fragments sharing one binary-partitioning string.
 
     Fragments are grouped by the common XOR pattern of their lambda
     subscripts, and within a group the unhatted components merge together
     (the binary-consistent option, never the superposition variant). Pairs
-    that are not lambda-aligned pass through untouched.
+    that are not lambda-aligned pass through untouched. Each merged pair
+    comes with its XOR pattern, or None.
     """
     groups: Dict[object, List[Tuple[List[Generator], List[Generator]]]] = {}
-    order: List[object] = []
     for ws, hats in raw_pairs:
-        key = _fragment_label(ws, hats)
-        key = key if key is not None else ("opaque", len(order))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((ws, hats))
+        key = _fragment_label(ws + hats)
+        key = ("opaque", len(groups)) if key is None else key
+        groups.setdefault(key, []).append((ws, hats))
     merged = []
-    for key in order:
-        frags = groups[key]
+    for key, frags in groups.items():
+        value = key if isinstance(key, int) else None
         if len(frags) == 1:
-            merged.append(frags[0])
+            merged.append((*frags[0], value))
             continue
         w_all: List[Generator] = []
         h_all: List[Generator] = []
         for ws, hats in frags:
-            parity = _hat_parity_of_fragment(ws)
-            if parity is True:
+            if _hat_parity_of_fragment(ws) is True:
                 ws, hats = hats, ws
             w_all.extend(ws)
             h_all.extend(hats)
         for fragment in (w_all, h_all):
             if not all_commute([g.matrix for g in fragment], 1e-10):
                 raise ClosureViolationError("merged fragments do not commute")
-        merged.append((w_all, h_all))
+        merged.append((w_all, h_all, value))
     return merged
 
 
-def _label_pairs(merged, n, p) -> List[ConjugatePair]:
-    pairs = []
-    labeled: List[Optional[str]] = []
-    for ws, hats in merged:
-        value = _fragment_label(ws, hats)
-        labeled.append(bits_of(value, p) if value is not None else None)
+def _label_pairs(merged, p) -> List[ConjugatePair]:
+    labeled = [bits_of(value, p) if value is not None else None for _, _, value in merged]
     if any(lab is None for lab in labeled):
-        labeled = _structural_labels(merged, n, p)
+        labeled = _structural_labels(merged, p)
     used = [lab for lab in labeled if lab is not None]
     if len(set(used)) != len(used):
         raise NotBinaryPartitionedError("two pairs carry the same binary string")
-    for (ws, hats), lab in zip(merged, labeled):
+    pairs = []
+    for (ws, hats, _), lab in zip(merged, labeled):
         w = AbelianSpace(tuple(ws), hat=False, binary_label=lab)
         wh = AbelianSpace(tuple(hats), hat=True, binary_label=lab)
         pairs.append(ConjugatePair(w=w, w_hat=wh, binary_label=lab))
-    def sort_key(pair):
-        return label_int(pair.binary_label) if pair.binary_label else 0
-    if all(pair.binary_label is not None for pair in pairs):
-        pairs.sort(key=sort_key)
+    if len(used) == len(labeled):
+        pairs.sort(key=lambda pair: label_int(pair.binary_label))
     return pairs
 
 
-def _structural_labels(merged, n, p) -> List[Optional[str]]:
+def _structural_labels(merged, p) -> List[Optional[str]]:
     """Assign binary strings from the pair multiplication structure alone.
 
     Works when subscript patterns are unavailable (non-diagonal centers):
@@ -441,7 +442,7 @@ def _structural_labels(merged, n, p) -> List[Optional[str]]:
     under [pair_i, pair_j] -> pair_{i xor j}, and verify consistency.
     """
     count = len(merged)
-    spans = [span_rows([g.matrix for g in ws + hats]) for ws, hats in merged]
+    spans = [span_rows([g.matrix for g in ws + hats]) for ws, hats, _ in merged]
 
     def target(i: int, j: int) -> Optional[int]:
         for ga in merged[i][0][:1] + merged[i][1][:1]:
@@ -505,23 +506,8 @@ def standard_quotient_algebra(n: int) -> QuotientAlgebra:
 
 def binary_label_of(pair: ConjugatePair) -> str:
     """The common binary-partitioning string of a pair's lambda subscripts."""
-    dim = pair.w.dim
-    p = max(1, math.ceil(math.log2(dim)))
-    patterns = set()
-    for g in pair.w.generators + pair.w_hat.generators:
-        for _, label in gen.to_lambda_basis(g.matrix):
-            if isinstance(label, (Lambda, LambdaHat)):
-                patterns.add((label.i - 1) ^ (label.j - 1))
-            else:
-                raise NotBinaryPartitionedError(
-                    "pair generator has diagonal components; no subscript pattern"
-                )
-    if len(patterns) != 1:
-        raise NotBinaryPartitionedError(
-            f"pair carries {len(patterns)} distinct binary strings; "
-            "inconsistent subscript partition"
-        )
-    return bits_of(patterns.pop(), p)
+    p = max(1, math.ceil(math.log2(pair.w.dim)))
+    return bits_of(_xor_label(pair.w.generators + pair.w_hat.generators), p)
 
 
 # ---------------------------------------------------------------------------
@@ -810,15 +796,12 @@ def subscript_table_of(qa: QuotientAlgebra) -> SubscriptTable:
         raise NotBinaryPartitionedError("subscript table needs a labeled algebra")
     rows = []
     for pair in qa.pairs:
-        slots = set()
-        for g in pair.w.generators + pair.w_hat.generators:
-            for _, label in gen.to_lambda_basis(g.matrix):
-                if not isinstance(label, (Lambda, LambdaHat)):
-                    raise NotBinaryPartitionedError(
-                        "pair generators must be off-diagonal lambda combinations"
-                    )
-                slots.add((label.i, label.j))
-        rows.append(tuple(sorted(slots)))
+        slots, diagonal = slot_support(pair.all_matrices(), STRUCT_TOL)
+        if diagonal:
+            raise NotBinaryPartitionedError(
+                "pair generators must be off-diagonal lambda combinations"
+            )
+        rows.append(tuple((i + 1, j + 1) for i, j in slots))
     return SubscriptTable(tuple(rows), tuple(p.binary_label for p in qa.pairs))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import special_ortho_group
 
+from cartankak._linalg import random_special_unitary
 from cartankak.cartan import build_decomposition_sequence
 from cartankak.kak import _build_frame
 from cartankak.partition import (
@@ -81,5 +82,23 @@ def near_collision(std_seq):
             lam[0], lam[1] = np.pi / 4 - delta / 2, np.pi / 4 + delta / 2
         lam[-1] = -lam[:-1].sum()
         return f.conj().T @ o1 @ np.diag(np.exp(1j * lam)) @ o2 @ f, seq
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def noisy_unitary():
+    """A seeded Haar SU(n) element plus complex Gaussian noise of norm 1e-11..5e-10.
+
+    ingest_unitary accepts all of these (its bound on |U U^dag - I| is
+    1e-10 n). Used as given, about a quarter of them fail the level-1 split
+    with "right orthogonal factor is not real".
+    """
+
+    def make(n, rng):
+        u = random_special_unitary(n, rng)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        eps = 10 ** rng.uniform(-11, np.log10(5e-10))
+        return u + eps * g / np.linalg.norm(g)
 
     return make

@@ -128,6 +128,13 @@ class TestDecompose:
         assert main(["decompose", "--dim", "6", "--input", inp, "--output", str(out)]) == 0
         assert json.loads(out.read_text())["reconstruction_error"] < 1e-8
 
+    def test_noisy_unitary_exits_0(self, tmp_path, noisy_unitary):
+        m = noisy_unitary(8, np.random.default_rng(8))
+        inp = write_json(tmp_path / "m8.json", serialize.matrix_to_json(m))
+        out = tmp_path / "fact8.json"
+        assert main(["decompose", "--dim", "8", "--input", inp, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["reconstruction_error"] < 1e-8
+
     def test_seed_does_not_change_factors(self, tmp_path):
         u = random_special_unitary(4, np.random.default_rng(5))
         inp = write_json(tmp_path / "u4.json", serialize.matrix_to_json(u))

@@ -40,6 +40,30 @@ class TestIngest:
         with pytest.raises(InvalidMatrixError):
             ingest_unitary(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("m", [np.array(1.0), np.ones(4)], ids=["0-d", "1-d"])
+    def test_rejects_non_matrix(self, m):
+        with pytest.raises(InvalidMatrixError):
+            ingest_unitary(m)
+
+    def test_exact_unitary_is_kept(self):
+        u = random_special_unitary(6, np.random.default_rng(2))
+        su, phase = ingest_unitary(u)
+        np.testing.assert_array_equal(su, u / phase)
+
+    def test_noisy_unitary_is_projected(self, noisy_unitary):
+        m = noisy_unitary(6, np.random.default_rng(3))
+        su, phase = ingest_unitary(m)
+        assert frob(su @ su.conj().T - np.eye(6)) < 1e-14
+        assert frob(su * phase - m) < 1e-9
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_noisy_corpus_factors(self, n, noisy_unitary, std_seq):
+        rng = np.random.default_rng(n)
+        for k in range(16):
+            m = noisy_unitary(n, rng)
+            fact = recursive_decompose(m, std_seq(n))
+            assert fact.reconstruction_error < 1e-8, k
+
 
 class TestClassifyGate:
     def test_single_site_local(self):
