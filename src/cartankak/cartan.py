@@ -44,7 +44,6 @@ from .partition import (
     diagonalize_abelian,
     intrinsic_quotient_algebra,
     label_int,
-    removing_process,
     standard_basis,
     standard_word_center,
 )
@@ -264,19 +263,15 @@ def _structure_of_center(center: AbelianSpace, n: int) -> QuotientAlgebra:
     """Quotient algebra of an arbitrary maximal abelian subalgebra.
 
     Prefers the direct word-basis construction; falls back to the
-    preparation-step transport U A U^dag = C when the word basis is not
-    closed for this center.
+    preparation-step transport U A U^dag = C of the intrinsic algebra at n
+    when the word basis is not closed for this center.
     """
     try:
         return build_quotient_algebra(center, standard_basis(n))
     except (BasisNotClosedError, NotMaximalError, InvalidMatrixError):
         pass
     u = diagonalize_abelian(center)
-    p = max(1, (n - 1).bit_length())
-    base = intrinsic_quotient_algebra(1 << p)
-    if (1 << p) != n:
-        base = removing_process(base, n)
-    moved = conjugate_quotient_algebra(base, u)
+    moved = conjugate_quotient_algebra(intrinsic_quotient_algebra(n), u)
     if not spans_equal(moved.center.matrices, center.matrices):
         raise NotMaximalError("center does not diagonalize to the intrinsic one")
     return QuotientAlgebra(center=center, pairs=moved.pairs, dim=n, p=moved.p)

@@ -89,8 +89,8 @@ def _build_qa(dim: int, center_spec: str) -> QuotientAlgebra:
     from .partition import standard_quotient_algebra
 
     if center_spec == "intrinsic":
-        # Falls back to the lambda representation for dimensions whose word
-        # basis is not closed (two or more odd-prime sites).
+        # The word basis where it closes; the lambda basis built at dim
+        # otherwise (9, 10, 14 and 15 up to 16).
         return standard_quotient_algebra(dim)
     center = _center_space(center_spec, dim)
     try:

@@ -10,7 +10,6 @@ process for dimensions that are not powers of two, and the subscript tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -342,7 +341,10 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
         remaining = [g for g in remaining if id(g) not in used]
 
     merged = _merge_pairs(raw_pairs)
-    p = max(1, math.ceil(math.log2(n)))
+    spaces = [space for ws, hats, _ in merged for space in (ws, hats)]
+    if not all(all_commute([g.matrix for g in space], 1e-10) for space in spaces):
+        raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")
+    p = max(1, (n - 1).bit_length())
     pairs = _label_pairs(merged, p)
     qa = QuotientAlgebra(center=center, pairs=tuple(pairs), dim=n, p=p)
     if qa.generator_count() != n * n - 1:
@@ -410,9 +412,6 @@ def _merge_pairs(raw_pairs):
                 ws, hats = hats, ws
             w_all.extend(ws)
             h_all.extend(hats)
-        for fragment in (w_all, h_all):
-            if not all_commute([g.matrix for g in fragment], 1e-10):
-                raise ClosureViolationError("merged fragments do not commute")
         merged.append((w_all, h_all, value))
     return merged
 
@@ -487,17 +486,17 @@ def intrinsic_quotient_algebra(n: int) -> QuotientAlgebra:
 def standard_quotient_algebra(n: int) -> QuotientAlgebra:
     """Intrinsic quotient algebra in the friendliest representation for n.
 
-    Tensor words work whenever at most one site has odd prime dimension
-    (words then pairwise commute or anticommute); otherwise the construction
-    falls back to the lambda representation, whose structure is inherited
-    from su(2^p) by the removing process.
+    Tries the tensor-word basis first. When its commutators with the word
+    center leave the basis (N in {9, 10, 14, 15} for N <= 16; the word basis
+    closes at N in {2..8, 11, 12, 13, 16}), builds the lambda-representation
+    algebra at n itself. That algebra equals the removing process applied to
+    the su(2^p) one, 2^(p-1) < n <= 2^p: same pair labels and order, same
+    generator matrices.
     """
     try:
         return build_quotient_algebra(standard_word_center(n), standard_basis(n))
     except BasisNotClosedError:
-        p = max(1, (n - 1).bit_length())
-        qa = intrinsic_quotient_algebra(1 << p)
-        return qa if n == (1 << p) else removing_process(qa, n)
+        return intrinsic_quotient_algebra(n)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +505,7 @@ def standard_quotient_algebra(n: int) -> QuotientAlgebra:
 
 def binary_label_of(pair: ConjugatePair) -> str:
     """The common binary-partitioning string of a pair's lambda subscripts."""
-    p = max(1, math.ceil(math.log2(pair.w.dim)))
+    p = max(1, (pair.w.dim - 1).bit_length())
     return bits_of(_xor_label(pair.w.generators + pair.w_hat.generators), p)
 
 

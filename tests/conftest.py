@@ -35,9 +35,8 @@ def lambda_qa():
 
     def get(n):
         if n not in cache:
-            p = max(1, (n - 1).bit_length())
-            qa = intrinsic_quotient_algebra(1 << p)
-            cache[n] = qa if n == (1 << p) else removing_process(qa, n)
+            top = 1 << max(1, (n - 1).bit_length())
+            cache[n] = intrinsic_quotient_algebra(n) if n == top else removing_process(get(top), n)
         return cache[n]
 
     return get

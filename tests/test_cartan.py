@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cartankak import cartan
 from cartankak._linalg import all_commute, frob, project_residual, span_rows, spans_equal
 from cartankak.cartan import (
     build_cartan_split,
@@ -138,6 +139,21 @@ class TestShellEnumeration:
     def test_all_members_maximal_abelian(self):
         for member in enumerate_maximal_abelian(4, 2):
             assert len(member) == 3
+            member.validate(1e-10)
+
+    @pytest.mark.parametrize("shells", [2, 3])
+    def test_su3_members_abelian_via_transport(self, shells, monkeypatch):
+        # Some su(3) centers leave the word basis, so their quotient algebra
+        # is the intrinsic one at N = 3, transported to the center.
+        built = []
+        direct = cartan.intrinsic_quotient_algebra
+        monkeypatch.setattr(
+            cartan, "intrinsic_quotient_algebra", lambda n: built.append(n) or direct(n)
+        )
+        members = enumerate_maximal_abelian(3, shells)
+        assert built and set(built) == {3}
+        for member in members:
+            assert len(member) == 2
             member.validate(1e-10)
 
 

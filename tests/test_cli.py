@@ -46,6 +46,14 @@ class TestPartition:
         assert main(["partition", "--dim", "4", "--center", bad]) == 2
         assert "abelian" in capsys.readouterr().err.lower()
 
+    def test_center_leaving_word_basis_exits_2(self, tmp_path):
+        center = write_json(
+            tmp_path / "c3.json",
+            [serialize.generator_to_json(word("g1")),
+             serialize.generator_to_json(word("g8"))],
+        )
+        assert main(["partition", "--dim", "3", "--center", center]) == 2
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["partition", "--dim", "6", "--output", str(a)])
@@ -79,6 +87,12 @@ class TestMaximalAbelian:
         ) == 0
         payload = json.loads(out.read_text())
         assert payload["count"] == 15
+
+    def test_su3_two_shells(self, tmp_path):
+        out = tmp_path / "maxab3.json"
+        assert main(
+            ["maximal-abelian", "--dim", "3", "--shells", "2", "--output", str(out)]
+        ) == 0
 
 
 class TestDecompose:
@@ -224,3 +238,22 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "partition" in result.stdout and "decompose" in result.stdout
+
+
+class TestLambdaDimension:
+    @staticmethod
+    def _session(root, inp):
+        root.mkdir()
+        qa, report, fact = root / "qa9.json", root / "report.json", root / "fact9.json"
+        assert main(["partition", "--dim", "9", "--output", str(qa)]) == 0
+        assert main(["verify", "--input", str(qa), "--output", str(report)]) == 0
+        assert main(["decompose", "--dim", "9", "--input", inp, "--output", str(fact)]) == 0
+        return [path.read_bytes() for path in (qa, report, fact)]
+
+    def test_su9_partition_verify_decompose(self, tmp_path):
+        u = random_special_unitary(9, np.random.default_rng(9))
+        inp = write_json(tmp_path / "u9.json", serialize.matrix_to_json(u))
+        first = self._session(tmp_path / "a", inp)
+        factors = json.loads(first[2])["factors"]
+        assert factors and all(f["locality"] is None for f in factors)
+        assert self._session(tmp_path / "b", inp) == first

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from cartankak import partition, serialize
 from cartankak._linalg import frob, random_special_unitary, span_rows, spans_equal
 from cartankak.errors import (
+    BasisNotClosedError,
     InvalidSubscriptError,
     NotAbelianError,
     NotBinaryPartitionedError,
@@ -21,7 +23,7 @@ from cartankak.partition import (
     conjugate_quotient_algebra,
     diagonalize_abelian,
     intrinsic_center,
-    lambda_basis,
+    intrinsic_quotient_algebra,
     removing_process,
     standard_basis,
     standard_word_center,
@@ -141,6 +143,13 @@ class TestBuildQuotientAlgebra:
             if spans_equal(p.w.matrices + p.w_hat.matrices, target)
         ]
         assert len(hits) == 1
+
+    def test_non_commuting_space_is_not_closed(self):
+        # For the center {g1, g8} of su(3) the word basis yields the unmerged
+        # pair W = {g4, g6}, W^ = {g7, g5}; neither space commutes.
+        center = AbelianSpace((word("g1"), word("g8")))
+        with pytest.raises(BasisNotClosedError):
+            build_quotient_algebra(center, standard_basis(3))
 
     def test_center_not_maximal_rejected(self):
         small = AbelianSpace((word("p3", "p0"),))
@@ -321,6 +330,10 @@ class TestSubscriptTable:
             assert set(by_label[lab]) == set(prods)
 
 
+def _spaces(qa):
+    return [qa.center] + [space for pair in qa.pairs for space in pair.spaces]
+
+
 class TestLambdaAlgebras:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_lambda_construction_merges_fragments(self, n, lambda_qa):
@@ -336,12 +349,35 @@ class TestLambdaAlgebras:
             "lambdahat(3,4)",
         ]
 
-    def test_direct_su6_equals_removed_su6(self, lambda_qa):
-        # Algorithm run natively on the su(6) lambda basis merges into the
-        # same structure the removing process produces.
-        direct = build_quotient_algebra(intrinsic_center(6), lambda_basis(6))
-        removed = lambda_qa(6)
-        for pair in direct.pairs:
-            other = removed.pair_by_label(pair.binary_label)
-            assert spans_equal(pair.w.matrices, other.w.matrices)
-            assert spans_equal(pair.w_hat.matrices, other.w_hat.matrices)
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_direct_build_equals_removing_process(self, n, lambda_qa):
+        # Algorithm run natively on the su(n) lambda basis merges into the
+        # same structure the removing process cuts from su(2^p).
+        direct, removed = intrinsic_quotient_algebra(n), lambda_qa(n)
+        assert (direct.dim, direct.p) == (removed.dim, removed.p)
+        assert [p.binary_label for p in direct.pairs] == [p.binary_label for p in removed.pairs]
+        for a, b in zip(_spaces(direct), _spaces(removed), strict=True):
+            assert len(a) == len(b)
+            assert all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
+        assert serialize.dumps(serialize.qa_to_json(direct)) == serialize.dumps(
+            serialize.qa_to_json(removed)
+        )
+
+    def test_standard_fallback_builds_at_n(self, lambda_qa, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("removing process reached from standard_quotient_algebra")
+
+        built = []
+        direct = partition.intrinsic_quotient_algebra
+        monkeypatch.setattr(partition, "removing_process", refuse)
+        monkeypatch.setattr(
+            partition, "intrinsic_quotient_algebra", lambda n: built.append(n) or direct(n)
+        )
+        for n in (9, 15):
+            qa = partition.standard_quotient_algebra(n)
+            assert built[-1] == n
+            assert serialize.dumps(serialize.qa_to_json(qa)) == serialize.dumps(
+                serialize.qa_to_json(lambda_qa(n))
+            )
+        assert built == [9, 15]
+
