@@ -72,6 +72,26 @@ def project_residual(m, basis_rows) -> float:
     return float(np.linalg.norm(resid) / nv)
 
 
+def commutator_residuals(left, right, rows) -> np.ndarray:
+    """project_residual(-1j [a, b], rows) for every a in left (axis 0), b in right (axis 1).
+
+    [Hermitian, Hermitian] is i times a Hermitian matrix and spans use real
+    coefficients, hence the -1j. An entry is 0 where |[a, b]| < STRUCT_TOL.
+    The right operand is stacked and the left one looped over: a full
+    left x right stack of commutators is ~75 MB for p x p at N=16 and grows
+    as N^6.
+    """
+    stack = np.asarray(right, dtype=complex)
+    out = np.zeros((len(left), len(stack)))
+    for i, a in enumerate(left):
+        flat = (-1j * (a @ stack - stack @ a)).reshape(len(stack), -1)
+        vecs = np.concatenate([flat.real, flat.imag], axis=1)
+        norms = np.linalg.norm(vecs, axis=1)
+        resid = np.linalg.norm(vecs - (vecs @ rows.T) @ rows, axis=1)
+        out[i] = np.where(norms < STRUCT_TOL, 0.0, resid / np.maximum(norms, STRUCT_TOL))
+    return out
+
+
 def in_span(m, basis_rows, tol=SOLVE_TOL) -> bool:
     return project_residual(m, basis_rows) < tol
 

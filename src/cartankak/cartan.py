@@ -18,9 +18,9 @@ import numpy as np
 from ._linalg import (
     SOLVE_TOL,
     all_commute,
+    commutator_residuals,
     frob,
     in_span,
-    project_residual,
     span_fingerprint,
     span_rows,
     spans_equal,
@@ -92,28 +92,22 @@ class CartanSplit:
 
     def validate(self, tol: float = SOLVE_TOL):
         """Check all four Cartan conditions and the dimension count."""
-        t_rows = span_rows(self.t_matrices())
-        p_rows = span_rows(self.p_matrices())
+        t_mats, p_mats = self.t_matrices(), self.p_matrices()
+        t_rows, p_rows = span_rows(t_mats), span_rows(p_mats)
         n = self.dim
         if t_rows.shape[0] + p_rows.shape[0] != n * n - 1:
             raise InvalidChoiceError("t and p do not fill su(N)")
-        pairs = (
-            (self.t_matrices(), self.t_matrices(), t_rows, "[t,t] not in t"),
-            (self.t_matrices(), self.p_matrices(), p_rows, "[t,p] not in p"),
-            (self.p_matrices(), self.p_matrices(), t_rows, "[p,p] not in t"),
-        )
-        for left, right, rows, msg in pairs:
-            for a in left:
-                for b in right:
-                    res = a @ b - b @ a
-                    if frob(res) < 1e-14:
-                        continue
-                    if project_residual(-1j * res, rows) > tol:
-                        raise InvalidChoiceError(msg)
-        worst = max(
-            abs(np.trace(a @ b)) for a in self.t_matrices() for b in self.p_matrices()
-        )
-        if worst > 1e-10:
+        for left, right, rows, msg in (
+            (t_mats, t_mats, t_rows, "[t,t] not in t"),
+            (t_mats, p_mats, p_rows, "[t,p] not in p"),
+            (p_mats, p_mats, t_rows, "[p,p] not in t"),
+        ):
+            if (commutator_residuals(left, right, rows) > tol).any():
+                raise InvalidChoiceError(msg)
+        # Tr(a b) = vec(a) . vec(b^T)
+        t_vecs = np.reshape(t_mats, (len(t_mats), -1))
+        p_vecs = np.reshape(np.transpose(p_mats, (0, 2, 1)), (len(p_mats), -1))
+        if np.abs(t_vecs @ p_vecs.T).max() > 1e-10:
             raise InvalidChoiceError("Tr(t p) != 0")
 
 

@@ -221,7 +221,7 @@ def cmd_verify(args) -> int:
     if qa.labeled:
         for bits in enumerate_t_choices(qa):
             try:
-                build_cartan_split(qa, bits).validate()
+                build_cartan_split(qa, bits)  # validates
                 payload["cartan_splits"].append({"choice_bits": bits, "ok": True})
             except CartanKakError as exc:
                 splits_ok = False

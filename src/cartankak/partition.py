@@ -20,10 +20,10 @@ from ._linalg import (
     SOLVE_TOL,
     STRUCT_TOL,
     all_commute,
+    commutator_residuals,
     dagger,
     frob,
     in_span,
-    project_residual,
     simultaneous_diagonalize,
     slot_support,
     span_rank,
@@ -444,14 +444,13 @@ def _structural_labels(merged, p) -> List[Optional[str]]:
     spans = [span_rows([g.matrix for g in ws + hats]) for ws, hats, _ in merged]
 
     def target(i: int, j: int) -> Optional[int]:
-        for ga in merged[i][0][:1] + merged[i][1][:1]:
-            for gb in merged[j][0] + merged[j][1]:
-                res = ga.matrix @ gb.matrix - gb.matrix @ ga.matrix
-                if frob(res) < SOLVE_TOL:
-                    continue
-                hits = [k for k, s in enumerate(spans) if in_span(-1j * res, s)]
-                if len(hits) == 1 and hits[0] not in (i, j):
-                    return hits[0]
+        left = [g.matrix for g in merged[i][0][:1] + merged[i][1][:1]]
+        right = [g.matrix for g in merged[j][0] + merged[j][1]]
+        hits = np.array([commutator_residuals(left, right, s) < SOLVE_TOL for s in spans])
+        for hit in hits.reshape(count, -1).T:
+            ks = np.flatnonzero(hit)
+            if len(ks) == 1 and ks[0] not in (i, j):
+                return int(ks[0])
         return None
 
     labels: List[Optional[int]] = [None] * count
@@ -563,7 +562,8 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
     by_label = {lab: i for i, lab in enumerate(labels) if lab is not None}
 
     def add(kind, lname, rname, target_name, residual):
-        checks.append(ClosureCheck(kind, lname, rname, target_name, float(residual), residual < tol))
+        residual = float(residual)
+        checks.append(ClosureCheck(kind, lname, rname, target_name, residual, residual < tol))
 
     # Disjointness: each space is internally independent and the counts sum to
     # the full rank, so pairwise intersections are trivial exactly when the
@@ -573,22 +573,20 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
     add("disjoint", "all spaces", "", "trivial intersections",
         0.0 if joint == len(every) else 1.0)
 
+    center = qa.center.matrices
     for idx, pair in enumerate(qa.pairs):
         wname = _space_name(pair.binary_label, False, str(idx + 1))
         hname = _space_name(pair.binary_label, True, str(idx + 1))
-        for g in pair.w.generators:
-            for c in qa.center.generators:
-                res = gen.commutator_numeric(g, c)
-                add("pair-center", wname, "A", hname, _target_residual(res, spans[(idx, True)]))
-        for g in pair.w_hat.generators:
-            for c in qa.center.generators:
-                res = gen.commutator_numeric(g, c)
-                add("pair-center", hname, "A", wname, _target_residual(res, spans[(idx, False)]))
-        for g in pair.w.generators:
-            for h in pair.w_hat.generators:
-                res = gen.commutator_numeric(g, h)
-                add("pair-pair", wname, hname, "A", _target_residual(res, center_span))
+        for kind, lname, rname, tname, left, right, rows in (
+            ("pair-center", wname, "A", hname, pair.w.matrices, center, spans[(idx, True)]),
+            ("pair-center", hname, "A", wname, pair.w_hat.matrices, center, spans[(idx, False)]),
+            ("pair-pair", wname, hname, "A", pair.w.matrices, pair.w_hat.matrices, center_span),
+        ):
+            for residual in commutator_residuals(left, right, rows).ravel():
+                add(kind, lname, rname, tname, residual)
 
+    # Without a target label the commutator must still fall in one single space.
+    anywhere = [center_span, *spans.values()]
     for i, pi in enumerate(qa.pairs):
         for j, pj in enumerate(qa.pairs):
             if i >= j:
@@ -601,41 +599,17 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
                         tgt = bits_of(label_int(labels[i]) ^ label_int(labels[j]), qa.p)
                         tgt_hat = not (hi ^ hj)
                         if tgt in by_label:
-                            rows = spans[(by_label[tgt], tgt_hat)]
+                            targets = [spans[(by_label[tgt], tgt_hat)]]
                             tname = _space_name(tgt, tgt_hat, tgt)
                         else:
-                            rows, tname = None, f"missing pair {tgt}"
+                            targets, tname = anywhere, f"missing pair {tgt}"
                     else:
-                        rows, tname = None, "single third space"
-                    src = (pi.w if not hi else pi.w_hat).generators
-                    dst = (pj.w if not hj else pj.w_hat).generators
-                    worst = 0.0
-                    for g in src:
-                        for h in dst:
-                            res = gen.commutator_numeric(g, h)
-                            if rows is not None:
-                                worst = max(worst, _target_residual(res, rows))
-                            else:
-                                worst = max(worst, _best_single_space(res, spans, center_span))
-                    add("cross-pair", li, lj, tname, worst)
+                        targets, tname = anywhere, "single third space"
+                    src = (pi.w_hat if hi else pi.w).matrices
+                    dst = (pj.w_hat if hj else pj.w).matrices
+                    best = np.min([commutator_residuals(src, dst, rows) for rows in targets], axis=0)
+                    add("cross-pair", li, lj, tname, best.max())
     return ClosureReport(tuple(checks), tol)
-
-
-def _target_residual(res: np.ndarray, rows: np.ndarray) -> float:
-    # [Hermitian, Hermitian] is i times Hermitian; spans use real coefficients.
-    if frob(res) < STRUCT_TOL:
-        return 0.0
-    return project_residual(-1j * res, rows)
-
-
-def _best_single_space(res, spans, center_span) -> float:
-    if frob(res) < STRUCT_TOL:
-        return 0.0
-    h = -1j * res
-    best = project_residual(h, center_span)
-    for rows in spans.values():
-        best = min(best, project_residual(h, rows))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Cartan splits, shell enumeration, and decomposition sequences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from cartankak.cartan import (
     nearest_neighbors,
 )
 from cartankak.errors import InvalidChoiceError, NotInSpanError
-from cartankak.generators import make_tensor_word
-from cartankak.partition import AbelianSpace
+from cartankak.generators import Generator, make_tensor_word
+from cartankak.partition import AbelianSpace, standard_basis
 
 
 def word(*sites):
@@ -87,6 +89,68 @@ class TestBuildCartanSplit:
     def test_bad_choice_length(self, word_qa):
         with pytest.raises(InvalidChoiceError):
             build_cartan_split(word_qa(8), "01")
+
+
+class TestValidateErrors:
+    """Each CartanSplit.validate error from a hand-built split at N=4."""
+
+    @staticmethod
+    def _perturbed(split, weight, scale=1.0):
+        # p's first generator g0 becomes g0 + weight * t0; t0 becomes scale * t0.
+        (t0, *t_rest), (g0, *p_rest) = split.t[0].generators, split.p_part[0].generators
+        big = Generator(None, 4, scale * t0.matrix)
+        moved = Generator(None, 4, g0.matrix + weight * t0.matrix)
+        t = (AbelianSpace((big, *t_rest)),) + split.t[1:]
+        p = (AbelianSpace((moved, *p_rest)),) + split.p_part[1:]
+        return replace(split, t=t, p_part=p)
+
+    def test_do_not_fill(self, word_qa):
+        split = build_cartan_split(word_qa(4), "00")
+        t = (AbelianSpace(split.t[0].generators[1:]),) + split.t[1:]
+        with pytest.raises(InvalidChoiceError, match="do not fill"):
+            replace(split, t=t).validate()
+
+    def test_tt_not_in_t(self, word_qa):
+        # Swapping the spaces of pair 11 breaks the parity rule: [t_01, t_10]
+        # lands in the space of pair 11 that now sits in p.
+        split = build_cartan_split(word_qa(4), "00")
+        assert split.t[2].binary_label == "11"
+        t = split.t[:2] + (split.p_part[2],)
+        p = split.p_part[:2] + (split.t[2],)
+        with pytest.raises(InvalidChoiceError, match=r"\[t,t\] not in t"):
+            replace(split, t=t, p_part=p).validate()
+
+    def test_tp_not_in_p(self, word_qa):
+        split = self._perturbed(build_cartan_split(word_qa(4), "00"), 1.0)
+        with pytest.raises(InvalidChoiceError, match=r"\[t,p\] not in p"):
+            split.validate()
+
+    def test_pp_not_in_t(self, word_qa):
+        # t = su(2) on the first site, p its orthogonal complement:
+        # [t,t] in t and [t,p] in p, but [I x s_a, I x s_b] is in p.
+        first_site = [word(f"p{k}", "p0") for k in (1, 2, 3)]
+        names = {g.label_str for g in first_site}
+        rest = [g for g in standard_basis(4) if g.label_str not in names]
+        assert len(rest) == 12
+        split = cartan.CartanSplit(
+            qa=word_qa(4),
+            choice_bits="00",
+            t=tuple(AbelianSpace((g,)) for g in first_site),
+            p_part=tuple(AbelianSpace((g,)) for g in rest[1:]),
+            chosen_center=AbelianSpace((rest[0],)),
+        )
+        with pytest.raises(InvalidChoiceError, match=r"\[p,p\] not in t"):
+            split.validate()
+
+    def test_trace_check_needs_an_inexact_input(self, word_qa):
+        # With exact generators the three brackets and the dimension count
+        # make theta = +1 on t, -1 on p an automorphism, so Tr(t p) = 0. Here
+        # p0 gains 1e-13 t0: each commutator that part adds has a norm below
+        # STRUCT_TOL and counts as zero. With t0 scaled by 1e5, the trace
+        # Tr(1e5 t0 p0) = 1e-13 * 1e5 * Tr(t0^2) = 4e-8 exceeds 1e-10.
+        split = self._perturbed(build_cartan_split(word_qa(4), "00"), 1e-13, 1e5)
+        with pytest.raises(InvalidChoiceError, match=r"Tr\(t p\)"):
+            split.validate()
 
 
 class TestExtendToMaximalAbelian:

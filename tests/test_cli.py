@@ -5,6 +5,7 @@ import json
 import numpy as np
 
 from cartankak import serialize
+from cartankak.cartan import CartanSplit
 from cartankak._linalg import random_special_unitary
 from cartankak.cli import main
 from cartankak.generators import make_tensor_word
@@ -212,6 +213,19 @@ class TestVerify:
         assert report["passed"] is False
         assert report["failures"]
         assert any("W_" in f["left"] for f in report["failures"])
+
+    def test_each_split_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = CartanSplit.validate
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.choice_bits)
+            return validate(self, *args, **kwargs)
+
+        monkeypatch.setattr(CartanSplit, "validate", counted)
+        _, path = self._qa_file(tmp_path, 8)
+        assert main(["verify", "--input", path]) == 0
+        assert sorted(calls) == [format(b, "03b") for b in range(8)]
 
     def test_removed_su6_passes(self, tmp_path, lambda_qa):
         path = write_json(tmp_path / "qa6l.json", serialize.qa_to_json(lambda_qa(6)))
