@@ -14,7 +14,8 @@ local or nonlocal by their tensor-word site count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -300,13 +301,8 @@ def _slot_coefficients(images: Sequence[np.ndarray], slots) -> np.ndarray:
     return -np.imag(np.array(images)[:, rows, cols])
 
 
-def _solve_expansion(images, slots, phis_by_slot) -> np.ndarray:
-    phi = np.array([phis_by_slot[s] for s in slots])
-    c = _slot_coefficients(images, slots)
-    if c.shape[0] != c.shape[1]:
-        raise DecompositionError(
-            f"{c.shape[0]} generators vs {c.shape[1]} slots; bases disagree"
-        )
+def _solve_expansion(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Angles omega with c^T omega = phi, for c from _slot_coefficients."""
     try:
         omega = np.linalg.solve(c.T, phi)
     except np.linalg.LinAlgError as exc:
@@ -316,8 +312,8 @@ def _solve_expansion(images, slots, phis_by_slot) -> np.ndarray:
     return omega
 
 
-def _solve_diagonal_expansion(images, target) -> np.ndarray:
-    e = np.array([np.real(np.diag(g)) for g in images])
+def _solve_diagonal_expansion(e: np.ndarray, target) -> np.ndarray:
+    """Angles omega with e^T omega = target, e[a] the diagonal of image a."""
     omega, *_ = np.linalg.lstsq(e.T, target, rcond=None)
     if frob(e.T @ omega - target) > 1e-9 * max(1.0, frob(target)):
         raise NotInSpanError("diagonal part does not lie in the center span")
@@ -325,107 +321,91 @@ def _solve_diagonal_expansion(images, target) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The recursion
+# The plan: everything the recursion needs that depends only on the sequence
 # ---------------------------------------------------------------------------
 
-class _Engine:
-    def __init__(self, seq: DecompositionSequence):
-        self.seq = seq
-        self.qa = seq.qa
-        self.n = seq.dim
-        self.p = seq.qa.p
-        spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
-        self.frame = _build_frame(self.qa, spaces)
-        self.blocks: List[AbelianBlock] = []
-        self.position = 0
+def _components(n: int, slots) -> List[List[int]]:
+    """Index components of the graph whose edges are the given slots."""
+    rows, cols = np.array(slots).T
+    reach = np.eye(n, dtype=bool)
+    reach[rows, cols] = reach[cols, rows] = True
+    for _ in range(n.bit_length()):  # each squaring doubles the path length
+        reach = reach @ reach
+    return [list(c) for c in sorted({tuple(np.flatnonzero(r).tolist()) for r in reach})]
 
-    # -- tree bookkeeping ---------------------------------------------------
 
-    def _next_index(self, level: int) -> str:
-        self.position += 1
-        idx = format(self.position, f"0{self.p + 1}b")
-        low = (self.position & -self.position).bit_length() - 1
-        if self.p + 1 - low != level:
-            raise DecompositionError("tree position does not match the level rule")
-        return idx
+@dataclass(frozen=True)
+class _Block:
+    """One abelian block of the tree: its space and how to expand angles over it."""
 
-    def _emit(self, level: int, space: AbelianSpace, omegas: np.ndarray):
-        idx = self._next_index(level)
-        factors = []
-        ordinal = 0
-        for g, w in zip(space.generators, omegas):
-            if abs(w) < ANGLE_PRUNE_TOL:
-                continue
-            ordinal += 1
-            factors.append(
-                GateFactor(
-                    tree_index=idx,
-                    ordinal=ordinal,
-                    generator=g,
-                    angle=float(w),
-                    locality=_locality_or_none(g),
-                )
+    space: AbelianSpace
+    localities: Tuple[Optional[str], ...]
+    coefficients: np.ndarray  # level 1: diagonals of the images; else _slot_coefficients
+
+    @classmethod
+    def of(cls, space: AbelianSpace, coefficients: np.ndarray) -> "_Block":
+        return cls(space, tuple(_locality_or_none(g) for g in space.generators), coefficients)
+
+
+@dataclass(frozen=True)
+class _CSLayout:
+    """One component's CS step: row b1[m] pairs with row b2[m] across a center slot."""
+
+    b1: List[int]
+    b2: List[int]
+    block: tuple  # np.ix_(b1 + b2, b1 + b2)
+    outside: tuple  # np.ix_(b1 + b2, the columns outside the component)
+    rows1: tuple  # np.ix_(b1, b1)
+    rows2: tuple  # np.ix_(b2, b2)
+    theta_at: np.ndarray  # position of theta m's slot among the level's center slots
+    theta_sign: np.ndarray  # -1 where b1[m] < b2[m], else +1
+
+
+class _Plan:
+    """What recursive_decompose needs of a sequence, built once per sequence.
+
+    Holds the frame, the index components at every level, the CS layout of
+    every component, and for every abelian block its coefficient matrix and
+    its generators' localities. Building it runs the checks that depend only
+    on the sequence; _Engine runs the ones that depend on the input.
+    """
+
+    def __init__(self, seq: DecompositionSequence, frame: _Frame):
+        self.n, self.p, self.frame = seq.dim, seq.qa.p, frame
+        self.frame_dag = dagger(frame.matrix)
+        chosen = [lv.chosen_labels for lv in seq.levels] + [(seq.final.binary_label,)]
+        self.components = {
+            level: _components(self.n, [s for lab in labels for s in frame.slots[lab]])
+            for level, labels in enumerate(chosen, start=1)
+        }
+        level1 = seq.levels[0].center_core
+        self.blocks = {1: _Block.of(
+            level1, np.array([np.real(np.diag(frame.image(g))) for g in level1.generators])
+        )}
+        self.units, self.layouts = {}, {}  # single-row components; CS layouts of the rest
+        for level in range(2, self.p + 1):
+            spec, comps = seq.levels[level - 1], self.components[level - 1]
+            center_slots = frame.slots[spec.label]
+            self.units[level] = np.array([c[0] for c in comps if len(c) == 1], dtype=int)
+            self.layouts[level] = [
+                self._layout(c, center_slots, level) for c in comps if len(c) > 1
+            ]
+            self.blocks[level] = self._slot_block(spec.center_core, center_slots)
+        self.final_slots = frame.slots[seq.final.binary_label]
+        self.blocks[self.p + 1] = self._slot_block(seq.final, self.final_slots)
+
+    def _slot_block(self, space: AbelianSpace, slots) -> _Block:
+        c = _slot_coefficients([self.frame.image(g) for g in space.generators], slots)
+        if c.shape[0] != c.shape[1]:
+            raise DecompositionError(
+                f"{c.shape[0]} generators vs {c.shape[1]} slots; bases disagree"
             )
-        self.blocks.append(AbelianBlock(tree_index=idx, level=level, factors=tuple(factors)))
+        return _Block.of(space, c)
 
-    # -- levels ---------------------------------------------------------------
-
-    def run(self, u_su: np.ndarray) -> None:
-        m = self.frame.matrix @ u_su @ dagger(self.frame.matrix)
-        o1, lam, o2 = _ai_step(m)
-        level1 = self.seq.levels[0]
-        images = [self.frame.image(g) for g in level1.center_core.generators]
-        self._expand_orthogonal(o1, 2, "L")
-        omega = _solve_diagonal_expansion(images, lam)
-        self._emit(1, level1.center_core, omega)
-        self._expand_orthogonal(o2, 2, "R")
-
-    def _components(self, level: int) -> List[List[int]]:
-        """Index components induced by the chosen rows of level `level`."""
-        if level <= self.p:
-            labels = self.seq.levels[level - 1].chosen_labels
-        else:
-            labels = (self.seq.final.binary_label,)
-        rows, cols = np.array([s for lab in labels for s in self.frame.slots[lab]]).T
-        reach = np.eye(self.n, dtype=bool)
-        reach[rows, cols] = reach[cols, rows] = True
-        for _ in range(self.n.bit_length()):  # each squaring doubles the path length
-            reach = reach @ reach
-        return [list(c) for c in sorted({tuple(np.flatnonzero(r).tolist()) for r in reach})]
-
-    def _expand_orthogonal(self, o: np.ndarray, level: int, branch: str) -> None:
-        if level == self.p + 1:
-            self._emit_leaf(o, branch)
-            return
-        spec = self.seq.levels[level - 1]
-        center_slots = self.frame.slots[spec.label]
-        sub_components = self._components(level)
-        k1 = np.eye(self.n)
-        k2 = np.eye(self.n)
-        phis: Dict[Tuple[int, int], float] = {s: 0.0 for s in center_slots}
-        for comp in self._components(level - 1):
-            if len(comp) == 1:
-                if abs(o[comp[0], comp[0]] - 1.0) > 1e-9:
-                    raise DecompositionError(
-                        f"level {level}, branch {branch}: unit block is not the identity"
-                    )
-                continue
-            subs = [c for c in sub_components if set(c) <= set(comp)]
-            matched = [s for s in center_slots if s[0] in comp and s[1] in comp]
-            k1c, k2c, angles = self._csd_component(o, comp, subs, matched, level, branch)
-            for (slot, phi) in angles:
-                phis[slot] = phi
-            for (rows, block) in k1c:
-                k1[np.ix_(rows, rows)] = block
-            for (rows, block) in k2c:
-                k2[np.ix_(rows, rows)] = block
-        self._expand_orthogonal(k1, level + 1, branch + "L")
-        images = [self.frame.image(g) for g in spec.center_core.generators]
-        omega = _solve_expansion(images, center_slots, phis)
-        self._emit(level, spec.center_core, omega)
-        self._expand_orthogonal(k2, level + 1, branch + "R")
-
-    def _csd_component(self, o, comp, subs, matched, level, branch):
+    def _layout(self, comp: List[int], center_slots, level: int) -> _CSLayout:
+        """CS layout of a component of level - 1 at `level`, or raise."""
+        branch = "L" * (level - 1)  # the first branch of the tree that reaches the level
+        subs = [c for c in self.components[level] if set(c) <= set(comp)]
         if len(subs) == 1:
             raise DecompositionError(
                 f"level {level}, branch {branch}: component {comp} does not split; "
@@ -439,6 +419,7 @@ class _Engine:
         side1, side2 = (set(subs[0]), set(subs[1]))
         if comp[0] not in side1:
             side1, side2 = side2, side1
+        matched = [s for s in center_slots if s[0] in comp and s[1] in comp]
         b1, b2 = [], []
         for (i, j) in matched:
             a, b = (i, j) if i in side1 else (j, i)
@@ -457,43 +438,115 @@ class _Engine:
         b1 += sorted(side1 - set(b1))
         b2 += sorted(side2 - set(b2))
         order = b1 + b2
-        x = o[np.ix_(order, order)]
-        outside = frob(o[np.ix_(order, [c for c in range(self.n) if c not in comp])])
-        if outside > 1e-9:
-            raise DecompositionError(
-                f"level {level}, branch {branch}: block leaks outside its component"
+        pairs = list(zip(b1, b2))
+        return _CSLayout(
+            b1=b1,
+            b2=b2,
+            block=np.ix_(order, order),
+            outside=np.ix_(order, [c for c in range(self.n) if c not in comp]),
+            rows1=np.ix_(b1, b1),
+            rows2=np.ix_(b2, b2),
+            theta_at=np.array([center_slots.index((min(i, j), max(i, j))) for i, j in pairs]),
+            theta_sign=np.array([-1.0 if i < j else 1.0 for i, j in pairs]),
+        )
+
+
+_PLANS: "weakref.WeakKeyDictionary[DecompositionSequence, _Plan]" = weakref.WeakKeyDictionary()
+
+
+# ---------------------------------------------------------------------------
+# The recursion: one numeric pass down the plan's tree
+# ---------------------------------------------------------------------------
+
+class _Engine:
+    """One input's pass down the plan's tree; collects the abelian blocks."""
+
+    def __init__(self, plan: _Plan):
+        self.plan = plan
+        self.blocks: List[AbelianBlock] = []
+        self.position = 0
+
+    # -- tree bookkeeping ---------------------------------------------------
+
+    def _next_index(self, level: int) -> str:
+        p = self.plan.p
+        self.position += 1
+        idx = format(self.position, f"0{p + 1}b")
+        low = (self.position & -self.position).bit_length() - 1
+        if p + 1 - low != level:
+            raise DecompositionError("tree position does not match the level rule")
+        return idx
+
+    def _emit(self, level: int, omegas: np.ndarray):
+        block = self.plan.blocks[level]
+        idx = self._next_index(level)
+        factors = []
+        for g, locality, w in zip(block.space.generators, block.localities, omegas):
+            if abs(w) < ANGLE_PRUNE_TOL:
+                continue
+            factors.append(
+                GateFactor(
+                    tree_index=idx,
+                    ordinal=len(factors) + 1,
+                    generator=g,
+                    angle=float(w),
+                    locality=locality,
+                )
             )
-        u1, u2, thetas, v1, v2 = cs_decompose_so(np.real(x), len(b1), len(b2))
-        angles = []
-        for m_idx, th in enumerate(thetas):
-            i, j = b1[m_idx], b2[m_idx]
-            phi = -th if i < j else th
-            slot = (min(i, j), max(i, j))
-            angles.append((slot, float(phi)))
-        k1c = [(b1, u1), (b2, u2)]
-        k2c = [(b1, v1), (b2, v2)]
-        return k1c, k2c, angles
+        self.blocks.append(AbelianBlock(tree_index=idx, level=level, factors=tuple(factors)))
+
+    # -- levels ---------------------------------------------------------------
+
+    def run(self, u_su: np.ndarray) -> List[AbelianBlock]:
+        plan = self.plan
+        m = plan.frame.matrix @ u_su @ plan.frame_dag
+        o1, lam, o2 = _ai_step(m)
+        self._expand_orthogonal(o1, 2, "L")
+        self._emit(1, _solve_diagonal_expansion(plan.blocks[1].coefficients, lam))
+        self._expand_orthogonal(o2, 2, "R")
+        return self.blocks
+
+    def _expand_orthogonal(self, o: np.ndarray, level: int, branch: str) -> None:
+        plan = self.plan
+        if level == plan.p + 1:
+            self._emit_leaf(o, branch)
+            return
+        c = plan.blocks[level].coefficients
+        k1 = np.eye(plan.n)
+        k2 = np.eye(plan.n)
+        phi = np.zeros(c.shape[1])
+        units = plan.units[level]
+        if np.any(np.abs(o[units, units] - 1.0) > 1e-9):
+            raise DecompositionError(
+                f"level {level}, branch {branch}: unit block is not the identity"
+            )
+        for cs in plan.layouts[level]:
+            if frob(o[cs.outside]) > 1e-9:
+                raise DecompositionError(
+                    f"level {level}, branch {branch}: block leaks outside its component"
+                )
+            u1, u2, thetas, v1, v2 = cs_decompose_so(np.real(o[cs.block]), len(cs.b1), len(cs.b2))
+            phi[cs.theta_at] = cs.theta_sign * thetas
+            k1[cs.rows1], k1[cs.rows2] = u1, u2
+            k2[cs.rows1], k2[cs.rows2] = v1, v2
+        self._expand_orthogonal(k1, level + 1, branch + "L")
+        self._emit(level, _solve_expansion(c, phi))
+        self._expand_orthogonal(k2, level + 1, branch + "R")
 
     def _emit_leaf(self, o: np.ndarray, branch: str) -> None:
-        final = self.seq.final
-        slots = self.frame.slots[final.binary_label]
-        phis: Dict[Tuple[int, int], float] = {}
-        rebuilt = np.eye(self.n)
-        for (i, j) in slots:
-            phi = math.atan2(np.real(o[i, j]), np.real(o[i, i]))
-            phis[(i, j)] = phi
-            c, s = math.cos(phi), math.sin(phi)
-            rebuilt[i, i] = c
-            rebuilt[j, j] = c
-            rebuilt[i, j] = s
-            rebuilt[j, i] = -s
-        if frob(rebuilt - np.real(o)) > 1e-9 * self.n:
+        plan = self.plan
+        o = np.real(o)
+        phi = np.array([math.atan2(o[i, j], o[i, i]) for i, j in plan.final_slots])
+        rows, cols = np.array(plan.final_slots).T
+        cos, sin = np.cos(phi), np.sin(phi)
+        rebuilt = np.eye(plan.n)
+        rebuilt[rows, rows] = rebuilt[cols, cols] = cos
+        rebuilt[rows, cols], rebuilt[cols, rows] = sin, -sin
+        if frob(rebuilt - o) > 1e-9 * plan.n:
             raise DecompositionError(
                 f"final level, branch {branch}: leaf is not inside the final torus"
             )
-        images = [self.frame.image(g) for g in final.generators]
-        omega = _solve_expansion(images, tuple(slots), phis)
-        self._emit(self.p + 1, final, omega)
+        self._emit(plan.p + 1, _solve_expansion(plan.blocks[plan.p + 1].coefficients, phi))
 
 
 def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorization:
@@ -503,6 +556,10 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
     both orthogonal factors; abelian blocks come out in binary-bifurcation
     order (2^(k-1) blocks at level k, 2^p leaves). The returned factor list
     reassembles to the input within the stored reconstruction error.
+
+    The first call along `seq` builds its plan (frame, components, CS layouts,
+    coefficient matrices, localities) and later calls reuse it, so a sequence
+    must not be changed (its `hat_selection` dict included) once it is used.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (seq.dim, seq.dim):
@@ -510,21 +567,28 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
             f"unitary is {u.shape}, sequence expects dim {seq.dim}"
         )
     u_su, phase = ingest_unitary(u)
-    engine = _Engine(seq)
+    plan = _PLANS.get(seq)
+    if plan is None:  # the frame's errors carry no "decomposition failed" prefix
+        spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
+        frame = _build_frame(seq.qa, spaces)
     try:
-        engine.run(u_su)
+        if plan is None:
+            plan = _PLANS[seq] = _Plan(seq, frame)
+        blocks = _Engine(plan).run(u_su)
     except DecompositionError as exc:
         raise DecompositionError(f"decomposition failed: {exc}") from exc
-    factors = tuple(f for blk in engine.blocks for f in blk.factors)
-    fact = Factorization(
+    # The factors of a block commute, so each block is one exponential.
+    total = np.eye(seq.dim, dtype=complex)
+    for blk in blocks:
+        if blk.factors:
+            total = total @ expm_hermitian(sum(f.angle * f.generator.matrix for f in blk.factors))
+    return Factorization(
         dim=seq.dim,
-        factors=factors,
-        blocks=tuple(engine.blocks),
+        factors=tuple(f for blk in blocks for f in blk.factors),
+        blocks=tuple(blocks),
         global_phase=complex(phase),
-        reconstruction_error=0.0,
+        reconstruction_error=float(frob(total * complex(phase) - u)),
     )
-    err = frob(reconstruct(fact, seq.dim) - u)
-    return replace(fact, reconstruction_error=float(err))
 
 
 def reconstruct(fact: Factorization, dim: int) -> np.ndarray:

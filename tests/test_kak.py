@@ -1,12 +1,18 @@
 """Single-level KAK, abelian expansion, and the recursive factorization."""
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from cartankak import kak
 from cartankak._linalg import expm_hermitian, frob, random_special_unitary
 from cartankak.cartan import build_cartan_split, build_decomposition_sequence
 from cartankak.errors import (
+    DecompositionError,
     DimensionMismatchError,
     InvalidMatrixError,
     NotInSpanError,
@@ -22,7 +28,7 @@ from cartankak.kak import (
     reconstruct,
     recursive_decompose,
 )
-from cartankak.partition import AbelianSpace
+from cartankak.partition import AbelianSpace, intrinsic_quotient_algebra, standard_quotient_algebra
 
 
 def word(*sites):
@@ -124,6 +130,11 @@ class TestKakSingleLevel:
         with pytest.raises(InvalidMatrixError):
             kak_single_level(np.diag([2.0, 1.0, 1.0, 0.5]), split)
 
+    def test_rejects_determinant_off_one(self, word_qa):
+        split = build_cartan_split(word_qa(4), "00")
+        with pytest.raises(InvalidMatrixError, match="determinant is not 1"):
+            kak_single_level(np.exp(0.3j) * np.eye(4), split)
+
 
 class TestFactorAbelianExponential:
     def test_single_factor(self, word_qa):
@@ -164,6 +175,13 @@ class TestFactorAbelianExponential:
         for f in factors:
             product = product @ expm_hermitian(f.generator.matrix, f.angle)
         np.testing.assert_allclose(product * phase, v, atol=1e-9)
+
+    def test_rejects_wrong_dimension_and_non_unitary(self, word_qa):
+        center = word_qa(4).center
+        with pytest.raises(DimensionMismatchError):
+            factor_abelian_exponential(np.eye(2), center)
+        with pytest.raises(InvalidMatrixError):
+            factor_abelian_exponential(2.0 * np.eye(4), center)
 
     def test_outside_exponential_rejected(self, word_qa):
         qa = word_qa(4)
@@ -333,3 +351,172 @@ class TestRecursiveDecompose:
             u = random_special_unitary(8, rng)
             fact = recursive_decompose(u, seq)
             assert fact.reconstruction_error < 1e-8
+
+
+WORD_DIMS = [2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16]  # standard_quotient_algebra closes in words
+
+
+def fingerprint(fact):
+    """Everything a factorization carries, for exact comparison."""
+    return (
+        [(f.tree_index, f.ordinal, f.generator.label_str, f.angle, f.locality)
+         for f in fact.factors],
+        [(b.tree_index, b.level, len(b.factors)) for b in fact.blocks],
+        fact.global_phase,
+        fact.reconstruction_error,
+    )
+
+
+class TestPlanReuse:
+    """recursive_decompose builds a plan per sequence once and reuses it."""
+
+    @pytest.mark.parametrize(
+        "kind,n", [("word", n) for n in WORD_DIMS] + [("lambda", n) for n in range(2, 17)]
+    )
+    def test_warm_plan_matches_cold(self, kind, n, std_seq):
+        # standard_quotient_algebra is the lambda algebra at N where words do not close.
+        qa = std_seq(n).qa
+        if kind == "lambda" and n in WORD_DIMS:
+            qa = intrinsic_quotient_algebra(n)
+        rng = np.random.default_rng(600 + n)
+        warm = build_decomposition_sequence(qa)
+        recursive_decompose(random_special_unitary(n, rng), warm)
+        assert warm in kak._PLANS
+        u = np.exp(0.4j) * random_special_unitary(n, rng)
+        cold = recursive_decompose(u, build_decomposition_sequence(qa))
+        assert fingerprint(recursive_decompose(u, warm)) == fingerprint(cold)
+
+    def test_sequences_sharing_an_algebra_keep_their_own_plans(self, std_seq):
+        qa = std_seq(8).qa
+        default = build_decomposition_sequence(qa)
+        other = build_decomposition_sequence(qa, ["011", "10", "1"])
+        u = random_special_unitary(8, np.random.default_rng(61))
+        by_default = recursive_decompose(u, default)
+        warm = recursive_decompose(u, other)
+        cold = recursive_decompose(u, build_decomposition_sequence(qa, ["011", "10", "1"]))
+        assert fingerprint(warm) == fingerprint(cold)
+        assert fingerprint(warm)[0] != fingerprint(by_default)[0]
+        assert kak._PLANS[default] is not kak._PLANS[other]
+
+    def test_frame_is_built_once_per_sequence(self, std_seq, monkeypatch):
+        built = []
+        original = kak._build_frame
+        monkeypatch.setattr(
+            kak, "_build_frame", lambda qa, spaces: built.append(1) or original(qa, spaces)
+        )
+        seq = build_decomposition_sequence(std_seq(8).qa)
+        rng = np.random.default_rng(62)
+        for _ in range(5):
+            fact = recursive_decompose(random_special_unitary(8, rng), seq)
+            assert fact.reconstruction_error < 1e-8
+        assert len(built) == 1
+
+    def test_plan_does_not_keep_its_sequence_alive(self, std_seq):
+        seq = build_decomposition_sequence(std_seq(4).qa)
+        recursive_decompose(np.eye(4), seq)
+        ref = weakref.ref(seq)
+        del seq
+        gc.collect()
+        assert ref() is None
+
+
+def with_level(seq, level, **changes):
+    levels = list(seq.levels)
+    levels[level - 1] = dataclasses.replace(levels[level - 1], **changes)
+    return dataclasses.replace(seq, levels=tuple(levels))
+
+
+def with_space(seq, label, space):
+    """The sequence over an algebra whose pair `label` holds `space` on both sides."""
+    pairs = tuple(
+        dataclasses.replace(pair, w=space, w_hat=space) if pair.binary_label == label else pair
+        for pair in seq.qa.pairs
+    )
+    return dataclasses.replace(seq, qa=dataclasses.replace(seq.qa, pairs=pairs))
+
+
+class TestPlanBuildChecks:
+    """Hand-built sequences reach the checks that run once, when the plan is built."""
+
+    @pytest.fixture(scope="class")
+    def seq8(self):
+        return build_decomposition_sequence(standard_quotient_algebra(8))
+
+    @pytest.mark.parametrize(
+        "level,changes,message",
+        [
+            (2, lambda seq: {"chosen_labels": seq.levels[0].chosen_labels},
+             r"level 2, branch L: component \[0, 1, 2, 3, 4, 5, 6, 7\] does not split; "
+             "no center slot reaches it"),
+            (2, lambda seq: {"chosen_labels": ("100",)},
+             r"level 2, branch L: component \[0, 1, 2, 3, 4, 5, 6, 7\] splits into 4 parts"),
+            (2, lambda seq: {"label": "010"},
+             r"level 2, branch L: center slot \(1,3\) does not cross the two sub-blocks"),
+            (3, lambda seq: {"label": "001"},
+             "level 3, branch LL: 0 center slots cannot pair blocks of sizes 2 and 2"),
+            (2, lambda seq: {"center_core": AbelianSpace(seq.levels[1].center_core.generators[:3])},
+             "3 generators vs 4 slots; bases disagree"),
+        ],
+        ids=["no split", "four parts", "no cross", "no pairing", "bases"],
+    )
+    def test_level_checks(self, level, changes, message, seq8):
+        bad = with_level(seq8, level, **changes(seq8))
+        for _ in range(2):  # a failed build is not cached, so it fails again
+            with pytest.raises(DecompositionError, match=f"^decomposition failed: {message}$"):
+                recursive_decompose(np.eye(8), bad)
+            assert bad not in kak._PLANS
+
+    def test_singular_slot_coefficients(self, seq8):
+        # The solve runs on every call, so this check fires on a cached plan too.
+        bad = with_level(seq8, 2, label="011")
+        for _ in range(2):
+            with pytest.raises(DecompositionError, match="slot coefficient matrix is singular$"):
+                recursive_decompose(np.eye(8), bad)
+
+    def test_overlapping_spaces(self, std_seq):
+        seq = std_seq(4)
+        bad = with_space(seq, "10", seq.space_at("01"))
+        for _ in range(2):
+            with pytest.raises(DecompositionError, match="^two chosen spaces overlap on a slot$"):
+                recursive_decompose(np.eye(4), bad)
+            assert bad not in kak._PLANS
+
+    def test_flipped_hat_selection(self, std_seq):
+        seq = std_seq(4)
+        hats = dict(seq.hat_selection, **{"01": not seq.hat_selection["01"]})
+        bad = dataclasses.replace(seq, hat_selection=hats)
+        message = "^slot phases are inconsistent; structure is not binary-partitioned"
+        for _ in range(2):
+            with pytest.raises(DecompositionError, match=message):
+                recursive_decompose(np.eye(4), bad)
+            assert bad not in kak._PLANS
+
+    def test_space_off_the_antisymmetric_slots(self, std_seq):
+        seq = std_seq(4)
+        shift = seq.qa.center.generators[0].matrix
+        space = AbelianSpace(
+            tuple(Generator(None, 4, g.matrix + shift) for g in seq.space_at("01").generators)
+        )
+        bad = with_space(seq, "01", space)
+        for _ in range(2):
+            with pytest.raises(DecompositionError, match="^space 01 image is not antisymmetric"):
+                recursive_decompose(np.eye(4), bad)
+
+    def test_space_short_of_its_slots(self, std_seq):
+        seq = std_seq(4)
+        space = seq.space_at("01")
+        bad = with_space(seq, "01", AbelianSpace(space.generators[:1], space.hat, "01"))
+        message = "^space 01 covers 2 slots for 1 generators$"
+        for _ in range(2):
+            with pytest.raises(DecompositionError, match=message):
+                recursive_decompose(np.eye(4), bad)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_block_reconstruction_matches_reconstruct(n, std_seq):
+    """One exponential per abelian block agrees with the per-factor product."""
+    rng = np.random.default_rng(700 + n)
+    for _ in range(3):
+        u = np.exp(1.1j) * random_special_unitary(n, rng)
+        fact = recursive_decompose(u, std_seq(n))
+        assert abs(fact.reconstruction_error - frob(reconstruct(fact, n) - u)) <= 1e-12

@@ -245,8 +245,8 @@ def test_frame_matches_the_per_entry_loops(n, std_seq):
             kak._slot_coefficients(rotated, frame.slots[lab]),
             loop_slot_coefficients(rotated, frame.slots[lab]),
         )
-    engine = kak._Engine(seq)
+    plan = kak._Plan(seq, frame)
     chosen = [level.chosen_labels for level in seq.levels] + [(seq.final.binary_label,)]
     for level, labels in enumerate(chosen, start=1):
         edges = [s for lab in labels for s in frame.slots[lab]]
-        assert engine._components(level) == union_find_components(n, edges)
+        assert plan.components[level] == union_find_components(n, edges)

@@ -1,0 +1,113 @@
+"""Per-stage timings of the factorization pipeline, at fixed dims and seeds.
+
+    python tools/bench_stages.py [--dims 4,6,8,9,12,15,16,32] [--repeats 3]
+                                 [--src SRC_DIR] [--before OLD.json] > OUT.json
+
+For each dimension N and each repeat it times, in one process:
+
+  algebra_s          standard_quotient_algebra(N)
+  sequence_s         build_decomposition_sequence on that algebra
+  first_decompose_ms the first recursive_decompose along the new sequence
+  decompose_ms       median of the next 10 calls (seeded Haar inputs)
+  plan_ms            first_decompose_ms - decompose_ms: what only the first
+                     call along a sequence pays
+  reconstruct_ms     median of the public per-factor reconstruct
+
+and reports the median of each stage over the repeats, plus the worst
+reconstruction_error seen, as JSON on stdout. The inputs depend only on N.
+--src picks the src/ directory to import, so two checkouts can be compared;
+with --before, the output holds {"before": <that file>, "after": <this run>}.
+BLAS runs on one thread. No timing is asserted.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+DEFAULT_DIMS = "4,6,8,9,12,15,16,32"
+UNITARIES = 10  # warm calls timed per repeat
+SEED = 0
+STAGES = ("algebra_s", "sequence_s", "first_decompose_ms", "decompose_ms", "plan_ms",
+          "reconstruct_ms")
+
+
+def timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+def run_dim(ck, n):
+    """One repeat at dimension n: stage times and the worst reconstruction error."""
+    qa, algebra_s = timed(ck.partition.standard_quotient_algebra, n)
+    seq, sequence_s = timed(ck.cartan.build_decomposition_sequence, qa)
+    rng = np.random.default_rng(SEED + n)
+    us = [ck._linalg.random_special_unitary(n, rng) for _ in range(UNITARIES + 1)]
+    facts, seconds = zip(*(timed(ck.kak.recursive_decompose, u, seq) for u in us))
+    rebuilt = [timed(ck.kak.reconstruct, f, n)[1] for f in facts[1:]]
+    decompose_ms = statistics.median(seconds[1:]) * 1e3
+    stages = {
+        "algebra_s": algebra_s,
+        "sequence_s": sequence_s,
+        "first_decompose_ms": seconds[0] * 1e3,
+        "decompose_ms": decompose_ms,
+        "plan_ms": seconds[0] * 1e3 - decompose_ms,
+        "reconstruct_ms": statistics.median(rebuilt) * 1e3,
+    }
+    return stages, max(f.reconstruction_error for f in facts)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--dims", default=DEFAULT_DIMS)
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
+    ap.add_argument("--before", help="a previous output of this script, for the other tree")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, args.src)
+    import cartankak._linalg  # noqa: F401
+    import cartankak.cartan  # noqa: F401
+    import cartankak.kak  # noqa: F401
+    import cartankak.partition  # noqa: F401
+    ck = sys.modules["cartankak"]
+
+    dims = [int(d) for d in args.dims.split(",")]
+    per_dim, worst = {}, 0.0
+    for n in dims:
+        runs = []
+        for _ in range(args.repeats):
+            stages, err = run_dim(ck, n)
+            runs.append(stages)
+            worst = max(worst, err)
+        per_dim[str(n)] = {k: statistics.median(r[k] for r in runs) for k in STAGES}
+        print(f"N={n}: " + ", ".join(f"{k} {v:.4g}" for k, v in per_dim[str(n)].items()),
+              file=sys.stderr)
+    result = {
+        "machine": {"python": platform.python_version(), "numpy": np.__version__,
+                    "cpus": os.cpu_count(), "blas_threads": 1},
+        "dims": dims,
+        "repeats": args.repeats,
+        "unitaries": UNITARIES,
+        "seed": SEED,
+        "stages": per_dim,
+        "worst_reconstruction_error": worst,
+    }
+    if args.before:
+        result = {"before": json.loads(Path(args.before).read_text()), "after": result}
+    sys.stdout.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
