@@ -11,10 +11,30 @@ import scipy.linalg
 
 from .errors import DecompositionError, InvalidMatrixError, NotAbelianError
 
-# Representation-exact checks use STRUCT_TOL; results of eigensolves use SOLVE_TOL.
+# ---------------------------------------------------------------------------
+# Tolerances: every threshold the package compares against, named by what it
+# guards. Each comment gives the scalings its sites use (absolute, *n for an
+# n x n matrix, *max(1, |x|), or *s[0], the largest singular value). Sites keep
+# their own scaling and their own < or <=; a name fixes only the value.
+# ---------------------------------------------------------------------------
+
+# Exact zeros (traces, supports, expansion terms, null spaces): absolute, *n, *max(1, |m|), *s[0].
 STRUCT_TOL = 1e-12
+# A factor whose angle is below this is not emitted: absolute.
+ANGLE_PRUNE_TOL = 1e-12
+# Accepted inputs (unitary, Hermitian, traceless, commuting, diagonalized; Tr(t p)): abs, *n, *max.
+ACCEPT_TOL = 1e-10
+# Postconditions of a numeric solve (reassembly, spans, expansions, closure): abs, *n, *max.
 SOLVE_TOL = 1e-9
-# Eigenvalues closer than CLUSTER_TOL (relative) are split by the next matrix.
+# A chosen space's image is antisymmetric in the frame: *max(1, |g|).
+ANTISYM_TOL = 1e-8
+# kak_single_level's input has determinant 1: absolute.
+DET_TOL = 1e-8
+# CLI decompose exits 0 when reconstruction_error is below this: absolute.
+RECON_TOL = 1e-8
+# The phase directions of a slot agree mod pi: absolute, in radians.
+PHASE_TOL = 1e-7
+# Eigenvalues closer than this stay in one cluster for the next matrix: *max(1, |m|).
 CLUSTER_TOL = 1e-6
 
 
@@ -30,7 +50,7 @@ def is_hermitian(m, tol=STRUCT_TOL) -> bool:
     return frob(m - dagger(m)) < tol * max(1.0, frob(m))
 
 
-def is_unitary(m, tol=1e-10) -> bool:
+def is_unitary(m, tol=ACCEPT_TOL) -> bool:
     n = m.shape[0]
     return frob(m @ dagger(m) - np.eye(n)) < tol * n
 
@@ -45,19 +65,19 @@ def mat_to_vec(m) -> np.ndarray:
     return np.concatenate([f.real, f.imag])
 
 
-def span_rows(mats, tol=SOLVE_TOL) -> np.ndarray:
+def span_rows(mats) -> np.ndarray:
     """Orthonormal row basis (real coefficients) of the span of `mats`."""
     mats = list(mats)
     if not mats:
         return np.zeros((0, 0))
     rows = np.array([mat_to_vec(m) for m in mats])
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
+    rank = int(np.sum(s > SOLVE_TOL * max(1.0, s[0] if len(s) else 1.0)))
     return vt[:rank]
 
 
-def span_rank(mats, tol=SOLVE_TOL) -> int:
-    return span_rows(mats, tol).shape[0]
+def span_rank(mats) -> int:
+    return span_rows(mats).shape[0]
 
 
 def project_residual(m, basis_rows) -> float:
@@ -92,24 +112,22 @@ def commutator_residuals(left, right, rows) -> np.ndarray:
     return out
 
 
-def in_span(m, basis_rows, tol=SOLVE_TOL) -> bool:
-    return project_residual(m, basis_rows) < tol
+def in_span(m, basis_rows) -> bool:
+    return project_residual(m, basis_rows) < SOLVE_TOL
 
 
-def spans_equal(mats_a, mats_b, tol=SOLVE_TOL) -> bool:
-    ba, bb = span_rows(mats_a, tol), span_rows(mats_b, tol)
+def spans_equal(mats_a, mats_b) -> bool:
+    ba, bb = span_rows(mats_a), span_rows(mats_b)
     if ba.shape[0] != bb.shape[0]:
         return False
-    return all(project_residual(m, bb) < tol for m in mats_a) and all(
-        project_residual(m, ba) < tol for m in mats_b
-    )
+    return all(in_span(m, bb) for m in mats_a) and all(in_span(m, ba) for m in mats_b)
 
 
-def span_fingerprint(mats, tol=SOLVE_TOL, digits=9) -> bytes:
-    """Canonical bytes identifying a span (projector rounded at 1e-9)."""
-    rows = span_rows(mats, tol)
+def span_fingerprint(mats) -> bytes:
+    """Canonical bytes identifying a span (projector rounded to 9 decimals)."""
+    rows = span_rows(mats)
     proj = rows.T @ rows
-    rounded = np.round(proj, digits) + 0.0  # adding 0.0 clears negative zeros
+    rounded = np.round(proj, 9) + 0.0  # adding 0.0 clears negative zeros
     return rounded.tobytes() + bytes([rows.shape[0]])
 
 
@@ -170,7 +188,7 @@ def joint_eigenbasis(mats):
     return vecs
 
 
-def simultaneous_diagonalize(mats, tol=1e-10):
+def simultaneous_diagonalize(mats):
     """Unitary U (det 1) with U m U^dag diagonal for every commuting Hermitian m.
 
     The eigenbasis comes from joint_eigenbasis; columns are then ordered by the
@@ -182,9 +200,9 @@ def simultaneous_diagonalize(mats, tol=1e-10):
     for m in mats:
         if m.shape != (n, n):
             raise InvalidMatrixError("matrices must share one square shape")
-        if not is_hermitian(m, 1e-10):
+        if not is_hermitian(m, ACCEPT_TOL):
             raise InvalidMatrixError("matrix is not Hermitian")
-    if not all_commute(mats, 1e-10):
+    if not all_commute(mats, ACCEPT_TOL):
         raise NotAbelianError("matrices do not commute")
 
     vecs = joint_eigenbasis(mats)
@@ -200,12 +218,12 @@ def simultaneous_diagonalize(mats, tol=1e-10):
     u = u * np.exp(-1j * np.angle(np.linalg.det(u)) / n)
     for m in mats:
         d = u @ m @ dagger(u)
-        if frob(d - np.diag(np.diag(d))) > tol * max(1.0, frob(m)):
+        if frob(d - np.diag(np.diag(d))) > ACCEPT_TOL * max(1.0, frob(m)):
             raise DecompositionError("simultaneous diagonalization did not converge")
     return u
 
 
-def complex_symmetric_eigenbasis(s, tol=1e-9):
+def complex_symmetric_eigenbasis(s):
     """Real orthogonal O and unit phases w with s = O diag(w) O^T.
 
     `s` must be symmetric unitary; its real and imaginary parts are commuting
@@ -215,11 +233,11 @@ def complex_symmetric_eigenbasis(s, tol=1e-9):
     """
     n = s.shape[0]
     o = np.eye(n)
-    if frob(s - np.diag(np.diag(s))) >= 1e-12 * n:
+    if frob(s - np.diag(np.diag(s))) >= STRUCT_TOL * n:
         re, im = np.real(s), np.imag(s)
         o = joint_eigenbasis([np.cos(np.pi / 6) * re + np.sin(np.pi / 6) * im, re, im])
     d = o.T @ s @ o
-    if frob(d - np.diag(np.diag(d))) > tol * n:
+    if frob(d - np.diag(np.diag(d))) > SOLVE_TOL * n:
         raise DecompositionError("joint eigenbasis did not diagonalize the symmetric unitary")
     w = np.diag(d)
     return o, w / np.abs(w)
@@ -233,7 +251,7 @@ def real_log_special_orthogonal(o):
     minus_ones = []
     k = 0
     while k < n:
-        if k + 1 < n and abs(t[k + 1, k]) > 1e-12:
+        if k + 1 < n and abs(t[k + 1, k]) > STRUCT_TOL:
             theta = np.arctan2(t[k + 1, k], t[k, k])
             log_t[k, k + 1] = -theta
             log_t[k + 1, k] = theta
@@ -280,7 +298,7 @@ def rotation_middle(n, p, thetas):
     return r
 
 
-def cs_decompose_so(x, p, q, tol=SOLVE_TOL):
+def cs_decompose_so(x, p, q):
     """CS decomposition of special orthogonal x under the (p, q) row partition.
 
     Returns (u1, u2, thetas, v1, v2) with
@@ -293,7 +311,7 @@ def cs_decompose_so(x, p, q, tol=SOLVE_TOL):
     n = p + q
     x = np.asarray(x)
     if np.iscomplexobj(x):
-        if frob(np.imag(x)) > 1e-9:
+        if frob(np.imag(x)) > SOLVE_TOL:
             raise InvalidMatrixError("cs_decompose_so requires a real orthogonal matrix")
         x = np.real(x)
     r = min(p, q)
@@ -315,7 +333,7 @@ def cs_decompose_so(x, p, q, tol=SOLVE_TOL):
     mid = rotation_middle(n, p, thetas)
     full = np.vstack([u1 @ mid[:p], u2 @ mid[p:]])
     full = np.hstack([full[:, :p] @ v1, full[:, p:] @ v2])
-    if frob(full - x) > tol:
+    if frob(full - x) > SOLVE_TOL:
         raise DecompositionError("cosine-sine reassembly failed")
     return u1, u2, thetas, v1, v2
 

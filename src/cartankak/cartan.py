@@ -16,7 +16,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._linalg import (
+    ACCEPT_TOL,
     SOLVE_TOL,
+    STRUCT_TOL,
     all_commute,
     commutator_residuals,
     frob,
@@ -107,7 +109,7 @@ class CartanSplit:
         # Tr(a b) = vec(a) . vec(b^T)
         t_vecs = np.reshape(t_mats, (len(t_mats), -1))
         p_vecs = np.reshape(np.transpose(p_mats, (0, 2, 1)), (len(p_mats), -1))
-        if np.abs(t_vecs @ p_vecs.T).max() > 1e-10:
+        if np.abs(t_vecs @ p_vecs.T).max() > ACCEPT_TOL:
             raise InvalidChoiceError("Tr(t p) != 0")
 
 
@@ -197,7 +199,7 @@ def extend_to_maximal_abelian(space: AbelianSpace, center: AbelianSpace) -> Abel
     appended (orthonormalized, unlabeled).
     """
     n = space.dim
-    space.validate(1e-10)
+    space.validate()
     target = n - 1
     current: List[Generator] = list(space.generators)
     if len(current) > target:
@@ -209,7 +211,7 @@ def extend_to_maximal_abelian(space: AbelianSpace, center: AbelianSpace) -> Abel
     for c in center.generators:
         if len(current) == target:
             break
-        if all(frob(c.matrix @ g.matrix - g.matrix @ c.matrix) < 1e-10 for g in current):
+        if all(frob(c.matrix @ g.matrix - g.matrix @ c.matrix) < ACCEPT_TOL for g in current):
             if independent(c.matrix):
                 current.append(c)
     if len(current) < target:
@@ -223,7 +225,7 @@ def extend_to_maximal_abelian(space: AbelianSpace, center: AbelianSpace) -> Abel
             f"extension reached {len(current)} generators, expected {target}"
         )
     out = AbelianSpace(tuple(current), hat=space.hat, binary_label=space.binary_label)
-    out.validate(1e-10)
+    out.validate()
     return out
 
 
@@ -239,16 +241,16 @@ def _center_commutant(space: AbelianSpace, center: AbelianSpace) -> List[np.ndar
     a = np.array(cols).T
     if a.size == 0:
         return []
-    u, s, vt = np.linalg.svd(a)
-    tolerance = max(a.shape) * (s[0] if s.size else 0.0) * 1e-12
-    null_dim = int(np.sum(s <= max(tolerance, 1e-12)))
-    if s.size < vt.shape[0]:
-        null_dim += vt.shape[0] - s.size
+    # a has 2 N^2 rows per space generator and one column per center
+    # generator, so vt is square and its last rows span the null space.
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    tolerance = max(a.shape) * (s[0] if s.size else 0.0) * STRUCT_TOL
+    null_dim = int(np.sum(s <= max(tolerance, STRUCT_TOL)))
     out = []
     for row in vt[vt.shape[0] - null_dim :]:
         mat = sum(x * c for x, c in zip(row, center.matrices))
         norm = frob(mat)
-        if norm > 1e-9:
+        if norm > SOLVE_TOL:
             out.append(mat / norm)
     return out
 
@@ -432,7 +434,7 @@ def build_decomposition_sequence(
     if len(available) != 1:
         raise InvalidChoiceError(f"recursion left {len(available)} labels, expected 1")
     final = space_of(available[0])
-    if not all_commute(final.matrices, 1e-10):
+    if not all_commute(final.matrices, ACCEPT_TOL):
         raise NotAbelianError("final level space is not abelian")
     return DecompositionSequence(qa=qa, levels=tuple(levels), final=final, hat_selection=hats)
 
@@ -440,7 +442,7 @@ def build_decomposition_sequence(
 def _designate_center(available, override, space_of, p, k) -> int:
     if override is None:
         return min(available)
-    override.validate(1e-10)
+    override.validate()
     for value in available:
         cand = space_of(value)
         if spans_equal(cand.matrices, override.matrices):

@@ -17,6 +17,7 @@ import tempfile
 from typing import List, Optional
 
 from . import serialize
+from ._linalg import RECON_TOL
 from .cartan import (
     build_cartan_split,
     build_decomposition_sequence,
@@ -94,7 +95,7 @@ def _build_qa(dim: int, center_spec: str) -> QuotientAlgebra:
         return standard_quotient_algebra(dim)
     center = _center_space(center_spec, dim)
     try:
-        center.validate(1e-10)
+        center.validate()
         return build_quotient_algebra(center, standard_basis(dim))
     except NotAbelianError as exc:
         raise NotAbelianError(f"center not abelian: {exc}") from exc
@@ -198,7 +199,7 @@ def cmd_decompose(args) -> int:
         f"reconstruction_error={fact.reconstruction_error:.3e}",
         file=sys.stderr,
     )
-    return EXIT_OK if fact.reconstruction_error < 1e-8 else EXIT_DECOMPOSITION_FAILED
+    return EXIT_OK if fact.reconstruction_error < RECON_TOL else EXIT_DECOMPOSITION_FAILED
 
 
 def cmd_verify(args) -> int:

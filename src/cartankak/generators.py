@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import STRUCT_TOL, frob, is_hermitian
+from ._linalg import ACCEPT_TOL, STRUCT_TOL, frob, is_hermitian
 from .errors import (
     DimensionMismatchError,
     InvalidMatrixError,
@@ -489,9 +489,9 @@ def to_lambda_basis(m: np.ndarray, tol: float = STRUCT_TOL) -> List[Tuple[float,
     n = m.shape[0]
     if m.shape != (n, n):
         raise InvalidMatrixError("matrix is not square")
-    if not is_hermitian(m, 1e-10):
+    if not is_hermitian(m, ACCEPT_TOL):
         raise InvalidMatrixError("matrix is not Hermitian")
-    if abs(np.trace(m)) > 1e-10 * max(1.0, frob(m)):
+    if abs(np.trace(m)) > ACCEPT_TOL * max(1.0, frob(m)):
         raise InvalidMatrixError("matrix is not traceless")
     terms: List[Tuple[float, Label]] = []
     for i in range(1, n + 1):

@@ -22,6 +22,11 @@ import numpy as np
 
 from . import generators as gen
 from ._linalg import (
+    ACCEPT_TOL,
+    ANGLE_PRUNE_TOL,
+    ANTISYM_TOL,
+    DET_TOL,
+    PHASE_TOL,
     SOLVE_TOL,
     STRUCT_TOL,
     complex_symmetric_eigenbasis,
@@ -57,8 +62,6 @@ __all__ = [
     "recursive_decompose",
     "reconstruct",
 ]
-
-ANGLE_PRUNE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +116,8 @@ def ingest_unitary(m: np.ndarray) -> Tuple[np.ndarray, complex]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidMatrixError("unitary must be square")
     n = m.shape[0]
-    if not is_unitary(m, 1e-10):
-        raise InvalidMatrixError("matrix is not unitary within 1e-10")
+    if not is_unitary(m, ACCEPT_TOL):
+        raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
     if not is_unitary(m, STRUCT_TOL):
         w, _, vh = np.linalg.svd(m)
         m = w @ vh
@@ -141,7 +144,8 @@ def classify_gate(g: Generator) -> str:
         overlap = np.trace(dagger(word.matrix) @ g.matrix)
         denom = np.trace(dagger(word.matrix) @ word.matrix)
         coef = overlap / denom
-        if abs(coef) > 1e-9 and frob(g.matrix - coef * word.matrix) < 1e-9 * frob(g.matrix):
+        resid = frob(g.matrix - coef * word.matrix)
+        if abs(coef) > SOLVE_TOL and resid < SOLVE_TOL * frob(g.matrix):
             return classify_gate(word)
     raise UnsupportedLabelError(
         "generator is not proportional to a single word of the site structure"
@@ -174,7 +178,7 @@ def _binary_phase_frame(n: int, images: Sequence[np.ndarray]):
         z = stack[:, i, j]
         delta = (-np.pi / 2.0 - np.angle(z[np.abs(z) >= SOLVE_TOL])) % np.pi
         diff = np.abs(delta - delta[0])
-        if np.any(np.minimum(diff, np.abs(diff - np.pi)) > 1e-7):
+        if np.any(np.minimum(diff, np.abs(diff - np.pi)) > PHASE_TOL):
             raise DecompositionError(f"slot ({i + 1},{j + 1}) carries two phase directions")
         deltas[(i, j)] = delta[0]
     phi = np.zeros(n)
@@ -197,7 +201,7 @@ def _binary_phase_frame(n: int, images: Sequence[np.ndarray]):
                     queue.append(b)
                 else:
                     diff = (phi[a] - phi[b] - want) % np.pi
-                    if min(diff, np.pi - diff) > 1e-7:
+                    if min(diff, np.pi - diff) > PHASE_TOL:
                         raise DecompositionError(
                             "slot phases are inconsistent; structure is not "
                             "binary-partitioned in any diagonal gauge"
@@ -236,7 +240,7 @@ def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
             )
         for g in rotated:
             resid = frob(g + g.T) + frob(np.diag(np.diag(g)))
-            if resid > 1e-8 * max(1.0, frob(g)):
+            if resid > ANTISYM_TOL * max(1.0, frob(g)):
                 raise DecompositionError(
                     f"space {lab} image is not antisymmetric in the frame"
                 )
@@ -280,13 +284,13 @@ def _ai_step(m: np.ndarray):
         lam = lam.copy()
         lam[picks] -= 2.0 * np.pi * np.sign(total)
         d, o2 = rebuild(lam)
-    if abs(lam.sum()) > 1e-9:
+    if abs(lam.sum()) > SOLVE_TOL:
         raise DecompositionError("eigenphase vector failed to become traceless")
-    if frob(np.imag(o2)) > 1e-9:
+    if frob(np.imag(o2)) > SOLVE_TOL:
         raise DecompositionError("right orthogonal factor is not real")
     o2 = np.real(o2)
     err = frob(o1 @ np.diag(d) @ o2 - m)
-    if err > 1e-9 * n:
+    if err > SOLVE_TOL * n:
         raise DecompositionError(f"single-level reassembly error {err:.2e}")
     return o1, lam, o2
 
@@ -307,7 +311,7 @@ def _solve_expansion(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
         omega = np.linalg.solve(c.T, phi)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("slot coefficient matrix is singular") from exc
-    if frob(c.T @ omega - phi) > 1e-9 * max(1.0, frob(phi)):
+    if frob(c.T @ omega - phi) > SOLVE_TOL * max(1.0, frob(phi)):
         raise DecompositionError("angle expansion over the space basis failed")
     return omega
 
@@ -315,7 +319,7 @@ def _solve_expansion(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def _solve_diagonal_expansion(e: np.ndarray, target) -> np.ndarray:
     """Angles omega with e^T omega = target, e[a] the diagonal of image a."""
     omega, *_ = np.linalg.lstsq(e.T, target, rcond=None)
-    if frob(e.T @ omega - target) > 1e-9 * max(1.0, frob(target)):
+    if frob(e.T @ omega - target) > SOLVE_TOL * max(1.0, frob(target)):
         raise NotInSpanError("diagonal part does not lie in the center span")
     return omega
 
@@ -516,12 +520,12 @@ class _Engine:
         k2 = np.eye(plan.n)
         phi = np.zeros(c.shape[1])
         units = plan.units[level]
-        if np.any(np.abs(o[units, units] - 1.0) > 1e-9):
+        if np.any(np.abs(o[units, units] - 1.0) > SOLVE_TOL):
             raise DecompositionError(
                 f"level {level}, branch {branch}: unit block is not the identity"
             )
         for cs in plan.layouts[level]:
-            if frob(o[cs.outside]) > 1e-9:
+            if frob(o[cs.outside]) > SOLVE_TOL:
                 raise DecompositionError(
                     f"level {level}, branch {branch}: block leaks outside its component"
                 )
@@ -542,7 +546,7 @@ class _Engine:
         rebuilt = np.eye(plan.n)
         rebuilt[rows, rows] = rebuilt[cols, cols] = cos
         rebuilt[rows, cols], rebuilt[cols, rows] = sin, -sin
-        if frob(rebuilt - o) > 1e-9 * plan.n:
+        if frob(rebuilt - o) > SOLVE_TOL * plan.n:
             raise DecompositionError(
                 f"final level, branch {branch}: leaf is not inside the final torus"
             )
@@ -618,9 +622,9 @@ def kak_single_level(u: np.ndarray, split: CartanSplit):
     n = split.dim
     if u.shape != (n, n):
         raise DimensionMismatchError("unitary does not match the split dimension")
-    if not is_unitary(u, 1e-10):
-        raise InvalidMatrixError("matrix is not unitary within 1e-10")
-    if abs(np.linalg.det(u) - 1.0) > 1e-8:
+    if not is_unitary(u):
+        raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
+    if abs(np.linalg.det(u) - 1.0) > DET_TOL:
         raise InvalidMatrixError("determinant is not 1; run ingest_unitary first")
     spaces = {s.binary_label: s for s in split.t}
     frame = _build_frame(split.qa, spaces)
@@ -631,7 +635,7 @@ def kak_single_level(u: np.ndarray, split: CartanSplit):
     k2 = dagger(f) @ o2.astype(complex) @ f
     a = dagger(f) @ np.diag(lam).astype(complex) @ f
     err = frob(k1 @ expm_hermitian(a) @ k2 - u)
-    if err > 1e-9 * n:
+    if err > SOLVE_TOL * n:
         raise DecompositionError(f"single-level reassembly error {err:.2e}")
     # Membership checks: s1, s2 in span(t), a in span(center).
     t_rows = span_rows(split.t_matrices())
@@ -658,9 +662,9 @@ def factor_abelian_exponential(
     n = space.dim
     if v.shape != (n, n):
         raise DimensionMismatchError("matrix does not match the space dimension")
-    if not is_unitary(v, 1e-10):
-        raise InvalidMatrixError("matrix is not unitary within 1e-10")
-    space.validate(1e-10)
+    if not is_unitary(v):
+        raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
+    space.validate()
     w = diagonalize_abelian(space)
     d = w @ v @ dagger(w)
     off = frob(d - np.diag(np.diag(d)))

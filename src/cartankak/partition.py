@@ -17,6 +17,7 @@ import numpy as np
 
 from . import generators as gen
 from ._linalg import (
+    ACCEPT_TOL,
     SOLVE_TOL,
     STRUCT_TOL,
     all_commute,
@@ -92,7 +93,7 @@ class AbelianSpace:
     def matrices(self) -> List[np.ndarray]:
         return [g.matrix for g in self.generators]
 
-    def validate(self, tol: float = STRUCT_TOL):
+    def validate(self, tol: float = ACCEPT_TOL):
         if not all_commute(self.matrices, tol):
             raise NotAbelianError("space generators do not commute")
         if span_rank(self.matrices) != len(self.generators):
@@ -250,8 +251,8 @@ def diagonalize_abelian(space) -> np.ndarray:
     centers keep their coordinates.
     """
     mats = space.matrices if isinstance(space, AbelianSpace) else [np.asarray(m) for m in space]
-    if not all_commute(mats, 1e-10):
-        raise NotAbelianError("input set is not abelian (commutator norm > 1e-10)")
+    if not all_commute(mats, ACCEPT_TOL):
+        raise NotAbelianError(f"input set is not abelian (commutator norm > {ACCEPT_TOL:g})")
     n = mats[0].shape[0]
     if all(frob(m - np.diag(np.diag(m))) < STRUCT_TOL * max(1.0, frob(m)) for m in mats):
         return np.eye(n, dtype=complex)
@@ -262,15 +263,15 @@ def diagonalize_abelian(space) -> np.ndarray:
 # Algorithm: quotient algebra construction
 # ---------------------------------------------------------------------------
 
-def _match_single(result: np.ndarray, pool: Sequence[Generator], tol=SOLVE_TOL) -> Optional[int]:
+def _match_single(result: np.ndarray, pool: Sequence[Generator]) -> Optional[int]:
     """Index of the unique pool generator proportional to `result`, else None."""
     norm = frob(result)
-    if norm < tol:
+    if norm < SOLVE_TOL:
         return None
     hits = []
     for idx, g in enumerate(pool):
         overlap = np.trace(dagger(g.matrix) @ result)
-        if abs(overlap) > tol * norm:
+        if abs(overlap) > SOLVE_TOL * norm:
             hits.append((idx, overlap))
     if len(hits) != 1:
         raise BasisNotClosedError(
@@ -280,7 +281,7 @@ def _match_single(result: np.ndarray, pool: Sequence[Generator], tol=SOLVE_TOL) 
     idx, overlap = hits[0]
     g = pool[idx].matrix
     coef = overlap / np.trace(dagger(g) @ g)
-    if frob(result - coef * g) > tol * norm:
+    if frob(result - coef * g) > SOLVE_TOL * norm:
         raise BasisNotClosedError(
             "commutator leaves the basis span; wrong representation choice"
         )
@@ -308,7 +309,7 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     merged according to the binary partitioning.
     """
     n = center.dim
-    center.validate(1e-10)
+    center.validate()
     cspan = center.span()
 
     pool = [g for g in basis if g.dim == n and not in_span(g.matrix, cspan)]
@@ -342,7 +343,7 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
 
     merged = _merge_pairs(raw_pairs)
     spaces = [space for ws, hats, _ in merged for space in (ws, hats)]
-    if not all(all_commute([g.matrix for g in space], 1e-10) for space in spaces):
+    if not all(all_commute([g.matrix for g in space], ACCEPT_TOL) for space in spaces):
         raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")
     p = max(1, (n - 1).bit_length())
     pairs = _label_pairs(merged, p)

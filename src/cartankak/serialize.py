@@ -151,7 +151,9 @@ def qa_to_json(qa: QuotientAlgebra) -> Dict[str, Any]:
 
 def qa_from_json(obj: Dict[str, Any]) -> QuotientAlgebra:
     dim = int(obj["dim"])
-    p = int(obj["p"])
+    p, want = int(obj["p"]), max(1, (dim - 1).bit_length())
+    if p != want:
+        raise InvalidMatrixError(f"algebra JSON has p={p}; dim {dim} needs p={want}")
     center = space_from_json(obj["center"])
     pairs = tuple(
         ConjugatePair(

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cartankak import serialize
 from cartankak.cartan import CartanSplit
@@ -230,6 +231,14 @@ class TestVerify:
     def test_removed_su6_passes(self, tmp_path, lambda_qa):
         path = write_json(tmp_path / "qa6l.json", serialize.qa_to_json(lambda_qa(6)))
         assert main(["verify", "--input", path]) == 0
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_wrong_p_exits_2(self, tmp_path, p, capsys):
+        qa, _ = self._qa_file(tmp_path, 4)
+        payload = dict(serialize.qa_to_json(qa), p=p)
+        path = write_json(tmp_path / "wrong_p.json", payload)
+        assert main(["verify", "--input", path]) == 2
+        assert f"algebra JSON has p={p}; dim 4 needs p=2" in capsys.readouterr().err
 
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "junk.json"

@@ -92,6 +92,11 @@ class TestClassifyGate:
         with pytest.raises(UnsupportedLabelError):
             classify_gate(make_lambda(1, 2, 6))
 
+    def test_sum_of_two_words_rejected(self):
+        g = Generator(None, 4, word("p3", "p0").matrix + word("p0", "p3").matrix)
+        with pytest.raises(UnsupportedLabelError, match="not proportional to a single word"):
+            classify_gate(g)
+
 
 class TestKakSingleLevel:
     def test_identity(self, word_qa):
@@ -134,6 +139,13 @@ class TestKakSingleLevel:
         split = build_cartan_split(word_qa(4), "00")
         with pytest.raises(InvalidMatrixError, match="determinant is not 1"):
             kak_single_level(np.exp(0.3j) * np.eye(4), split)
+
+    def test_slot_with_two_phase_directions(self, word_qa):
+        # I x X and I x Y share the slots (1,2) and (3,4), 90 degrees apart.
+        space = AbelianSpace((word("p0", "p1"), word("p0", "p2")), False, "01")
+        bad = dataclasses.replace(build_cartan_split(word_qa(4), "00"), t=(space,))
+        with pytest.raises(DecompositionError, match=r"^slot \(1,2\) carries two phase directions$"):
+            kak_single_level(np.eye(4), bad)
 
 
 class TestFactorAbelianExponential:
@@ -188,6 +200,13 @@ class TestFactorAbelianExponential:
         u = random_special_unitary(4, np.random.default_rng(1))
         with pytest.raises(NotInSpanError):
             factor_abelian_exponential(u, qa.center)
+
+    def test_diagonal_phases_outside_the_span_rejected(self):
+        # exp(0.3i I x Z) is diagonal, so it passes the eigenbasis check, but
+        # its phases are not a multiple of Z x I's diagonal plus a phase.
+        v = expm_hermitian(word("p0", "p3").matrix, 0.3)
+        with pytest.raises(NotInSpanError, match="^phases do not lie in the space span$"):
+            factor_abelian_exponential(v, AbelianSpace((word("p3", "p0"),)))
 
 
 class TestReconstruct:
