@@ -112,6 +112,32 @@ def commutator_residuals(left, right, rows) -> np.ndarray:
     return out
 
 
+MATCH_ZERO, MATCH_NONE, MATCH_OFF_LINE = -1, -2, -3
+
+
+def basis_match(xs, basis) -> list:
+    """Index of the basis matrix each x is a multiple of, from one HS-overlap product.
+
+    k when b_k alone overlaps x, |Tr(b_k^dag x)| > SOLVE_TOL |x|, and x is
+    within SOLVE_TOL |x| of its multiple of b_k. Otherwise MATCH_ZERO when
+    |x| < SOLVE_TOL, MATCH_NONE when no or several b_k overlap x, and
+    MATCH_OFF_LINE when one does but x is not a multiple of it.
+    """
+    basis = np.asarray(basis).reshape(len(basis), -1)
+    xs = np.asarray(xs).reshape(len(xs), -1)
+    out = []
+    for x, col in zip(xs, (basis @ xs.conj().T).conj().T):
+        norm = np.linalg.norm(x)
+        hits = np.flatnonzero(np.abs(col) > SOLVE_TOL * norm)
+        if norm < SOLVE_TOL or len(hits) != 1:
+            out.append(MATCH_ZERO if norm < SOLVE_TOL else MATCH_NONE)
+            continue
+        k, b = int(hits[0]), basis[hits[0]]
+        off = np.linalg.norm(x - col[k] / np.vdot(b, b) * b)
+        out.append(k if off <= SOLVE_TOL * norm else MATCH_OFF_LINE)
+    return out
+
+
 def in_span(m, basis_rows) -> bool:
     return project_residual(m, basis_rows) < SOLVE_TOL
 

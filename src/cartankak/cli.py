@@ -24,14 +24,19 @@ from .cartan import (
     enumerate_maximal_abelian,
     enumerate_t_choices,
 )
-from .errors import CartanKakError, DecompositionError, InvalidMatrixError
+from .errors import (
+    CartanKakError,
+    DecompositionError,
+    InvalidMatrixError,
+    NotAbelianError,
+    NotMaximalError,
+)
 from .kak import recursive_decompose
 from .partition import (
-    AbelianSpace,
     QuotientAlgebra,
     build_quotient_algebra,
     standard_basis,
-    standard_word_center,
+    standard_quotient_algebra,
     verify_closure,
 )
 
@@ -77,25 +82,12 @@ def _load_json(path: str):
         raise InvalidMatrixError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _center_space(spec: str, dim: int) -> AbelianSpace:
-    if spec == "intrinsic":
-        return standard_word_center(dim)
-    obj = _load_json(spec)
-    items = obj["generators"] if isinstance(obj, dict) else obj
-    return serialize.space_from_json(items)
-
-
 def _build_qa(dim: int, center_spec: str) -> QuotientAlgebra:
-    from .errors import NotAbelianError, NotMaximalError
-    from .partition import standard_quotient_algebra
-
     if center_spec == "intrinsic":
-        # The word basis where it closes; the lambda basis built at dim
-        # otherwise (9, 10, 14 and 15 up to 16).
         return standard_quotient_algebra(dim)
-    center = _center_space(center_spec, dim)
+    obj = _load_json(center_spec)
+    center = serialize.space_from_json(obj["generators"] if isinstance(obj, dict) else obj)
     try:
-        center.validate()
         return build_quotient_algebra(center, standard_basis(dim))
     except NotAbelianError as exc:
         raise NotAbelianError(f"center not abelian: {exc}") from exc
@@ -244,42 +236,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_dim=True):
+    def command(name, help_text, func, needs_dim=True, needs_center=True):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         if needs_dim:
             p.add_argument("--dim", type=int, required=True, help="dimension N of su(N)")
-        p.add_argument("--center", default="intrinsic",
-                       help="'intrinsic' or a JSON file with center generators")
+        if needs_center:
+            p.add_argument("--center", default="intrinsic",
+                           help="'intrinsic' or a JSON file with center generators")
         p.add_argument("--seed", type=int, default=0,
                        help="accepted for compatibility; factorizations do not depend on it")
-        p.add_argument("--input", help="input file (matrix or algebra JSON)")
         p.add_argument("--output", help="output file (atomic write); stdout otherwise")
-        p.add_argument("--format", choices=("json", "table"), default="json")
+        return p
 
-    p = sub.add_parser("partition", help="construct a quotient algebra")
-    common(p)
-    p.set_defaults(func=cmd_partition)
+    p = command("partition", "construct a quotient algebra", cmd_partition)
+    p.add_argument("--format", choices=("json", "table"), default="json")
 
-    p = sub.add_parser("splits", help="enumerate or build Cartan splits")
-    common(p)
+    p = command("splits", "enumerate or build Cartan splits", cmd_splits)
     p.add_argument("--choice-bits", help="selector bits; all splits when omitted")
-    p.set_defaults(func=cmd_splits)
 
-    p = sub.add_parser("maximal-abelian", help="shell-extend maximal abelian subalgebras")
-    common(p)
+    p = command("maximal-abelian", "shell-extend maximal abelian subalgebras",
+                cmd_maximal_abelian, needs_center=False)
     p.add_argument("--shells", type=int, default=2, help="number of extension shells")
-    p.set_defaults(func=cmd_maximal_abelian)
 
-    p = sub.add_parser("decompose", help="factor a unitary into gate exponentials")
-    common(p)
+    p = command("decompose", "factor a unitary into gate exponentials", cmd_decompose)
+    p.add_argument("--input", help="unitary matrix JSON")
     p.add_argument("--sequence", default="default",
                    help="'default' or a decomposition-sequence JSON file")
     p.add_argument("--choice-bits",
                    help="comma-separated per-level selector bits, e.g. 000,00,0")
-    p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("verify", help="check closure and Cartan conditions")
-    common(p, needs_dim=False)
-    p.set_defaults(func=cmd_verify)
+    p = command("verify", "check closure and Cartan conditions", cmd_verify,
+                needs_dim=False, needs_center=False)
+    p.add_argument("--input", help="quotient-algebra JSON")
     return parser
 
 

@@ -29,6 +29,7 @@ from ._linalg import (
     PHASE_TOL,
     SOLVE_TOL,
     STRUCT_TOL,
+    basis_match,
     complex_symmetric_eigenbasis,
     cs_decompose_so,
     dagger,
@@ -140,13 +141,10 @@ def classify_gate(g: Generator) -> str:
         return "local"
     if isinstance(g.label, (Lambda, LambdaHat, Diag)):
         raise UnsupportedLabelError(f"{g.label} is not a word of the site structure")
-    for word in standard_basis(g.dim):
-        overlap = np.trace(dagger(word.matrix) @ g.matrix)
-        denom = np.trace(dagger(word.matrix) @ word.matrix)
-        coef = overlap / denom
-        resid = frob(g.matrix - coef * word.matrix)
-        if abs(coef) > SOLVE_TOL and resid < SOLVE_TOL * frob(g.matrix):
-            return classify_gate(word)
+    words = standard_basis(g.dim)
+    k = basis_match([g.matrix], [w.matrix for w in words])[0]
+    if k >= 0:
+        return classify_gate(words[k])
     raise UnsupportedLabelError(
         "generator is not proportional to a single word of the site structure"
     )

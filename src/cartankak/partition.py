@@ -18,9 +18,13 @@ import numpy as np
 from . import generators as gen
 from ._linalg import (
     ACCEPT_TOL,
+    MATCH_NONE,
+    MATCH_OFF_LINE,
+    MATCH_ZERO,
     SOLVE_TOL,
     STRUCT_TOL,
     all_commute,
+    basis_match,
     commutator_residuals,
     dagger,
     frob,
@@ -263,40 +267,16 @@ def diagonalize_abelian(space) -> np.ndarray:
 # Algorithm: quotient algebra construction
 # ---------------------------------------------------------------------------
 
-def _match_single(result: np.ndarray, pool: Sequence[Generator]) -> Optional[int]:
-    """Index of the unique pool generator proportional to `result`, else None."""
-    norm = frob(result)
-    if norm < SOLVE_TOL:
-        return None
-    hits = []
-    for idx, g in enumerate(pool):
-        overlap = np.trace(dagger(g.matrix) @ result)
-        if abs(overlap) > SOLVE_TOL * norm:
-            hits.append((idx, overlap))
-    if len(hits) != 1:
-        raise BasisNotClosedError(
-            "commutator is not proportional to a single basis generator; "
-            "wrong representation choice for this center"
-        )
-    idx, overlap = hits[0]
-    g = pool[idx].matrix
-    coef = overlap / np.trace(dagger(g) @ g)
-    if frob(result - coef * g) > SOLVE_TOL * norm:
-        raise BasisNotClosedError(
-            "commutator leaves the basis span; wrong representation choice"
-        )
-    return idx
-
-
-def _collect_conjugates(seed_mat: np.ndarray, center: AbelianSpace, pool: List[Generator]):
-    """Indices of pool generators produced by [seed, center]."""
-    found: List[int] = []
-    for c in center.matrices:
-        res = seed_mat @ c - c @ seed_mat
-        idx = _match_single(res, pool)
-        if idx is not None and idx not in found:
-            found.append(idx)
-    return found
+def _collect_conjugates(seed: np.ndarray, center: np.ndarray, pool: np.ndarray) -> List[int]:
+    """Pool indices of the generators [seed, center] produces, in center order, first found first."""
+    matches = basis_match(seed @ center - center @ seed, pool)
+    for k in matches:
+        if k == MATCH_NONE:
+            raise BasisNotClosedError("commutator is not proportional to a single basis generator; "
+                                      "wrong representation choice for this center")
+        if k == MATCH_OFF_LINE:
+            raise BasisNotClosedError("commutator leaves the basis span; wrong representation choice")
+    return list(dict.fromkeys(k for k in matches if k != MATCH_ZERO))
 
 
 def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> QuotientAlgebra:
@@ -305,8 +285,10 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     `basis` must be closed in the sense that each commutator with the center
     is proportional to a single basis element (true for word bases and for
     the lambda basis with a diagonal center); otherwise the construction
-    signals a wrong representation choice. Commuting fragment pairs are
-    merged according to the binary partitioning.
+    signals a wrong representation choice. A seed's commutators with the whole
+    center are matched against the unused pool with one Hilbert-Schmidt
+    overlap product (`basis_match`), and so are its first conjugate's.
+    Commuting fragment pairs are merged according to the binary partitioning.
     """
     n = center.dim
     center.validate()
@@ -321,25 +303,25 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     if span_rank(center.matrices) + len(pool) != n * n - 1:
         raise InvalidMatrixError("basis contains redundant or center-span generators")
 
+    stack = np.array([g.matrix for g in pool])
+    cstack = np.array(center.matrices)
+    alive = np.ones(len(pool), dtype=bool)
     raw_pairs: List[Tuple[List[Generator], List[Generator]]] = []
-    remaining = list(pool)
-    while remaining:
-        seed = remaining[0]
-        hat_idx = _collect_conjugates(seed.matrix, center, remaining)
-        if not hat_idx:
-            raise NotMaximalError(
-                f"{seed!r} commutes with the whole center; center is not maximal abelian"
-            )
-        hats = [remaining[i] for i in hat_idx]
-        back_idx = _collect_conjugates(hats[0].matrix, center, remaining)
-        ws = [seed] + [remaining[i] for i in back_idx if remaining[i] is not seed]
+    while alive.any():
+        live = np.flatnonzero(alive)
+        seed, rows = live[0], stack[live]
+        hats = live[_collect_conjugates(stack[seed], cstack, rows)]
+        if not len(hats):
+            raise NotMaximalError(f"{pool[seed]!r} commutes with the whole center; "
+                                  "center is not maximal abelian")
+        back = live[_collect_conjugates(stack[hats[0]], cstack, rows)]
+        ws = [seed] + [i for i in back if i != seed]
         if len(ws) != len(hats):
             raise BasisNotClosedError(
                 "reversing step produced a different count; pair sizes disagree"
             )
-        raw_pairs.append((ws, hats))
-        used = {id(g) for g in ws + hats}
-        remaining = [g for g in remaining if id(g) not in used]
+        raw_pairs.append(([pool[i] for i in ws], [pool[i] for i in hats]))
+        alive[ws] = alive[hats] = False
 
     merged = _merge_pairs(raw_pairs)
     spaces = [space for ws, hats, _ in merged for space in (ws, hats)]

@@ -163,6 +163,9 @@ def qa_from_json(obj: Dict[str, Any]) -> QuotientAlgebra:
         )
         for item in obj["pairs"]
     )
+    for space in (center, *(s for pair in pairs for s in pair.spaces)):
+        if space.dim != dim:
+            raise InvalidMatrixError(f"algebra JSON has dim {dim} but a generator of dim {space.dim}")
     return QuotientAlgebra(center=center, pairs=pairs, dim=dim, p=p)
 
 

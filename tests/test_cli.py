@@ -240,6 +240,13 @@ class TestVerify:
         assert main(["verify", "--input", path]) == 2
         assert f"algebra JSON has p={p}; dim 4 needs p=2" in capsys.readouterr().err
 
+    def test_generator_dim_other_than_dim_exits_2(self, tmp_path, capsys):
+        qa, _ = self._qa_file(tmp_path, 4)
+        payload = dict(serialize.qa_to_json(qa), dim=8, p=3)
+        path = write_json(tmp_path / "wrong_dim.json", payload)
+        assert main(["verify", "--input", path]) == 2
+        assert "algebra JSON has dim 8 but a generator of dim 4" in capsys.readouterr().err
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text("{not json")
@@ -247,6 +254,26 @@ class TestVerify:
 
     def test_missing_input_exits_2(self):
         assert main(["verify"]) == 2
+
+
+class TestOptions:
+    # Each option here is one that this subcommand does not read.
+    @pytest.mark.parametrize("argv", [
+        ["splits", "--dim", "4", "--format", "json"],
+        ["maximal-abelian", "--dim", "4", "--format", "json"],
+        ["decompose", "--dim", "4", "--format", "table"],
+        ["verify", "--format", "json"],
+        ["partition", "--dim", "4", "--input", "qa.json"],
+        ["splits", "--dim", "4", "--input", "qa.json"],
+        ["maximal-abelian", "--dim", "4", "--input", "qa.json"],
+        ["maximal-abelian", "--dim", "4", "--center", "intrinsic"],
+        ["verify", "--center", "intrinsic"],
+    ])
+    def test_removed_option_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 class TestEntryPoint:

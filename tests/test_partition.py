@@ -12,7 +12,7 @@ from cartankak.errors import (
     NotBinaryPartitionedError,
     NotMaximalError,
 )
-from cartankak.generators import make_lambda, make_lambda_hat, make_tensor_word
+from cartankak.generators import Generator, make_lambda, make_lambda_hat, make_tensor_word
 from cartankak.partition import (
     AbelianSpace,
     ConjugatePair,
@@ -148,13 +148,28 @@ class TestBuildQuotientAlgebra:
         # For the center {g1, g8} of su(3) the word basis yields the unmerged
         # pair W = {g4, g6}, W^ = {g7, g5}; neither space commutes.
         center = AbelianSpace((word("g1"), word("g8")))
-        with pytest.raises(BasisNotClosedError):
+        with pytest.raises(BasisNotClosedError, match="a conjugate space does not commute"):
             build_quotient_algebra(center, standard_basis(3))
 
     def test_center_not_maximal_rejected(self):
         small = AbelianSpace((word("p3", "p0"),))
-        with pytest.raises(NotMaximalError):
+        with pytest.raises(NotMaximalError, match="commutes with the whole center"):
             build_quotient_algebra(small, standard_basis(4))
+
+    def test_word_basis_at_9_is_not_closed(self):
+        # At N=9 (two Gell-Mann sites) a commutator with the word center can
+        # be a sum of several words.
+        with pytest.raises(BasisNotClosedError,
+                           match="not proportional to a single basis generator"):
+            build_quotient_algebra(standard_word_center(9), standard_basis(9))
+
+    def test_commutator_off_its_one_overlapping_generator(self):
+        # Pool {p1, p1 + p2}: [p1, p3] = -2i p2 overlaps p1 + p2 only, and is
+        # not a multiple of it.
+        p1, p2, p3 = (word(f"p{k}") for k in (1, 2, 3))
+        basis = [p1, Generator(None, 2, p1.matrix + p2.matrix), p3]
+        with pytest.raises(BasisNotClosedError, match="commutator leaves the basis span"):
+            build_quotient_algebra(AbelianSpace((p3,)), basis)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_power_of_two_shape(self, n, word_qa):
