@@ -6,6 +6,8 @@ routines with Generator/AbelianSpace semantics.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -295,9 +297,9 @@ def real_log_special_orthogonal(o):
 
 
 def expm_hermitian(h, scale=1.0):
-    """exp(1j * scale * h) through the eigendecomposition of Hermitian h."""
+    """exp(1j * scale * h) through the eigendecomposition of Hermitian h (or of a stack)."""
     evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * scale * evals)) @ dagger(vecs)
+    return (vecs * np.exp(1j * scale * evals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def random_special_unitary(n, rng):
@@ -313,15 +315,40 @@ def random_special_unitary(n, rng):
 # ---------------------------------------------------------------------------
 
 def rotation_middle(n, p, thetas):
-    """Middle CS factor: rotation by thetas[m] in the (m, p+m) plane."""
-    r = np.eye(n)
-    for m, th in enumerate(thetas):
-        c, s = np.cos(th), np.sin(th)
-        r[m, m] = c
-        r[m, p + m] = -s
-        r[p + m, m] = s
-        r[p + m, p + m] = c
+    """Middle CS factor: rotation by thetas[m] in the (m, p+m) plane.
+
+    Leading axes of thetas give a stack of middle factors.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    m = np.arange(thetas.shape[-1])
+    r = np.tile(np.eye(n), thetas.shape[:-1] + (1, 1))
+    c, s = np.cos(thetas), np.sin(thetas)
+    r[..., m, m] = r[..., p + m, p + m] = c
+    r[..., m, p + m], r[..., p + m, m] = -s, s
     return r
+
+
+@functools.lru_cache(maxsize=64)
+def _cs_driver(n, p):
+    """LAPACK orcsd for an n x n matrix split at p, its workspace size, and the rolls.
+
+    This is the call scipy.linalg.cossin(x, p=p, q=p, separate=True) makes,
+    with the same workspace, minus the wrapper's per-call checks and query.
+    scipy's q counts the columns of the upper-left block; passing p keeps both
+    K factors (p, n - p) block-diagonal. With r = min(p, n - p), LAPACK pairs
+    row p - r + m with row n - r + m and puts the unpaired (identity) rows
+    first in each block, so rolling both index sets by r gives
+    rotation_middle form.
+    """
+    csd, csd_lwork = scipy.linalg.get_lapack_funcs(("orcsd", "orcsd_lwork"), dtype=np.float64)
+    work, info = csd_lwork(m=n, p=p, q=p)
+    if info:
+        raise np.linalg.LinAlgError(f"orcsd workspace query failed: {info}")
+    r = min(p, n - p)
+    rolls = np.roll(np.arange(p), r), np.roll(np.arange(n - p), r)
+    for roll in rolls:
+        roll.flags.writeable = False  # shared by every call through the cache
+    return (csd, int(work)) + rolls
 
 
 def cs_decompose_so(x, p, q):
@@ -332,36 +359,47 @@ def cs_decompose_so(x, p, q):
         x = blockdiag(u1, u2) @ rotation_middle(p + q, p, thetas) @ blockdiag(v1, v2)
 
     where thetas has min(p, q) entries and all four blocks are special
-    orthogonal.
+    orthogonal. x may also be a (B, p + q, p + q) stack: every output then
+    gains that leading axis, item b is bit for bit what x[b] alone gives, and
+    a failing item raises the message it would raise alone. LAPACK orcsd runs
+    once per item, called directly (see _cs_driver); the determinant signs
+    and the reassembly check are computed once for the whole stack.
     """
     n = p + q
     x = np.asarray(x)
-    if np.iscomplexobj(x):
-        if frob(np.imag(x)) > SOLVE_TOL:
+    stack = x.reshape(-1, n, n)
+    if np.iscomplexobj(stack):
+        if np.any(np.linalg.norm(np.imag(stack), axis=(1, 2)) > SOLVE_TOL):
             raise InvalidMatrixError("cs_decompose_so requires a real orthogonal matrix")
-        x = np.real(x)
-    r = min(p, q)
-    if r == 0:
-        u1 = x if p else np.eye(0)
-        u2 = x if q else np.eye(0)
-        thetas, v1, v2 = np.zeros(0), np.eye(p), np.eye(q)
+        stack = np.real(stack)
+    if not np.isfinite(stack).all():
+        raise InvalidMatrixError("cs_decompose_so requires a finite matrix")
+    if min(p, q) == 0:
+        u1, u2 = (stack.copy() if k else np.zeros((len(stack), 0, 0)) for k in (p, q))
+        v1, v2 = (np.tile(np.eye(k), (len(stack), 1, 1)) for k in (p, q))
+        thetas = np.zeros((len(stack), 0))
     else:
-        # scipy's q counts the columns of the upper-left block; passing p keeps
-        # both K factors (p, q) block-diagonal. LAPACK then pairs row p - r + m
-        # with row n - r + m and puts the unpaired (identity) rows first in each
-        # block, so rolling both index sets by r gives rotation_middle form.
-        (u1, u2), thetas, (v1, v2) = scipy.linalg.cossin(x, p=p, q=p, separate=True)
-        p_idx, q_idx = np.roll(np.arange(p), r), np.roll(np.arange(q), r)
-        u1, v1 = u1[:, p_idx], v1[p_idx]
-        u2, v2 = u2[:, q_idx], v2[q_idx]
+        csd, lwork, p_roll, q_roll = _cs_driver(n, p)
+        items = []
+        for xb in stack:
+            *_, theta, a1, a2, b1, b2, info = csd(
+                xb[:p, :p], xb[:p, p:], xb[p:, :p], xb[p:, p:], lwork=lwork
+            )
+            if info:
+                raise np.linalg.LinAlgError(f"orcsd did not converge: {info}")
+            items.append((a1, a2, theta, b1, b2))
+        u1, u2, thetas, v1, v2 = (np.array(a) for a in zip(*items))
+        u1, v1 = u1[:, :, p_roll], v1[:, p_roll]
+        u2, v2 = u2[:, :, q_roll], v2[:, q_roll]
 
     u1, u2, thetas, v1, v2 = _fix_determinants(u1, u2, thetas, v1, v2)
     mid = rotation_middle(n, p, thetas)
-    full = np.vstack([u1 @ mid[:p], u2 @ mid[p:]])
-    full = np.hstack([full[:, :p] @ v1, full[:, p:] @ v2])
-    if frob(full - x) > SOLVE_TOL:
+    full = np.concatenate([u1 @ mid[:, :p], u2 @ mid[:, p:]], axis=1)
+    full = np.concatenate([full[:, :, :p] @ v1, full[:, :, p:] @ v2], axis=2)
+    if np.any(np.linalg.norm(full - stack, axis=(1, 2)) > SOLVE_TOL):
         raise DecompositionError("cosine-sine reassembly failed")
-    return u1, u2, thetas, v1, v2
+    out = u1, u2, thetas, v1, v2
+    return tuple(a[0] for a in out) if x.ndim == 2 else out
 
 
 def _fix_determinants(u1, u2, thetas, v1, v2):
@@ -370,22 +408,31 @@ def _fix_determinants(u1, u2, thetas, v1, v2):
     Each move negates the first column/row of two blocks and keeps the
     product fixed: (u1, v1) and (u2, v2) negate theta_0, (v1, v2) shifts it by
     pi. After the first two moves det v1 = det v2 because det x = +1, so the
-    third move finishes the job.
+    third move finishes the job. The blocks may be stacks with thetas of shape
+    (B, r); each move then acts on the items that need it. A move flips the
+    signs of two determinants, so the signs are read once, by one det call
+    per block size, and tracked through the moves.
     """
-    thetas = np.array(thetas, dtype=float)
-    for lead, cols, rows in ((u1, [u1], [v1]), (u2, [u2], [v2]), (v1, [], [v1, v2])):
-        if np.linalg.det(lead) > 0:
-            continue
-        if len(thetas) == 0:
+    single = u1.ndim == 2
+    if single:
+        u1, u2, v1, v2 = (b[None] for b in (u1, u2, v1, v2))
+    thetas = np.array(thetas, dtype=float, ndmin=2)
+    pairs = [[u1, v1], [u2, v2]] if u1.shape != u2.shape else [[u1, v1, u2, v2]]
+    neg = np.concatenate([np.linalg.det(np.concatenate(blocks)) < 0 for blocks in pairs])
+    neg_u1, neg_v1, neg_u2, neg_v2 = neg.reshape(4, len(u1))
+    neg_v1, neg_v2 = neg_v1 ^ neg_u1, neg_v2 ^ neg_u2  # after the first two moves
+    if thetas.shape[1] == 0:
+        if (neg_u1 | neg_u2 | neg_v1).any():
             raise DecompositionError("cannot fix determinants without a CS pair")
-        for b in cols:
-            b[:, 0] *= -1.0
-        for b in rows:
-            b[0, :] *= -1.0
-        if cols:
-            thetas[0] = -thetas[0]
-        else:
-            thetas[0] += -np.pi if thetas[0] > 0 else np.pi
-    if any(np.linalg.det(b) < 0 for b in (u1, u2, v1, v2)):
+    else:  # a sign of -1 applies a move, +1 leaves the entry's bits as they are
+        sign_u1, sign_u2, sign_v = (np.where(m, -1.0, 1.0) for m in (neg_u1, neg_u2, neg_v1))
+        u1[:, :, 0] *= sign_u1[:, None]
+        u2[:, :, 0] *= sign_u2[:, None]
+        v1[:, 0] *= (sign_u1 * sign_v)[:, None]
+        v2[:, 0] *= (sign_u2 * sign_v)[:, None]
+        theta0 = thetas[:, 0] * (sign_u1 * sign_u2)
+        thetas[:, 0] = np.where(neg_v1, theta0 + np.where(theta0 > 0, -np.pi, np.pi), theta0)
+    if (neg_v2 != neg_v1).any():  # the third move flipped v2 where v1 was negative
         raise DecompositionError("determinant normalization of CS blocks failed")
-    return u1, u2, thetas, v1, v2
+    out = u1, u2, thetas, v1, v2
+    return tuple(a[0] for a in out) if single else out

@@ -13,6 +13,7 @@ local or nonlocal by their tensor-word site count.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -117,9 +118,10 @@ def ingest_unitary(m: np.ndarray) -> Tuple[np.ndarray, complex]:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidMatrixError("unitary must be square")
     n = m.shape[0]
-    if not is_unitary(m, ACCEPT_TOL):
+    resid = frob(m @ dagger(m) - np.eye(n))  # what is_unitary compares, formed once
+    if not resid < ACCEPT_TOL * n:
         raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
-    if not is_unitary(m, STRUCT_TOL):
+    if not resid < STRUCT_TOL * n:
         w, _, vh = np.linalg.svd(m)
         m = w @ vh
     phase = np.exp(1j * np.angle(np.linalg.det(m)) / n)
@@ -141,13 +143,26 @@ def classify_gate(g: Generator) -> str:
         return "local"
     if isinstance(g.label, (Lambda, LambdaHat, Diag)):
         raise UnsupportedLabelError(f"{g.label} is not a word of the site structure")
-    words = standard_basis(g.dim)
-    k = basis_match([g.matrix], [w.matrix for w in words])[0]
+    words, matrices = _word_basis(g.dim)
+    k = basis_match([g.matrix], matrices)[0]
     if k >= 0:
         return classify_gate(words[k])
     raise UnsupportedLabelError(
         "generator is not proportional to a single word of the site structure"
     )
+
+
+@functools.lru_cache(maxsize=2)
+def _word_basis(n: int) -> Tuple[Tuple[Generator, ...], np.ndarray]:
+    """standard_basis(n) as a tuple, and its matrices as one read-only stack.
+
+    Only two dimensions are kept: the basis has N^2 - 1 matrices of N^2
+    complex entries, 268 MB at N=64, and an entry holds it twice.
+    """
+    words = tuple(standard_basis(n))
+    matrices = np.array([w.matrix for w in words])
+    matrices.flags.writeable = False
+    return words, matrices
 
 
 def _locality_or_none(g: Generator) -> Optional[str]:
@@ -304,12 +319,18 @@ def _slot_coefficients(images: Sequence[np.ndarray], slots) -> np.ndarray:
 
 
 def _solve_expansion(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Angles omega with c^T omega = phi, for c from _slot_coefficients."""
+    """Angles omega[b] with c^T omega[b] = phi[b], for c from _slot_coefficients.
+
+    One stacked solve: NumPy runs the same gesv on each row of phi as a
+    solve with that row alone.
+    """
     try:
-        omega = np.linalg.solve(c.T, phi)
+        omega = np.linalg.solve(np.broadcast_to(c.T, (len(phi),) + c.shape), phi[:, :, None])
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("slot coefficient matrix is singular") from exc
-    if frob(c.T @ omega - phi) > SOLVE_TOL * max(1.0, frob(phi)):
+    omega = omega[:, :, 0]
+    resid = np.linalg.norm(omega @ c - phi, axis=1)
+    if np.any(resid > SOLVE_TOL * np.maximum(1.0, np.linalg.norm(phi, axis=1))):
         raise DecompositionError("angle expansion over the space basis failed")
     return omega
 
@@ -351,14 +372,17 @@ class _Block:
 
 @dataclass(frozen=True)
 class _CSLayout:
-    """One component's CS step: row b1[m] pairs with row b2[m] across a center slot."""
+    """One component's CS step: row b1[m] pairs with row b2[m] across a center slot.
+
+    The index tuples lead with a slice, so they select from a stack of nodes.
+    """
 
     b1: List[int]
     b2: List[int]
-    block: tuple  # np.ix_(b1 + b2, b1 + b2)
-    outside: tuple  # np.ix_(b1 + b2, the columns outside the component)
-    rows1: tuple  # np.ix_(b1, b1)
-    rows2: tuple  # np.ix_(b2, b2)
+    block: tuple  # [:, b1 + b2, b1 + b2]
+    outside: tuple  # [:, b1 + b2, the columns outside the component]
+    rows1: tuple  # [:, b1, b1]
+    rows2: tuple  # [:, b2, b2]
     theta_at: np.ndarray  # position of theta m's slot among the level's center slots
     theta_sign: np.ndarray  # -1 where b1[m] < b2[m], else +1
 
@@ -367,9 +391,10 @@ class _Plan:
     """What recursive_decompose needs of a sequence, built once per sequence.
 
     Holds the frame, the index components at every level, the CS layout of
-    every component, and for every abelian block its coefficient matrix and
-    its generators' localities. Building it runs the checks that depend only
-    on the sequence; _Engine runs the ones that depend on the input.
+    every component, for every abelian block its coefficient matrix and its
+    generators' localities, and the order in which the tree's nodes are
+    emitted. Building it runs the checks that depend only on the sequence;
+    the level pass (_walk) runs the ones that depend on the input.
     """
 
     def __init__(self, seq: DecompositionSequence, frame: _Frame):
@@ -393,8 +418,17 @@ class _Plan:
                 self._layout(c, center_slots, level) for c in comps if len(c) > 1
             ]
             self.blocks[level] = self._slot_block(spec.center_core, center_slots)
-        self.final_slots = frame.slots[seq.final.binary_label]
-        self.blocks[self.p + 1] = self._slot_block(seq.final, self.final_slots)
+        final_slots = frame.slots[seq.final.binary_label]
+        self.final_rows, self.final_cols = np.array(final_slots).T
+        self.blocks[self.p + 1] = self._slot_block(seq.final, final_slots)
+        # Node j of level k (2^(k-1) nodes) sits at in-order position (2j + 1) 2^(p + 1 - k);
+        # each of 1 .. 2^(p+1) - 1 has exactly one such form, so the positions are all distinct.
+        order = sorted(
+            ((2 * j + 1) << (self.p + 1 - level), level, j)
+            for level in range(1, self.p + 2)
+            for j in range(2 ** (level - 1))
+        )
+        self.order = [(level, j, format(pos, f"0{self.p + 1}b")) for pos, level, j in order]
 
     def _slot_block(self, space: AbelianSpace, slots) -> _Block:
         c = _slot_coefficients([self.frame.image(g) for g in space.generators], slots)
@@ -441,13 +475,14 @@ class _Plan:
         b2 += sorted(side2 - set(b2))
         order = b1 + b2
         pairs = list(zip(b1, b2))
+        every = (slice(None),)
         return _CSLayout(
             b1=b1,
             b2=b2,
-            block=np.ix_(order, order),
-            outside=np.ix_(order, [c for c in range(self.n) if c not in comp]),
-            rows1=np.ix_(b1, b1),
-            rows2=np.ix_(b2, b2),
+            block=every + np.ix_(order, order),
+            outside=every + np.ix_(order, [c for c in range(self.n) if c not in comp]),
+            rows1=every + np.ix_(b1, b1),
+            rows2=every + np.ix_(b2, b2),
             theta_at=np.array([center_slots.index((min(i, j), max(i, j))) for i, j in pairs]),
             theta_sign=np.array([-1.0 if i < j else 1.0 for i, j in pairs]),
         )
@@ -457,98 +492,97 @@ _PLANS: "weakref.WeakKeyDictionary[DecompositionSequence, _Plan]" = weakref.Weak
 
 
 # ---------------------------------------------------------------------------
-# The recursion: one numeric pass down the plan's tree
+# The pass: the plan's tree, one level at a time
 # ---------------------------------------------------------------------------
 
-class _Engine:
-    """One input's pass down the plan's tree; collects the abelian blocks."""
+_BRANCH_LETTERS = str.maketrans("01", "LR")
 
-    def __init__(self, plan: _Plan):
-        self.plan = plan
-        self.blocks: List[AbelianBlock] = []
-        self.position = 0
 
-    # -- tree bookkeeping ---------------------------------------------------
+def _check_nodes(bad: np.ndarray, where: str, level: int, what: str) -> None:
+    """Raise for the first node of a level stack that is bad, naming its branch."""
+    if bad.any():
+        branch = format(int(np.argmax(bad)), f"0{level - 1}b").translate(_BRANCH_LETTERS)
+        raise DecompositionError(f"{where}, branch {branch}: {what}")
 
-    def _next_index(self, level: int) -> str:
-        p = self.plan.p
-        self.position += 1
-        idx = format(self.position, f"0{p + 1}b")
-        low = (self.position & -self.position).bit_length() - 1
-        if p + 1 - low != level:
-            raise DecompositionError("tree position does not match the level rule")
-        return idx
 
-    def _emit(self, level: int, omegas: np.ndarray):
-        block = self.plan.blocks[level]
-        idx = self._next_index(level)
-        factors = []
-        for g, locality, w in zip(block.space.generators, block.localities, omegas):
-            if abs(w) < ANGLE_PRUNE_TOL:
-                continue
-            factors.append(
-                GateFactor(
-                    tree_index=idx,
-                    ordinal=len(factors) + 1,
-                    generator=g,
-                    angle=float(w),
-                    locality=locality,
-                )
-            )
-        self.blocks.append(AbelianBlock(tree_index=idx, level=level, factors=tuple(factors)))
+def _cs_level(plan: _Plan, level: int, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Angles of every node of a level, and the stack of the next level's nodes.
 
-    # -- levels ---------------------------------------------------------------
+    nodes[j] is node j of the level; its K1 and K2 become nodes 2j and 2j + 1.
+    Each CS layout runs as one stacked cs_decompose_so over all nodes.
+    """
+    units = plan.units[level]
+    _check_nodes(np.any(np.abs(nodes[:, units, units] - 1.0) > SOLVE_TOL, axis=1),
+                 f"level {level}", level, "unit block is not the identity")
+    c = plan.blocks[level].coefficients
+    phi = np.zeros((len(nodes), c.shape[1]))
+    children = np.tile(np.eye(plan.n), (len(nodes), 2, 1, 1))
+    k1, k2 = children[:, 0], children[:, 1]
+    for cs in plan.layouts[level]:
+        _check_nodes(np.linalg.norm(nodes[cs.outside], axis=(1, 2)) > SOLVE_TOL,
+                     f"level {level}", level, "block leaks outside its component")
+        u1, u2, thetas, v1, v2 = cs_decompose_so(nodes[cs.block], len(cs.b1), len(cs.b2))
+        phi[:, cs.theta_at] = cs.theta_sign * thetas
+        k1[cs.rows1], k1[cs.rows2] = u1, u2
+        k2[cs.rows1], k2[cs.rows2] = v1, v2
+    return _solve_expansion(c, phi), children.reshape(-1, plan.n, plan.n)
 
-    def run(self, u_su: np.ndarray) -> List[AbelianBlock]:
-        plan = self.plan
-        m = plan.frame.matrix @ u_su @ plan.frame_dag
-        o1, lam, o2 = _ai_step(m)
-        self._expand_orthogonal(o1, 2, "L")
-        self._emit(1, _solve_diagonal_expansion(plan.blocks[1].coefficients, lam))
-        self._expand_orthogonal(o2, 2, "R")
-        return self.blocks
 
-    def _expand_orthogonal(self, o: np.ndarray, level: int, branch: str) -> None:
-        plan = self.plan
-        if level == plan.p + 1:
-            self._emit_leaf(o, branch)
-            return
-        c = plan.blocks[level].coefficients
-        k1 = np.eye(plan.n)
-        k2 = np.eye(plan.n)
-        phi = np.zeros(c.shape[1])
-        units = plan.units[level]
-        if np.any(np.abs(o[units, units] - 1.0) > SOLVE_TOL):
-            raise DecompositionError(
-                f"level {level}, branch {branch}: unit block is not the identity"
-            )
-        for cs in plan.layouts[level]:
-            if frob(o[cs.outside]) > SOLVE_TOL:
-                raise DecompositionError(
-                    f"level {level}, branch {branch}: block leaks outside its component"
-                )
-            u1, u2, thetas, v1, v2 = cs_decompose_so(np.real(o[cs.block]), len(cs.b1), len(cs.b2))
-            phi[cs.theta_at] = cs.theta_sign * thetas
-            k1[cs.rows1], k1[cs.rows2] = u1, u2
-            k2[cs.rows1], k2[cs.rows2] = v1, v2
-        self._expand_orthogonal(k1, level + 1, branch + "L")
-        self._emit(level, _solve_expansion(c, phi))
-        self._expand_orthogonal(k2, level + 1, branch + "R")
+def _leaf_angles(plan: _Plan, nodes: np.ndarray) -> np.ndarray:
+    """Angles of every leaf, after checking that each lies in the final torus."""
+    rows, cols = plan.final_rows, plan.final_cols
+    sin, cos = nodes[:, rows, cols], nodes[:, rows, rows]
+    # math.atan2, not np.arctan2: NumPy's SIMD arctan2 can differ in the last bit.
+    phi = np.reshape(list(map(math.atan2, sin.ravel().tolist(), cos.ravel().tolist())), sin.shape)
+    cos, sin = np.cos(phi), np.sin(phi)
+    rebuilt = np.tile(np.eye(plan.n), (len(nodes), 1, 1))
+    rebuilt[:, rows, rows] = rebuilt[:, cols, cols] = cos
+    rebuilt[:, rows, cols], rebuilt[:, cols, rows] = sin, -sin
+    _check_nodes(np.linalg.norm(rebuilt - nodes, axis=(1, 2)) > SOLVE_TOL * plan.n,
+                 "final level", plan.p + 1, "leaf is not inside the final torus")
+    return _solve_expansion(plan.blocks[plan.p + 1].coefficients, phi)
 
-    def _emit_leaf(self, o: np.ndarray, branch: str) -> None:
-        plan = self.plan
-        o = np.real(o)
-        phi = np.array([math.atan2(o[i, j], o[i, i]) for i, j in plan.final_slots])
-        rows, cols = np.array(plan.final_slots).T
-        cos, sin = np.cos(phi), np.sin(phi)
-        rebuilt = np.eye(plan.n)
-        rebuilt[rows, rows] = rebuilt[cols, cols] = cos
-        rebuilt[rows, cols], rebuilt[cols, rows] = sin, -sin
-        if frob(rebuilt - o) > SOLVE_TOL * plan.n:
-            raise DecompositionError(
-                f"final level, branch {branch}: leaf is not inside the final torus"
-            )
-        self._emit(plan.p + 1, _solve_expansion(plan.blocks[plan.p + 1].coefficients, phi))
+
+def _abelian_block(plan: _Plan, level: int, idx: str, omegas: np.ndarray) -> AbelianBlock:
+    block = plan.blocks[level]
+    kept = [
+        (g, locality, w)
+        for g, locality, w in zip(block.space.generators, block.localities, omegas)
+        if not abs(w) < ANGLE_PRUNE_TOL
+    ]
+    factors = tuple(
+        GateFactor(tree_index=idx, ordinal=k, generator=g, angle=float(w), locality=locality)
+        for k, (g, locality, w) in enumerate(kept, start=1)
+    )
+    return AbelianBlock(tree_index=idx, level=level, factors=factors)
+
+
+def _walk(plan: _Plan, u_su: np.ndarray) -> Tuple[List[AbelianBlock], np.ndarray]:
+    """One input's abelian blocks in in-order tree position, and their exponents.
+
+    Level k is a (2^(k-1), N, N) stack of orthogonal nodes; level 2 is
+    [O1, O2] from the single-level split. When several nodes fail, the one
+    reported is on the shallowest failing level, not the first in depth-first
+    order. The exponents are sum(angle * generator) of each block with
+    factors, as an (m, N, N) stack in the blocks' order.
+    """
+    o1, lam, o2 = _ai_step(plan.frame.matrix @ u_su @ plan.frame_dag)
+    omegas = {1: _solve_diagonal_expansion(plan.blocks[1].coefficients, lam)[None]}
+    nodes = np.real(np.stack([o1, o2]))
+    for level in range(2, plan.p + 1):
+        omegas[level], nodes = _cs_level(plan, level, nodes)
+    omegas[plan.p + 1] = _leaf_angles(plan, nodes)
+    blocks = [_abelian_block(plan, level, idx, omegas[level][j]) for level, j, idx in plan.order]
+    exponents = {}
+    for level, w in omegas.items():
+        # Term by term in generator order, so each exponent has the bits of a
+        # per-block sum(f.angle * f.generator.matrix); a pruned angle adds zeros.
+        exponents[level] = np.zeros((len(w), plan.n, plan.n), dtype=complex)
+        for angles, g in zip(np.where(np.abs(w) < ANGLE_PRUNE_TOL, 0.0, w).T,
+                             plan.blocks[level].space.generators):
+            exponents[level] += angles[:, None, None] * g.matrix
+    kept = [exponents[level][j] for (level, j, _), b in zip(plan.order, blocks) if b.factors]
+    return blocks, np.reshape(kept, (len(kept), plan.n, plan.n))
 
 
 def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorization:
@@ -576,14 +610,13 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
     try:
         if plan is None:
             plan = _PLANS[seq] = _Plan(seq, frame)
-        blocks = _Engine(plan).run(u_su)
+        blocks, exponents = _walk(plan, u_su)
     except DecompositionError as exc:
         raise DecompositionError(f"decomposition failed: {exc}") from exc
     # The factors of a block commute, so each block is one exponential.
     total = np.eye(seq.dim, dtype=complex)
-    for blk in blocks:
-        if blk.factors:
-            total = total @ expm_hermitian(sum(f.angle * f.generator.matrix for f in blk.factors))
+    for e in expm_hermitian(exponents):
+        total = total @ e
     return Factorization(
         dim=seq.dim,
         factors=tuple(f for blk in blocks for f in blk.factors),

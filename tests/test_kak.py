@@ -28,7 +28,13 @@ from cartankak.kak import (
     reconstruct,
     recursive_decompose,
 )
-from cartankak.partition import AbelianSpace, intrinsic_quotient_algebra, standard_quotient_algebra
+from cartankak.partition import (
+    AbelianSpace,
+    conjugate_quotient_algebra,
+    intrinsic_quotient_algebra,
+    standard_basis,
+    standard_quotient_algebra,
+)
 
 
 def word(*sites):
@@ -96,6 +102,24 @@ class TestClassifyGate:
         g = Generator(None, 4, word("p3", "p0").matrix + word("p0", "p3").matrix)
         with pytest.raises(UnsupportedLabelError, match="not proportional to a single word"):
             classify_gate(g)
+
+    def test_word_basis_is_built_once(self, word_qa, monkeypatch):
+        built = []
+        monkeypatch.setattr(kak, "standard_basis", lambda n: built.append(n) or standard_basis(n))
+        kak._word_basis.cache_clear()
+        qa = word_qa(8)
+        haar = random_special_unitary(8, np.random.default_rng(8))
+        shift = np.roll(np.eye(8), 1, axis=0) @ np.diag([1j ** k for k in range(8)])
+        gens = []
+        for u in (haar, shift):
+            moved = conjugate_quotient_algebra(qa, u)
+            gens += moved.center.generators
+            gens += [g for pair in moved.pairs for g in pair.w.generators + pair.w_hat.generators]
+        assert len(gens) == 126 and all(g.label is None for g in gens)
+        localities = [kak._locality_or_none(g) for g in gens]
+        assert {"local", "nonlocal", None} <= set(localities)
+        assert built == [8]
+        kak._word_basis.cache_clear()
 
 
 class TestKakSingleLevel:
@@ -529,6 +553,79 @@ class TestPlanBuildChecks:
         for _ in range(2):
             with pytest.raises(DecompositionError, match=message):
                 recursive_decompose(np.eye(4), bad)
+
+
+class TestLevelPass:
+    """The tree is walked one level at a time: one stacked CS step per level and layout."""
+
+    @staticmethod
+    def counted(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(1) or original(*a))
+        return calls
+
+    @pytest.mark.parametrize("n", [9, 16])
+    def test_seven_cs_calls_per_unitary(self, n, std_seq, monkeypatch):
+        # p = 4 at both: levels 2, 3 and 4 have 1, 2 and 4 layouts; the
+        # depth-first walk made 2 * 1 + 4 * 2 + 8 * 4 = 42 calls.
+        seq = std_seq(n)
+        rng = np.random.default_rng(90 + n)
+        recursive_decompose(random_special_unitary(n, rng), seq)
+        calls = self.counted(monkeypatch, kak, "cs_decompose_so")
+        fact = recursive_decompose(random_special_unitary(n, rng), seq)
+        assert fact.reconstruction_error < 1e-8
+        assert len(calls) == 7
+
+    def test_few_determinants_per_unitary(self, std_seq, monkeypatch):
+        seq = std_seq(16)
+        rng = np.random.default_rng(91)
+        recursive_decompose(random_special_unitary(16, rng), seq)
+        u = random_special_unitary(16, rng)
+        calls = self.counted(monkeypatch, np.linalg, "det")
+        recursive_decompose(u, seq)
+        assert len(calls) <= 20
+
+    def test_failing_leaf_names_its_branch(self, std_seq, monkeypatch):
+        # At N=8 level 3 is the last CS level: 4 nodes, 2 layouts. Spoiling u1
+        # of node 2 (branch RL) in the first layout puts its K1, leaf 4, off
+        # the final torus.
+        original = kak.cs_decompose_so
+
+        def spoiled(x, p, q):
+            u1, u2, thetas, v1, v2 = original(x, p, q)
+            if len(x) == 4 and not spoiled.done:
+                u1[2] *= 1.5
+                spoiled.done = True
+            return u1, u2, thetas, v1, v2
+
+        spoiled.done = False
+        monkeypatch.setattr(kak, "cs_decompose_so", spoiled)
+        u = random_special_unitary(8, np.random.default_rng(92))
+        message = ("^decomposition failed: final level, branch RLL: "
+                   "leaf is not inside the final torus$")
+        with pytest.raises(DecompositionError, match=message):
+            recursive_decompose(u, std_seq(8))
+
+    def test_leaking_node_names_its_branch(self, std_seq):
+        # Level 3 splits each half of the N=8 rows; node 1 of a two-node stack
+        # is branch LR, and swapping rows 0 and 7 leaks across the halves.
+        seq = std_seq(8)
+        recursive_decompose(np.eye(8), seq)
+        plan = kak._PLANS[seq]
+        leaking = np.eye(8)[[7, 1, 2, 3, 4, 5, 6, 0]]
+        leaking[0] *= -1.0
+        message = "^level 3, branch LR: block leaks outside its component$"
+        with pytest.raises(DecompositionError, match=message):
+            kak._cs_level(plan, 3, np.array([np.eye(8), leaking]))
+
+    def test_emit_order_is_in_order_tree_position(self, std_seq):
+        u = random_special_unitary(16, np.random.default_rng(93))
+        fact = recursive_decompose(u, std_seq(16))
+        positions = [int(b.tree_index, 2) for b in fact.blocks]
+        assert positions == list(range(1, 32))
+        for b in fact.blocks:
+            assert (int(b.tree_index, 2) & -int(b.tree_index, 2)) == 1 << (5 - b.level)
 
 
 @pytest.mark.parametrize("n", range(2, 17))

@@ -81,6 +81,10 @@ class TestCsDecomposeSo:
             cs_decompose_so(x + 1e-3j, 2, 2)
 
 
+def same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestFixDeterminants:
     @staticmethod
     def blocks(negative, seed):
@@ -94,17 +98,16 @@ class TestFixDeterminants:
         thetas = rng.uniform(-np.pi, np.pi, 2)
         return out["u1"], out["u2"], thetas, out["v1"], out["v2"]
 
-    @pytest.mark.parametrize(
-        "negative,theta0",
-        [
-            ((), lambda t: t),
-            (("u1", "v1"), lambda t: -t),
-            (("u2", "v2"), lambda t: -t),
-            (("v1", "v2"), lambda t: t - np.pi if t > 0 else t + np.pi),
-            (("u1", "u2"), lambda t: t - np.pi if t > 0 else t + np.pi),
-            (("u1", "u2", "v1", "v2"), lambda t: t),
-        ],
-    )
+    PATTERNS = [
+        ((), lambda t: t),
+        (("u1", "v1"), lambda t: -t),
+        (("u2", "v2"), lambda t: -t),
+        (("v1", "v2"), lambda t: t - np.pi if t > 0 else t + np.pi),
+        (("u1", "u2"), lambda t: t - np.pi if t > 0 else t + np.pi),
+        (("u1", "u2", "v1", "v2"), lambda t: t),
+    ]
+
+    @pytest.mark.parametrize("negative,theta0", PATTERNS)
     def test_moves_keep_product(self, negative, theta0):
         u1, u2, thetas, v1, v2 = self.blocks(negative, seed=len(negative))
         x = assemble(u1, u2, thetas, v1, v2)
@@ -113,6 +116,111 @@ class TestFixDeterminants:
         assert frob(assemble(*fixed) - x) < 1e-12
         assert fixed[2][0] == pytest.approx(theta0(thetas[0]), abs=1e-15)
         assert fixed[2][1] == thetas[1]
+
+
+    def test_stack_mixing_every_pattern(self):
+        """One stack holding all six patterns above moves each item as a lone call does."""
+        items = [self.blocks(negative, seed=len(negative)) for negative, _ in self.PATTERNS]
+        stacks = [np.array([item[k] for item in items]) for k in range(5)]
+        fixed = _fix_determinants(*stacks)
+        for b, (item, (_, theta0)) in enumerate(zip(items, self.PATTERNS)):
+            alone = _fix_determinants(*(a.copy() for a in item))
+            for got, want in zip(fixed, alone):
+                same_bits(got[b], want)
+            assert fixed[2][b][0] == pytest.approx(theta0(item[2][0]), abs=1e-15)
+        assert all(np.all(np.linalg.det(s) > 0) for s in fixed[:2] + fixed[3:])
+
+
+def cossin_with_moves(x, p, q):
+    """The CS step built from scipy.linalg.cossin and one det call per move.
+
+    cossin's q counts the columns of the upper-left block, so p is passed for
+    both; rolling both index sets by min(p, q) gives rotation_middle form. The
+    three determinant moves then run on the single matrix, each reading the
+    determinant it needs afresh.
+    """
+    r = min(p, q)
+    (u1, u2), thetas, (v1, v2) = scipy.linalg.cossin(x, p=p, q=p, separate=True)
+    p_idx, q_idx = np.roll(np.arange(p), r), np.roll(np.arange(q), r)
+    u1, v1, u2, v2 = u1[:, p_idx], v1[p_idx], u2[:, q_idx], v2[q_idx]
+    thetas = np.array(thetas, dtype=float)
+    for lead, cols, rows in ((u1, [u1], [v1]), (u2, [u2], [v2]), (v1, [], [v1, v2])):
+        if np.linalg.det(lead) > 0:
+            continue
+        for b in cols:
+            b[:, 0] *= -1.0
+        for b in rows:
+            b[0, :] *= -1.0
+        if cols:
+            thetas[0] = -thetas[0]
+        else:
+            thetas[0] += -np.pi if thetas[0] > 0 else np.pi
+    return u1, u2, thetas, v1, v2
+
+
+CS_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (4, 4),
+             (5, 4), (4, 5), (6, 3), (3, 6), (7, 2), (2, 7), (8, 1), (1, 8), (8, 8)]
+
+
+class TestCsDecomposeSoOracle:
+    """The direct orcsd call gives the bits scipy.linalg.cossin plus the moves give."""
+
+    @pytest.mark.parametrize("p,q", CS_SHAPES)
+    def test_matches_cossin(self, p, q):
+        for seed in range(8):
+            x = special_ortho_group.rvs(p + q, random_state=1000 * p + 10 * q + seed)
+            for got, want in zip(cs_decompose_so(x, p, q), cossin_with_moves(x, p, q)):
+                same_bits(got, want)
+
+
+class TestCsDecomposeSoStack:
+    """A (B, n, n) stack gives, item by item, what one matrix gives alone."""
+
+    @pytest.mark.parametrize(
+        "p,q", [(4, 4), (3, 3), (5, 3), (6, 1), (3, 5), (1, 6), (5, 4), (3, 2), (2, 1), (1, 1)]
+    )
+    def test_items_match_single_calls(self, p, q):
+        xs = np.array([special_ortho_group.rvs(p + q, random_state=100 * p + q + b)
+                       for b in range(5)])
+        stacked = cs_decompose_so(xs, p, q)
+        assert [a.shape[0] for a in stacked] == [5] * 5
+        for b, x in enumerate(xs):
+            for got, want in zip(stacked, cs_decompose_so(x, p, q)):
+                same_bits(got[b], want)
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (2, 3), (3, 3)])
+    def test_theta_exactly_zero_and_half_pi(self, p, q):
+        r = min(p, q)
+        xs = np.array([np.eye(p + q), rotation_middle(p + q, p, [np.pi / 2] * r)])
+        u1, u2, thetas, v1, v2 = cs_decompose_so(xs, p, q)
+        assert np.all(thetas[0] == 0.0)
+        np.testing.assert_allclose(np.abs(thetas[1]), np.pi / 2, atol=1e-12)
+        for b, x in enumerate(xs):
+            assert frob(assemble(u1[b], u2[b], thetas[b], v1[b], v2[b]) - x) < 1e-12
+
+    @pytest.mark.parametrize(
+        "bad,error,message",
+        [
+            (np.diag([-1.0, 1.0, 1.0, 1.0]), DecompositionError, "determinant normalization"),
+            (2.0 * np.eye(4), DecompositionError, "reassembly"),
+            (np.eye(4) + 1e-3j, InvalidMatrixError, "requires a real orthogonal matrix"),
+            (np.full((4, 4), np.nan), InvalidMatrixError, "requires a finite matrix"),
+        ],
+        ids=["det -1", "not orthogonal", "complex", "not finite"],
+    )
+    def test_bad_member_raises_its_own_message(self, bad, error, message):
+        good = special_ortho_group.rvs(4, random_state=3)
+        for stack in ([good, bad], [bad, good, good]):
+            with pytest.raises(error, match=message):
+                cs_decompose_so(np.array(stack), 2, 2)
+
+    @pytest.mark.parametrize("p,q", [(3, 0), (0, 3)])
+    def test_no_cs_pair_in_a_stack(self, p, q):
+        xs = np.array([np.eye(3), np.diag([-1.0, 1.0, 1.0])])
+        with pytest.raises(DecompositionError, match="without a CS pair"):
+            cs_decompose_so(xs, p, q)
+        u1, u2, thetas, v1, v2 = cs_decompose_so(xs[:1], p, q)
+        assert thetas.shape == (1, 0)
 
 
 class TestJointEigenbasis:

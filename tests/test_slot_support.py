@@ -197,18 +197,27 @@ def test_subscript_tables_match_the_walk(n, std_seq, lambda_qa):
         assert table.labels == tuple(pair.binary_label for pair in qa.pairs)
 
 
+@pytest.fixture
+def refuse_word_scan(monkeypatch):
+    """Make any build of the word basis fail, with the cached bases emptied first."""
+
+    def refuse(dim):
+        raise AssertionError("classify_gate scanned the word basis")
+
+    monkeypatch.setattr(kak, "standard_basis", refuse)
+    kak._word_basis.cache_clear()
+    yield
+    kak._word_basis.cache_clear()
+
+
 @pytest.mark.parametrize("n", DIMS)
-def test_classify_gate_matches_the_word_scan_without_it(n, std_seq, monkeypatch):
+def test_classify_gate_matches_the_word_scan_without_it(n, std_seq, refuse_word_scan):
     qa = std_seq(n).qa
     words = standard_basis(n)
     gens = list(qa.center.generators)
     gens += [g for pair in qa.pairs for g in pair.w.generators + pair.w_hat.generators]
     assert len(gens) == n * n - 1
 
-    def refuse(dim):
-        raise AssertionError("classify_gate scanned the word basis")
-
-    monkeypatch.setattr(kak, "standard_basis", refuse)
     for g in gens:
         try:
             got = classify_gate(g)
@@ -218,11 +227,7 @@ def test_classify_gate_matches_the_word_scan_without_it(n, std_seq, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [9, 15])
-def test_decompose_never_scans_the_word_basis(n, std_seq, monkeypatch):
-    def refuse(dim):
-        raise AssertionError("classify_gate scanned the word basis")
-
-    monkeypatch.setattr(kak, "standard_basis", refuse)
+def test_decompose_never_scans_the_word_basis(n, std_seq, refuse_word_scan):
     u = random_special_unitary(n, np.random.default_rng(n))
     fact = recursive_decompose(u, std_seq(n))
     assert fact.reconstruction_error < 1e-8
