@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DecompositionError, InvalidMatrixError, NotAbelianError
 
@@ -26,10 +25,9 @@ STRUCT_TOL = 1e-12
 ANGLE_PRUNE_TOL = 1e-12
 # Accepted inputs (unitary, Hermitian, traceless, commuting, diagonalized; Tr(t p)): abs, *n, *max.
 ACCEPT_TOL = 1e-10
-# Postconditions of a numeric solve (reassembly, spans, expansions, closure): abs, *n, *max.
+# Postconditions of a numeric solve (reassembly, spans, expansions, closure, frame
+# antisymmetry): abs, *n, *max.
 SOLVE_TOL = 1e-9
-# A chosen space's image is antisymmetric in the frame: *max(1, |g|).
-ANTISYM_TOL = 1e-8
 # kak_single_level's input has determinant 1: absolute.
 DET_TOL = 1e-8
 # CLI decompose exits 0 when reconstruction_error is below this: absolute.
@@ -271,31 +269,6 @@ def complex_symmetric_eigenbasis(s):
     return o, w / np.abs(w)
 
 
-def real_log_special_orthogonal(o):
-    """Real antisymmetric L with expm(L) = o, via the real Schur form."""
-    n = o.shape[0]
-    t, z = scipy.linalg.schur(np.real(o), output="real")
-    log_t = np.zeros((n, n))
-    minus_ones = []
-    k = 0
-    while k < n:
-        if k + 1 < n and abs(t[k + 1, k]) > STRUCT_TOL:
-            theta = np.arctan2(t[k + 1, k], t[k, k])
-            log_t[k, k + 1] = -theta
-            log_t[k + 1, k] = theta
-            k += 2
-        else:
-            if t[k, k] < 0:
-                minus_ones.append(k)
-            k += 1
-    if len(minus_ones) % 2 == 1:
-        raise DecompositionError("matrix has determinant -1; no real logarithm")
-    for a, b in zip(minus_ones[0::2], minus_ones[1::2]):
-        log_t[a, b] = -np.pi
-        log_t[b, a] = np.pi
-    return z @ log_t @ z.T
-
-
 def expm_hermitian(h, scale=1.0):
     """exp(1j * scale * h) through the eigendecomposition of Hermitian h (or of a stack)."""
     evals, vecs = np.linalg.eigh(h)
@@ -338,8 +311,11 @@ def _cs_driver(n, p):
     K factors (p, n - p) block-diagonal. With r = min(p, n - p), LAPACK pairs
     row p - r + m with row n - r + m and puts the unpaired (identity) rows
     first in each block, so rolling both index sets by r gives
-    rotation_middle form.
+    rotation_middle form. scipy is imported here, by the first CS step, and
+    nowhere else, so a process that never factors never loads it.
     """
+    import scipy.linalg
+
     csd, csd_lwork = scipy.linalg.get_lapack_funcs(("orcsd", "orcsd_lwork"), dtype=np.float64)
     work, info = csd_lwork(m=n, p=p, q=p)
     if info:

@@ -11,7 +11,8 @@ maximal abelian subalgebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -339,7 +340,13 @@ class DecompositionSequence:
     qa: QuotientAlgebra
     levels: Tuple[LevelSpec, ...]
     final: AbelianSpace
-    hat_selection: Dict[str, bool]
+    hat_selection: Mapping[str, bool]  # read-only: a sequence's plan is cached
+
+    def __post_init__(self):
+        object.__setattr__(self, "hat_selection", MappingProxyType(dict(self.hat_selection)))
+
+    def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied; its dict can
+        return type(self), (self.qa, self.levels, self.final, dict(self.hat_selection))
 
     @property
     def dim(self) -> int:

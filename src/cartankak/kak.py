@@ -25,7 +25,6 @@ from . import generators as gen
 from ._linalg import (
     ACCEPT_TOL,
     ANGLE_PRUNE_TOL,
-    ANTISYM_TOL,
     DET_TOL,
     PHASE_TOL,
     SOLVE_TOL,
@@ -38,8 +37,8 @@ from ._linalg import (
     frob,
     is_unitary,
     project_residual,
-    real_log_special_orthogonal,
     slot_support,
+    span_rank,
     span_rows,
 )
 from .cartan import CartanSplit, DecompositionSequence
@@ -253,7 +252,7 @@ def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
             )
         for g in rotated:
             resid = frob(g + g.T) + frob(np.diag(np.diag(g)))
-            if resid > ANTISYM_TOL * max(1.0, frob(g)):
+            if resid > SOLVE_TOL * max(1.0, frob(g)):
                 raise DecompositionError(
                     f"space {lab} image is not antisymmetric in the frame"
                 )
@@ -368,6 +367,18 @@ class _Block:
     @classmethod
     def of(cls, space: AbelianSpace, coefficients: np.ndarray) -> "_Block":
         return cls(space, tuple(_locality_or_none(g) for g in space.generators), coefficients)
+
+    def factors(self, idx: str, angles: Sequence[float]) -> Tuple[GateFactor, ...]:
+        """One GateFactor per angle not below ANGLE_PRUNE_TOL, numbered from 1."""
+        kept = [
+            (g, locality, w)
+            for g, locality, w in zip(self.space.generators, self.localities, angles)
+            if not abs(w) < ANGLE_PRUNE_TOL
+        ]
+        return tuple(
+            GateFactor(tree_index=idx, ordinal=k, generator=g, angle=w, locality=locality)
+            for k, (g, locality, w) in enumerate(kept, start=1)
+        )
 
 
 @dataclass(frozen=True)
@@ -543,20 +554,6 @@ def _leaf_angles(plan: _Plan, nodes: np.ndarray) -> np.ndarray:
     return _solve_expansion(plan.blocks[plan.p + 1].coefficients, phi)
 
 
-def _abelian_block(plan: _Plan, level: int, idx: str, omegas: np.ndarray) -> AbelianBlock:
-    block = plan.blocks[level]
-    kept = [
-        (g, locality, w)
-        for g, locality, w in zip(block.space.generators, block.localities, omegas)
-        if not abs(w) < ANGLE_PRUNE_TOL
-    ]
-    factors = tuple(
-        GateFactor(tree_index=idx, ordinal=k, generator=g, angle=float(w), locality=locality)
-        for k, (g, locality, w) in enumerate(kept, start=1)
-    )
-    return AbelianBlock(tree_index=idx, level=level, factors=factors)
-
-
 def _walk(plan: _Plan, u_su: np.ndarray) -> Tuple[List[AbelianBlock], np.ndarray]:
     """One input's abelian blocks in in-order tree position, and their exponents.
 
@@ -572,7 +569,11 @@ def _walk(plan: _Plan, u_su: np.ndarray) -> Tuple[List[AbelianBlock], np.ndarray
     for level in range(2, plan.p + 1):
         omegas[level], nodes = _cs_level(plan, level, nodes)
     omegas[plan.p + 1] = _leaf_angles(plan, nodes)
-    blocks = [_abelian_block(plan, level, idx, omegas[level][j]) for level, j, idx in plan.order]
+    angles = {level: w.tolist() for level, w in omegas.items()}  # Python floats, read once
+    blocks = [
+        AbelianBlock(idx, level, plan.blocks[level].factors(idx, angles[level][j]))
+        for level, j, idx in plan.order
+    ]
     exponents = {}
     for level, w in omegas.items():
         # Term by term in generator order, so each exponent has the bits of a
@@ -594,8 +595,7 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
     reassembles to the input within the stored reconstruction error.
 
     The first call along `seq` builds its plan (frame, components, CS layouts,
-    coefficient matrices, localities) and later calls reuse it, so a sequence
-    must not be changed (its `hat_selection` dict included) once it is used.
+    coefficient matrices, localities) and later calls reuse it.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (seq.dim, seq.dim):
@@ -645,9 +645,13 @@ def reconstruct(fact: Factorization, dim: int) -> np.ndarray:
 def kak_single_level(u: np.ndarray, split: CartanSplit):
     """One KAK step U = K1 exp(i a) K2 for a Cartan split.
 
-    K1 and K2 lie in exp(t) (their logarithms project onto span t) and `a` is
-    Hermitian in the span of the split's center. The input must have unit
-    determinant (ingest_unitary normalizes and reports the phase).
+    `a` is Hermitian in the span of the split's center. K1 and K2 lie in
+    exp(t) by construction: the frame F maps every t generator to an
+    imaginary antisymmetric matrix (checked when F is built) and t has rank
+    N(N-1)/2 (checked here), so F t F^dag spans i so(N); the split returns
+    real O1, O2 with det +1, so K = F^dag O F is in F^dag SO(N) F =
+    exp(i span t). The input must have unit determinant (ingest_unitary
+    normalizes and reports the phase).
     """
     u = np.asarray(u, dtype=complex)
     n = split.dim
@@ -657,24 +661,14 @@ def kak_single_level(u: np.ndarray, split: CartanSplit):
         raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
     if abs(np.linalg.det(u) - 1.0) > DET_TOL:
         raise InvalidMatrixError("determinant is not 1; run ingest_unitary first")
-    spaces = {s.binary_label: s for s in split.t}
-    frame = _build_frame(split.qa, spaces)
-    f = frame.matrix
-    m = f @ u @ dagger(f)
-    o1, lam, o2 = _ai_step(m)
-    k1 = dagger(f) @ o1.astype(complex) @ f
-    k2 = dagger(f) @ o2.astype(complex) @ f
-    a = dagger(f) @ np.diag(lam).astype(complex) @ f
+    f = _build_frame(split.qa, {s.binary_label: s for s in split.t}).matrix
+    if span_rank(split.t_matrices()) != n * (n - 1) // 2:
+        raise DecompositionError("t does not span so(N) in the frame")
+    o1, lam, o2 = _ai_step(f @ u @ dagger(f))
+    k1, a, k2 = (dagger(f) @ x.astype(complex) @ f for x in (o1, np.diag(lam), o2))
     err = frob(k1 @ expm_hermitian(a) @ k2 - u)
     if err > SOLVE_TOL * n:
         raise DecompositionError(f"single-level reassembly error {err:.2e}")
-    # Membership checks: s1, s2 in span(t), a in span(center).
-    t_rows = span_rows(split.t_matrices())
-    for k in (k1, k2):
-        log_k = real_log_special_orthogonal(f @ k @ dagger(f))
-        s_part = dagger(f) @ (-1j * log_k) @ f
-        if project_residual(s_part, t_rows) > SOLVE_TOL:
-            raise DecompositionError("orthogonal factor log leaves span(t)")
     if project_residual(a, span_rows(split.chosen_center.matrices)) > SOLVE_TOL:
         raise DecompositionError("abelian part leaves the center span")
     return k1, a, k2
@@ -718,26 +712,11 @@ def factor_abelian_exponential(
         raise NotInSpanError("phase branches did not stabilize")
     if frob(a @ sol - target) > SOLVE_TOL * n:
         raise NotInSpanError("phases do not lie in the space span")
-    omegas, gamma = sol[:-1], sol[-1]
-    factors = []
-    ordinal = 0
-    for g, om in zip(space.generators, omegas):
-        if abs(om) < ANGLE_PRUNE_TOL:
-            continue
-        ordinal += 1
-        factors.append(
-            GateFactor(
-                tree_index="0" * max(1, (n - 1).bit_length() + 1),
-                ordinal=ordinal,
-                generator=g,
-                angle=float(om),
-                locality=_locality_or_none(g),
-            )
-        )
-    phase = complex(np.exp(1j * gamma))
-    check = np.eye(n, dtype=complex)
-    for fct in factors:
-        check = check @ expm_hermitian(fct.generator.matrix, fct.angle)
+    tree_index = "0" * max(1, (n - 1).bit_length() + 1)
+    factors = list(_Block.of(space, eigcols).factors(tree_index, sol[:-1].tolist()))
+    phase = complex(np.exp(1j * sol[-1]))
+    # The factors commute, so their product is one exponential.
+    check = expm_hermitian(sum((f.angle * f.generator.matrix for f in factors), np.zeros((n, n))))
     if frob(check * phase - v) > SOLVE_TOL * n:
         raise NotInSpanError("abelian expansion does not reproduce the input")
     return factors, phase

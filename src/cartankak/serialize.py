@@ -210,6 +210,10 @@ def sequence_to_json(seq: DecompositionSequence) -> Dict[str, Any]:
 
 def sequence_from_json(obj: Dict[str, Any], qa: QuotientAlgebra) -> DecompositionSequence:
     """Rebuild a sequence against `qa` from its serialized choices."""
+    if int(obj["dim"]) != qa.dim:
+        raise InvalidMatrixError(
+            f"sequence JSON has dim {obj['dim']} but the algebra has dim {qa.dim}"
+        )
     choices = [lv["choice_bits"] for lv in obj["levels"]]
     overrides: List[Optional[AbelianSpace]] = []
     for lv in obj["levels"][1:]:

@@ -1,5 +1,7 @@
 """Cartan splits, shell enumeration, and decomposition sequences."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -251,6 +253,18 @@ class TestDecompositionSequences:
             assert all(
                 project_residual(m, t_rows) < 1e-12 for m in lv.center_core.matrices
             )
+
+    def test_hat_selection_is_read_only(self, word_qa):
+        hats = {"01": True}
+        seq = replace(build_decomposition_sequence(word_qa(4)), hat_selection=hats)
+        with pytest.raises(TypeError):
+            seq.hat_selection["01"] = False
+        hats["01"] = False  # the sequence holds its own copy
+        assert seq.hat_selection["01"] is True
+        for again in (pickle.loads(pickle.dumps(seq)), copy.deepcopy(seq)):
+            assert dict(again.hat_selection) == {"01": True}
+            with pytest.raises(TypeError):
+                again.hat_selection["01"] = False
 
     def test_override_designates_center(self, word_qa):
         qa = word_qa(8)

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -185,6 +186,17 @@ class TestDecompose:
         ) == 0
         assert json.loads(out.read_text())["reconstruction_error"] < 1e-8
 
+    def test_sequence_of_another_dim_exits_2(self, tmp_path, capsys):
+        from cartankak.cartan import build_decomposition_sequence
+        from cartankak.partition import intrinsic_quotient_algebra
+
+        seq = build_decomposition_sequence(intrinsic_quotient_algebra(9))
+        seq_file = write_json(tmp_path / "seq9.json", serialize.sequence_to_json(seq))
+        u = random_special_unitary(16, np.random.default_rng(16))
+        inp = write_json(tmp_path / "u16.json", serialize.matrix_to_json(u))
+        assert main(["decompose", "--dim", "16", "--input", inp, "--sequence", seq_file]) == 2
+        assert "sequence JSON has dim 9 but the algebra has dim 16" in capsys.readouterr().err
+
 
 class TestVerify:
     def _qa_file(self, tmp_path, n=4):
@@ -288,6 +300,36 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "partition" in result.stdout and "decompose" in result.stdout
+
+    def test_scipy_loads_only_to_factor(self, tmp_path):
+        """partition and verify never run a CS step, so they never import scipy."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import cartankak
+
+        script = (
+            "import sys\n"
+            "from cartankak import cli\n"
+            "qa = sys.argv[1] + '/qa9.json'\n"
+            "assert cli.main(['partition', '--dim', '9', '--output', qa]) == 0\n"
+            "assert cli.main(['verify', '--input', qa, '--output', sys.argv[1] + '/r.json']) == 0\n"
+            "assert 'scipy' not in sys.modules\n"
+            "argv = ['--input', sys.argv[1] + '/u4.json', '--output', sys.argv[1] + '/f.json']\n"
+            "assert cli.main(['decompose', '--dim', '4'] + argv) == 0\n"
+            "assert 'scipy' in sys.modules\n"
+        )
+        u = random_special_unitary(4, np.random.default_rng(4))
+        write_json(tmp_path / "u4.json", serialize.matrix_to_json(u))
+        src = str(Path(cartankak.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestLambdaDimension:

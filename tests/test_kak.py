@@ -9,8 +9,15 @@ import pytest
 import scipy.linalg
 
 from cartankak import kak
-from cartankak._linalg import expm_hermitian, frob, random_special_unitary
-from cartankak.cartan import build_cartan_split, build_decomposition_sequence
+from cartankak._linalg import (
+    SOLVE_TOL,
+    expm_hermitian,
+    frob,
+    project_residual,
+    random_special_unitary,
+    span_rows,
+)
+from cartankak.cartan import build_cartan_split, build_decomposition_sequence, enumerate_t_choices
 from cartankak.errors import (
     DecompositionError,
     DimensionMismatchError,
@@ -170,6 +177,54 @@ class TestKakSingleLevel:
         bad = dataclasses.replace(build_cartan_split(word_qa(4), "00"), t=(space,))
         with pytest.raises(DecompositionError, match=r"^slot \(1,2\) carries two phase directions$"):
             kak_single_level(np.eye(4), bad)
+
+    def test_t_short_of_so_n(self, word_qa):
+        split = build_cartan_split(word_qa(4), "00")
+        bad = dataclasses.replace(split, t=split.t[1:])
+        u = random_special_unitary(4, np.random.default_rng(4))
+        with pytest.raises(DecompositionError, match=r"^t does not span so\(N\) in the frame$"):
+            kak_single_level(u, bad)
+
+    def test_abelian_part_outside_a_smaller_center(self, word_qa):
+        qa = word_qa(4)
+        split = build_cartan_split(qa, "00")
+        bad = dataclasses.replace(split, chosen_center=AbelianSpace(qa.center.generators[:1]))
+        u = random_special_unitary(4, np.random.default_rng(4))
+        with pytest.raises(DecompositionError, match="^abelian part leaves the center span$"):
+            kak_single_level(u, bad)
+
+
+def schur_log_in_span_t(k, t_rows):
+    """Membership oracle for K in exp(i span t): the principal log of K, from a
+    complex Schur form, has a Hermitian part that projects onto span t."""
+    tri, z = scipy.linalg.schur(k, output="complex")
+    h = z @ np.diag(np.angle(np.diag(tri))) @ z.conj().T
+    return project_residual(h, t_rows) < SOLVE_TOL
+
+
+def single_level_algebras(std_seq, lambda_qa):
+    """The word algebra where it closes (else lambda), the lambda algebra at
+    N=2..16, and su(4)/su(8) word algebras moved by seeded Haar unitaries."""
+    for n in range(2, 17):
+        yield f"standard {n}", std_seq(n).qa
+        yield f"lambda {n}", lambda_qa(n)
+    for n in (4, 8):
+        u = random_special_unitary(n, np.random.default_rng(100 + n))
+        yield f"transported {n}", conjugate_quotient_algebra(std_seq(n).qa, u)
+
+
+def test_single_level_factors_pass_the_schur_log_oracle(std_seq, lambda_qa):
+    """kak_single_level checks that t spans so(N), not each factor; the per-factor
+    check it replaced accepts every K1 and K2 it returns, on every 2^p split."""
+    for name, qa in single_level_algebras(std_seq, lambda_qa):
+        n, rng = qa.dim, np.random.default_rng(9000 + qa.dim)
+        for bits in enumerate_t_choices(qa):
+            u = random_special_unitary(n, rng)
+            split = build_cartan_split(qa, bits, validate=False)
+            k1, a, k2 = kak_single_level(u, split)
+            t_rows = span_rows(split.t_matrices())
+            assert schur_log_in_span_t(k1, t_rows) and schur_log_in_span_t(k2, t_rows), (name, bits)
+            assert frob(k1 @ expm_hermitian(a) @ k2 - u) < SOLVE_TOL * n, (name, bits)
 
 
 class TestFactorAbelianExponential:

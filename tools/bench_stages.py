@@ -12,8 +12,14 @@ For each dimension N and each repeat it times, in one process:
   plan_ms            first_decompose_ms - decompose_ms: what only the first
                      call along a sequence pays
   reconstruct_ms     median of the public per-factor reconstruct
+  single_level_ms    median kak_single_level call on the same inputs, along
+                     build_cartan_split(qa, "0" * p, validate=False)
 
-and reports the median of each stage over the repeats, plus the worst
+and, once per repeat rather than per dimension,
+
+  import_s           wall time of a fresh `python -c "import cartankak.cli"`
+
+It reports the median of each stage over the repeats, plus the worst
 reconstruction_error seen, as JSON on stdout. The inputs depend only on N.
 --src picks the src/ directory to import, so two checkouts can be compared;
 with --before, the output holds {"before": <that file>, "after": <this run>}.
@@ -29,6 +35,7 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -39,7 +46,7 @@ DEFAULT_DIMS = "4,6,8,9,12,15,16,32"
 UNITARIES = 10  # warm calls timed per repeat
 SEED = 0
 STAGES = ("algebra_s", "sequence_s", "first_decompose_ms", "decompose_ms", "plan_ms",
-          "reconstruct_ms")
+          "reconstruct_ms", "single_level_ms")
 
 
 def timed(fn, *args):
@@ -57,6 +64,8 @@ def run_dim(ck, n):
     facts, seconds = zip(*(timed(ck.kak.recursive_decompose, u, seq) for u in us))
     rebuilt = [timed(ck.kak.reconstruct, f, n)[1] for f in facts[1:]]
     decompose_ms = statistics.median(seconds[1:]) * 1e3
+    split = ck.cartan.build_cartan_split(qa, "0" * qa.p, validate=False)
+    single = [timed(ck.kak.kak_single_level, u, split)[1] for u in us[1:]]
     stages = {
         "algebra_s": algebra_s,
         "sequence_s": sequence_s,
@@ -64,8 +73,17 @@ def run_dim(ck, n):
         "decompose_ms": decompose_ms,
         "plan_ms": seconds[0] * 1e3 - decompose_ms,
         "reconstruct_ms": statistics.median(rebuilt) * 1e3,
+        "single_level_ms": statistics.median(single) * 1e3,
     }
     return stages, max(f.reconstruction_error for f in facts)
+
+
+def import_seconds(src):
+    """Wall time of a fresh interpreter that imports cartankak.cli from src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", "import cartankak.cli"], env=env, check=True)
+    return time.perf_counter() - start
 
 
 def main(argv=None):
@@ -83,6 +101,8 @@ def main(argv=None):
     import cartankak.partition  # noqa: F401
     ck = sys.modules["cartankak"]
 
+    import_s = statistics.median(import_seconds(args.src) for _ in range(args.repeats))
+    print(f"import_s {import_s:.4g}", file=sys.stderr)
     dims = [int(d) for d in args.dims.split(",")]
     per_dim, worst = {}, 0.0
     for n in dims:
@@ -101,6 +121,7 @@ def main(argv=None):
         "repeats": args.repeats,
         "unitaries": UNITARIES,
         "seed": SEED,
+        "import_s": import_s,
         "stages": per_dim,
         "worst_reconstruction_error": worst,
     }
