@@ -7,6 +7,7 @@ routines with Generator/AbelianSpace semantics.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,11 @@ def mat_to_vec(m) -> np.ndarray:
     return np.concatenate([f.real, f.imag])
 
 
+def _rank(s) -> int:
+    """How many singular values count: above SOLVE_TOL * max(1, largest)."""
+    return int(np.sum(s > SOLVE_TOL * np.max(s, initial=1.0)))
+
+
 def span_rows(mats) -> np.ndarray:
     """Orthonormal row basis (real coefficients) of the span of `mats`."""
     mats = list(mats)
@@ -72,12 +78,15 @@ def span_rows(mats) -> np.ndarray:
         return np.zeros((0, 0))
     rows = np.array([mat_to_vec(m) for m in mats])
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > SOLVE_TOL * max(1.0, s[0] if len(s) else 1.0)))
-    return vt[:rank]
+    return vt[:_rank(s)]
 
 
 def span_rank(mats) -> int:
-    return span_rows(mats).shape[0]
+    """span_rows(mats).shape[0], from the singular values alone."""
+    mats = list(mats)
+    if not mats:
+        return 0
+    return _rank(np.linalg.svd(np.array([mat_to_vec(m) for m in mats]), compute_uv=False))
 
 
 def project_residual(m, basis_rows) -> float:
@@ -169,6 +178,135 @@ def slot_support(mats, tol):
     hit = ((np.abs(stack.real) > tol) | (np.abs(stack.imag) > tol)).any(axis=0)
     rows, cols = np.nonzero(np.triu(hit, 1))
     return tuple(zip(rows.tolist(), cols.tolist())), bool(np.diagonal(hit).any())
+
+
+# ---------------------------------------------------------------------------
+# XOR-slot form. A stack whose entries all sit on the slots (i, i ^ l) of one
+# label l is the (k, M) stack c[k, i] = m_k[i, i ^ l], M = 2^p >= N, zero where
+# an index passes N. [label a, label b] then sits on label a ^ b.
+# ---------------------------------------------------------------------------
+
+def slot_form(mats):
+    """(label, c) for a stack on the slots of one label (0: the diagonal), else None.
+
+    Exact: every entry off the label's slots must be exactly zero, in either
+    triangle, so the dense matrices are the form's zero-padded embedding.
+    """
+    stack = np.asarray(mats)
+    n = stack.shape[-1]
+    weight = np.abs(stack).sum(axis=0)  # zero exactly where every matrix is
+    slots, diagonal = slot_support([weight + weight.T], 0.0)
+    labels = {i ^ j for i, j in slots} | ({0} if diagonal else set())
+    if len(labels) != 1:
+        return None
+    label, size = labels.pop(), 1 << max(1, (n - 1).bit_length())
+    i = np.arange(size)
+    inside = np.maximum(i, i ^ label) < n
+    c = np.zeros((len(stack), size), dtype=complex)
+    c[:, inside] = stack[:, i[inside], i[inside] ^ label]
+    return label, c
+
+
+def slot_groups(forms):
+    """The forms merged by label, in label order: the spans they add up to per label."""
+    groups: dict = {}
+    for label, c in forms:
+        groups.setdefault(label, []).append(c)
+    return [(label, np.concatenate(cs)) for label, cs in sorted(groups.items())]
+
+
+def slot_rank(forms) -> int:
+    """span_rank of the union of slot forms, from the singular values per label."""
+    return _rank(np.concatenate([np.linalg.svd(c.view(float), compute_uv=False)
+                                 for _, c in slot_groups(forms)]))
+
+
+class SlotTable(NamedTuple):
+    """Units in slot form, zero-padded to one generator count K."""
+
+    labels: np.ndarray  # (U,)
+    counts: np.ndarray  # (U,) generators per unit
+    coef: np.ndarray  # (U, K, M) complex
+    rows: np.ndarray  # (U, K, 2M) orthonormal rows of each real span, zero past its rank;
+    # a coordinate pair (2i, 2i + 1) is the real and imaginary part of slot i
+    ranks: np.ndarray  # (U,)
+
+
+def slot_table(blocks) -> SlotTable:
+    """One table of the (label, c) forms of several blocks, spans from one stacked SVD.
+
+    A singular value counts when it exceeds SOLVE_TOL * max(1, s_max), s_max
+    the largest in the unit's block. Forms on distinct labels have orthogonal
+    supports, so a block of them gets the ranks whose sum span_rank of their
+    union gives, and a one-form block gets its own span_rows.
+    """
+    forms = [form for block in blocks for form in block]
+    coef = np.zeros((len(forms), max(len(c) for _, c in forms), forms[0][1].shape[1]), complex)
+    for u, (_, c) in enumerate(forms):
+        coef[u, : len(c)] = c
+    _, s, vt = np.linalg.svd(coef.view(float), full_matrices=False)  # (re, im) interleaved
+    block = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    top = np.array([s[block == b, 0].max(initial=1.0) for b in range(len(blocks))])
+    keep = s > SOLVE_TOL * top[block][:, None]
+    labels, counts = np.array([label for label, _ in forms]), np.array([len(c) for _, c in forms])
+    return SlotTable(labels, counts, coef, vt * keep[..., None], keep.sum(axis=1))
+
+
+def _row_norms(v):
+    return np.sqrt(np.einsum("...d,...d->...", v, v))
+
+
+def slot_shift(coef, labels):
+    """coef[q, :, i ^ labels[q]] for each item q of a (Q, K, M) stack."""
+    q, k, m = coef.shape
+    return coef[np.arange(q)[:, None, None], np.arange(k)[:, None], np.arange(m) ^ labels[:, None, None]]
+
+
+def slot_commutator_residuals(table: SlotTable, left, right, targets) -> np.ndarray:
+    """commutator_residuals in slot form, for a batch of unit pairs.
+
+    Item q commutes every generator of unit left[q] (label a) with every one
+    of unit right[q] (label b): -i[x, y] sits on label a ^ b with entries
+    -i (c_x[i] c_y[i ^ a] - c_y[i] c_x[i ^ b]), O(M) per commutator. Its
+    residual is the smallest over the units u with targets[q, u] (a (Q, U)
+    mask); a unit on another label gives 1, as the dense projection of a
+    disjoint support does, and so does no unit. Returns (Q, K, K) for the
+    table's unit size K; padding entries are 0. Items run sorted by their
+    two unit sizes, in chunks of one size pair and about 2^14 commutator
+    entries.
+    """
+    left, right = np.asarray(left, dtype=int), np.asarray(right, dtype=int)
+    hits = np.asarray(targets) & (table.labels == (table.labels[left] ^ table.labels[right])[:, None])
+    width = max(1, hits.sum(axis=1).max(initial=0))
+    units = np.argsort(~hits, axis=1, kind="stable")[:, :width]  # the hits first
+    on = np.take_along_axis(hits, units, axis=1)
+    kl, kr = table.counts[left], table.counts[right]
+    kt = np.where(on, table.ranks[units], 0).max(axis=1)
+    order = np.lexsort((kr, kl))
+    _, k, m = table.coef.shape
+    out = np.zeros((len(left), k, k))
+    chunk = np.cumsum(kl[order] * kr[order] * m) >> 14
+    cuts = (np.diff(chunk) != 0) | (np.diff(kl[order]) != 0) | (np.diff(kr[order]) != 0)
+    for c in np.split(order, np.flatnonzero(cuts) + 1):
+        a, b, t = kl[c[0]], kr[c[0]], max(1, kt[c].max())
+        x, y = -1j * table.coef[left[c], :a], table.coef[right[c], :b]
+        xs, ys = slot_shift(x, table.labels[right[c]]), slot_shift(y, table.labels[left[c]])
+        rows = table.rows[units[c], :t] * on[c, :, None, None]  # (Q, T, t, 2M)
+        out[c, :a, :b] = _slot_residual_chunk(x, y, xs, ys, rows)
+    return out
+
+
+def _slot_residual_chunk(x, y, xs, ys, rows) -> np.ndarray:
+    """The (Q, Kl, Kr) residuals of -i x and y with their xor-shifted copies xs, ys."""
+    comm = x[:, :, None] * ys[:, None]  # -i [x, y]
+    comm -= y[:, None] * xs[:, :, None]
+    vecs = comm.reshape(len(x), -1, x.shape[-1]).view(float)  # (re, im) interleaved, as the rows
+    norms = _row_norms(vecs)
+    best = np.inf
+    for r in np.swapaxes(rows, 0, 1):
+        resid = _row_norms(vecs - (vecs @ np.swapaxes(r, 1, 2)) @ r)
+        best = np.minimum(best, resid / np.maximum(norms, STRUCT_TOL))
+    return np.where(norms < STRUCT_TOL, 0.0, best).reshape(comm.shape[:3])
 
 
 def all_commute(mats, tol=STRUCT_TOL) -> bool:

@@ -10,6 +10,7 @@ process for dimensions that are not powers of two, and the subscript tables.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,7 +31,11 @@ from ._linalg import (
     frob,
     in_span,
     simultaneous_diagonalize,
+    slot_commutator_residuals,
+    slot_form,
+    slot_rank,
     slot_support,
+    slot_table,
     span_rank,
     span_rows,
 )
@@ -105,6 +110,11 @@ class AbelianSpace:
 
     def span(self) -> np.ndarray:
         return span_rows(self.matrices)
+
+    @functools.cached_property
+    def _slot(self):
+        """slot_form of the generators, or None; kept, as they are immutable."""
+        return slot_form(self.matrices)
 
     def __len__(self):
         return len(self.generators)
@@ -534,64 +544,68 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
     W, [W,W^] in A). Across pairs the commutator must fall inside one single
     space; when binary labels exist the target must be the xor-labeled pair
     with hat parity flipped exactly when the operand hats agree.
+
+    When every space sits on the slots of one label (its slot_form), as the
+    standard and intrinsic algebras do, the checks run in slot coordinates;
+    otherwise, as for conjugated algebras, on the dense matrices.
     """
-    checks: List[ClosureCheck] = []
-    center_span = qa.center.span()
-    spans = {}
-    for idx, pair in enumerate(qa.pairs):
-        spans[(idx, False)] = pair.w.span()
-        spans[(idx, True)] = pair.w_hat.span()
+    # Space 0 is the center; pair idx has W at 1 + 2 idx and W^ at 2 + 2 idx.
+    spaces = [qa.center] + [space for pair in qa.pairs for space in pair.spaces]
     labels = [pair.binary_label for pair in qa.pairs]
     by_label = {lab: i for i, lab in enumerate(labels) if lab is not None}
+    names = ["A"] + [_space_name(lab, hat, str(i + 1))
+                     for i, lab in enumerate(labels) for hat in (False, True)]
 
-    def add(kind, lname, rname, target_name, residual):
-        residual = float(residual)
-        checks.append(ClosureCheck(kind, lname, rname, target_name, residual, residual < tol))
+    # (kind, left, right, target spaces, target name, one check per commutator)
+    specs = []
+    for idx in range(len(qa.pairs)):
+        w, h = 1 + 2 * idx, 2 + 2 * idx
+        specs += [("pair-center", w, 0, [h], names[h], True),
+                  ("pair-center", h, 0, [w], names[w], True),
+                  ("pair-pair", w, h, [0], "A", True)]
+    # Without a target label the commutator must still fall in one single space.
+    anywhere = list(range(len(spaces)))
+    for i in range(len(qa.pairs)):
+        for j in range(i + 1, len(qa.pairs)):
+            for hi in (False, True):
+                for hj in (False, True):
+                    targets, tname = anywhere, "single third space"
+                    if labels[i] is not None and labels[j] is not None:
+                        tgt = bits_of(label_int(labels[i]) ^ label_int(labels[j]), qa.p)
+                        if tgt in by_label:
+                            targets = [1 + 2 * by_label[tgt] + (not (hi ^ hj))]
+                            tname = names[targets[0]]
+                        else:
+                            tname = f"missing pair {tgt}"
+                    specs.append(("cross-pair", 1 + 2 * i + hi, 1 + 2 * j + hj, targets, tname, False))
 
     # Disjointness: each space is internally independent and the counts sum to
     # the full rank, so pairwise intersections are trivial exactly when the
     # joint rank of all generators equals the generator count.
-    every = qa.center.matrices + [m for pair in qa.pairs for m in pair.all_matrices()]
-    joint = span_rank(every)
-    add("disjoint", "all spaces", "", "trivial intersections",
-        0.0 if joint == len(every) else 1.0)
+    forms = [space._slot for space in spaces]
+    if all(form is not None for form in forms):
+        joint = slot_rank(forms)
+        table = slot_table([[form] for form in forms])
+        mask = np.zeros((len(specs), len(spaces)), dtype=bool)
+        for q, spec in enumerate(specs):
+            mask[q, spec[3]] = True
+        batch = slot_commutator_residuals(table, [s[1] for s in specs], [s[2] for s in specs], mask)
+        residuals = [r[: len(spaces[s[1]]), : len(spaces[s[2]])] for r, s in zip(batch, specs)]
+    else:
+        joint = span_rank(m for space in spaces for m in space.matrices)
+        spans = [space.span() for space in spaces]
+        residuals = [
+            np.min([commutator_residuals(spaces[left].matrices, spaces[right].matrices, spans[t])
+                    for t in targets], axis=0)
+            for _, left, right, targets, _, _ in specs
+        ]
 
-    center = qa.center.matrices
-    for idx, pair in enumerate(qa.pairs):
-        wname = _space_name(pair.binary_label, False, str(idx + 1))
-        hname = _space_name(pair.binary_label, True, str(idx + 1))
-        for kind, lname, rname, tname, left, right, rows in (
-            ("pair-center", wname, "A", hname, pair.w.matrices, center, spans[(idx, True)]),
-            ("pair-center", hname, "A", wname, pair.w_hat.matrices, center, spans[(idx, False)]),
-            ("pair-pair", wname, hname, "A", pair.w.matrices, pair.w_hat.matrices, center_span),
-        ):
-            for residual in commutator_residuals(left, right, rows).ravel():
-                add(kind, lname, rname, tname, residual)
-
-    # Without a target label the commutator must still fall in one single space.
-    anywhere = [center_span, *spans.values()]
-    for i, pi in enumerate(qa.pairs):
-        for j, pj in enumerate(qa.pairs):
-            if i >= j:
-                continue
-            for hi in (False, True):
-                for hj in (False, True):
-                    li = _space_name(labels[i], hi, str(i + 1))
-                    lj = _space_name(labels[j], hj, str(j + 1))
-                    if labels[i] is not None and labels[j] is not None:
-                        tgt = bits_of(label_int(labels[i]) ^ label_int(labels[j]), qa.p)
-                        tgt_hat = not (hi ^ hj)
-                        if tgt in by_label:
-                            targets = [spans[(by_label[tgt], tgt_hat)]]
-                            tname = _space_name(tgt, tgt_hat, tgt)
-                        else:
-                            targets, tname = anywhere, f"missing pair {tgt}"
-                    else:
-                        targets, tname = anywhere, "single third space"
-                    src = (pi.w_hat if hi else pi.w).matrices
-                    dst = (pj.w_hat if hj else pj.w).matrices
-                    best = np.min([commutator_residuals(src, dst, rows) for rows in targets], axis=0)
-                    add("cross-pair", li, lj, tname, best.max())
+    disjoint = 0.0 if joint == sum(map(len, spaces)) else 1.0
+    checks = [ClosureCheck("disjoint", "all spaces", "", "trivial intersections",
+                           disjoint, disjoint < tol)]
+    for (kind, left, right, _, tname, each), res in zip(specs, residuals):
+        values = res.ravel().tolist() if each else [float(res.max())]
+        checks += [ClosureCheck(kind, names[left], names[right], tname, r, r < tol) for r in values]
     return ClosureReport(tuple(checks), tol)
 
 

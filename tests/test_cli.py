@@ -240,6 +240,18 @@ class TestVerify:
         assert main(["verify", "--input", path]) == 0
         assert sorted(calls) == [format(b, "03b") for b in range(8)]
 
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_verify_partition_output(self, tmp_path, n):
+        qa, report = tmp_path / f"qa{n}.json", tmp_path / "report.json"
+        assert main(["partition", "--dim", str(n), "--output", str(qa)]) == 0
+        assert main(["verify", "--input", str(qa), "--output", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["passed"] is True and payload["failures"] == []
+        assert [s["choice_bits"] for s in payload["cartan_splits"]] == [
+            format(b, "04b") for b in range(16)
+        ]
+        assert all(s["ok"] for s in payload["cartan_splits"])
+
     def test_removed_su6_passes(self, tmp_path, lambda_qa):
         path = write_json(tmp_path / "qa6l.json", serialize.qa_to_json(lambda_qa(6)))
         assert main(["verify", "--input", path]) == 0

@@ -6,6 +6,8 @@
 For each dimension N and each repeat it times, in one process:
 
   algebra_s          standard_quotient_algebra(N)
+  closure_s          verify_closure of that algebra
+  validate_s         one CartanSplit.validate of its "0" * p split
   sequence_s         build_decomposition_sequence on that algebra
   first_decompose_ms the first recursive_decompose along the new sequence
   decompose_ms       median of the next 10 calls (seeded Haar inputs)
@@ -45,8 +47,8 @@ import numpy as np  # noqa: E402
 DEFAULT_DIMS = "4,6,8,9,12,15,16,32"
 UNITARIES = 10  # warm calls timed per repeat
 SEED = 0
-STAGES = ("algebra_s", "sequence_s", "first_decompose_ms", "decompose_ms", "plan_ms",
-          "reconstruct_ms", "single_level_ms")
+STAGES = ("algebra_s", "closure_s", "validate_s", "sequence_s", "first_decompose_ms",
+          "decompose_ms", "plan_ms", "reconstruct_ms", "single_level_ms")
 
 
 def timed(fn, *args):
@@ -58,16 +60,20 @@ def timed(fn, *args):
 def run_dim(ck, n):
     """One repeat at dimension n: stage times and the worst reconstruction error."""
     qa, algebra_s = timed(ck.partition.standard_quotient_algebra, n)
+    _, closure_s = timed(ck.partition.verify_closure, qa)
+    split = ck.cartan.build_cartan_split(qa, "0" * qa.p, validate=False)
+    _, validate_s = timed(split.validate)
     seq, sequence_s = timed(ck.cartan.build_decomposition_sequence, qa)
     rng = np.random.default_rng(SEED + n)
     us = [ck._linalg.random_special_unitary(n, rng) for _ in range(UNITARIES + 1)]
     facts, seconds = zip(*(timed(ck.kak.recursive_decompose, u, seq) for u in us))
     rebuilt = [timed(ck.kak.reconstruct, f, n)[1] for f in facts[1:]]
     decompose_ms = statistics.median(seconds[1:]) * 1e3
-    split = ck.cartan.build_cartan_split(qa, "0" * qa.p, validate=False)
     single = [timed(ck.kak.kak_single_level, u, split)[1] for u in us[1:]]
     stages = {
         "algebra_s": algebra_s,
+        "closure_s": closure_s,
+        "validate_s": validate_s,
         "sequence_s": sequence_s,
         "first_decompose_ms": seconds[0] * 1e3,
         "decompose_ms": decompose_ms,
