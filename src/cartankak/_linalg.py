@@ -6,7 +6,7 @@ routines with Generator/AbelianSpace semantics.
 
 from __future__ import annotations
 
-import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -431,38 +431,21 @@ def rotation_middle(n, p, thetas):
     Leading axes of thetas give a stack of middle factors.
     """
     thetas = np.asarray(thetas, dtype=float)
-    m = np.arange(thetas.shape[-1])
-    r = np.tile(np.eye(n), thetas.shape[:-1] + (1, 1))
+    r = np.zeros(thetas.shape[:-1] + (n * n,))
+    r[..., :: n + 1] = 1.0
     c, s = np.cos(thetas), np.sin(thetas)
-    r[..., m, m] = r[..., p + m, p + m] = c
-    r[..., m, p + m], r[..., p + m, m] = -s, s
-    return r
+    # Flat positions of the entries (m, m), (p+m, p+m), (m, p+m) and (p+m, m).
+    at = np.arange(thetas.shape[-1]) * (n + 1) + np.array([[0], [p * (n + 1)], [p], [p * n]])
+    r[..., at.ravel()] = np.concatenate([c, c, -s, s], axis=-1)
+    return r.reshape(thetas.shape[:-1] + (n, n))
 
 
-@functools.lru_cache(maxsize=64)
-def _cs_driver(n, p):
-    """LAPACK orcsd for an n x n matrix split at p, its workspace size, and the rolls.
-
-    This is the call scipy.linalg.cossin(x, p=p, q=p, separate=True) makes,
-    with the same workspace, minus the wrapper's per-call checks and query.
-    scipy's q counts the columns of the upper-left block; passing p keeps both
-    K factors (p, n - p) block-diagonal. With r = min(p, n - p), LAPACK pairs
-    row p - r + m with row n - r + m and puts the unpaired (identity) rows
-    first in each block, so rolling both index sets by r gives
-    rotation_middle form. scipy is imported here, by the first CS step, and
-    nowhere else, so a process that never factors never loads it.
-    """
-    import scipy.linalg
-
-    csd, csd_lwork = scipy.linalg.get_lapack_funcs(("orcsd", "orcsd_lwork"), dtype=np.float64)
-    work, info = csd_lwork(m=n, p=p, q=p)
-    if info:
-        raise np.linalg.LinAlgError(f"orcsd workspace query failed: {info}")
-    r = min(p, n - p)
-    rolls = np.roll(np.arange(p), r), np.roll(np.arange(n - p), r)
-    for roll in rolls:
-        roll.flags.writeable = False  # shared by every call through the cache
-    return (csd, int(work)) + rolls
+# The cosines at which the CS step may switch SVDs: cos(pi/3) and cos(pi/6).
+# Pairs below the split read their vectors from the SVD of X11 (small cosines
+# are well separated there), the rest from the SVD of X21. The split sits in
+# the widest gap of the cosines clipped to this window, so no cluster of equal
+# cosines is cut, and every divisor c or s in _cs_two_svd is at least 1/2.
+_CS_SPLIT = (0.5, math.sqrt(0.75))
 
 
 def cs_decompose_so(x, p, q):
@@ -475,9 +458,19 @@ def cs_decompose_so(x, p, q):
     where thetas has min(p, q) entries and all four blocks are special
     orthogonal. x may also be a (B, p + q, p + q) stack: every output then
     gains that leading axis, item b is bit for bit what x[b] alone gives, and
-    a failing item raises the message it would raise alone. LAPACK orcsd runs
-    once per item, called directly (see _cs_driver); the determinant signs
-    and the reassembly check are computed once for the whole stack.
+    a failing item raises the message it would raise alone.
+
+    The pairs come from two stacked SVDs (_cs_two_svd) in order of descending
+    theta, each in [0, pi/2] before the determinant moves. The gauge is a rule
+    on the output, so the step is continuous in x wherever the thetas are
+    distinct and nonzero:
+
+    - the largest-magnitude entry of each paired v1 row is positive (on a tie
+      between a positive and a negative entry, the positive one);
+    - the unpaired rows of v1 (p > q), or the unpaired columns of u2 (p < q),
+      are the orthonormal basis of their span whose last |p - q| entries form
+      an upper triangular block with a non-negative diagonal;
+    - _fix_determinants then moves pair 0 alone, by the determinant signs.
     """
     n = p + q
     x = np.asarray(x)
@@ -493,18 +486,7 @@ def cs_decompose_so(x, p, q):
         v1, v2 = (np.tile(np.eye(k), (len(stack), 1, 1)) for k in (p, q))
         thetas = np.zeros((len(stack), 0))
     else:
-        csd, lwork, p_roll, q_roll = _cs_driver(n, p)
-        items = []
-        for xb in stack:
-            *_, theta, a1, a2, b1, b2, info = csd(
-                xb[:p, :p], xb[:p, p:], xb[p:, :p], xb[p:, p:], lwork=lwork
-            )
-            if info:
-                raise np.linalg.LinAlgError(f"orcsd did not converge: {info}")
-            items.append((a1, a2, theta, b1, b2))
-        u1, u2, thetas, v1, v2 = (np.array(a) for a in zip(*items))
-        u1, v1 = u1[:, :, p_roll], v1[:, p_roll]
-        u2, v2 = u2[:, :, q_roll], v2[:, q_roll]
+        u1, u2, thetas, v1, v2 = _cs_two_svd(stack, p)
 
     u1, u2, thetas, v1, v2 = _fix_determinants(u1, u2, thetas, v1, v2)
     mid = rotation_middle(n, p, thetas)
@@ -514,6 +496,67 @@ def cs_decompose_so(x, p, q):
         raise DecompositionError("cosine-sine reassembly failed")
     out = u1, u2, thetas, v1, v2
     return tuple(a[0] for a in out) if x.ndim == 2 else out
+
+
+def _cs_two_svd(x, p):
+    """The CS blocks of a real (B, n, n) stack split at p, before the determinant moves.
+
+    The two-SVD method (Stewart, Numer. Math. 40, 1982; Van Loan, Numer. Math.
+    46, 1985). Pair m < r = min(p, n - p) has the m-th smallest cosine of X11,
+    which is the m-th largest sine of X21. Its v1 row comes from the SVD that
+    resolves it (see _CS_SPLIT). Rows from the two SVDs are orthogonal to
+    within about eps / g, where g >= (sqrt(3) - 1) / (2 (r + 1)) is the gap at
+    the split, so v1 is not re-orthonormalized. A u1 column is X11 v / c, and
+    a paired u2 column X21 v / s, where that divisor is at least 1/2; the other
+    is the left vector of the SVD the row came from. v2 = C u2^T X22 -
+    S u1^T X12, the second block row of R^T K1^T x.
+    """
+    b, n = x.shape[:2]
+    first, x12, x22 = x[:, :, :p], x[:, :p, p:], x[:, p:, p:]
+    if 2 * p == n:  # one SVD call for both blocks
+        a, sv, v = np.linalg.svd(first.reshape(b, 2, p, p))
+        a1, a2, c, s, b1, b2 = a[:, 0], a[:, 1], sv[:, 0], sv[:, 1], v[:, 0], v[:, 1]
+    else:  # full matrices: the unpaired vectors span the null spaces
+        (a1, c, b1), (a2, s, b2) = np.linalg.svd(first[:, :p]), np.linalg.svd(first[:, p:])
+    a1, c, b1 = a1[:, :, ::-1], c[:, ::-1], b1[:, ::-1]  # ascending cosines
+    r = s.shape[1]
+    lo, hi = _CS_SPLIT
+    edges = np.empty((b, r + 2))
+    edges[:, 0], edges[:, -1] = lo, hi
+    np.minimum(np.maximum(c[:, :r], lo), hi, out=edges[:, 1:-1])
+    split = np.argmax(edges[:, 1:] - edges[:, :-1], axis=1)
+    small = np.arange(p) < split[:, None]  # rows read from X11's SVD; never an unpaired one
+
+    v1 = np.where(small[:, :, None], b1, b2)
+    sign = np.copysign(1.0, v1.max(axis=2) + v1.min(axis=2))
+    v1 *= sign[:, :, None]
+    if p > r:  # the unpaired rows get their own rule
+        v1[:, r:] = _triangular_rows(v1[:, r:])
+    y = first @ np.swapaxes(v1, 1, 2)  # [c u1; s u2] column by column
+    # The floors change only columns that np.where replaces.
+    u1 = np.where(small[:, None, :], a1 * sign[:, None, :],
+                  y[:, :p] / np.maximum(c, lo)[:, None, :])
+    u2 = np.where(small[:, None, :r], y[:, p:, :r] / np.maximum(s, lo)[:, None, :],
+                  a2[:, :, :r] * sign[:, None, :r])
+    if n - p > r:
+        unpaired = np.swapaxes(_triangular_rows(np.swapaxes(a2[:, :, r:], 1, 2)), 1, 2)
+        u2 = np.concatenate([u2, unpaired], axis=2)
+    # math.atan2, not np.arctan2: NumPy's SIMD loop can differ in the last bit
+    # with the array's length and layout, and item b must not depend on B.
+    thetas = np.reshape(list(map(math.atan2, s.ravel().tolist(), c[:, :r].ravel().tolist())),
+                        s.shape)
+    v2 = np.swapaxes(u2, 1, 2) @ x22
+    v2[:, :r] = c[:, :r, None] * v2[:, :r] - s[:, :, None] * (np.swapaxes(u1[:, :, :r], 1, 2) @ x12)
+    return u1, u2, thetas, v1, v2
+
+
+def _triangular_rows(w):
+    """The orthonormal rows w (B, k, m) turned, within their span, into the basis
+    whose last k columns are upper triangular with a non-negative diagonal (one
+    basis where that block is invertible)."""
+    qm, rm = np.linalg.qr(w[:, :, -w.shape[1]:])
+    sign = np.where(np.diagonal(rm, axis1=1, axis2=2) < 0, -1.0, 1.0)
+    return sign[:, :, None] * (np.swapaxes(qm, 1, 2) @ w)
 
 
 def _fix_determinants(u1, u2, thetas, v1, v2):
@@ -533,13 +576,14 @@ def _fix_determinants(u1, u2, thetas, v1, v2):
     thetas = np.array(thetas, dtype=float, ndmin=2)
     pairs = [[u1, v1], [u2, v2]] if u1.shape != u2.shape else [[u1, v1, u2, v2]]
     neg = np.concatenate([np.linalg.det(np.concatenate(blocks)) < 0 for blocks in pairs])
-    neg_u1, neg_v1, neg_u2, neg_v2 = neg.reshape(4, len(u1))
-    neg_v1, neg_v2 = neg_v1 ^ neg_u1, neg_v2 ^ neg_u2  # after the first two moves
+    neg_u1, neg_v1, neg_u2, neg_v2 = neg = neg.reshape(4, len(u1))
+    neg_v1 ^= neg_u1  # after the first two moves
+    neg_v2 ^= neg_u2
     if thetas.shape[1] == 0:
         if (neg_u1 | neg_u2 | neg_v1).any():
             raise DecompositionError("cannot fix determinants without a CS pair")
     else:  # a sign of -1 applies a move, +1 leaves the entry's bits as they are
-        sign_u1, sign_u2, sign_v = (np.where(m, -1.0, 1.0) for m in (neg_u1, neg_u2, neg_v1))
+        sign_u1, sign_v, sign_u2, _ = np.where(neg, -1.0, 1.0)
         u1[:, :, 0] *= sign_u1[:, None]
         u2[:, :, 0] *= sign_u2[:, None]
         v1[:, 0] *= (sign_u1 * sign_v)[:, None]

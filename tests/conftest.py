@@ -1,6 +1,12 @@
-import numpy as np
-import pytest
-from scipy.stats import special_ortho_group
+import os
+
+# One BLAS thread, set before NumPy loads OpenBLAS: the suite makes many tiny
+# dense products, and threads for them only oversubscribe a small machine.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from scipy.stats import special_ortho_group  # noqa: E402
 
 from cartankak._linalg import random_special_unitary
 from cartankak.cartan import build_decomposition_sequence

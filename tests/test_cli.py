@@ -313,8 +313,8 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "partition" in result.stdout and "decompose" in result.stdout
 
-    def test_scipy_loads_only_to_factor(self, tmp_path):
-        """partition and verify never run a CS step, so they never import scipy."""
+    def test_no_cli_command_loads_scipy(self, tmp_path):
+        """partition, verify and decompose at N=4 and N=9 run on NumPy alone."""
         import subprocess
         import sys
         from pathlib import Path
@@ -324,16 +324,18 @@ class TestEntryPoint:
         script = (
             "import sys\n"
             "from cartankak import cli\n"
-            "qa = sys.argv[1] + '/qa9.json'\n"
-            "assert cli.main(['partition', '--dim', '9', '--output', qa]) == 0\n"
-            "assert cli.main(['verify', '--input', qa, '--output', sys.argv[1] + '/r.json']) == 0\n"
-            "assert 'scipy' not in sys.modules\n"
-            "argv = ['--input', sys.argv[1] + '/u4.json', '--output', sys.argv[1] + '/f.json']\n"
-            "assert cli.main(['decompose', '--dim', '4'] + argv) == 0\n"
-            "assert 'scipy' in sys.modules\n"
+            "for n in (4, 9):\n"
+            "    d = sys.argv[1]\n"
+            "    qa = f'{d}/qa{n}.json'\n"
+            "    assert cli.main(['partition', '--dim', str(n), '--output', qa]) == 0\n"
+            "    assert cli.main(['verify', '--input', qa, '--output', f'{d}/r{n}.json']) == 0\n"
+            "    argv = ['--input', f'{d}/u{n}.json', '--output', f'{d}/f{n}.json']\n"
+            "    assert cli.main(['decompose', '--dim', str(n)] + argv) == 0\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
         )
-        u = random_special_unitary(4, np.random.default_rng(4))
-        write_json(tmp_path / "u4.json", serialize.matrix_to_json(u))
+        for n in (4, 9):
+            u = random_special_unitary(n, np.random.default_rng(n))
+            write_json(tmp_path / f"u{n}.json", serialize.matrix_to_json(u))
         src = str(Path(cartankak.__file__).resolve().parent.parent)
         result = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path)],

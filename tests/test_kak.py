@@ -691,3 +691,18 @@ def test_block_reconstruction_matches_reconstruct(n, std_seq):
         u = np.exp(1.1j) * random_special_unitary(n, rng)
         fact = recursive_decompose(u, std_seq(n))
         assert abs(fact.reconstruction_error - frob(reconstruct(fact, n) - u)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 8, 9, 16])
+def test_angles_move_little_with_the_input(n, std_seq):
+    """The CS gauge is a rule on the output, so a 1e-9 move of u moves no angle far."""
+    rng = np.random.default_rng(800 + n)
+    for _ in range(3):
+        u = random_special_unitary(n, rng)
+        h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = h + h.conj().T - 2 * np.trace(h).real / n * np.eye(n)
+        before = [f.angle for f in recursive_decompose(u, std_seq(n)).factors]
+        moved = expm_hermitian(h / frob(h), 1e-9) @ u
+        after = [f.angle for f in recursive_decompose(moved, std_seq(n)).factors]
+        assert len(after) == len(before)
+        assert np.abs(np.subtract(after, before)).max() <= 1e3 * n * 1e-9

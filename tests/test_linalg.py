@@ -7,6 +7,7 @@ from scipy.stats import ortho_group, special_ortho_group
 
 from cartankak._linalg import (
     CLUSTER_TOL,
+    _cs_two_svd,
     _fix_determinants,
     complex_symmetric_eigenbasis,
     cs_decompose_so,
@@ -131,46 +132,126 @@ class TestFixDeterminants:
         assert all(np.all(np.linalg.det(s) > 0) for s in fixed[:2] + fixed[3:])
 
 
-def cossin_with_moves(x, p, q):
-    """The CS step built from scipy.linalg.cossin and one det call per move.
-
-    cossin's q counts the columns of the upper-left block, so p is passed for
-    both; rolling both index sets by min(p, q) gives rotation_middle form. The
-    three determinant moves then run on the single matrix, each reading the
-    determinant it needs afresh.
-    """
-    r = min(p, q)
-    (u1, u2), thetas, (v1, v2) = scipy.linalg.cossin(x, p=p, q=p, separate=True)
-    p_idx, q_idx = np.roll(np.arange(p), r), np.roll(np.arange(q), r)
-    u1, v1, u2, v2 = u1[:, p_idx], v1[p_idx], u2[:, q_idx], v2[q_idx]
-    thetas = np.array(thetas, dtype=float)
-    for lead, cols, rows in ((u1, [u1], [v1]), (u2, [u2], [v2]), (v1, [], [v1, v2])):
-        if np.linalg.det(lead) > 0:
-            continue
-        for b in cols:
-            b[:, 0] *= -1.0
-        for b in rows:
-            b[0, :] *= -1.0
-        if cols:
-            thetas[0] = -thetas[0]
-        else:
-            thetas[0] += -np.pi if thetas[0] > 0 else np.pi
-    return u1, u2, thetas, v1, v2
-
-
 CS_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (4, 3), (4, 4),
              (5, 4), (4, 5), (6, 3), (3, 6), (7, 2), (2, 7), (8, 1), (1, 8), (8, 8)]
 
 
+def seeded_input(p, q, seed):
+    return special_ortho_group.rvs(p + q, random_state=1000 * p + 10 * q + seed)
+
+
+def assert_valid_cs(x, out, tol=1e-12):
+    """out reassembles x within tol, and its four blocks are special orthogonal."""
+    u1, u2, thetas, v1, v2 = out
+    assert frob(assemble(u1, u2, thetas, v1, v2) - x) < tol
+    for b in (u1, u2, v1, v2):
+        assert frob(b @ b.T - np.eye(len(b))) < tol
+        assert abs(np.linalg.det(b) - 1.0) < tol
+
+
+def block_orthogonal(p, q, rng):
+    """A seeded element of SO(p) x SO(q), as one block-diagonal matrix."""
+    return scipy.linalg.block_diag(*(special_ortho_group.rvs(k, random_state=rng) if k > 1
+                                     else np.eye(k) for k in (p, q)))
+
+
+# Angle patterns of the clustered stacks. pi/4 puts cosines exactly at 1/sqrt(2),
+# inside the window where the step picks which SVD each pair comes from; pi/4
+# -+ 1e-9 puts a near-cluster on both sides of 1/sqrt(2), which a split there
+# would cut.
+CLUSTERED = [[0.0], [1e-9], [np.pi / 4], [np.pi / 2 - 1e-9], [np.pi / 2],
+             [np.pi / 4 - 1e-9, np.pi / 4 + 1e-9],
+             [np.pi / 4, 0.0, np.pi / 4, 1e-9, np.pi / 2 - 1e-9, np.pi / 2, np.pi / 4, 0.0]]
+
+
 class TestCsDecomposeSoOracle:
-    """The direct orcsd call gives the bits scipy.linalg.cossin plus the moves give."""
+    """The CS step agrees with scipy.linalg.cossin on all that the gauge leaves fixed."""
 
     @pytest.mark.parametrize("p,q", CS_SHAPES)
     def test_matches_cossin(self, p, q):
         for seed in range(8):
-            x = special_ortho_group.rvs(p + q, random_state=1000 * p + 10 * q + seed)
-            for got, want in zip(cs_decompose_so(x, p, q), cossin_with_moves(x, p, q)):
-                same_bits(got, want)
+            x = seeded_input(p, q, seed)
+            out = cs_decompose_so(x, p, q)
+            _, thetas, _ = scipy.linalg.cossin(x, p=p, q=p, separate=True)
+            # The determinant moves may shift an angle by pi: compare |cos|.
+            np.testing.assert_allclose(np.sort(np.abs(np.cos(out[2]))), np.sort(np.cos(thetas)),
+                                       rtol=0, atol=1e-12)
+            assert_valid_cs(x, out)
+
+    @pytest.mark.parametrize("p,q", CS_SHAPES)
+    def test_clustered_stacks(self, p, q):
+        """Block-orthogonal conjugates of rotation_middle with repeated and extreme angles."""
+        r, rng = min(p, q), np.random.default_rng(7 * p + q)
+        thetas = np.array([np.resize(pattern, r) for pattern in CLUSTERED])
+        xs = np.array([block_orthogonal(p, q, rng) @ rotation_middle(p + q, p, t)
+                       @ block_orthogonal(p, q, rng) for t in thetas])
+        out = cs_decompose_so(xs, p, q)
+        for b, x in enumerate(xs):
+            np.testing.assert_allclose(np.sort(np.abs(np.cos(out[2][b]))),
+                                       np.sort(np.cos(thetas[b])), rtol=0, atol=1e-12)
+            assert_valid_cs(x, [a[b] for a in out])
+
+
+def polar(m):
+    a, _, b = np.linalg.svd(m)
+    return a @ b
+
+
+class TestCsGauge:
+    """The CS gauge is a rule on the output, so the step is continuous in its input."""
+
+    @pytest.mark.parametrize("p,q", CS_SHAPES)
+    def test_small_perturbation_moves_every_output_little(self, p, q):
+        rng = np.random.default_rng(p * 100 + q)
+        used = 0
+        for seed in range(8):
+            x = seeded_input(p, q, seed)
+            out = cs_decompose_so(x, p, q)
+            angles = np.arccos(np.abs(np.cos(out[2])))  # in [0, pi/2], moves undone
+            if np.diff(np.sort(np.concatenate([angles, [0.0, np.pi / 2]]))).min() <= 1e-3:
+                continue
+            used += 1
+            e = rng.normal(size=x.shape)
+            y = polar(x + 1e-13 * e / frob(e))
+            for got, want in zip(cs_decompose_so(y, p, q), out):
+                assert np.abs(got - want).max(initial=0.0) <= 1e-9
+        assert used >= 4
+
+    @pytest.mark.parametrize("p,q", CS_SHAPES)
+    def test_rule_holds_before_the_determinant_moves(self, p, q):
+        x = np.array([seeded_input(p, q, seed) for seed in range(8)])
+        u1, u2, thetas, v1, v2 = _cs_two_svd(x, p)
+        r, k = min(p, q), abs(p - q)
+        assert np.all((thetas >= 0) & (thetas <= np.pi / 2))
+        rows = v1[:, :r]  # the largest-magnitude entry of each paired row is positive
+        assert np.all(rows.max(axis=2) >= -rows.min(axis=2))
+        free = v1[:, r:] if p > q else np.swapaxes(u2[:, :, r:], 1, 2)
+        # Upper triangular up to rounding, with a non-negative diagonal.
+        tail = free[:, :, free.shape[2] - k:]
+        assert np.all(np.abs(np.tril(tail, -1)) < 1e-15)
+        assert np.all(np.diagonal(tail, axis1=1, axis2=2) >= 0)
+        moved = cs_decompose_so(x, p, q)  # the moves touch pair 0 only
+        for got, want, axis in zip(moved, (u1, u2, thetas, v1, v2), (2, 2, 1, 1, 1)):
+            same_bits(np.delete(got, 0, axis), np.delete(want, 0, axis))
+
+
+class TestCsFailures:
+    """Both input-dependent raise sites of the CS step, at every shape."""
+
+    @pytest.mark.parametrize("p,q", CS_SHAPES)
+    def test_non_orthogonal_input_fails_reassembly(self, p, q):
+        x = seeded_input(p, q, 0)
+        x = x + 1e-6 * np.random.default_rng(p + q).normal(size=x.shape)
+        with pytest.raises(DecompositionError, match="cosine-sine reassembly failed"):
+            cs_decompose_so(x, p, q)
+
+    @pytest.mark.parametrize("p,q", CS_SHAPES)
+    def test_determinant_minus_one_fails_normalization(self, p, q):
+        x = seeded_input(p, q, 0)
+        x[:, -1] *= -1.0
+        with pytest.raises(DecompositionError,
+                           match="determinant normalization of CS blocks failed"):
+            cs_decompose_so(x, p, q)
 
 
 class TestCsDecomposeSoStack:

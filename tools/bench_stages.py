@@ -20,6 +20,9 @@ For each dimension N and each repeat it times, in one process:
 and, once per repeat rather than per dimension,
 
   import_s           wall time of a fresh `python -c "import cartankak.cli"`
+  decompose_process_s
+                     wall time of a fresh `python -m cartankak.cli decompose
+                     --dim 4` process on a seeded SU(4) input file
 
 It reports the median of each stage over the repeats, plus the worst
 reconstruction_error seen, as JSON on stdout. The inputs depend only on N.
@@ -39,6 +42,7 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -84,12 +88,26 @@ def run_dim(ck, n):
     return stages, max(f.reconstruction_error for f in facts)
 
 
-def import_seconds(src):
-    """Wall time of a fresh interpreter that imports cartankak.cli from src."""
+def process_seconds(src, args):
+    """Wall time of a fresh interpreter run with args, importing cartankak from src."""
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    subprocess.run([sys.executable, "-c", "import cartankak.cli"], env=env, check=True)
-    return time.perf_counter() - start
+    result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    if result.returncode:
+        raise SystemExit(f"{' '.join(args)} exited {result.returncode}:\n{result.stderr}")
+    return seconds
+
+
+def decompose_process_seconds(ck, src, repeats):
+    """Median wall time of `cartankak.cli decompose --dim 4` in a fresh process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "u4.json"
+        u = ck._linalg.random_special_unitary(4, np.random.default_rng(SEED))
+        path.write_text(json.dumps(ck.serialize.matrix_to_json(u)))
+        args = ["-m", "cartankak.cli", "decompose", "--dim", "4", "--input", str(path),
+                "--output", str(Path(tmp) / "f4.json")]
+        return statistics.median(process_seconds(src, args) for _ in range(repeats))
 
 
 def main(argv=None):
@@ -105,10 +123,14 @@ def main(argv=None):
     import cartankak.cartan  # noqa: F401
     import cartankak.kak  # noqa: F401
     import cartankak.partition  # noqa: F401
+    import cartankak.serialize  # noqa: F401
     ck = sys.modules["cartankak"]
 
-    import_s = statistics.median(import_seconds(args.src) for _ in range(args.repeats))
-    print(f"import_s {import_s:.4g}", file=sys.stderr)
+    import_s = statistics.median(process_seconds(args.src, ["-c", "import cartankak.cli"])
+                                 for _ in range(args.repeats))
+    decompose_process_s = decompose_process_seconds(ck, args.src, args.repeats)
+    print(f"import_s {import_s:.4g}, decompose_process_s {decompose_process_s:.4g}",
+          file=sys.stderr)
     dims = [int(d) for d in args.dims.split(",")]
     per_dim, worst = {}, 0.0
     for n in dims:
@@ -128,6 +150,7 @@ def main(argv=None):
         "unitaries": UNITARIES,
         "seed": SEED,
         "import_s": import_s,
+        "decompose_process_s": decompose_process_s,
         "stages": per_dim,
         "worst_reconstruction_error": worst,
     }
