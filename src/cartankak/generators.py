@@ -15,7 +15,7 @@ applied on construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "commutator_symbolic",
     "hs_inner",
     "to_lambda_basis",
-    "from_lambda_terms",
     "parse_label",
     "site_factors",
     "standard_sites",
@@ -385,94 +384,37 @@ class CommutatorResult:
         return total
 
 
-def _norm_lambda(i, j, coef):
-    return (Lambda(min(i, j), max(i, j)), coef)
-
-
-def _norm_hat(i, j, coef):
-    if i < j:
-        return (LambdaHat(i, j), coef)
-    return (LambdaHat(j, i), -coef)
-
-
-def _norm_diag(k, l, coef):
-    if k < l:
-        return (Diag(k, l), coef)
-    return (Diag(l, k), -coef)
-
-
-def _delta(a, b):
-    return 1 if a == b else 0
-
-
-def _lambda_pair_terms(kind_a, i, j, kind_b, k, l):
-    """Terms of the off-diagonal/off-diagonal closed forms."""
-    terms = []
-    if kind_a == "l" and kind_b == "l":
-        # [lambda_ij, lambda_kl]: hatted results on the shared-index slots.
-        for (a, b), d in (((i, k), _delta(j, l)), ((i, l), _delta(j, k)),
-                          ((j, k), _delta(i, l)), ((j, l), _delta(i, k))):
-            if d and a != b:
-                terms.append(_norm_hat(a, b, 1j))
-    elif kind_a == "l" and kind_b == "h":
-        if (i, j) == (k, l):
-            return [_norm_diag(i, j, 2j)]
-        for (a, b), d, sgn in (((i, k), _delta(j, l), 1), ((i, l), _delta(j, k), -1),
-                               ((j, k), _delta(i, l), 1), ((j, l), _delta(i, k), -1)):
-            if d and a != b:
-                terms.append(_norm_lambda(a, b, sgn * 1j))
-    elif kind_a == "h" and kind_b == "l":
-        terms = [(lab, -coef) for lab, coef in _lambda_pair_terms("l", k, l, "h", i, j)]
-    elif kind_a == "h" and kind_b == "h":
-        for (a, b), d, sgn in (((i, k), _delta(j, l), 1), ((i, l), _delta(j, k), -1),
-                               ((j, k), _delta(i, l), -1), ((j, l), _delta(i, k), 1)):
-            if d and a != b:
-                terms.append(_norm_hat(a, b, sgn * 1j))
-    return terms
+_BUILDERS = {Lambda: _lambda_matrix, LambdaHat: _lambda_hat_matrix, Diag: _diag_matrix}
 
 
 def commutator_symbolic(a: Union[Generator, Label], b: Union[Generator, Label]) -> CommutatorResult:
     """Closed-form commutator of two lambda-basis labels.
 
-    Accepts Lambda, LambdaHat and Diag labels (or generators carrying them);
-    anything else is unsupported. Agrees with commutator_numeric entrywise.
+    Accepts Lambda, LambdaHat and Diag labels (or generators carrying them),
+    with distinct positive subscripts in either order. Their commutator is
+    zero or one term, so it is formed exactly on the at most four subscripts
+    involved and read off. Agrees with commutator_numeric entrywise.
     """
-    la = a.label if isinstance(a, Generator) else a
-    lb = b.label if isinstance(b, Generator) else b
-    for lab in (la, lb):
+    pair = [x.label if isinstance(x, Generator) else x for x in (a, b)]
+    for lab in pair:
         if not isinstance(lab, (Lambda, LambdaHat, Diag)):
             raise UnsupportedLabelError(f"not a lambda-basis label: {lab!r}")
-
-    def kind(lab):
-        return {"Lambda": "l", "LambdaHat": "h", "Diag": "d"}[type(lab).__name__]
-
-    ka, kb = kind(la), kind(lb)
-    raw = []
-    if ka == "d" and kb == "d":
-        raw = []
-    elif kb == "d":
-        i, j = (la.i, la.j)
-        k, l = (lb.k, lb.l)
-        sign_sum = -_delta(i, k) + _delta(i, l) + _delta(j, k) - _delta(j, l)
-        if ka == "l":
-            if sign_sum:
-                raw = [_norm_hat(i, j, 1j * sign_sum)]
-        else:
-            if sign_sum:
-                raw = [_norm_lambda(i, j, -1j * sign_sum)]
-    elif ka == "d":
-        flipped = commutator_symbolic(lb, la)
-        raw = [(lab, -coef) for coef, lab in flipped.terms]
-    else:
-        raw = _lambda_pair_terms(ka, la.i, la.j, kb, lb.i, lb.j)
-
-    merged = {}
-    for lab, coef in raw:
-        merged[lab] = merged.get(lab, 0j) + coef
-    terms = tuple(
-        (coef, lab) for lab, coef in merged.items() if abs(coef) > STRUCT_TOL
-    )
-    return CommutatorResult(terms)
+        if len(set(astuple(lab))) == 1 or min(astuple(lab)) < 1:
+            raise InvalidSubscriptError(f"{lab} needs two distinct positive subscripts")
+    involved = sorted(set(astuple(pair[0]) + astuple(pair[1])))
+    ma, mb = (_BUILDERS[type(lab)](*(involved.index(k) + 1 for k in astuple(lab)), len(involved))
+              for lab in pair)
+    c = ma @ mb - mb @ ma
+    rows, cols = np.nonzero(c)
+    if not len(rows):
+        return CommutatorResult(())
+    # The term's first entry: c[i, i] = coef for d_ij, else c[i, j] = coef for
+    # lambda_ij (imaginary) or -1j coef for lambdahat_ij (real).
+    r, s = rows[0], cols[0]
+    x = c[r, s]
+    kind = Diag if r == s else Lambda if x.real == 0 else LambdaHat
+    coef = complex(0.0, x.real if kind is LambdaHat else x.imag)
+    return CommutatorResult(((coef, kind(involved[r], involved[rows[1] if r == s else s])),))
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +449,3 @@ def to_lambda_basis(m: np.ndarray, tol: float = STRUCT_TOL) -> List[Tuple[float,
         if abs(c) > tol:
             terms.append((c, Diag(1, l)))
     return terms
-
-
-def from_lambda_terms(terms: Sequence[Tuple[float, Label]], dim: int) -> np.ndarray:
-    """Reassemble a matrix from (coefficient, label) pairs."""
-    m = np.zeros((dim, dim), dtype=complex)
-    for coef, label in terms:
-        m = m + coef * generator_from_label(label, dim).matrix
-    return m

@@ -175,49 +175,32 @@ def _locality_or_none(g: Generator) -> Optional[str]:
 # Frames: diagonalize the center, rotate t onto the antisymmetric generators
 # ---------------------------------------------------------------------------
 
-def _binary_phase_frame(n: int, images: Sequence[np.ndarray]):
+def _binary_phase_frame(n: int, images: np.ndarray):
     """Diagonal unitary V with V G V^dag antisymmetric-imaginary for all images.
 
-    Each off-diagonal slot carries a one-dimensional direction; solving
-    phi_i - phi_j = -pi/2 - arg(direction) (mod pi) over the slot graph gives
-    the per-index phases. Inconsistency means the structure is not conjugate
-    to a binary-partitioned one.
+    Each off-diagonal slot carries a one-dimensional direction, and V needs
+    phi_i - phi_j = delta_ij = -pi/2 - arg(direction) (mod pi). A level-1 t
+    covers every slot, so phi_j = -delta_0j; the other slots must agree mod
+    pi, or the structure is not conjugate to a binary-partitioned one.
     """
-    stack = np.array(images)
-    slots, _ = slot_support(stack, SOLVE_TOL)
-    deltas: Dict[Tuple[int, int], float] = {}
+    slots, _ = slot_support(images, SOLVE_TOL)
+    deltas = []
     for i, j in slots:
-        z = stack[:, i, j]
+        z = images[:, i, j]
         delta = (-np.pi / 2.0 - np.angle(z[np.abs(z) >= SOLVE_TOL])) % np.pi
         diff = np.abs(delta - delta[0])
         if np.any(np.minimum(diff, np.abs(diff - np.pi)) > PHASE_TOL):
             raise DecompositionError(f"slot ({i + 1},{j + 1}) carries two phase directions")
-        deltas[(i, j)] = delta[0]
+        deltas.append(delta[0])
+    if len(slots) != n * (n - 1) // 2:
+        raise DecompositionError("t does not span so(N) in the frame")
+    rows, cols = np.array(slots).T
     phi = np.zeros(n)
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        while queue:
-            a = queue.pop()
-            for (i, j), delta in deltas.items():
-                if a not in (i, j):
-                    continue
-                b = j if a == i else i
-                want = delta if a == i else (-delta) % np.pi
-                if not seen[b]:
-                    phi[b] = phi[a] - want
-                    seen[b] = True
-                    queue.append(b)
-                else:
-                    diff = (phi[a] - phi[b] - want) % np.pi
-                    if min(diff, np.pi - diff) > PHASE_TOL:
-                        raise DecompositionError(
-                            "slot phases are inconsistent; structure is not "
-                            "binary-partitioned in any diagonal gauge"
-                        )
+    phi[1:] -= deltas[: n - 1]  # slots (0, 1) .. (0, n - 1) come first
+    diff = (phi[rows] - phi[cols] - deltas) % np.pi
+    if np.any(np.minimum(diff, np.pi - diff) > PHASE_TOL):
+        raise DecompositionError("slot phases are inconsistent; structure is not "
+                                 "binary-partitioned in any diagonal gauge")
     return np.diag(np.exp(1j * phi))
 
 
@@ -233,34 +216,29 @@ class _Frame:
 
 
 def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
-    n = qa.dim
     u_a = diagonalize_abelian(qa.center)
     raw_images = {
-        lab: [u_a @ g.matrix @ dagger(u_a) for g in sp.generators]
+        lab: np.array([u_a @ g.matrix @ dagger(u_a) for g in sp.generators])
         for lab, sp in spaces.items()
     }
-    v = _binary_phase_frame(n, [g for images in raw_images.values() for g in images])
-    f = v @ u_a
-    slots: Dict[str, Tuple[Tuple[int, int], ...]] = {}
-    taken = set()
+    slots = {lab: slot_support(images, SOLVE_TOL)[0] for lab, images in raw_images.items()}
     for lab, images in raw_images.items():
-        rotated = [v @ g @ dagger(v) for g in images]
-        ss, _ = slot_support(rotated, SOLVE_TOL)
-        if len(ss) != len(images):
+        if len(slots[lab]) != len(images):
             raise DecompositionError(
-                f"space {lab} covers {len(ss)} slots for {len(images)} generators"
+                f"space {lab} covers {len(slots[lab])} slots for {len(images)} generators"
             )
-        for g in rotated:
+    every = [s for ss in slots.values() for s in ss]
+    if len(set(every)) != len(every):
+        raise DecompositionError("two chosen spaces overlap on a slot")
+    v = _binary_phase_frame(qa.dim, np.concatenate(list(raw_images.values())))
+    for lab, images in raw_images.items():
+        for g in v @ images @ dagger(v):
             resid = frob(g + g.T) + frob(np.diag(np.diag(g)))
             if resid > SOLVE_TOL * max(1.0, frob(g)):
                 raise DecompositionError(
                     f"space {lab} image is not antisymmetric in the frame"
                 )
-        if taken & set(ss):
-            raise DecompositionError("two chosen spaces overlap on a slot")
-        taken |= set(ss)
-        slots[lab] = ss
-    return _Frame(matrix=f, slots=slots)
+    return _Frame(matrix=v @ u_a, slots=slots)
 
 
 # ---------------------------------------------------------------------------

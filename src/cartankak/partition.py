@@ -613,35 +613,14 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
 # Removing process
 # ---------------------------------------------------------------------------
 
-def _truncate_generator(g: Generator, n_target: int) -> Optional[Generator]:
-    terms = gen.to_lambda_basis(g.matrix)
-    kept = [(c, lab) for c, lab in terms if _max_subscript(lab) <= n_target]
-    if not kept:
-        return None
-    dropped = len(kept) != len(terms)
-    m = gen.from_lambda_terms(kept, n_target)
-    if frob(m) < STRUCT_TOL:
-        return None
-    label = None
-    if not dropped and len(kept) == 1 and abs(kept[0][0] - 1.0) < STRUCT_TOL:
-        label = kept[0][1]
-    return Generator(label, n_target, m)
-
-
-def _max_subscript(label) -> int:
-    if isinstance(label, (Lambda, LambdaHat)):
-        return max(label.i, label.j)
-    if isinstance(label, Diag):
-        return max(label.k, label.l)
-    raise NotBinaryPartitionedError("generator is not in the lambda representation")
-
-
 def removing_process(qa: QuotientAlgebra, n_target: int) -> QuotientAlgebra:
     """Truncate a su(2^p) quotient algebra to su(N), 2^(p-1) < N <= 2^p.
 
-    Deletes every generator carrying a subscript above N, then removes the
-    now-zero rows and columns. The pair count and labels survive; closure is
-    inherited from the larger algebra.
+    Deletes every lambda-basis term with a subscript above N: each generator
+    keeps m[:N, :N], with entry (0, 0) reset to -trace(m[1:N, 1:N]) (the kept
+    d_1l terms). Generators that cut to zero drop out; one left whole keeps a
+    Lambda, LambdaHat or d(1, l) label. The pair count and labels survive;
+    closure is inherited from the larger algebra.
     """
     two_p = 1 << qa.p
     if qa.dim != two_p:
@@ -653,9 +632,17 @@ def removing_process(qa: QuotientAlgebra, n_target: int) -> QuotientAlgebra:
     if n_target == qa.dim:
         return qa
 
+    def cut(g: Generator) -> Optional[Generator]:
+        m = g.matrix[:n_target, :n_target] + 0.0  # a copy; + 0.0 also makes every -0.0 entry 0.0
+        m[0, 0] = 0.0 - np.trace(m[1:, 1:])
+        if frob(m) < STRUCT_TOL:
+            return None
+        whole = not np.any(g.matrix[n_target:])  # g is Hermitian: these rows hold every cut entry
+        basis = isinstance(g.label, (Lambda, LambdaHat)) or isinstance(g.label, Diag) and g.label.k == 1
+        return Generator(g.label if whole and basis else None, n_target, m)
+
     def cut_space(space: AbelianSpace) -> AbelianSpace:
-        kept = [_truncate_generator(g, n_target) for g in space.generators]
-        kept = [g for g in kept if g is not None]
+        kept = [g for g in map(cut, space.generators) if g is not None]
         if not kept:
             raise ClosureViolationError("a conjugate space vanished under removal")
         # Independent survivors only (superposed entries can collapse together).

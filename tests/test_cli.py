@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -80,6 +81,34 @@ class TestSplits:
         assert payload["choice_bits"] == "011"
         sel = {s["label"]: s["hat"] for s in payload["t"]}
         assert sel["101"] is False and sel["111"] is True
+
+
+# sha256 of the artifacts as first pinned. They hold labels and bits only, no
+# floating-point values, so their bytes do not depend on the BLAS build.
+PINNED_ARTIFACTS = {
+    (4, "partition json"): "c992592fc120e065bfb5ac486a79127c36c6d787e6467e688effa091dfbd8887",
+    (4, "partition table"): "c2aae458c3d66134438227d60172b152d9697ccf8a9a085245bb7aa5950517fb",
+    (4, "splits"): "4476bce1b1dff3774c86c4d667ce87329e982278b3ece618d9e29c69efe8fcf0",
+    (9, "partition json"): "6d7b98208d56f3bfc39a24cb694936f6944d62cd2e3b8643b1d7c388b68c3596",
+    (9, "partition table"): "b09b9dba7d6e9b796c5ad206b2f35283bd51559065eaa273b237a8279d47d5d9",
+    (9, "splits"): "63d9275a286bb8843555ee6ce3e7b324395f94ab35c0f5d27ca11e8a66da9675",
+    (12, "partition json"): "5088f37c9cf00a41e89acff9fefd130ff6c6d36d66b345a8558c37d5d666785f",
+    (12, "partition table"): "7a6f95cec47b98f57a75bf79a6a45f6f4610f470b2841f604394abafbd58a096",
+    (12, "splits"): "5f398ba44907d22dd40fee329f9dc5b2f0a78094b765baada8c011539e259631",
+    (16, "partition json"): "40aed6f0ec42567451871eb1c40207e7f3eefa57b812504a596528fc2f7e5c17",
+    (16, "partition table"): "5da1d4cb61dca8336a5a04f5934d0956b72ef6ef8805b51972d9c7eeb6c9acf5",
+    (16, "splits"): "5d3d4c1f99841e244545642195ac3b59ec510a45aebfce3af9267d381ea0c9c9",
+}
+
+
+class TestPinnedArtifacts:
+    @pytest.mark.parametrize("n, kind", sorted(PINNED_ARTIFACTS))
+    def test_byte_identical_to_the_pin(self, n, kind, tmp_path):
+        out = tmp_path / "artifact"
+        command, *fmt = kind.split()
+        args = [command, "--dim", str(n), "--output", str(out)]
+        assert main(args + (["--format", *fmt] if fmt else [])) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_ARTIFACTS[n, kind]
 
 
 class TestMaximalAbelian:

@@ -13,12 +13,12 @@ from cartankak.errors import (
 )
 from cartankak.generators import (
     Diag,
+    Generator,
     Lambda,
     LambdaHat,
     OrthoDiag,
     commutator_numeric,
     commutator_symbolic,
-    from_lambda_terms,
     generator_from_label,
     hs_inner,
     make_diag,
@@ -40,6 +40,29 @@ def all_lambda_labels(n):
         for j in range(i + 1, n + 1):
             labels += [Lambda(i, j), LambdaHat(i, j), Diag(i, j)]
     return labels
+
+
+def ordered_lambda_generators(n):
+    """Every kind on every ordered subscript pair, with the matrix its convention
+    gives: lambda_ji = lambda_ij, lambdahat_ji = -lambdahat_ij, d_ji = -d_ij."""
+    gens = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            lam, hat, diag = (np.zeros((n, n), dtype=complex) for _ in range(3))
+            lam[i, j] = lam[j, i] = 1.0
+            hat[i, j], hat[j, i] = -1j, 1j
+            diag[i, i], diag[j, j] = 1.0, -1.0
+            gens += [Generator(Lambda(i + 1, j + 1), n, lam),
+                     Generator(LambdaHat(i + 1, j + 1), n, hat),
+                     Generator(Diag(i + 1, j + 1), n, diag)]
+    return gens
+
+
+def reassemble(terms, n):
+    return sum((c * generator_from_label(label, n).matrix for c, label in terms),
+               np.zeros((n, n), dtype=complex))
 
 
 class TestConstructors:
@@ -173,15 +196,27 @@ class TestCommutatorSymbolic:
                 for coef, _ in commutator_symbolic(la, lb).terms:
                     assert abs(coef.real) < 1e-15
 
+    def test_reversed_subscripts_on_one_slot(self):
+        assert commutator_symbolic(Lambda(1, 2), LambdaHat(2, 1)).terms == ((-2j, Diag(1, 2)),)
+        assert commutator_symbolic(Lambda(2, 1), LambdaHat(1, 2)).terms == ((2j, Diag(1, 2)),)
+
+    @pytest.mark.parametrize("label", [Lambda(1, 1), Lambda(0, 2), LambdaHat(3, 3),
+                                       LambdaHat(-1, 2), Diag(2, 2), Diag(2, 0)])
+    def test_invalid_subscripts_rejected(self, label):
+        with pytest.raises(InvalidSubscriptError):
+            commutator_symbolic(label, Lambda(1, 2))
+        with pytest.raises(InvalidSubscriptError):
+            commutator_symbolic(Lambda(1, 2), label)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_numeric_exhaustively(self, n):
-        labels = all_lambda_labels(n)
-        gens = {l: generator_from_label(l, n) for l in labels}
-        for la in labels:
-            for lb in labels:
-                sym = commutator_symbolic(la, lb).matrix(n)
-                num = commutator_numeric(gens[la], gens[lb])
-                assert np.linalg.norm(sym - num) < 1e-12
+        # Every ordered subscript pair; the entries are 0, +-1, +-i, +-2i, so exactly.
+        gens = ordered_lambda_generators(n)
+        for a in gens:
+            for b in gens:
+                result = commutator_symbolic(a, b)
+                assert len(result.terms) <= 1
+                np.testing.assert_array_equal(result.matrix(n), commutator_numeric(a, b))
 
 
 class TestHSInner:
@@ -232,9 +267,7 @@ class TestLambdaBasisExpansion:
         got = {str(lab): c for c, lab in to_lambda_basis(m)}
         for key, val in got.items():
             assert abs(val - expected[key]) < 1e-12
-        np.testing.assert_allclose(
-            from_lambda_terms(to_lambda_basis(m), 4), m, atol=1e-12
-        )
+        np.testing.assert_allclose(reassemble(to_lambda_basis(m), 4), m, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 6, 8])
     def test_round_trip_random(self, n):
@@ -242,9 +275,7 @@ class TestLambdaBasisExpansion:
         z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         m = (z + z.conj().T) / 2.0
         m -= np.trace(m) / n * np.eye(n)
-        np.testing.assert_allclose(
-            from_lambda_terms(to_lambda_basis(m), n), m, atol=1e-12
-        )
+        np.testing.assert_allclose(reassemble(to_lambda_basis(m), n), m, atol=1e-12)
 
 
 @st.composite

@@ -185,6 +185,17 @@ class TestKakSingleLevel:
         with pytest.raises(DecompositionError, match=r"^t does not span so\(N\) in the frame$"):
             kak_single_level(u, bad)
 
+    def test_t_with_a_dependent_generator(self, word_qa):
+        # Every slot is covered, each space once, but t has rank N(N-1)/2 - 1.
+        split = build_cartan_split(word_qa(4), "00")
+        first = split.t[0]
+        g = first.generators[0]
+        doubled = AbelianSpace((g, Generator(None, 4, 2.0 * g.matrix)), first.hat, first.binary_label)
+        bad = dataclasses.replace(split, t=(doubled,) + split.t[1:])
+        u = random_special_unitary(4, np.random.default_rng(4))
+        with pytest.raises(DecompositionError, match=r"^t does not span so\(N\) in the frame$"):
+            kak_single_level(u, bad)
+
     def test_abelian_part_outside_a_smaller_center(self, word_qa):
         qa = word_qa(4)
         split = build_cartan_split(qa, "00")

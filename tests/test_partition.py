@@ -7,6 +7,7 @@ from cartankak import partition, serialize
 from cartankak._linalg import frob, random_special_unitary, span_rows, spans_equal
 from cartankak.errors import (
     BasisNotClosedError,
+    ClosureViolationError,
     InvalidSubscriptError,
     NotAbelianError,
     NotBinaryPartitionedError,
@@ -294,6 +295,38 @@ class TestRemovingProcess:
             removing_process(lambda_qa(8), 4)
         with pytest.raises(InvalidSubscriptError):
             removing_process(lambda_qa(8), 9)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_word_algebra_cuts_to_the_lambda_structure(self, n, word_qa):
+        # Word generators reach past row n, so every cut one loses its label.
+        removed, direct = removing_process(word_qa(8), n), intrinsic_quotient_algebra(n)
+        assert [p.binary_label for p in removed.pairs] == [p.binary_label for p in direct.pairs]
+        for a, b in zip(_spaces(removed), _spaces(direct), strict=True):
+            assert len(a) == len(b) and spans_equal(a.matrices, b.matrices)
+            assert all(g.label is None for g in a.generators)
+        assert verify_closure(removed).passed
+
+    @staticmethod
+    def _one_pair_su4(w, w_hat):
+        pair = ConjugatePair(w=AbelianSpace(tuple(w)), w_hat=AbelianSpace(tuple(w_hat)),
+                             binary_label="01")
+        return QuotientAlgebra(center=intrinsic_center(4), pairs=(pair,), dim=4, p=2)
+
+    def test_space_that_vanishes(self):
+        qa = self._one_pair_su4([make_lambda(3, 4, 4)], [make_lambda_hat(1, 2, 4)])
+        with pytest.raises(ClosureViolationError, match="^a conjugate space vanished under removal$"):
+            removing_process(qa, 3)
+
+    def test_pair_sizes_that_diverge(self):
+        qa = self._one_pair_su4([make_lambda(1, 2, 4), make_lambda(3, 4, 4)],
+                                [make_lambda_hat(1, 2, 4), make_lambda_hat(1, 3, 4)])
+        with pytest.raises(ClosureViolationError, match="^pair sizes diverged during removal$"):
+            removing_process(qa, 3)
+
+    def test_too_few_generators_kept(self):
+        qa = self._one_pair_su4([make_lambda(1, 2, 4)], [make_lambda_hat(1, 2, 4)])
+        with pytest.raises(ClosureViolationError, match="^removal kept 4 generators, expected 8$"):
+            removing_process(qa, 3)
 
 
 class TestSubscriptTable:
