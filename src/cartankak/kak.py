@@ -341,10 +341,15 @@ class _Block:
     space: AbelianSpace
     localities: Tuple[Optional[str], ...]
     coefficients: np.ndarray  # level 1: diagonals of the images; else _slot_coefficients
+    support: np.ndarray  # flat positions where some generator matrix is nonzero
+    values: np.ndarray  # values[a]: generator a's entries at those positions
 
     @classmethod
     def of(cls, space: AbelianSpace, coefficients: np.ndarray) -> "_Block":
-        return cls(space, tuple(_locality_or_none(g) for g in space.generators), coefficients)
+        flat = np.reshape(space.matrices, (len(space.generators), -1))
+        support = np.flatnonzero(np.any(flat != 0, axis=0))
+        return cls(space, tuple(_locality_or_none(g) for g in space.generators), coefficients,
+                   support, flat[:, support])
 
     def factors(self, idx: str, angles: Sequence[float]) -> Tuple[GateFactor, ...]:
         """One GateFactor per angle not below ANGLE_PRUNE_TOL, numbered from 1."""
@@ -360,30 +365,35 @@ class _Block:
 
 
 @dataclass(frozen=True)
-class _CSLayout:
-    """One component's CS step: row b1[m] pairs with row b2[m] across a center slot.
+class _CSGroup:
+    """The CS steps of a level's components whose blocks split the same p + q rows.
 
-    The index tuples lead with a slice, so they select from a stack of nodes.
+    Row l of each array belongs to one component: row b1[l, m] pairs with
+    row b2[l, m] across a center slot, and the block's rows are order[l].
     """
 
-    b1: List[int]
-    b2: List[int]
-    block: tuple  # [:, b1 + b2, b1 + b2]
-    outside: tuple  # [:, b1 + b2, the columns outside the component]
-    rows1: tuple  # [:, b1, b1]
-    rows2: tuple  # [:, b2, b2]
-    theta_at: np.ndarray  # position of theta m's slot among the level's center slots
-    theta_sign: np.ndarray  # -1 where b1[m] < b2[m], else +1
+    order: np.ndarray  # (L, p + q): b1 then b2
+    outside: np.ndarray  # (L, N - p - q): the columns outside the component
+    b1: np.ndarray  # (L, p)
+    b2: np.ndarray  # (L, q)
+    theta_at: np.ndarray  # (L, min(p, q)): position of theta m's slot among the center slots
+    theta_sign: np.ndarray  # (L, min(p, q)): -1 where b1 < b2, else +1
+
+
+def _square(rows: np.ndarray) -> tuple:
+    """Index of the (L, k, k) blocks rows[l] x rows[l], for every node of a stack."""
+    return slice(None), rows[:, :, None], rows[:, None, :]
 
 
 class _Plan:
     """What recursive_decompose needs of a sequence, built once per sequence.
 
-    Holds the frame, the index components at every level, the CS layout of
-    every component, for every abelian block its coefficient matrix and its
-    generators' localities, and the order in which the tree's nodes are
-    emitted. Building it runs the checks that depend only on the sequence;
-    the level pass (_walk) runs the ones that depend on the input.
+    Holds the frame, the index components at every level, the CS groups of
+    every level (its components stacked by block shape), for every abelian
+    block its coefficient matrix, generator entries and localities, and the
+    order in which the tree's nodes are emitted. Building it runs the checks
+    that depend only on the sequence; the level pass (_walk) runs the ones
+    that depend on the input.
     """
 
     def __init__(self, seq: DecompositionSequence, frame: _Frame):
@@ -398,13 +408,16 @@ class _Plan:
         self.blocks = {1: _Block.of(
             level1, np.array([np.real(np.diag(frame.image(g))) for g in level1.generators])
         )}
-        self.units, self.layouts = {}, {}  # single-row components; CS layouts of the rest
+        self.units, self.groups = {}, {}  # single-row components; CS groups of the rest
         for level in range(2, self.p + 1):
             spec, comps = seq.levels[level - 1], self.components[level - 1]
             center_slots = frame.slots[spec.label]
             self.units[level] = np.array([c[0] for c in comps if len(c) == 1], dtype=int)
-            self.layouts[level] = [
-                self._layout(c, center_slots, level) for c in comps if len(c) > 1
+            shapes: Dict[Tuple[int, int], list] = {}  # (p, q) -> the fields of its components
+            for fields in (self._layout(c, center_slots, level) for c in comps if len(c) > 1):
+                shapes.setdefault((len(fields[2]), len(fields[3])), []).append(fields)
+            self.groups[level] = [
+                _CSGroup(*(np.array(field) for field in zip(*same))) for same in shapes.values()
             ]
             self.blocks[level] = self._slot_block(spec.center_core, center_slots)
         final_slots = frame.slots[seq.final.binary_label]
@@ -427,8 +440,8 @@ class _Plan:
             )
         return _Block.of(space, c)
 
-    def _layout(self, comp: List[int], center_slots, level: int) -> _CSLayout:
-        """CS layout of a component of level - 1 at `level`, or raise."""
+    def _layout(self, comp: List[int], center_slots, level: int) -> tuple:
+        """The _CSGroup fields of one component of level - 1 at `level`, or raise."""
         branch = "L" * (level - 1)  # the first branch of the tree that reaches the level
         subs = [c for c in self.components[level] if set(c) <= set(comp)]
         if len(subs) == 1:
@@ -462,18 +475,14 @@ class _Plan:
             )
         b1 += sorted(side1 - set(b1))
         b2 += sorted(side2 - set(b2))
-        order = b1 + b2
         pairs = list(zip(b1, b2))
-        every = (slice(None),)
-        return _CSLayout(
-            b1=b1,
-            b2=b2,
-            block=every + np.ix_(order, order),
-            outside=every + np.ix_(order, [c for c in range(self.n) if c not in comp]),
-            rows1=every + np.ix_(b1, b1),
-            rows2=every + np.ix_(b2, b2),
-            theta_at=np.array([center_slots.index((min(i, j), max(i, j))) for i, j in pairs]),
-            theta_sign=np.array([-1.0 if i < j else 1.0 for i, j in pairs]),
+        return (
+            b1 + b2,
+            np.array([c for c in range(self.n) if c not in comp], dtype=int),  # int if empty
+            b1,
+            b2,
+            [center_slots.index((min(i, j), max(i, j))) for i, j in pairs],
+            [-1.0 if i < j else 1.0 for i, j in pairs],
         )
 
 
@@ -498,22 +507,31 @@ def _cs_level(plan: _Plan, level: int, nodes: np.ndarray) -> Tuple[np.ndarray, n
     """Angles of every node of a level, and the stack of the next level's nodes.
 
     nodes[j] is node j of the level; its K1 and K2 become nodes 2j and 2j + 1.
-    Each CS layout runs as one stacked cs_decompose_so over all nodes.
+    The level's checks run first, on every node. Then each CS group runs as one
+    cs_decompose_so over the (B * L, p + q, p + q) stack of its blocks, node by
+    node and component by component, so a level makes one call per block shape.
     """
     units = plan.units[level]
     _check_nodes(np.any(np.abs(nodes[:, units, units] - 1.0) > SOLVE_TOL, axis=1),
                  f"level {level}", level, "unit block is not the identity")
+    leaks = [(np.linalg.norm(nodes[:, g.order[:, :, None], g.outside[:, None, :]], axis=(2, 3))
+              > SOLVE_TOL).any(axis=1) for g in plan.groups[level]]
+    _check_nodes(np.any(leaks, axis=0), f"level {level}", level,
+                 "block leaks outside its component")
     c = plan.blocks[level].coefficients
     phi = np.zeros((len(nodes), c.shape[1]))
     children = np.tile(np.eye(plan.n), (len(nodes), 2, 1, 1))
     k1, k2 = children[:, 0], children[:, 1]
-    for cs in plan.layouts[level]:
-        _check_nodes(np.linalg.norm(nodes[cs.outside], axis=(1, 2)) > SOLVE_TOL,
-                     f"level {level}", level, "block leaks outside its component")
-        u1, u2, thetas, v1, v2 = cs_decompose_so(nodes[cs.block], len(cs.b1), len(cs.b2))
-        phi[:, cs.theta_at] = cs.theta_sign * thetas
-        k1[cs.rows1], k1[cs.rows2] = u1, u2
-        k2[cs.rows1], k2[cs.rows2] = v1, v2
+    for g in plan.groups[level]:
+        m = g.order.shape[1]
+        blocks = nodes[_square(g.order)].reshape(-1, m, m)
+        u1, u2, thetas, v1, v2 = (
+            x.reshape((len(nodes), -1) + x.shape[1:])
+            for x in cs_decompose_so(blocks, g.b1.shape[1], g.b2.shape[1])
+        )
+        phi[:, g.theta_at] = g.theta_sign * thetas
+        k1[_square(g.b1)], k1[_square(g.b2)] = u1, u2
+        k2[_square(g.b1)], k2[_square(g.b2)] = v1, v2
     return _solve_expansion(c, phi), children.reshape(-1, plan.n, plan.n)
 
 
@@ -536,10 +554,13 @@ def _walk(plan: _Plan, u_su: np.ndarray) -> Tuple[List[AbelianBlock], np.ndarray
     """One input's abelian blocks in in-order tree position, and their exponents.
 
     Level k is a (2^(k-1), N, N) stack of orthogonal nodes; level 2 is
-    [O1, O2] from the single-level split. When several nodes fail, the one
-    reported is on the shallowest failing level, not the first in depth-first
-    order. The exponents are sum(angle * generator) of each block with
-    factors, as an (m, N, N) stack in the blocks' order.
+    [O1, O2] from the single-level split, and each CS level makes one
+    cs_decompose_so call per block shape (_cs_level). When several nodes
+    fail, the one reported is on the shallowest failing level, not the first
+    in depth-first order. The exponents are sum(angle * generator) of each
+    block with factors, as an (m, N, N) stack in the blocks' order; each
+    level's are formed at once, on the entries where its block's generators
+    are nonzero.
     """
     o1, lam, o2 = _ai_step(plan.frame.matrix @ u_su @ plan.frame_dag)
     omegas = {1: _solve_diagonal_expansion(plan.blocks[1].coefficients, lam)[None]}
@@ -554,12 +575,15 @@ def _walk(plan: _Plan, u_su: np.ndarray) -> Tuple[List[AbelianBlock], np.ndarray
     ]
     exponents = {}
     for level, w in omegas.items():
-        # Term by term in generator order, so each exponent has the bits of a
-        # per-block sum(f.angle * f.generator.matrix); a pruned angle adds zeros.
-        exponents[level] = np.zeros((len(w), plan.n, plan.n), dtype=complex)
-        for angles, g in zip(np.where(np.abs(w) < ANGLE_PRUNE_TOL, 0.0, w).T,
-                             plan.blocks[level].space.generators):
-            exponents[level] += angles[:, None, None] * g.matrix
+        # Each exponent has the bits of a per-block sum(f.angle * f.generator.matrix):
+        # on the block's support, terms are added one by one in generator order
+        # after a leading 0 (accumulate is sequential, where reduce may sum
+        # pairwise); off it every term is a zero, so the sum stays +0.
+        block = plan.blocks[level]
+        terms = np.where(np.abs(w) < ANGLE_PRUNE_TOL, 0.0, w).T[:, :, None] * block.values[:, None]
+        terms = np.concatenate([np.zeros((1,) + terms.shape[1:]), terms])
+        exponents[level] = np.zeros((len(w), plan.n * plan.n), dtype=complex)
+        exponents[level][:, block.support] = np.add.accumulate(terms, axis=0)[-1]
     kept = [exponents[level][j] for (level, j, _), b in zip(plan.order, blocks) if b.factors]
     return blocks, np.reshape(kept, (len(kept), plan.n, plan.n))
 
@@ -572,7 +596,7 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
     order (2^(k-1) blocks at level k, 2^p leaves). The returned factor list
     reassembles to the input within the stored reconstruction error.
 
-    The first call along `seq` builds its plan (frame, components, CS layouts,
+    The first call along `seq` builds its plan (frame, components, CS groups,
     coefficient matrices, localities) and later calls reuse it.
     """
     u = np.asarray(u, dtype=complex)

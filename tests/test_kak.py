@@ -622,26 +622,33 @@ class TestPlanBuildChecks:
 
 
 class TestLevelPass:
-    """The tree is walked one level at a time: one stacked CS step per level and layout."""
+    """The tree is walked one level at a time: one stacked CS step per level and block shape.
+
+    The components of a level whose blocks split the same p + q rows form one
+    group; its CS stack holds every node's block of every member, node-major.
+    """
 
     @staticmethod
     def counted(monkeypatch, owner, name):
         calls = []
         original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a: calls.append(1) or original(*a))
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or original(*a))
         return calls
 
-    @pytest.mark.parametrize("n", [9, 16])
-    def test_seven_cs_calls_per_unitary(self, n, std_seq, monkeypatch):
-        # p = 4 at both: levels 2, 3 and 4 have 1, 2 and 4 layouts; the
-        # depth-first walk made 2 * 1 + 4 * 2 + 8 * 4 = 42 calls.
+    @pytest.mark.parametrize("n, shapes", [
+        # Levels 2, 3 and 4 have 1, 2 and 4 components of one shape each.
+        (16, [(2, 16, 16), (8, 8, 8), (32, 4, 4)]),
+        # Blocks of 9 rows split 5 + 4, so levels 3 and 4 have two shapes each.
+        (9, [(2, 9, 9), (4, 5, 5), (4, 4, 4), (8, 3, 3), (24, 2, 2)]),
+    ], ids=["16", "9"])
+    def test_one_cs_call_per_level_and_block_shape(self, n, shapes, std_seq, monkeypatch):
         seq = std_seq(n)
         rng = np.random.default_rng(90 + n)
         recursive_decompose(random_special_unitary(n, rng), seq)
         calls = self.counted(monkeypatch, kak, "cs_decompose_so")
         fact = recursive_decompose(random_special_unitary(n, rng), seq)
         assert fact.reconstruction_error < 1e-8
-        assert len(calls) == 7
+        assert [x.shape for x, _, _ in calls] == shapes
 
     def test_few_determinants_per_unitary(self, std_seq, monkeypatch):
         seq = std_seq(16)
@@ -653,19 +660,18 @@ class TestLevelPass:
         assert len(calls) <= 20
 
     def test_failing_leaf_names_its_branch(self, std_seq, monkeypatch):
-        # At N=8 level 3 is the last CS level: 4 nodes, 2 layouts. Spoiling u1
-        # of node 2 (branch RL) in the first layout puts its K1, leaf 4, off
-        # the final torus.
+        # At N=8 level 3 is the last CS level: 4 nodes, 2 components of one
+        # shape, so one (8, 4, 4) stack. Spoiling u1 of node 2 (branch RL) in
+        # the first component, item 2 * 2 + 0, puts its K1, leaf 4, off the
+        # final torus.
         original = kak.cs_decompose_so
 
         def spoiled(x, p, q):
             u1, u2, thetas, v1, v2 = original(x, p, q)
-            if len(x) == 4 and not spoiled.done:
-                u1[2] *= 1.5
-                spoiled.done = True
+            if len(x) == 8:
+                u1[4] *= 1.5
             return u1, u2, thetas, v1, v2
 
-        spoiled.done = False
         monkeypatch.setattr(kak, "cs_decompose_so", spoiled)
         u = random_special_unitary(8, np.random.default_rng(92))
         message = ("^decomposition failed: final level, branch RLL: "
@@ -685,6 +691,71 @@ class TestLevelPass:
         with pytest.raises(DecompositionError, match=message):
             kak._cs_level(plan, 3, np.array([np.eye(8), leaking]))
 
+    @staticmethod
+    def leak_in_second_component(plan, level):
+        """Identity with one entry of the second component's rows outside it."""
+        (group,) = plan.groups[level]
+        node = np.eye(plan.n)
+        node[group.order[1, 0], group.outside[1, 0]] = 0.5
+        return node
+
+    def test_leak_in_second_component_of_a_group(self, std_seq):
+        seq = std_seq(8)
+        recursive_decompose(np.eye(8), seq)
+        plan = kak._PLANS[seq]
+        leaking = self.leak_in_second_component(plan, 3)
+        message = "^level 3, branch LR: block leaks outside its component$"
+        with pytest.raises(DecompositionError, match=message):
+            kak._cs_level(plan, 3, np.array([np.eye(8), leaking]))
+
+    def test_leak_checks_run_before_the_cs_calls(self, std_seq):
+        # Node 0 has a NaN inside its first block, which the CS step rejects,
+        # and node 1 leaks from its second block. Every leak check of a level
+        # runs before its CS calls, so the leak is what gets reported.
+        seq = std_seq(8)
+        recursive_decompose(np.eye(8), seq)
+        plan = kak._PLANS[seq]
+        first = plan.groups[3][0].order[0]
+        spoiled = np.eye(8)
+        spoiled[first[0], first[1]] = np.nan
+        with pytest.raises(InvalidMatrixError, match="requires a finite matrix"):
+            kak._cs_level(plan, 3, np.array([spoiled, np.eye(8)]))
+        leaking = self.leak_in_second_component(plan, 3)
+        message = "^level 3, branch LR: block leaks outside its component$"
+        with pytest.raises(DecompositionError, match=message):
+            kak._cs_level(plan, 3, np.array([spoiled, leaking]))
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_level_exponents_are_the_per_factor_sums(self, n, std_seq):
+        """The stacked exponents have the bits of each block's term-by-term sum."""
+        seq = std_seq(n)
+        u_su, _ = ingest_unitary(random_special_unitary(n, np.random.default_rng(97 + n)))
+        recursive_decompose(u_su, seq)
+        blocks, exponents = kak._walk(kak._PLANS[seq], u_su)
+        sums = [sum(f.angle * f.generator.matrix for f in b.factors) for b in blocks if b.factors]
+        assert len(sums) == len(exponents)
+        for got, want in zip(exponents, sums):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("algebra", [standard_quotient_algebra, intrinsic_quotient_algebra])
+    def test_stacking_leaves_every_output_unchanged(self, algebra, monkeypatch):
+        """Item b of a CS stack is bit for bit the item run alone."""
+        original = kak.cs_decompose_so
+
+        def one_by_one(x, p, q):
+            items = [original(x[b], p, q) for b in range(len(x))]
+            return tuple(np.stack(parts) for parts in zip(*items))
+
+        for n in range(2, 17):
+            seq = build_decomposition_sequence(algebra(n))
+            rng = np.random.default_rng(1400 + n)
+            us = [np.exp(0.7j) * random_special_unitary(n, rng) for _ in range(2)]
+            stacked = [recursive_decompose(u, seq) for u in us]
+            with monkeypatch.context() as m:
+                m.setattr(kak, "cs_decompose_so", one_by_one)
+                alone = [recursive_decompose(u, seq) for u in us]
+            assert alone == stacked
+
     def test_emit_order_is_in_order_tree_position(self, std_seq):
         u = random_special_unitary(16, np.random.default_rng(93))
         fact = recursive_decompose(u, std_seq(16))
@@ -692,6 +763,60 @@ class TestLevelPass:
         assert positions == list(range(1, 32))
         for b in fact.blocks:
             assert (int(b.tree_index, 2) & -int(b.tree_index, 2)) == 1 << (5 - b.level)
+
+
+class TestGuardsAreReached:
+    """Each input-dependent check of the level pass fires on an input made to fail it."""
+
+    def test_unit_rows_with_a_top_label_center(self, std_seq):
+        # At N=9 only row 8 has the top bit. With label 1000 as the level-2
+        # center, the level-2 t keeps the labels below 1000, none of which
+        # reaches row 8, so row 8 is a single-row component at levels 2..4.
+        qa = standard_quotient_algebra(9)
+        seq = build_decomposition_sequence(qa, level_centers=[std_seq(9).space_at("1000")])
+        fact = recursive_decompose(random_special_unitary(9, np.random.default_rng(94)), seq)
+        assert fact.reconstruction_error < 1e-8
+        plan = kak._PLANS[seq]
+        assert {level: units.tolist() for level, units in plan.units.items()} == {
+            2: [], 3: [8], 4: [8]}
+        flipped = np.eye(9)
+        flipped[7, 7] = flipped[8, 8] = -1.0
+        message = "^level 3, branch LR: unit block is not the identity$"
+        with pytest.raises(DecompositionError, match=message):
+            kak._cs_level(plan, 3, np.array([np.eye(9), flipped]))
+
+    def test_center_short_of_a_generator(self):
+        # A hand-built algebra whose center misses one direction of the
+        # traceless diagonal: the level-1 eigenphases leave its span.
+        qa = standard_quotient_algebra(4)
+        short = dataclasses.replace(qa.center, generators=qa.center.generators[:-1])
+        seq = build_decomposition_sequence(dataclasses.replace(qa, center=short))
+        u = random_special_unitary(4, np.random.default_rng(95))
+        with pytest.raises(NotInSpanError, match="^diagonal part does not lie in the center span$"):
+            recursive_decompose(u, seq)
+
+    def test_final_space_with_nearly_dependent_generators(self, std_seq):
+        # The final space's second generator is replaced by g1 + 1e-10 g2: it
+        # still covers its two slots, but its slot coefficients are singular
+        # to 1e-10, so the solved angles do not reproduce the leaf's.
+        qa = standard_quotient_algebra(4)
+        label = std_seq(4).final.binary_label
+
+        def nearly_dependent(space):
+            g1, g2 = space.generators
+            return dataclasses.replace(
+                space, generators=(g1, Generator(None, 4, g1.matrix + 1e-10 * g2.matrix)))
+
+        pairs = tuple(
+            dataclasses.replace(pr, w=nearly_dependent(pr.w), w_hat=nearly_dependent(pr.w_hat))
+            if pr.binary_label == label else pr
+            for pr in qa.pairs
+        )
+        seq = build_decomposition_sequence(dataclasses.replace(qa, pairs=pairs))
+        u = random_special_unitary(4, np.random.default_rng(96))
+        message = "^decomposition failed: angle expansion over the space basis failed$"
+        with pytest.raises(DecompositionError, match=message):
+            recursive_decompose(u, seq)
 
 
 @pytest.mark.parametrize("n", range(2, 17))

@@ -16,6 +16,8 @@ For each dimension N and each repeat it times, in one process:
   reconstruct_ms     median of the public per-factor reconstruct
   single_level_ms    median kak_single_level call on the same inputs, along
                      build_cartan_split(qa, "0" * p, validate=False)
+  cs_calls           cs_decompose_so calls of one more warm recursive_decompose,
+                     counted by wrapping kak.cs_decompose_so outside the timed calls
 
 and, once per repeat rather than per dimension,
 
@@ -52,13 +54,24 @@ DEFAULT_DIMS = "4,6,8,9,12,15,16,32"
 UNITARIES = 10  # warm calls timed per repeat
 SEED = 0
 STAGES = ("algebra_s", "closure_s", "validate_s", "sequence_s", "first_decompose_ms",
-          "decompose_ms", "plan_ms", "reconstruct_ms", "single_level_ms")
+          "decompose_ms", "plan_ms", "reconstruct_ms", "single_level_ms", "cs_calls")
 
 
 def timed(fn, *args):
     start = time.perf_counter()
     result = fn(*args)
     return result, time.perf_counter() - start
+
+
+def cs_calls(ck, u, seq):
+    """cs_decompose_so calls made by one recursive_decompose of u along seq."""
+    original, calls = ck.kak.cs_decompose_so, []
+    ck.kak.cs_decompose_so = lambda *args: calls.append(1) or original(*args)
+    try:
+        ck.kak.recursive_decompose(u, seq)
+    finally:
+        ck.kak.cs_decompose_so = original
+    return len(calls)
 
 
 def run_dim(ck, n):
@@ -84,6 +97,7 @@ def run_dim(ck, n):
         "plan_ms": seconds[0] * 1e3 - decompose_ms,
         "reconstruct_ms": statistics.median(rebuilt) * 1e3,
         "single_level_ms": statistics.median(single) * 1e3,
+        "cs_calls": cs_calls(ck, us[1], seq),
     }
     return stages, max(f.reconstruction_error for f in facts)
 
