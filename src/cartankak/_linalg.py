@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DecompositionError, InvalidMatrixError, NotAbelianError
+from .errors import DecompositionError, InvalidMatrixError
 
 # ---------------------------------------------------------------------------
 # Tolerances: every threshold the package compares against, named by what it
@@ -215,12 +215,6 @@ def slot_groups(forms):
     return [(label, np.concatenate(cs)) for label, cs in sorted(groups.items())]
 
 
-def slot_rank(forms) -> int:
-    """span_rank of the union of slot forms, from the singular values per label."""
-    return _rank(np.concatenate([np.linalg.svd(c.view(float), compute_uv=False)
-                                 for _, c in slot_groups(forms)]))
-
-
 class SlotTable(NamedTuple):
     """Units in slot form, zero-padded to one generator count K."""
 
@@ -353,21 +347,17 @@ def joint_eigenbasis(mats):
 
 
 def simultaneous_diagonalize(mats):
-    """Unitary U (det 1) with U m U^dag diagonal for every commuting Hermitian m.
+    """Unitary U (det 1) with U m U^dag diagonal for every Hermitian m.
 
+    The caller checks that the matrices share one square shape and commute.
     The eigenbasis comes from joint_eigenbasis; columns are then ordered by the
     tuple of per-matrix eigenvalues and phase-fixed, so the result does not
     depend on the order in which clusters were split.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise InvalidMatrixError("matrices must share one square shape")
-        if not is_hermitian(m, ACCEPT_TOL):
-            raise InvalidMatrixError("matrix is not Hermitian")
-    if not all_commute(mats, ACCEPT_TOL):
-        raise NotAbelianError("matrices do not commute")
+    if not all(is_hermitian(m, ACCEPT_TOL) for m in mats):
+        raise InvalidMatrixError("matrix is not Hermitian")
 
     vecs = joint_eigenbasis(mats)
     keys = np.array(

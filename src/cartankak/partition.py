@@ -33,8 +33,7 @@ from ._linalg import (
     simultaneous_diagonalize,
     slot_commutator_residuals,
     slot_form,
-    slot_rank,
-    slot_support,
+    slot_groups,
     slot_table,
     span_rank,
     span_rows,
@@ -265,9 +264,11 @@ def diagonalize_abelian(space) -> np.ndarray:
     centers keep their coordinates.
     """
     mats = space.matrices if isinstance(space, AbelianSpace) else [np.asarray(m) for m in space]
+    n = mats[0].shape[0]
+    if any(m.shape != (n, n) for m in mats):
+        raise InvalidMatrixError("matrices must share one square shape")
     if not all_commute(mats, ACCEPT_TOL):
         raise NotAbelianError(f"input set is not abelian (commutator norm > {ACCEPT_TOL:g})")
-    n = mats[0].shape[0]
     if all(frob(m - np.diag(np.diag(m))) < STRUCT_TOL * max(1.0, frob(m)) for m in mats):
         return np.eye(n, dtype=complex)
     return simultaneous_diagonalize(mats)
@@ -345,68 +346,26 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     return qa
 
 
-def _xor_label(gens: Sequence[Generator]) -> int:
-    """The one XOR of 0-based lambda subscripts shared by every slot the generators fill."""
-    slots, diagonal = slot_support([g.matrix for g in gens], STRUCT_TOL)
-    if diagonal:
-        raise NotBinaryPartitionedError(
-            "pair generator has diagonal components; no subscript pattern"
-        )
-    patterns = {i ^ j for i, j in slots}
-    if len(patterns) != 1:
-        raise NotBinaryPartitionedError(
-            f"pair carries {len(patterns)} distinct binary strings; "
-            "inconsistent subscript partition"
-        )
-    return patterns.pop()
-
-
-def _fragment_label(gens: Sequence[Generator]) -> Optional[int]:
-    try:
-        return _xor_label(gens)
-    except NotBinaryPartitionedError:
-        return None
-
-
-def _hat_parity_of_fragment(ws: List[Generator]) -> Optional[bool]:
-    """False for pure-lambda fragments, True for pure-hat, None if mixed."""
-    mats = np.array([g.matrix for g in ws])
-    real_slots, diagonal = slot_support(mats.real, STRUCT_TOL)
-    imag_slots, _ = slot_support(mats.imag, STRUCT_TOL)
-    if diagonal or bool(real_slots) == bool(imag_slots):
-        return None
-    return bool(imag_slots)
-
-
 def _merge_pairs(raw_pairs):
     """Merge commuting fragments sharing one binary-partitioning string.
 
-    Fragments are grouped by the common XOR pattern of their lambda
-    subscripts, and within a group the unhatted components merge together
-    (the binary-consistent option, never the superposition variant). Pairs
-    that are not lambda-aligned pass through untouched. Each merged pair
-    comes with its XOR pattern, or None.
+    Fragments are grouped by the label of their slot_form, and every labeled
+    fragment is oriented with its real side as W (the binary-consistent
+    option, never the superposition variant), so the unhatted components of
+    a group merge together. Fragments with no label, or on the diagonal, pass
+    through untouched. Each merged pair comes with its label, or None.
     """
     groups: Dict[object, List[Tuple[List[Generator], List[Generator]]]] = {}
     for ws, hats in raw_pairs:
-        key = _fragment_label(ws + hats)
-        key = ("opaque", len(groups)) if key is None else key
-        groups.setdefault(key, []).append((ws, hats))
-    merged = []
-    for key, frags in groups.items():
-        value = key if isinstance(key, int) else None
-        if len(frags) == 1:
-            merged.append((*frags[0], value))
+        form = slot_form([g.matrix for g in ws + hats])
+        if form is None or form[0] == 0:
+            groups[("opaque", len(groups))] = [(ws, hats)]
             continue
-        w_all: List[Generator] = []
-        h_all: List[Generator] = []
-        for ws, hats in frags:
-            if _hat_parity_of_fragment(ws) is True:
-                ws, hats = hats, ws
-            w_all.extend(ws)
-            h_all.extend(hats)
-        merged.append((w_all, h_all, value))
-    return merged
+        if not np.real([g.matrix for g in ws]).any():
+            ws, hats = hats, ws
+        groups.setdefault(form[0], []).append((ws, hats))
+    return [([g for ws, _ in frags for g in ws], [g for _, hats in frags for g in hats],
+             key if isinstance(key, int) else None) for key, frags in groups.items()]
 
 
 def _label_pairs(merged, p) -> List[ConjugatePair]:
@@ -495,10 +454,22 @@ def standard_quotient_algebra(n: int) -> QuotientAlgebra:
 # Binary labels
 # ---------------------------------------------------------------------------
 
+def _pair_slots(pair: ConjugatePair) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """The label l of a pair's slot_form and the 1-based slots (i, i xor l), i < i xor l, it fills."""
+    form = slot_form(pair.all_matrices())
+    if form is None:
+        raise NotBinaryPartitionedError("pair generators are not on the slots of one binary string")
+    label, c = form
+    if label == 0:
+        raise NotBinaryPartitionedError("pair generators are diagonal; no subscript pattern")
+    i = np.flatnonzero(c.any(axis=0))
+    i = i[i < i ^ label]
+    return label, tuple(zip((i + 1).tolist(), ((i ^ label) + 1).tolist()))
+
+
 def binary_label_of(pair: ConjugatePair) -> str:
     """The common binary-partitioning string of a pair's lambda subscripts."""
-    p = max(1, (pair.w.dim - 1).bit_length())
-    return bits_of(_xor_label(pair.w.generators + pair.w_hat.generators), p)
+    return bits_of(_pair_slots(pair)[0], max(1, (pair.w.dim - 1).bit_length()))
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +555,7 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
     # joint rank of all generators equals the generator count.
     forms = [space._slot for space in spaces]
     if all(form is not None for form in forms):
-        joint = slot_rank(forms)
+        joint = slot_table([slot_groups(forms)]).ranks.sum()
         table = slot_table([[form] for form in forms])
         mask = np.zeros((len(specs), len(spaces)), dtype=bool)
         for q, spec in enumerate(specs):
@@ -751,15 +722,8 @@ def subscript_table_of(qa: QuotientAlgebra) -> SubscriptTable:
     """Slot table of a lambda-representation quotient algebra."""
     if not qa.labeled:
         raise NotBinaryPartitionedError("subscript table needs a labeled algebra")
-    rows = []
-    for pair in qa.pairs:
-        slots, diagonal = slot_support(pair.all_matrices(), STRUCT_TOL)
-        if diagonal:
-            raise NotBinaryPartitionedError(
-                "pair generators must be off-diagonal lambda combinations"
-            )
-        rows.append(tuple((i + 1, j + 1) for i, j in slots))
-    return SubscriptTable(tuple(rows), tuple(p.binary_label for p in qa.pairs))
+    rows = tuple(_pair_slots(pair)[1] for pair in qa.pairs)
+    return SubscriptTable(rows, tuple(p.binary_label for p in qa.pairs))
 
 
 # ---------------------------------------------------------------------------

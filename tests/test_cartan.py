@@ -88,6 +88,17 @@ class TestBuildCartanSplit:
         )
         assert worst < 1e-14
 
+    @pytest.mark.parametrize("n", [4, 8, 9])
+    def test_per_pair_strings_build_the_selector_splits(self, n, std_seq):
+        # One character per pair in label order, '1' where the hatted space is in t.
+        qa = std_seq(n).qa
+        for bits in enumerate_t_choices(qa):
+            split = build_cartan_split(qa, bits)
+            hats = split.hat_selection()
+            explicit = build_cartan_split(qa, "".join("01"[hats[lab]] for lab in sorted(hats)))
+            assert explicit.choice_bits == bits
+            assert explicit.t == split.t and explicit.p_part == split.p_part
+
     def test_bad_choice_length(self, word_qa):
         with pytest.raises(InvalidChoiceError):
             build_cartan_split(word_qa(8), "01")

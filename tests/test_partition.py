@@ -8,12 +8,19 @@ from cartankak._linalg import frob, random_special_unitary, span_rows, spans_equ
 from cartankak.errors import (
     BasisNotClosedError,
     ClosureViolationError,
+    InvalidMatrixError,
     InvalidSubscriptError,
     NotAbelianError,
     NotBinaryPartitionedError,
     NotMaximalError,
 )
-from cartankak.generators import Generator, make_lambda, make_lambda_hat, make_tensor_word
+from cartankak.generators import (
+    Generator,
+    LambdaHat,
+    make_lambda,
+    make_lambda_hat,
+    make_tensor_word,
+)
 from cartankak.partition import (
     AbelianSpace,
     ConjugatePair,
@@ -25,6 +32,7 @@ from cartankak.partition import (
     diagonalize_abelian,
     intrinsic_center,
     intrinsic_quotient_algebra,
+    lambda_basis,
     removing_process,
     standard_basis,
     standard_word_center,
@@ -85,6 +93,14 @@ class TestDiagonalizeAbelian:
         bad = [word("p1", "p0").matrix, word("p3", "p0").matrix]
         with pytest.raises(NotAbelianError):
             diagonalize_abelian(bad)
+
+    def test_two_shapes_rejected(self):
+        with pytest.raises(InvalidMatrixError, match="one square shape"):
+            diagonalize_abelian([np.diag([1.0, -1.0]), np.diag([1.0, 0.0, -1.0])])
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(InvalidMatrixError, match="not Hermitian"):
+            diagonalize_abelian([[[0, 1], [0, 0]]])
 
 
 class TestBuildQuotientAlgebra:
@@ -410,6 +426,24 @@ class TestLambdaAlgebras:
         assert serialize.dumps(serialize.qa_to_json(direct)) == serialize.dumps(
             serialize.qa_to_json(removed)
         )
+
+    @pytest.mark.parametrize("order", ["hats first", "reversed"])
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_basis_order_does_not_orient_the_pairs(self, n, order):
+        # A seed from the hat side gives a fragment with W = lambdahat; at N=3
+        # no label has two fragments, so only the orientation rule turns it.
+        basis = lambda_basis(n)
+        if order == "hats first":
+            basis.sort(key=lambda g: not isinstance(g.label, LambdaHat))
+        else:
+            basis.reverse()
+        qa = build_quotient_algebra(intrinsic_center(n), basis)
+        assert verify_closure(qa).passed
+        labels = [pair.binary_label for pair in qa.pairs]
+        assert labels == sorted(labels)
+        assert not any(np.imag(pair.w.matrices).any() for pair in qa.pairs)
+        for a, b in zip(_spaces(qa), _spaces(intrinsic_quotient_algebra(n)), strict=True):
+            assert spans_equal(a.matrices, b.matrices)
 
     def test_standard_fallback_builds_at_n(self, lambda_qa, monkeypatch):
         def refuse(*args):

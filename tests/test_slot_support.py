@@ -25,7 +25,10 @@ from cartankak.kak import classify_gate, recursive_decompose
 from cartankak.partition import (
     binary_label_of,
     bits_of,
+    build_quotient_algebra,
     diagonalize_abelian,
+    intrinsic_center,
+    lambda_basis,
     standard_basis,
     standard_quotient_algebra,
     subscript_table_of,
@@ -55,6 +58,21 @@ def walk_hat_parity(ws):
     if kinds == {Lambda}:
         return False
     return True if kinds == {LambdaHat} else None
+
+
+def walk_merge_pairs(raw_pairs):
+    """partition._merge_pairs with the walk's labels and hat parity."""
+    groups = {}
+    for ws, hats in raw_pairs:
+        key = walk_fragment_label(ws + hats)
+        if key is None:
+            groups[("opaque", len(groups))] = [(ws, hats)]
+            continue
+        if walk_hat_parity(ws):
+            ws, hats = hats, ws
+        groups.setdefault(key, []).append((ws, hats))
+    return [([g for ws, _ in frags for g in ws], [g for _, hats in frags for g in hats],
+             key if isinstance(key, int) else None) for key, frags in groups.items()]
 
 
 def walk_subscript_rows(qa):
@@ -173,12 +191,18 @@ def test_pair_labels_and_order_match_the_walk(n, std_seq, monkeypatch):
         assert bits_of(pattern, qa.p) == pair.binary_label
         assert binary_label_of(pair) == pair.binary_label
 
-    monkeypatch.setattr(partition, "_fragment_label", walk_fragment_label)
-    monkeypatch.setattr(partition, "_hat_parity_of_fragment", walk_hat_parity)
-    walked = pair_layout(standard_quotient_algebra(n))
-    for (lab, ws, hats), (lab_w, ws_w, hats_w) in zip(pair_layout(qa), walked, strict=True):
-        assert lab == lab_w
-        assert all(np.array_equal(a, b) for a, b in zip(ws + hats, ws_w + hats_w, strict=True))
+    # The reversed lambda basis seeds every fragment from its hat side.
+    def builds():
+        return [standard_quotient_algebra(n),
+                build_quotient_algebra(intrinsic_center(n), lambda_basis(n)[::-1])]
+
+    from_forms = builds()
+    monkeypatch.setattr(partition, "_merge_pairs", walk_merge_pairs)
+    for built, walked in zip(from_forms, builds(), strict=True):
+        for (lab, ws, hats), (lab_w, ws_w, hats_w) in zip(pair_layout(built), pair_layout(walked),
+                                                          strict=True):
+            assert lab == lab_w
+            assert all(np.array_equal(a, b) for a, b in zip(ws + hats, ws_w + hats_w, strict=True))
 
 
 def test_binary_label_of_rejects_like_the_walk(std_seq):
