@@ -29,6 +29,7 @@ from ._linalg import (
     PHASE_TOL,
     SOLVE_TOL,
     STRUCT_TOL,
+    _rank,
     basis_match,
     complex_symmetric_eigenbasis,
     cs_decompose_so,
@@ -36,10 +37,7 @@ from ._linalg import (
     expm_hermitian,
     frob,
     is_unitary,
-    project_residual,
     slot_support,
-    span_rank,
-    span_rows,
 )
 from .cartan import CartanSplit, DecompositionSequence
 from .errors import (
@@ -211,8 +209,12 @@ class _Frame:
     matrix: np.ndarray  # F with F (center) F^dag diagonal, F t F^dag antisymmetric
     slots: Dict[str, Tuple[Tuple[int, int], ...]]  # label -> 0-based (i, j) slots
 
-    def image(self, g: Generator) -> np.ndarray:
-        return self.matrix @ g.matrix @ dagger(self.matrix)
+    def images(self, space: AbelianSpace) -> List[np.ndarray]:
+        return [self.matrix @ g.matrix @ dagger(self.matrix) for g in space.generators]
+
+    def diagonals(self, center: AbelianSpace) -> np.ndarray:
+        """Row a: the real diagonal of generator a's image; a center's level-1 coefficients."""
+        return np.array([np.real(np.diag(m)) for m in self.images(center)])
 
 
 def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
@@ -232,12 +234,11 @@ def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
         raise DecompositionError("two chosen spaces overlap on a slot")
     v = _binary_phase_frame(qa.dim, np.concatenate(list(raw_images.values())))
     for lab, images in raw_images.items():
-        for g in v @ images @ dagger(v):
-            resid = frob(g + g.T) + frob(np.diag(np.diag(g)))
-            if resid > SOLVE_TOL * max(1.0, frob(g)):
-                raise DecompositionError(
-                    f"space {lab} image is not antisymmetric in the frame"
-                )
+        g = v @ images @ dagger(v)
+        resid = (np.linalg.norm(g + np.swapaxes(g, 1, 2), axis=(1, 2))
+                 + np.linalg.norm(np.diagonal(g, axis1=1, axis2=2), axis=1))
+        if np.any(resid > SOLVE_TOL * np.maximum(1.0, np.linalg.norm(g, axis=(1, 2)))):
+            raise DecompositionError(f"space {lab} image is not antisymmetric in the frame")
     return _Frame(matrix=v @ u_a, slots=slots)
 
 
@@ -405,9 +406,7 @@ class _Plan:
             for level, labels in enumerate(chosen, start=1)
         }
         level1 = seq.levels[0].center_core
-        self.blocks = {1: _Block.of(
-            level1, np.array([np.real(np.diag(frame.image(g))) for g in level1.generators])
-        )}
+        self.blocks = {1: _Block.of(level1, frame.diagonals(level1))}
         self.units, self.groups = {}, {}  # single-row components; CS groups of the rest
         for level in range(2, self.p + 1):
             spec, comps = seq.levels[level - 1], self.components[level - 1]
@@ -433,7 +432,7 @@ class _Plan:
         self.order = [(level, j, format(pos, f"0{self.p + 1}b")) for pos, level, j in order]
 
     def _slot_block(self, space: AbelianSpace, slots) -> _Block:
-        c = _slot_coefficients([self.frame.image(g) for g in space.generators], slots)
+        c = _slot_coefficients(self.frame.images(space), slots)
         if c.shape[0] != c.shape[1]:
             raise DecompositionError(
                 f"{c.shape[0]} generators vs {c.shape[1]} slots; bases disagree"
@@ -455,8 +454,6 @@ class _Plan:
                 f"{len(subs)} parts"
             )
         side1, side2 = (set(subs[0]), set(subs[1]))
-        if comp[0] not in side1:
-            side1, side2 = side2, side1
         matched = [s for s in center_slots if s[0] in comp and s[1] in comp]
         b1, b2 = [], []
         for (i, j) in matched:
@@ -645,15 +642,15 @@ def reconstruct(fact: Factorization, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def kak_single_level(u: np.ndarray, split: CartanSplit):
-    """One KAK step U = K1 exp(i a) K2 for a Cartan split.
+    """One KAK step U = K1 exp(i a) K2 for a Cartan split: recursive_decompose's level 1.
 
-    `a` is Hermitian in the span of the split's center. K1 and K2 lie in
-    exp(t) by construction: the frame F maps every t generator to an
-    imaginary antisymmetric matrix (checked when F is built) and t has rank
-    N(N-1)/2 (checked here), so F t F^dag spans i so(N); the split returns
-    real O1, O2 with det +1, so K = F^dag O F is in F^dag SO(N) F =
-    exp(i span t). The input must have unit determinant (ingest_unitary
-    normalizes and reports the phase).
+    The same frame F and split F U F^dag = O1 D O2 (_ai_step checks the reassembly);
+    K = F^dag O F, a = -i F^dag log(D) F. K is in exp(t): O is real with det +1,
+    F maps t onto imaginary antisymmetric matrices, and t has rank N(N-1)/2, the
+    sum of its spaces' square slot-coefficient ranks (F puts each on its own k
+    slots, together on every slot). `a` is in the center's span: the level-1 angle
+    solve over the frame diagonals of a center F diagonalizes. The frame is built
+    on every call. The input must have unit determinant (see ingest_unitary).
     """
     u = np.asarray(u, dtype=complex)
     n = split.dim
@@ -663,17 +660,17 @@ def kak_single_level(u: np.ndarray, split: CartanSplit):
         raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
     if abs(np.linalg.det(u) - 1.0) > DET_TOL:
         raise InvalidMatrixError("determinant is not 1; run ingest_unitary first")
-    f = _build_frame(split.qa, {s.binary_label: s for s in split.t}).matrix
-    if span_rank(split.t_matrices()) != n * (n - 1) // 2:
+    frame = _build_frame(split.qa, {s.binary_label: s for s in split.t})
+    blocks = (_slot_coefficients(frame.images(s), frame.slots[s.binary_label]) for s in split.t)
+    if sum(_rank(np.linalg.svd(c, compute_uv=False)) for c in blocks) != n * (n - 1) // 2:
         raise DecompositionError("t does not span so(N) in the frame")
+    f = frame.matrix
     o1, lam, o2 = _ai_step(f @ u @ dagger(f))
-    k1, a, k2 = (dagger(f) @ x.astype(complex) @ f for x in (o1, np.diag(lam), o2))
-    err = frob(k1 @ expm_hermitian(a) @ k2 - u)
-    if err > SOLVE_TOL * n:
-        raise DecompositionError(f"single-level reassembly error {err:.2e}")
-    if project_residual(a, span_rows(split.chosen_center.matrices)) > SOLVE_TOL:
-        raise DecompositionError("abelian part leaves the center span")
-    return k1, a, k2
+    try:
+        _solve_diagonal_expansion(frame.diagonals(split.chosen_center), lam)
+    except NotInSpanError:
+        raise DecompositionError("abelian part leaves the center span") from None
+    return tuple(dagger(f) @ x.astype(complex) @ f for x in (o1, np.diag(lam), o2))
 
 
 def factor_abelian_exponential(
@@ -683,7 +680,9 @@ def factor_abelian_exponential(
 
     Returns (factors, global_phase) with the factor product times the phase
     equal to the input. Raises when the matrix does not commute into the
-    space's joint eigenbasis or its phases do not fit the span.
+    space's joint eigenbasis or its phases do not fit the span. Known defect:
+    with fewer than N - 1 generators it can reject a valid input whose phases
+    wrap past pi, as choosing their 2 pi branches is a lattice problem.
     """
     v = np.asarray(v, dtype=complex)
     n = space.dim

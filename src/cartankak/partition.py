@@ -267,10 +267,10 @@ def diagonalize_abelian(space) -> np.ndarray:
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise InvalidMatrixError("matrices must share one square shape")
+    if all(frob(m - np.diag(np.diag(m))) < STRUCT_TOL * max(1.0, frob(m)) for m in mats):
+        return np.eye(n, dtype=complex)  # diagonal matrices commute
     if not all_commute(mats, ACCEPT_TOL):
         raise NotAbelianError(f"input set is not abelian (commutator norm > {ACCEPT_TOL:g})")
-    if all(frob(m - np.diag(np.diag(m))) < STRUCT_TOL * max(1.0, frob(m)) for m in mats):
-        return np.eye(n, dtype=complex)
     return simultaneous_diagonalize(mats)
 
 
@@ -311,7 +311,7 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
         raise InvalidMatrixError(
             f"center plus basis span {total} dimensions, expected {n * n - 1}"
         )
-    if span_rank(center.matrices) + len(pool) != n * n - 1:
+    if len(center) + len(pool) != n * n - 1:  # validate() checked len(center) is its rank
         raise InvalidMatrixError("basis contains redundant or center-span generators")
 
     stack = np.array([g.matrix for g in pool])

@@ -25,7 +25,7 @@ from cartankak.errors import (
     NotInSpanError,
     UnsupportedLabelError,
 )
-from cartankak.generators import Generator, make_lambda, make_tensor_word
+from cartankak.generators import Generator, make_diag, make_lambda, make_tensor_word
 from cartankak.kak import (
     Factorization,
     classify_gate,
@@ -205,6 +205,22 @@ class TestKakSingleLevel:
             kak_single_level(u, bad)
 
 
+@pytest.mark.parametrize("algebra", [standard_quotient_algebra, intrinsic_quotient_algebra])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_single_level_a_is_the_plans_level_one_block(algebra, n):
+    """kak_single_level's a is sum(angle * generator) of recursive_decompose's
+    level-1 block along a sequence with the same level-1 choice."""
+    qa = algebra(n)
+    rng = np.random.default_rng(1500 + n)
+    for bits in enumerate_t_choices(qa):
+        u = random_special_unitary(n, rng)
+        _, a, _ = kak_single_level(u, build_cartan_split(qa, bits, validate=False))
+        seq = build_decomposition_sequence(qa, [bits] + ["0" * (qa.p - k) for k in range(1, qa.p)])
+        (block,) = [b for b in recursive_decompose(u, seq).blocks if b.level == 1]
+        rebuilt = sum((f.angle * f.generator.matrix for f in block.factors), np.zeros((n, n)))
+        assert frob(rebuilt - a) < 1e-10, bits
+
+
 def schur_log_in_span_t(k, t_rows):
     """Membership oracle for K in exp(i span t): the principal log of K, from a
     complex Schur form, has a Hermitian part that projects onto span t."""
@@ -297,6 +313,16 @@ class TestFactorAbelianExponential:
         v = expm_hermitian(word("p0", "p3").matrix, 0.3)
         with pytest.raises(NotInSpanError, match="^phases do not lie in the space span$"):
             factor_abelian_exponential(v, AbelianSpace((word("p3", "p0"),)))
+
+    @pytest.mark.xfail(strict=True, raises=NotInSpanError,
+                       reason="phases that wrap past pi in a space of fewer than N - 1 "
+                              "generators need a lattice solve, which the 2 pi rounding is not")
+    def test_wrapped_phases_in_a_small_space(self):
+        g = make_diag(1, 2, 3)
+        v = np.exp(1.0j) * expm_hermitian(g.matrix, 2.5)
+        factors, phase = factor_abelian_exponential(v, AbelianSpace((g,)))
+        product = expm_hermitian(sum(f.angle * f.generator.matrix for f in factors), 1.0)
+        assert frob(product * phase - v) < 1e-9
 
 
 class TestReconstruct:
@@ -460,6 +486,20 @@ class TestRecursiveDecompose:
             u = random_special_unitary(8, rng)
             fact = recursive_decompose(u, seq)
             assert fact.reconstruction_error < 1e-8
+
+    @pytest.mark.parametrize("algebra", [standard_quotient_algebra, intrinsic_quotient_algebra])
+    @pytest.mark.parametrize("n", [4, 5, 8, 9])
+    def test_transported_algebra(self, algebra, n):
+        """A moved algebra takes the dense frame (its center is not diagonal); it
+        factors, and a warm call repeats the cold one bit for bit."""
+        rng = np.random.default_rng(1600 + n)
+        seq = build_decomposition_sequence(
+            conjugate_quotient_algebra(algebra(n), random_special_unitary(n, rng))
+        )
+        u = np.exp(0.3j) * random_special_unitary(n, rng)
+        cold = recursive_decompose(u, seq)
+        assert cold.reconstruction_error < 1e-8
+        assert fingerprint(recursive_decompose(u, seq)) == fingerprint(cold)
 
 
 WORD_DIMS = [2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16]  # standard_quotient_algebra closes in words

@@ -1,9 +1,9 @@
 """Per-stage timings of the factorization pipeline, at fixed dims and seeds.
 
     python tools/bench_stages.py [--dims 4,6,8,9,12,15,16,32] [--repeats 3]
-                                 [--src SRC_DIR] [--before OLD.json] > OUT.json
+                                 [--src SRC_DIR] [--before-src OLD_SRC_DIR] > OUT.json
 
-For each dimension N and each repeat it times, in one process:
+For each dimension N and each repeat it times, in a fresh process:
 
   algebra_s          standard_quotient_algebra(N)
   closure_s          verify_closure of that algebra
@@ -28,9 +28,12 @@ and, once per repeat rather than per dimension,
 
 It reports the median of each stage over the repeats, plus the worst
 reconstruction_error seen, as JSON on stdout. The inputs depend only on N.
---src picks the src/ directory to import, so two checkouts can be compared;
-with --before, the output holds {"before": <that file>, "after": <this run>}.
-BLAS runs on one thread. No timing is asserted.
+--src picks the src/ directory to import. With --before-src, the same run
+also times a second checkout's src/ and the output holds {"before": ...,
+"after": ...}. The two trees then alternate: for every repeat and every
+dimension (and for each process timing) one process runs per tree, and the
+tree that goes first swaps each time, so a drift in host speed moves both
+sides alike. BLAS runs on one thread. No timing is asserted.
 """
 
 import os
@@ -102,26 +105,41 @@ def run_dim(ck, n):
     return stages, max(f.reconstruction_error for f in facts)
 
 
-def process_seconds(src, args):
-    """Wall time of a fresh interpreter run with args, importing cartankak from src."""
+def import_cartankak(src):
+    """The cartankak package under src, with the modules this script reads."""
+    sys.path.insert(0, src)
+    import cartankak._linalg  # noqa: F401
+    import cartankak.cartan  # noqa: F401
+    import cartankak.kak  # noqa: F401
+    import cartankak.partition  # noqa: F401
+    import cartankak.serialize  # noqa: F401
+    return sys.modules["cartankak"]
+
+
+def run_process(src, args):
+    """Stdout and wall time of a fresh interpreter run with args, importing cartankak from src."""
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
     result = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     seconds = time.perf_counter() - start
     if result.returncode:
         raise SystemExit(f"{' '.join(args)} exited {result.returncode}:\n{result.stderr}")
-    return seconds
+    return result.stdout, seconds
 
 
-def decompose_process_seconds(ck, src, repeats):
-    """Median wall time of `cartankak.cli decompose --dim 4` in a fresh process."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "u4.json"
-        u = ck._linalg.random_special_unitary(4, np.random.default_rng(SEED))
-        path.write_text(json.dumps(ck.serialize.matrix_to_json(u)))
-        args = ["-m", "cartankak.cli", "decompose", "--dim", "4", "--input", str(path),
-                "--output", str(Path(tmp) / "f4.json")]
-        return statistics.median(process_seconds(src, args) for _ in range(repeats))
+def decompose_args(src, tmp):
+    """CLI arguments of `decompose --dim 4` on a seeded SU(4) input written into tmp."""
+    ck, path = import_cartankak(src), Path(tmp) / "u4.json"
+    u = ck._linalg.random_special_unitary(4, np.random.default_rng(SEED))
+    path.write_text(json.dumps(ck.serialize.matrix_to_json(u)))
+    return ["-m", "cartankak.cli", "decompose", "--dim", "4", "--input", str(path),
+            "--output", str(Path(tmp) / "f4.json")]
+
+
+def alternate(trees, turn):
+    """The tree names in run order for this turn: the first one swaps every turn."""
+    names = list(trees)
+    return names if turn % 2 == 0 else names[::-1]
 
 
 def main(argv=None):
@@ -129,48 +147,56 @@ def main(argv=None):
     ap.add_argument("--dims", default=DEFAULT_DIMS)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    ap.add_argument("--before", help="a previous output of this script, for the other tree")
+    ap.add_argument("--before-src", help="src/ of the checkout to compare against, timed "
+                    "in the same run")
+    ap.add_argument("--worker", type=int, help=argparse.SUPPRESS)  # one dimension, one tree
     args = ap.parse_args(argv)
 
-    sys.path.insert(0, args.src)
-    import cartankak._linalg  # noqa: F401
-    import cartankak.cartan  # noqa: F401
-    import cartankak.kak  # noqa: F401
-    import cartankak.partition  # noqa: F401
-    import cartankak.serialize  # noqa: F401
-    ck = sys.modules["cartankak"]
+    if args.worker is not None:
+        stages, err = run_dim(import_cartankak(args.src), args.worker)
+        sys.stdout.write(json.dumps({"stages": stages, "error": err}))
+        return
 
-    import_s = statistics.median(process_seconds(args.src, ["-c", "import cartankak.cli"])
-                                 for _ in range(args.repeats))
-    decompose_process_s = decompose_process_seconds(ck, args.src, args.repeats)
-    print(f"import_s {import_s:.4g}, decompose_process_s {decompose_process_s:.4g}",
-          file=sys.stderr)
+    trees = {"after": args.src}
+    if args.before_src:
+        trees = {"before": args.before_src, **trees}
     dims = [int(d) for d in args.dims.split(",")]
-    per_dim, worst = {}, 0.0
-    for n in dims:
-        runs = []
-        for _ in range(args.repeats):
-            stages, err = run_dim(ck, n)
-            runs.append(stages)
-            worst = max(worst, err)
-        per_dim[str(n)] = {k: statistics.median(r[k] for r in runs) for k in STAGES}
-        print(f"N={n}: " + ", ".join(f"{k} {v:.4g}" for k, v in per_dim[str(n)].items()),
-              file=sys.stderr)
-    result = {
-        "machine": {"python": platform.python_version(), "numpy": np.__version__,
-                    "cpus": os.cpu_count(), "blas_threads": 1},
-        "dims": dims,
-        "repeats": args.repeats,
-        "unitaries": UNITARIES,
-        "seed": SEED,
-        "import_s": import_s,
-        "decompose_process_s": decompose_process_s,
-        "stages": per_dim,
-        "worst_reconstruction_error": worst,
-    }
-    if args.before:
-        result = {"before": json.loads(Path(args.before).read_text()), "after": result}
-    sys.stdout.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    runs = {name: {"import_s": [], "decompose_process_s": [], "error": 0.0,
+                   "stages": {n: [] for n in dims}} for name in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_args = decompose_args(args.src, tmp)
+        for r in range(args.repeats):
+            for name in alternate(trees, r):
+                runs[name]["import_s"].append(
+                    run_process(trees[name], ["-c", "import cartankak.cli"])[1])
+                runs[name]["decompose_process_s"].append(run_process(trees[name], cli_args)[1])
+            for i, n in enumerate(dims):
+                for name in alternate(trees, r + i):
+                    out, _ = run_process(trees[name], [__file__, "--worker", str(n),
+                                                       "--src", trees[name]])
+                    child = json.loads(out)
+                    runs[name]["stages"][n].append(child["stages"])
+                    runs[name]["error"] = max(runs[name]["error"], child["error"])
+                    print(f"repeat {r} N={n} {name}: " + ", ".join(
+                        f"{k} {v:.4g}" for k, v in child["stages"].items()), file=sys.stderr)
+
+    result = {}
+    for name, run in runs.items():
+        result[name] = {
+            "machine": {"python": platform.python_version(), "numpy": np.__version__,
+                        "cpus": os.cpu_count(), "blas_threads": 1},
+            "dims": dims,
+            "repeats": args.repeats,
+            "unitaries": UNITARIES,
+            "seed": SEED,
+            "import_s": statistics.median(run["import_s"]),
+            "decompose_process_s": statistics.median(run["decompose_process_s"]),
+            "stages": {str(n): {k: statistics.median(s[k] for s in per) for k in STAGES}
+                       for n, per in run["stages"].items()},
+            "worst_reconstruction_error": run["error"],
+        }
+    sys.stdout.write(json.dumps(result if args.before_src else result["after"],
+                                indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
