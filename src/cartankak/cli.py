@@ -184,9 +184,10 @@ def cmd_decompose(args) -> int:
     except DecompositionError as exc:
         log.error("decomposition failed: %s", exc)
         return EXIT_DECOMPOSITION_FAILED
-    _emit(serialize.dumps(serialize.factorization_to_json(fact)), args.output)
+    artifact = serialize.factorization_to_json(fact)
+    _emit(serialize.dumps(artifact), args.output)
     print(
-        f"factors={len(fact.factors)} local={fact.local_count()} "
+        f"factors={len(artifact['factors'])} local={fact.local_count()} "
         f"nonlocal={fact.nonlocal_count()} "
         f"reconstruction_error={fact.reconstruction_error:.3e}",
         file=sys.stderr,

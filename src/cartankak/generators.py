@@ -14,6 +14,7 @@ applied on construction.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import astuple, dataclass
 from typing import List, Sequence, Tuple, Union
@@ -250,7 +251,7 @@ class Generator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
+    @functools.cached_property  # the label is frozen; serializing a factorization reads it per factor
     def label_str(self) -> Union[str, None]:
         return None if self.label is None else str(self.label)
 

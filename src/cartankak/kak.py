@@ -14,6 +14,7 @@ local or nonlocal by their tensor-word site count.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -89,17 +90,57 @@ class AbelianBlock:
 
 @dataclass(frozen=True)
 class Factorization:
+    """global_phase times the ordered product of `factors`, grouped into `blocks`.
+
+    recursive_decompose returns one that holds columns: its plan and the
+    per-level angle arrays. Its `factors` and `blocks` are built on first
+    read, and factor_rows, local_count and nonlocal_count read the columns
+    without building them. The five-argument constructor takes the factors
+    themselves.
+    """
+
     dim: int
     factors: Tuple[GateFactor, ...]
     blocks: Tuple[AbelianBlock, ...]
     global_phase: complex
     reconstruction_error: float
 
+    @classmethod
+    def _of_columns(cls, dim: int, plan: "_Plan", angles: Dict[int, np.ndarray],
+                    global_phase: complex, reconstruction_error: float) -> "Factorization":
+        fact = object.__new__(cls)
+        fact.__dict__.update(dim=dim, global_phase=global_phase,
+                             reconstruction_error=reconstruction_error, _columns=(plan, angles))
+        return fact
+
+    def __getattr__(self, name: str):
+        """Build `factors` and `blocks` from the columns on their first read."""
+        if name not in ("factors", "blocks") or "_columns" not in self.__dict__:
+            raise AttributeError(f"'Factorization' object has no attribute '{name}'")
+        blocks = tuple(AbelianBlock(idx, level, tuple(itertools.starmap(GateFactor, rows)))
+                       for idx, level, rows in self._tree())
+        self.__dict__.update(blocks=blocks, factors=tuple(f for b in blocks for f in b.factors))
+        return self.__dict__[name]
+
+    def _tree(self):
+        """(tree_index, level, factor rows) of every block, in in-order tree position."""
+        plan, angles = self.__dict__["_columns"]
+        lists = {level: w.tolist() for level, w in angles.items()}  # Python floats, read once
+        return ((idx, level, plan.blocks[level].rows(idx, lists[level][j]))
+                for level, j, idx in plan.order)
+
+    def factor_rows(self) -> List[tuple]:
+        """(tree_index, ordinal, generator, angle, locality) of every factor, in order."""
+        if "_columns" not in self.__dict__:
+            return [(f.tree_index, f.ordinal, f.generator, f.angle, f.locality)
+                    for f in self.factors]
+        return [row for _, _, rows in self._tree() for row in rows]
+
     def local_count(self) -> int:
-        return sum(1 for f in self.factors if f.locality == "local")
+        return sum(1 for row in self.factor_rows() if row[4] == "local")
 
     def nonlocal_count(self) -> int:
-        return sum(1 for f in self.factors if f.locality == "nonlocal")
+        return sum(1 for row in self.factor_rows() if row[4] == "nonlocal")
 
 
 def ingest_unitary(m: np.ndarray) -> Tuple[np.ndarray, complex]:
@@ -337,32 +378,71 @@ def _components(n: int, slots) -> List[List[int]]:
 
 @dataclass(frozen=True)
 class _Block:
-    """One abelian block of the tree: its space and how to expand angles over it."""
+    """One abelian block of the tree: its space, how to expand angles over it, and
+    the shape of its exponentials.
+
+    `kind` is read off the support: "diagonal" when every entry is on the
+    diagonal; "pairs" when no entry is, each row has at most one and the
+    pattern is symmetric, so row i's one entry (i, j) pairs it with row j;
+    else "dense" (a conjugated or transported space).
+    """
 
     space: AbelianSpace
     localities: Tuple[Optional[str], ...]
     coefficients: np.ndarray  # level 1: diagonals of the images; else _slot_coefficients
     support: np.ndarray  # flat positions where some generator matrix is nonzero
     values: np.ndarray  # values[a]: generator a's entries at those positions
+    kind: str
 
     @classmethod
     def of(cls, space: AbelianSpace, coefficients: np.ndarray) -> "_Block":
         flat = np.reshape(space.matrices, (len(space.generators), -1))
         support = np.flatnonzero(np.any(flat != 0, axis=0))
+        rows, cols = np.divmod(support, space.dim)
+        if np.array_equal(rows, cols):
+            kind = "diagonal"
+        elif (np.all(rows != cols) and np.all(np.diff(rows) > 0)  # rows ascend with support
+              and np.array_equal(support, np.sort(cols * space.dim + rows))):
+            kind = "pairs"
+        else:
+            kind = "dense"
         return cls(space, tuple(_locality_or_none(g) for g in space.generators), coefficients,
-                   support, flat[:, support])
+                   support, flat[:, support], kind)
 
-    def factors(self, idx: str, angles: Sequence[float]) -> Tuple[GateFactor, ...]:
-        """One GateFactor per angle not below ANGLE_PRUNE_TOL, numbered from 1."""
-        kept = [
-            (g, locality, w)
-            for g, locality, w in zip(self.space.generators, self.localities, angles)
-            if not abs(w) < ANGLE_PRUNE_TOL
-        ]
-        return tuple(
-            GateFactor(tree_index=idx, ordinal=k, generator=g, angle=w, locality=locality)
-            for k, (g, locality, w) in enumerate(kept, start=1)
-        )
+    def rows(self, idx: str, angles: Sequence[float]) -> List[tuple]:
+        """GateFactor fields per angle not below ANGLE_PRUNE_TOL, numbered from 1."""
+        rows: List[tuple] = []
+        for g, locality, w in zip(self.space.generators, self.localities, angles):
+            if not abs(w) < ANGLE_PRUNE_TOL:
+                rows.append((idx, len(rows) + 1, g, w, locality))
+        return rows
+
+    def exponentials(self, angles: np.ndarray) -> np.ndarray:
+        """exp(i sum_a angles[b, a] G_a) for every row b, as a (B, N, N) stack.
+
+        Angles below ANGLE_PRUNE_TOL count as 0, as in the factors. A diagonal
+        block is an elementwise phase. A pairs block is a set of disjoint
+        rotations: with e the exponent, E^2 = |e|^2 on each pair, so
+        exp(iE) = cos|e| on its diagonal and i sin|e| / |e| e off it. Only a
+        dense block goes through expm_hermitian. A row whose every angle is
+        pruned is the exact identity.
+        """
+        n = self.space.dim
+        kept = ~(np.abs(angles) < ANGLE_PRUNE_TOL)
+        e = np.where(kept, angles, 0.0) @ self.values  # each row's exponent on the support
+        x = np.zeros((len(angles), n * n), dtype=complex)
+        x[:, :: n + 1] = 1.0
+        if self.kind == "diagonal":
+            x[:, self.support] = np.exp(1j * e.real)
+        elif self.kind == "pairs":
+            x[:, self.support // n * (n + 1)] = np.cos(np.abs(e))
+            x[:, self.support] = 1j * np.sinc(np.abs(e) / np.pi) * e
+        else:
+            dense = np.zeros_like(x)
+            dense[:, self.support] = e
+            busy = kept.any(axis=1)
+            x[busy] = expm_hermitian(dense[busy].reshape(-1, n, n)).reshape(-1, n * n)
+        return x.reshape(-1, n, n)
 
 
 @dataclass(frozen=True)
@@ -547,42 +627,36 @@ def _leaf_angles(plan: _Plan, nodes: np.ndarray) -> np.ndarray:
     return _solve_expansion(plan.blocks[plan.p + 1].coefficients, phi)
 
 
-def _walk(plan: _Plan, u_su: np.ndarray) -> Tuple[List[AbelianBlock], np.ndarray]:
-    """One input's abelian blocks in in-order tree position, and their exponents.
+def _walk(plan: _Plan, u_su: np.ndarray) -> Dict[int, np.ndarray]:
+    """One input's angles: level k -> a (2^(k-1), generators) array, row j for node j.
 
     Level k is a (2^(k-1), N, N) stack of orthogonal nodes; level 2 is
     [O1, O2] from the single-level split, and each CS level makes one
     cs_decompose_so call per block shape (_cs_level). When several nodes
     fail, the one reported is on the shallowest failing level, not the first
-    in depth-first order. The exponents are sum(angle * generator) of each
-    block with factors, as an (m, N, N) stack in the blocks' order; each
-    level's are formed at once, on the entries where its block's generators
-    are nonzero.
+    in depth-first order. The angles are not pruned; the factors and the
+    block exponentials prune them the same way.
     """
     o1, lam, o2 = _ai_step(plan.frame.matrix @ u_su @ plan.frame_dag)
-    omegas = {1: _solve_diagonal_expansion(plan.blocks[1].coefficients, lam)[None]}
+    angles = {1: _solve_diagonal_expansion(plan.blocks[1].coefficients, lam)[None]}
     nodes = np.real(np.stack([o1, o2]))
     for level in range(2, plan.p + 1):
-        omegas[level], nodes = _cs_level(plan, level, nodes)
-    omegas[plan.p + 1] = _leaf_angles(plan, nodes)
-    angles = {level: w.tolist() for level, w in omegas.items()}  # Python floats, read once
-    blocks = [
-        AbelianBlock(idx, level, plan.blocks[level].factors(idx, angles[level][j]))
-        for level, j, idx in plan.order
-    ]
-    exponents = {}
-    for level, w in omegas.items():
-        # Each exponent has the bits of a per-block sum(f.angle * f.generator.matrix):
-        # on the block's support, terms are added one by one in generator order
-        # after a leading 0 (accumulate is sequential, where reduce may sum
-        # pairwise); off it every term is a zero, so the sum stays +0.
-        block = plan.blocks[level]
-        terms = np.where(np.abs(w) < ANGLE_PRUNE_TOL, 0.0, w).T[:, :, None] * block.values[:, None]
-        terms = np.concatenate([np.zeros((1,) + terms.shape[1:]), terms])
-        exponents[level] = np.zeros((len(w), plan.n * plan.n), dtype=complex)
-        exponents[level][:, block.support] = np.add.accumulate(terms, axis=0)[-1]
-    kept = [exponents[level][j] for (level, j, _), b in zip(plan.order, blocks) if b.factors]
-    return blocks, np.reshape(kept, (len(kept), plan.n, plan.n))
+        angles[level], nodes = _cs_level(plan, level, nodes)
+    angles[plan.p + 1] = _leaf_angles(plan, nodes)
+    return angles
+
+
+def _tree_product(plan: _Plan, angles: Dict[int, np.ndarray]) -> np.ndarray:
+    """The in-order product of every block exponential of the tree.
+
+    Bottom-up, one stacked step per level: the product over node j's subtree
+    is P(left) X(node) P(right), and node j's children are nodes 2j and
+    2j + 1 of the next level.
+    """
+    total = plan.blocks[plan.p + 1].exponentials(angles[plan.p + 1])
+    for level in range(plan.p, 0, -1):
+        total = total[0::2] @ plan.blocks[level].exponentials(angles[level]) @ total[1::2]
+    return total[0]
 
 
 def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorization:
@@ -591,10 +665,14 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
     Applies the single-level split at each recursion level, descending into
     both orthogonal factors; abelian blocks come out in binary-bifurcation
     order (2^(k-1) blocks at level k, 2^p leaves). The returned factor list
-    reassembles to the input within the stored reconstruction error.
+    reassembles to the input within the stored reconstruction error, which
+    is the Frobenius distance of the closed-form block product
+    (_tree_product) from u.
 
     The first call along `seq` builds its plan (frame, components, CS groups,
-    coefficient matrices, localities) and later calls reuse it.
+    coefficient matrices, localities, block kinds) and later calls reuse it.
+    The result holds the plan and the angle arrays; its factors and blocks
+    are built when first read.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (seq.dim, seq.dim):
@@ -609,20 +687,12 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
     try:
         if plan is None:
             plan = _PLANS[seq] = _Plan(seq, frame)
-        blocks, exponents = _walk(plan, u_su)
+        angles = _walk(plan, u_su)
     except DecompositionError as exc:
         raise DecompositionError(f"decomposition failed: {exc}") from exc
-    # The factors of a block commute, so each block is one exponential.
-    total = np.eye(seq.dim, dtype=complex)
-    for e in expm_hermitian(exponents):
-        total = total @ e
-    return Factorization(
-        dim=seq.dim,
-        factors=tuple(f for blk in blocks for f in blk.factors),
-        blocks=tuple(blocks),
-        global_phase=complex(phase),
-        reconstruction_error=float(frob(total * complex(phase) - u)),
-    )
+    total = _tree_product(plan, angles)
+    return Factorization._of_columns(seq.dim, plan, angles, complex(phase),
+                                     float(frob(total * complex(phase) - u)))
 
 
 def reconstruct(fact: Factorization, dim: int) -> np.ndarray:
@@ -714,10 +784,11 @@ def factor_abelian_exponential(
     if frob(a @ sol - target) > SOLVE_TOL * n:
         raise NotInSpanError("phases do not lie in the space span")
     tree_index = "0" * max(1, (n - 1).bit_length() + 1)
-    factors = list(_Block.of(space, eigcols).factors(tree_index, sol[:-1].tolist()))
+    block = _Block.of(space, eigcols)
+    factors = list(itertools.starmap(GateFactor, block.rows(tree_index, sol[:-1].tolist())))
     phase = complex(np.exp(1j * sol[-1]))
     # The factors commute, so their product is one exponential.
-    check = expm_hermitian(sum((f.angle * f.generator.matrix for f in factors), np.zeros((n, n))))
+    check = block.exponentials(sol[None, :-1])[0]
     if frob(check * phase - v) > SOLVE_TOL * n:
         raise NotInSpanError("abelian expansion does not reproduce the input")
     return factors, phase

@@ -39,15 +39,26 @@ __all__ = [
 # Deterministic writer
 # ---------------------------------------------------------------------------
 
+def _quote(text: str) -> str:
+    if "\\" in text or '"' in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + text + '"'
+
+
 def _write(value: Any, out: List[str]) -> None:
-    if value is None:
+    kind = type(value)  # exact floats and strings, the most common values, skip the chain
+    if kind is float:
+        out.append(format(value, ".17g"))
+    elif kind is str:
+        out.append(_quote(value))
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
     elif isinstance(value, str):
-        out.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(_quote(value))
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
@@ -55,10 +66,9 @@ def _write(value: Any, out: List[str]) -> None:
     elif isinstance(value, dict):
         out.append("{")
         for k, v in value.items():
-            if out[-1] not in ("{",):
+            if out[-1] != "{":
                 out.append(", ")
-            _write(str(k), out)
-            out.append(": ")
+            out.append(_quote(str(k)) + ": ")  # a key is a string; no need to dispatch
             _write(v, out)
         out.append("}")
     elif isinstance(value, (list, tuple)):
@@ -231,12 +241,12 @@ def factorization_to_json(fact: Factorization) -> Dict[str, Any]:
         "reconstruction_error": fact.reconstruction_error,
         "factors": [
             {
-                "tree_index": f.tree_index,
-                "ordinal": f.ordinal,
-                "generator": generator_to_json(f.generator),
-                "angle": f.angle,
-                "locality": f.locality,
+                "tree_index": idx,
+                "ordinal": ordinal,
+                "generator": generator_to_json(g),
+                "angle": angle,
+                "locality": locality,
             }
-            for f in fact.factors
+            for idx, ordinal, g, angle, locality in fact.factor_rows()
         ],
     }

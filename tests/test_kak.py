@@ -2,13 +2,14 @@
 
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cartankak import kak
+from cartankak import kak, serialize
 from cartankak._linalg import (
     SOLVE_TOL,
     expm_hermitian,
@@ -766,16 +767,22 @@ class TestLevelPass:
             kak._cs_level(plan, 3, np.array([spoiled, leaking]))
 
     @pytest.mark.parametrize("n", [4, 9, 16])
-    def test_level_exponents_are_the_per_factor_sums(self, n, std_seq):
-        """The stacked exponents have the bits of each block's term-by-term sum."""
-        seq = std_seq(n)
-        u_su, _ = ingest_unitary(random_special_unitary(n, np.random.default_rng(97 + n)))
-        recursive_decompose(u_su, seq)
-        blocks, exponents = kak._walk(kak._PLANS[seq], u_su)
-        sums = [sum(f.angle * f.generator.matrix for f in b.factors) for b in blocks if b.factors]
-        assert len(sums) == len(exponents)
-        for got, want in zip(exponents, sums):
-            assert np.array_equal(got, want)
+    def test_level_exponentials_are_the_per_factor_exponentials(self, n, std_seq):
+        """Each block's closed-form exponential is exp(i sum(angle * generator)) of its
+        factors, and a block without factors is the exact identity."""
+        u = random_special_unitary(n, np.random.default_rng(97 + n))
+        fact = recursive_decompose(u, std_seq(n))
+        plan, angles = vars(fact)["_columns"]
+        exps = {level: plan.blocks[level].exponentials(w) for level, w in angles.items()}
+        assert [(b.tree_index, b.level) for b in fact.blocks] == [
+            (idx, level) for level, _, idx in plan.order]
+        for (level, j, _), block in zip(plan.order, fact.blocks):
+            got = exps[level][j]
+            if not block.factors:
+                assert np.array_equal(got, np.eye(n))
+                continue
+            want = scipy.linalg.expm(1j * sum(f.angle * f.generator.matrix for f in block.factors))
+            assert frob(got - want) < 1e-13
 
     @pytest.mark.parametrize("algebra", [standard_quotient_algebra, intrinsic_quotient_algebra])
     def test_stacking_leaves_every_output_unchanged(self, algebra, monkeypatch):
@@ -859,14 +866,105 @@ class TestGuardsAreReached:
             recursive_decompose(u, seq)
 
 
-@pytest.mark.parametrize("n", range(2, 17))
-def test_block_reconstruction_matches_reconstruct(n, std_seq):
-    """One exponential per abelian block agrees with the per-factor product."""
+def moved_sequence(algebra, n):
+    """The default sequence of algebra(n) moved by a seeded Haar unitary: every block dense."""
+    rng = np.random.default_rng(1600 + n)
+    return build_decomposition_sequence(
+        conjugate_quotient_algebra(algebra(n), random_special_unitary(n, rng)))
+
+
+ALGEBRAS = {"standard": standard_quotient_algebra, "intrinsic": intrinsic_quotient_algebra}
+BLOCK_CASES = (
+    [pytest.param("standard", False, n, id=str(n)) for n in range(2, 17)]
+    + [pytest.param("intrinsic", False, n, id=f"intrinsic-{n}") for n in range(2, 17)]
+    + [pytest.param(build, True, n, id=f"moved-{build}-{n}")
+       for build in ALGEBRAS for n in (4, 5, 8, 9)]
+)
+
+
+@pytest.mark.parametrize("build, moved, n", BLOCK_CASES)
+def test_block_reconstruction_matches_reconstruct(build, moved, n, std_seq):
+    """The closed-form block product agrees with the per-factor product."""
+    if moved:
+        seq = moved_sequence(ALGEBRAS[build], n)
+    else:
+        seq = std_seq(n) if build == "standard" else build_decomposition_sequence(
+            intrinsic_quotient_algebra(n))
     rng = np.random.default_rng(700 + n)
     for _ in range(3):
         u = np.exp(1.1j) * random_special_unitary(n, rng)
-        fact = recursive_decompose(u, std_seq(n))
+        fact = recursive_decompose(u, seq)
         assert abs(fact.reconstruction_error - frob(reconstruct(fact, n) - u)) <= 1e-12
+
+
+def test_every_block_kind_is_reached(std_seq):
+    """The word center is diagonal and a label's space is pairs; a moved algebra is dense."""
+    for seq in (std_seq(16), std_seq(9)):
+        recursive_decompose(np.eye(seq.dim), seq)
+        kinds = {level: b.kind for level, b in kak._PLANS[seq].blocks.items()}
+        assert kinds == {1: "diagonal", **{level: "pairs" for level in range(2, len(kinds) + 1)}}
+    moved = moved_sequence(standard_quotient_algebra, 8)
+    recursive_decompose(np.eye(8), moved)
+    assert {b.kind for b in kak._PLANS[moved].blocks.values()} == {"dense"}
+
+
+class TestColumns:
+    """recursive_decompose keeps the angle columns and builds factor objects on first read."""
+
+    # sha256 of factorization_to_json without reconstruction_error, recorded from the
+    # code that built every factor inside recursive_decompose.
+    PINS = {
+        4: "ccb8d6a9da2cb907a004c451536a0f45856aca9b27032fe7aca3a1f0e3bf5431",
+        8: "2dd68d904d480b20b152d9e096fbaee5eaf7db8b5dd63663f95d52430a175f52",
+        9: "874ce70711a178fca3ce8f59508a496a4f129d9586aea5dd30fc87a7c1eb009e",
+        16: "1acb03f55b199c4d8f116771948e7d2603049b5462fd590d56e6758342c5a0d9",
+    }
+
+    @staticmethod
+    def seeded(n, std_seq):
+        u = np.exp(0.2j) * random_special_unitary(n, np.random.default_rng(1700 + n))
+        return recursive_decompose(u, std_seq(n))
+
+    @pytest.mark.parametrize("n", sorted(PINS))
+    def test_factors_are_pinned(self, n, std_seq):
+        obj = serialize.factorization_to_json(self.seeded(n, std_seq))
+        del obj["reconstruction_error"]
+        digest = hashlib.sha256(serialize.dumps(obj).encode()).hexdigest()
+        assert digest == self.PINS[n]
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_columns_are_read_without_factor_objects(self, n, std_seq, monkeypatch):
+        fact = self.seeded(n, std_seq)
+        monkeypatch.setattr(kak, "GateFactor", None)  # any construction would raise
+        counts = (fact.local_count(), fact.nonlocal_count())
+        text = serialize.dumps(serialize.factorization_to_json(fact))
+        assert "factors" not in vars(fact) and "blocks" not in vars(fact)
+        monkeypatch.undo()
+        assert counts == (sum(f.locality == "local" for f in fact.factors),
+                          sum(f.locality == "nonlocal" for f in fact.factors))
+        hand_built = Factorization(n, fact.factors, fact.blocks, fact.global_phase,
+                                   fact.reconstruction_error)
+        assert serialize.dumps(serialize.factorization_to_json(hand_built)) == text
+        assert (hand_built.local_count(), hand_built.nonlocal_count()) == counts
+        assert hand_built == fact
+
+    def test_second_read_returns_the_same_tuples(self, std_seq):
+        fact = self.seeded(8, std_seq)
+        factors, blocks = fact.factors, fact.blocks
+        assert fact.factors is factors and fact.blocks is blocks
+        assert factors == tuple(f for b in blocks for f in b.factors)
+        with pytest.raises(AttributeError):
+            fact.angles
+
+    def test_warm_call_read_after_the_cold_one(self, std_seq):
+        # Neither result is read until both exist, so they must not share state.
+        seq = build_decomposition_sequence(std_seq(16).qa)
+        rng = np.random.default_rng(1716)
+        u, other = (random_special_unitary(16, rng) for _ in range(2))
+        cold = recursive_decompose(u, seq)
+        warm = recursive_decompose(u, seq)
+        recursive_decompose(other, seq)
+        assert fingerprint(warm) == fingerprint(cold)
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 16])

@@ -13,6 +13,12 @@ For each dimension N and each repeat it times, in a fresh process:
   decompose_ms       median of the next 10 calls (seeded Haar inputs)
   plan_ms            first_decompose_ms - decompose_ms: what only the first
                      call along a sequence pays
+  to_json_ms         median serialize.factorization_to_json + dumps of each
+                     result of those calls, the first thing read of it
+  factors_ms         median first read of .factors on the same results (the
+                     JSON reads the angle columns, not the factor objects):
+                     what a result pays to build its factors on demand (about
+                     zero where the call itself builds them)
   reconstruct_ms     median of the public per-factor reconstruct
   single_level_ms    median kak_single_level call on the same inputs, along
                      build_cartan_split(qa, "0" * p, validate=False)
@@ -57,7 +63,8 @@ DEFAULT_DIMS = "4,6,8,9,12,15,16,32"
 UNITARIES = 10  # warm calls timed per repeat
 SEED = 0
 STAGES = ("algebra_s", "closure_s", "validate_s", "sequence_s", "first_decompose_ms",
-          "decompose_ms", "plan_ms", "reconstruct_ms", "single_level_ms", "cs_calls")
+          "decompose_ms", "plan_ms", "to_json_ms", "factors_ms", "reconstruct_ms",
+          "single_level_ms", "cs_calls")
 
 
 def timed(fn, *args):
@@ -87,6 +94,9 @@ def run_dim(ck, n):
     rng = np.random.default_rng(SEED + n)
     us = [ck._linalg.random_special_unitary(n, rng) for _ in range(UNITARIES + 1)]
     facts, seconds = zip(*(timed(ck.kak.recursive_decompose, u, seq) for u in us))
+    to_json = [timed(lambda f: ck.serialize.dumps(ck.serialize.factorization_to_json(f)), f)[1]
+               for f in facts[1:]]
+    factors = [timed(getattr, f, "factors")[1] for f in facts[1:]]
     rebuilt = [timed(ck.kak.reconstruct, f, n)[1] for f in facts[1:]]
     decompose_ms = statistics.median(seconds[1:]) * 1e3
     single = [timed(ck.kak.kak_single_level, u, split)[1] for u in us[1:]]
@@ -98,6 +108,8 @@ def run_dim(ck, n):
         "first_decompose_ms": seconds[0] * 1e3,
         "decompose_ms": decompose_ms,
         "plan_ms": seconds[0] * 1e3 - decompose_ms,
+        "factors_ms": statistics.median(factors) * 1e3,
+        "to_json_ms": statistics.median(to_json) * 1e3,
         "reconstruct_ms": statistics.median(rebuilt) * 1e3,
         "single_level_ms": statistics.median(single) * 1e3,
         "cs_calls": cs_calls(ck, us[1], seq),
