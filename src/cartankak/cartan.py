@@ -370,7 +370,6 @@ class LevelSpec:
 
     ordinal: int
     center_core: AbelianSpace
-    center: AbelianSpace  # extended to N - 1 commuting generators
     label: Optional[str]  # None at level 1 (the quotient algebra's own center)
     choice_bits: str
     chosen_labels: Tuple[str, ...]  # labels of the spaces forming t at this level
@@ -399,9 +398,16 @@ class DecompositionSequence:
     def depth(self) -> int:
         return len(self.levels)
 
-    def final_extended(self) -> AbelianSpace:
-        """t_[p] recovered to its N - 1 abelian generators (the A_[p+1] view)."""
-        return extend_to_maximal_abelian(self.final, self.qa.center)
+    def center(self, k: int) -> AbelianSpace:
+        """A_[k] for k = 1..p+1: the algebra's center, then level k's center core
+        and at k = p+1 the final t_[p], each extended to N - 1 commuting
+        generators. Built on each call; the recursion reads only the cores."""
+        if k == 1:
+            return self.qa.center
+        if not 2 <= k <= self.depth + 1:
+            raise InvalidChoiceError(f"level {k} is not in 1..{self.depth + 1}")
+        core = self.levels[k - 1].center_core if k <= self.depth else self.final
+        return extend_to_maximal_abelian(core, self.qa.center)
 
     def space_at(self, label: str) -> AbelianSpace:
         pair = self.qa.pair_by_label(label)
@@ -441,39 +447,31 @@ def build_decomposition_sequence(
         raise InvalidChoiceError("too many level-center overrides")
     overrides += [None] * (p - 1 - len(overrides))
 
-    split = build_cartan_split(qa, choices[0], validate=False)
-    hats = split.hat_selection()
-    labels = sorted((label_int(pair.binary_label) for pair in qa.pairs))
+    hats = _hat_assignment(qa, choices[0])
+    available = sorted(label_int(pair.binary_label) for pair in qa.pairs)
 
     def space_of(value: int) -> AbelianSpace:
         lab = bits_of(value, p)
         pair = qa.pair_by_label(lab)
         return pair.w_hat if hats[lab] else pair.w
 
-    levels: List[LevelSpec] = []
-    center1 = qa.center
-    levels.append(
+    levels = [
         LevelSpec(
             ordinal=1,
-            center_core=center1,
-            center=center1,
+            center_core=qa.center,
             label=None,
             choice_bits=choices[0],
-            chosen_labels=tuple(bits_of(v, p) for v in labels),
+            chosen_labels=tuple(bits_of(v, p) for v in available),
         )
-    )
-
-    available = list(labels)
+    ]
     for k in range(2, p + 1):
         alpha = _designate_center(available, overrides[k - 2], space_of, p, k)
         remaining = [x for x in available if x != alpha]
         chosen = _resolve_level_choices(remaining, alpha, choices[k - 1], p, k)
-        core = space_of(alpha)
         levels.append(
             LevelSpec(
                 ordinal=k,
-                center_core=core,
-                center=extend_to_maximal_abelian(core, qa.center),
+                center_core=space_of(alpha),
                 label=bits_of(alpha, p),
                 choice_bits=choices[k - 1],
                 chosen_labels=tuple(bits_of(v, p) for v in sorted(chosen)),
@@ -507,38 +505,27 @@ def _designate_center(available, override, space_of, p, k) -> int:
 
 
 def _resolve_level_choices(remaining, alpha, bits, p, k) -> List[int]:
-    """Pick one label per {x, x xor alpha} pair, closing picks under xor."""
-    pair_of = {}
+    """Pick one label per {x, x xor alpha} pair, closing picks under xor.
+
+    The picks and 0 form a group H without alpha. A pick is made only when
+    neither label of its pair is in H, so pick ^ H misses H and alpha: the two
+    labels of a pair are never both picked, and closure cannot contradict an
+    earlier pick.
+    """
     for x in remaining:
-        partner = x ^ alpha
-        if partner not in remaining:
-            raise InvalidChoiceError(
-                f"level {k}: label {bits_of(x, p)} lost its partner"
-            )
-        pair_of[x] = partner
-    decided: Dict[int, int] = {}  # min(pair) -> chosen label
+        if x ^ alpha not in remaining:
+            raise InvalidChoiceError(f"level {k}: label {bits_of(x, p)} lost its partner")
     chosen: List[int] = []
     bit_iter = iter(bits)
-    for x in sorted(remaining):
-        key = min(x, pair_of[x])
-        if key in decided:
+    for x in remaining:  # ascending
+        if x in chosen or x ^ alpha in chosen:
             continue
         try:
             bit = next(bit_iter)
         except StopIteration as exc:
             raise InvalidChoiceError(f"level {k}: not enough choice bits") from exc
-        pick = max(x, pair_of[x]) if bit == "1" else key
-        new = [pick] + [pick ^ c for c in chosen]
-        for v in new:
-            kk = min(v, v ^ alpha)
-            if kk in decided:
-                if decided[kk] != v:
-                    raise InvalidChoiceError(
-                        f"level {k}: choice bits contradict closure at {bits_of(v, p)}"
-                    )
-            else:
-                decided[kk] = v
-        chosen.extend(new)
+        pick = max(x, x ^ alpha) if bit == "1" else min(x, x ^ alpha)
+        chosen += [pick] + [pick ^ c for c in chosen]
     leftovers = list(bit_iter)
     if leftovers:
         raise InvalidChoiceError(f"level {k}: {len(leftovers)} unused choice bits")

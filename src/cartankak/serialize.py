@@ -208,7 +208,7 @@ def sequence_to_json(seq: DecompositionSequence) -> Dict[str, Any]:
                 "choice_bits": lv.choice_bits,
                 "chosen_labels": list(lv.chosen_labels),
                 "center_core": space_to_json(lv.center_core),
-                "center": space_to_json(lv.center),
+                "center": space_to_json(seq.center(lv.ordinal)),
             }
             for lv in seq.levels
         ],

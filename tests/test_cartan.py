@@ -1,6 +1,7 @@
 """Cartan splits, shell enumeration, and decomposition sequences."""
 
 import copy
+import itertools
 import pickle
 from dataclasses import replace
 
@@ -17,13 +18,33 @@ from cartankak.cartan import (
     extend_to_maximal_abelian,
     nearest_neighbors,
 )
-from cartankak.errors import InvalidChoiceError, NotInSpanError
+from cartankak._linalg import random_special_unitary
+from cartankak.errors import (
+    InvalidChoiceError,
+    NotAbelianError,
+    NotBinaryPartitionedError,
+    NotInSpanError,
+)
 from cartankak.generators import Generator, make_tensor_word
-from cartankak.partition import AbelianSpace, standard_basis
+from cartankak.kak import recursive_decompose
+from cartankak.partition import (
+    AbelianSpace,
+    ConjugatePair,
+    standard_basis,
+    standard_quotient_algebra,
+)
 
 
 def word(*sites):
     return make_tensor_word(list(sites))
+
+
+def assert_centers_maximal(seq, n):
+    """A_[k] holds N - 1 commuting, independent generators for k = 1..p+1."""
+    for k in range(1, seq.depth + 2):
+        center = seq.center(k)
+        assert len(center) == n - 1
+        center.validate(1e-10)
 
 
 class TestEnumerateChoices:
@@ -244,7 +265,7 @@ class TestDecompositionSequences:
     def test_su8_level_shape(self, word_qa):
         seq = build_decomposition_sequence(word_qa(8))
         assert [len(lv.chosen_labels) for lv in seq.levels] == [7, 3, 1]
-        assert [len(lv.center) for lv in seq.levels] == [7, 7, 7]
+        assert_centers_maximal(seq, 8)
 
     def test_su6_same_shape_as_su8(self, word_qa):
         seq6 = build_decomposition_sequence(word_qa(6))
@@ -252,7 +273,7 @@ class TestDecompositionSequences:
         assert [len(l.chosen_labels) for l in seq6.levels] == [
             len(l.chosen_labels) for l in seq8.levels
         ]
-        assert [len(lv.center) for lv in seq6.levels] == [5, 5, 5]
+        assert_centers_maximal(seq6, 6)
 
     def test_level_centers_inside_previous_t(self, word_qa):
         seq = build_decomposition_sequence(word_qa(8))
@@ -321,11 +342,116 @@ class TestFinalLevelSize:
         # The final abelian subalgebra recovers N - 1 commuting generators.
         seq = build_decomposition_sequence(word_qa(4))
         assert len(seq.final) == 2
-        ext = seq.final_extended()
+        ext = seq.center(3)
         assert len(ext) == 3
         ext.validate(1e-10)
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_final_extended_reaches_n_minus_1(self, n, word_qa):
         seq = build_decomposition_sequence(word_qa(n))
-        assert len(seq.final_extended()) == n - 1
+        assert len(seq.center(seq.depth + 1)) == n - 1
+
+    @pytest.mark.parametrize("k", [0, 4, -1])
+    def test_center_outside_one_to_p_plus_1_raises(self, k, word_qa):
+        seq = build_decomposition_sequence(word_qa(4))
+        with pytest.raises(InvalidChoiceError, match="not in 1..3"):
+            seq.center(k)
+
+
+class TestSequenceBuild:
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_build_extends_nothing_and_builds_no_split(self, n, monkeypatch):
+        qa = standard_quotient_algebra(n)
+        calls = []
+        for name in ("extend_to_maximal_abelian", "CartanSplit"):
+            original = getattr(cartan, name)
+            monkeypatch.setattr(cartan, name, lambda *args, _name=name, _original=original:
+                                calls.append(_name) or _original(*args))
+        seq = build_decomposition_sequence(qa)
+        assert calls == []
+        seq.center(2)  # the counter sees the accessor's extension
+        assert calls == ["extend_to_maximal_abelian"]
+
+    def test_unhatted_algebra_factors_like_the_standard_build(self):
+        # Hand-built pairs whose spaces keep the default hat=False: the hats
+        # come from the selector's parity rule, not from the space flags.
+        qa = standard_quotient_algebra(4)
+        plain = replace(qa, pairs=tuple(
+            ConjugatePair(pair.w, replace(pair.w_hat, hat=False), pair.binary_label)
+            for pair in qa.pairs))
+        seq, plain_seq = build_decomposition_sequence(qa), build_decomposition_sequence(plain)
+        assert dict(plain_seq.hat_selection) == dict(seq.hat_selection)
+        u = random_special_unitary(4, np.random.default_rng(5))
+        want, got = recursive_decompose(u, seq), recursive_decompose(u, plain_seq)
+
+        def rows(fact):
+            return [(t, o, g.label_str, a, loc) for t, o, g, a, loc in fact.factor_rows()]
+
+        assert rows(got) == rows(want)
+        assert got.global_phase == want.global_phase
+        assert got.reconstruction_error < 1e-8
+
+
+class TestSequenceGuards:
+    """Every raise of the sequence build, reached with an algebra edited by hand
+    (as qa_from_json or a caller can produce)."""
+
+    @staticmethod
+    def without(qa, *labels):
+        return replace(qa, pairs=tuple(pr for pr in qa.pairs if pr.binary_label not in labels))
+
+    def test_unlabeled_pair(self, word_qa):
+        qa = word_qa(4)
+        first = qa.pairs[0]
+        unlabeled = replace(qa, pairs=(ConjugatePair(first.w, first.w_hat), *qa.pairs[1:]))
+        with pytest.raises(NotBinaryPartitionedError, match="labeled quotient algebra"):
+            build_decomposition_sequence(unlabeled)
+
+    def test_p_overrides(self, word_qa):
+        with pytest.raises(InvalidChoiceError, match="too many level-center overrides"):
+            build_decomposition_sequence(word_qa(4), None, [None, None])
+
+    def test_repeated_pair_leaves_two_final_labels(self, word_qa):
+        qa = word_qa(2)
+        with pytest.raises(InvalidChoiceError, match="recursion left 2 labels"):
+            build_decomposition_sequence(replace(qa, pairs=qa.pairs * 2))
+
+    def test_non_commuting_final_space(self, word_qa):
+        space = AbelianSpace((word("p1"), word("p2")), binary_label="1")
+        pair = ConjugatePair(space, replace(space, hat=True), "1")
+        with pytest.raises(NotAbelianError, match="final level space is not abelian"):
+            build_decomposition_sequence(replace(word_qa(2), pairs=(pair,)))
+
+    def test_missing_label_loses_a_partner(self, word_qa):
+        # Level 2 designates 01; 10 pairs with the missing 11.
+        with pytest.raises(InvalidChoiceError, match="label 10 lost its partner"):
+            build_decomposition_sequence(self.without(word_qa(4), "11"))
+
+    def test_labels_wider_than_p_need_more_bits(self, word_qa):
+        # Seven 3-bit labels under p = 2: level 2 meets the pairs {010, 011}
+        # and {100, 101} with one bit.
+        with pytest.raises(InvalidChoiceError, match="level 2: not enough choice bits"):
+            build_decomposition_sequence(replace(word_qa(8), p=2))
+
+    def test_missing_labels_leave_bits_unused(self, word_qa):
+        # Labels 001, 010, 011 only: level 2 has one pair for its two bits.
+        with pytest.raises(InvalidChoiceError, match="level 2: 1 unused choice bits"):
+            build_decomposition_sequence(self.without(word_qa(8), "100", "101", "110", "111"))
+
+    def test_labels_not_closed_under_xor(self, word_qa):
+        # The level-2 picks 010 and 100 close to 110, which is no pair here.
+        with pytest.raises(InvalidChoiceError, match="level 2: selection does not cover"):
+            build_decomposition_sequence(self.without(word_qa(8), "110", "111"))
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_every_choice_string_resolves_by_closure(self, n):
+        # No level's picks ever contradict closure: every choice string builds.
+        qa = standard_quotient_algebra(n)
+        p = qa.p
+        strings = [[format(b, f"0{p - k}b") for b in range(1 << (p - k))] for k in range(p)]
+        seen = set()
+        for choices in itertools.product(*strings):
+            seq = build_decomposition_sequence(qa, list(choices))
+            seen.add((tuple(sorted(seq.hat_selection.items())),
+                      tuple(lv.chosen_labels for lv in seq.levels)))
+        assert len(seen) == 2 ** (p * (p + 1) // 2)

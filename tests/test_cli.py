@@ -66,6 +66,15 @@ class TestPartition:
         )
         assert main(["partition", "--dim", "3", "--center", center]) == 2
 
+    @pytest.mark.parametrize("target", ["taken", "missing/qa.json"])
+    def test_unwritable_output_exits_2(self, target, tmp_path, capsys):
+        # A directory fails at the rename, a missing parent at the temp file.
+        (tmp_path / "taken").mkdir()
+        out = tmp_path / target
+        assert main(["partition", "--dim", "4", "--output", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert [f.name for f in tmp_path.rglob(".cartankak-*")] == []
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["partition", "--dim", "6", "--output", str(a)])

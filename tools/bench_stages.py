@@ -9,10 +9,14 @@ For each dimension N and each repeat it times, in a fresh process:
   closure_s          verify_closure of that algebra
   validate_s         one CartanSplit.validate of its "0" * p split
   sequence_s         build_decomposition_sequence on that algebra
+  sequences_s        build_decomposition_sequence for every choice string:
+                     2^(p(p+1)/2) of them, 64 at N=8 and 1,024 at N=16; only
+                     for N <= 16 (N=32 would have 32,768)
   first_decompose_ms the first recursive_decompose along the new sequence
   decompose_ms       median of the next 10 calls (seeded Haar inputs)
-  plan_ms            first_decompose_ms - decompose_ms: what only the first
-                     call along a sequence pays
+  plan_ms            median over 5 fresh default sequences of the plan build
+                     alone, kak._build_frame plus kak._Plan: what only the
+                     first call along a sequence pays
   to_json_ms         median serialize.factorization_to_json + dumps of each
                      result of those calls, the first thing read of it
   factors_ms         median first read of .factors on the same results (the
@@ -48,6 +52,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -61,10 +66,11 @@ import numpy as np  # noqa: E402
 
 DEFAULT_DIMS = "4,6,8,9,12,15,16,32"
 UNITARIES = 10  # warm calls timed per repeat
+PLANS = 5  # fresh sequences whose plan build is timed per repeat
 SEED = 0
-STAGES = ("algebra_s", "closure_s", "validate_s", "sequence_s", "first_decompose_ms",
-          "decompose_ms", "plan_ms", "to_json_ms", "factors_ms", "reconstruct_ms",
-          "single_level_ms", "cs_calls")
+STAGES = ("algebra_s", "closure_s", "validate_s", "sequence_s", "sequences_s",
+          "first_decompose_ms", "decompose_ms", "plan_ms", "to_json_ms", "factors_ms",
+          "reconstruct_ms", "single_level_ms", "cs_calls")
 
 
 def timed(fn, *args):
@@ -84,6 +90,21 @@ def cs_calls(ck, u, seq):
     return len(calls)
 
 
+def build_plan(ck, seq):
+    """What the first recursive_decompose along seq builds before its level pass."""
+    spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
+    return ck.kak._Plan(seq, ck.kak._build_frame(seq.qa, spaces))
+
+
+def build_every_sequence(ck, qa):
+    """build_decomposition_sequence for every choice string: p bits at level 1,
+    one fewer per level after it."""
+    p = qa.p
+    strings = [[format(b, f"0{p - k}b") for b in range(1 << (p - k))] for k in range(p)]
+    for choices in itertools.product(*strings):
+        ck.cartan.build_decomposition_sequence(qa, list(choices))
+
+
 def run_dim(ck, n):
     """One repeat at dimension n: stage times and the worst reconstruction error."""
     qa, algebra_s = timed(ck.partition.standard_quotient_algebra, n)
@@ -91,6 +112,8 @@ def run_dim(ck, n):
     split = ck.cartan.build_cartan_split(qa, "0" * qa.p, validate=False)
     _, validate_s = timed(split.validate)
     seq, sequence_s = timed(ck.cartan.build_decomposition_sequence, qa)
+    fresh = [ck.cartan.build_decomposition_sequence(qa) for _ in range(PLANS)]
+    plans = [timed(build_plan, ck, other)[1] for other in fresh]
     rng = np.random.default_rng(SEED + n)
     us = [ck._linalg.random_special_unitary(n, rng) for _ in range(UNITARIES + 1)]
     facts, seconds = zip(*(timed(ck.kak.recursive_decompose, u, seq) for u in us))
@@ -107,13 +130,15 @@ def run_dim(ck, n):
         "sequence_s": sequence_s,
         "first_decompose_ms": seconds[0] * 1e3,
         "decompose_ms": decompose_ms,
-        "plan_ms": seconds[0] * 1e3 - decompose_ms,
+        "plan_ms": statistics.median(plans) * 1e3,
         "factors_ms": statistics.median(factors) * 1e3,
         "to_json_ms": statistics.median(to_json) * 1e3,
         "reconstruct_ms": statistics.median(rebuilt) * 1e3,
         "single_level_ms": statistics.median(single) * 1e3,
         "cs_calls": cs_calls(ck, us[1], seq),
     }
+    if n <= 16:
+        stages["sequences_s"] = timed(build_every_sequence, ck, qa)[1]
     return stages, max(f.reconstruction_error for f in facts)
 
 
@@ -203,7 +228,8 @@ def main(argv=None):
             "seed": SEED,
             "import_s": statistics.median(run["import_s"]),
             "decompose_process_s": statistics.median(run["decompose_process_s"]),
-            "stages": {str(n): {k: statistics.median(s[k] for s in per) for k in STAGES}
+            "stages": {str(n): {k: statistics.median(s[k] for s in per)
+                                for k in STAGES if k in per[0]}
                        for n, per in run["stages"].items()},
             "worst_reconstruction_error": run["error"],
         }
