@@ -124,27 +124,32 @@ def commutator_residuals(left, right, rows) -> np.ndarray:
 MATCH_ZERO, MATCH_NONE, MATCH_OFF_LINE = -1, -2, -3
 
 
-def basis_match(xs, basis) -> list:
+def basis_match(xs, basis, overlaps=None) -> list:
     """Index of the basis matrix each x is a multiple of, from one HS-overlap product.
 
     k when b_k alone overlaps x, |Tr(b_k^dag x)| > SOLVE_TOL |x|, and x is
     within SOLVE_TOL |x| of its multiple of b_k. Otherwise MATCH_ZERO when
     |x| < SOLVE_TOL, MATCH_NONE when no or several b_k overlap x, and
-    MATCH_OFF_LINE when one does but x is not a multiple of it.
+    MATCH_OFF_LINE when one does but x is not a multiple of it. An
+    (len(xs), len(basis)) mask `overlaps` marks the only pairs that may
+    overlap: slot forms on different labels are orthogonal.
     """
     basis = np.asarray(basis).reshape(len(basis), -1)
     xs = np.asarray(xs).reshape(len(xs), -1)
-    out = []
-    for x, col in zip(xs, (basis @ xs.conj().T).conj().T):
-        norm = np.linalg.norm(x)
-        hits = np.flatnonzero(np.abs(col) > SOLVE_TOL * norm)
-        if norm < SOLVE_TOL or len(hits) != 1:
-            out.append(MATCH_ZERO if norm < SOLVE_TOL else MATCH_NONE)
-            continue
-        k, b = int(hits[0]), basis[hits[0]]
-        off = np.linalg.norm(x - col[k] / np.vdot(b, b) * b)
-        out.append(k if off <= SOLVE_TOL * norm else MATCH_OFF_LINE)
-    return out
+    cols = (basis @ xs.conj().T).conj().T
+    if overlaps is not None:
+        cols = np.where(overlaps, cols, 0.0)
+    norms = np.linalg.norm(xs, axis=1)
+    hits = np.abs(cols) > SOLVE_TOL * norms[:, None]
+    k = np.argmax(hits, axis=1)
+    out = np.full(len(xs), MATCH_NONE)
+    one = np.flatnonzero((hits.sum(axis=1) == 1) & (norms >= SOLVE_TOL))
+    b = basis[k[one]]
+    scale = cols[one, k[one]] / np.einsum("ij,ij->i", b.conj(), b)
+    off = np.linalg.norm(xs[one] - scale[:, None] * b, axis=1)
+    out[one] = np.where(off <= SOLVE_TOL * norms[one], k[one], MATCH_OFF_LINE)
+    out[norms < SOLVE_TOL] = MATCH_ZERO
+    return out.tolist()
 
 
 def in_span(m, basis_rows) -> bool:
@@ -193,18 +198,66 @@ def slot_form(mats):
     triangle, so the dense matrices are the form's zero-padded embedding.
     """
     stack = np.asarray(mats)
-    n = stack.shape[-1]
     weight = np.abs(stack).sum(axis=0)  # zero exactly where every matrix is
-    slots, diagonal = slot_support([weight + weight.T], 0.0)
-    labels = {i ^ j for i, j in slots} | ({0} if diagonal else set())
-    if len(labels) != 1:
+    (label,), _ = slot_forms(weight[None])
+    if label < 0 or not weight.any():
         return None
-    label, size = labels.pop(), 1 << max(1, (n - 1).bit_length())
-    i = np.arange(size)
-    inside = np.maximum(i, i ^ label) < n
-    c = np.zeros((len(stack), size), dtype=complex)
-    c[:, inside] = stack[:, i[inside], i[inside] ^ label]
-    return label, c
+    return int(label), _slot_entries(stack, np.full(len(stack), label))
+
+
+def slot_forms(stack):
+    """slot_form of each matrix of a (k, N, N) stack on its own: (labels, c).
+
+    labels[q] is the label of matrix q, or -1 when its entries sit on more
+    than one label (a zero matrix has label 0); c is the (k, M) stack of
+    entries c[q, i] = m_q[i, i ^ labels[q]]. One vectorized pass.
+    """
+    stack = np.asarray(stack)
+    k, n = len(stack), stack.shape[-1]
+    xor = np.bitwise_xor.outer(np.arange(n), np.arange(n))
+    hit = stack != 0
+    labels = xor.ravel()[hit.reshape(k, n * n).argmax(axis=1)]  # the label of the first entry
+    labels[(hit & (xor != labels[:, None, None])).any(axis=(1, 2))] = -1
+    return labels, _slot_entries(stack, labels)
+
+
+def _slot_entries(stack, labels):
+    """The (k, M) entries stack[q, i, i ^ labels[q]]: zero where an index passes N
+    or the label is -1."""
+    n = stack.shape[-1]
+    i = np.arange(1 << max(1, (n - 1).bit_length()))
+    cols = i ^ np.maximum(labels, 0)[:, None]
+    inside = (np.maximum(i, cols) < n) & (labels[:, None] >= 0)
+    at = np.arange(len(stack))[:, None], np.minimum(i, n - 1), np.minimum(cols, n - 1)
+    return np.where(inside, stack[at], 0j)
+
+
+def slot_bracket(la, ca, lb, cb):
+    """The slot form of [a, b] for forms (la, ca), (lb, cb) broadcast against each other.
+
+    [a, b] sits on label la ^ lb with entries ca[i] cb[i ^ la] - cb[i] ca[i ^ lb]:
+    O(M) per commutator. Labels have the leading shape, entries one more axis.
+    """
+    la, lb = np.broadcast_arrays(la, lb)
+    shape = la.shape + ca.shape[-1:]
+    ca, cb = np.broadcast_to(ca, shape), np.broadcast_to(cb, shape)
+    i = np.arange(shape[-1])
+    return la ^ lb, (ca * np.take_along_axis(cb, i ^ la[..., None], axis=-1)
+                     - cb * np.take_along_axis(ca, i ^ lb[..., None], axis=-1))
+
+
+def slot_commute(labels, c, tol=STRUCT_TOL) -> bool:
+    """all_commute of a stack given by its slot_forms (every label >= 0): the
+    norm of each slot_bracket, in row chunks of about 2^16 entries."""
+    k, m = c.shape
+    norms = np.linalg.norm(c, axis=1)
+    step = max(1, (1 << 16) // (k * m))
+    for lo in range(0, k, step):
+        a = slice(lo, lo + step)
+        _, comm = slot_bracket(labels[a, None], c[a, None], labels, c)
+        if (np.linalg.norm(comm, axis=2) > tol * np.maximum(1.0, norms[a, None] * norms)).any():
+            return False
+    return True
 
 
 def slot_groups(forms):

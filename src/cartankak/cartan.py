@@ -94,8 +94,9 @@ class CartanSplit:
         return out + self.chosen_center.matrices
 
     def hat_selection(self) -> Dict[str, bool]:
-        """label -> True when the hatted space sits in t."""
-        return {s.binary_label: s.hat for s in self.t}
+        """label -> True when the hatted space sits in t: the W^ side of its pair,
+        whatever the space's own hat flag says."""
+        return {s.binary_label: s is self.qa.pair_by_label(s.binary_label).w_hat for s in self.t}
 
     def validate(self, tol: float = SOLVE_TOL):
         """Check all four Cartan conditions and the dimension count.

@@ -303,22 +303,34 @@ def make_ortho_diag(l: int, n: int) -> Generator:
     return Generator(OrthoDiag(l), n, m)
 
 
+def word_matrices(sites: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """Every Kronecker product of one matrix per site, as one (K, D, D) stack.
+
+    sites[s] holds the candidate matrices of site s; the product runs in
+    itertools.product order (the last site varies fastest). One batched outer
+    product per site, with np.kron's operand order, so each matrix is bit for
+    bit the np.kron chain of its factors.
+    """
+    out = np.ones((1, 1, 1), dtype=complex)
+    for mats in sites:
+        mats = np.asarray(mats)
+        k, d, s, e = len(out), out.shape[1], len(mats), mats.shape[1]
+        out = out[:, None, :, None, :, None] * mats[None, :, None, :, None, :]
+        out = out.reshape(k * s, d * e, d * e)
+    return out
+
+
 def make_tensor_word(symbols: Sequence[str]) -> Generator:
     """Kronecker product of site symbols; rejects the all-identity word."""
     symbols = tuple(symbols)
     if not symbols:
         raise UnsupportedLabelError("empty tensor word")
-    dim = 1
-    matrix = np.eye(1, dtype=complex)
-    for sym in symbols:
-        d, m = site_factors(sym)
-        dim *= d
-        matrix = np.kron(matrix, m)
+    matrix = word_matrices([[site_factors(sym)[1]] for sym in symbols])[0]
     if abs(np.trace(matrix)) >= STRUCT_TOL:
         raise InvalidMatrixError(
             "tensor word is not traceless (every site is identity-like)"
         )
-    return Generator(TensorWord(symbols), dim, matrix)
+    return Generator(TensorWord(symbols), len(matrix), matrix)
 
 
 def generator_from_label(label: Union[str, Label], dim: int) -> Generator:

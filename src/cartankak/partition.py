@@ -11,6 +11,7 @@ process for dimensions that are not powers of two, and the subscript tables.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,6 +25,7 @@ from ._linalg import (
     MATCH_ZERO,
     SOLVE_TOL,
     STRUCT_TOL,
+    SlotTable,
     all_commute,
     basis_match,
     commutator_residuals,
@@ -31,8 +33,11 @@ from ._linalg import (
     frob,
     in_span,
     simultaneous_diagonalize,
+    slot_bracket,
     slot_commutator_residuals,
+    slot_commute,
     slot_form,
+    slot_forms,
     slot_groups,
     slot_table,
     span_rank,
@@ -48,7 +53,7 @@ from .errors import (
     NotBinaryPartitionedError,
     NotMaximalError,
 )
-from .generators import Diag, Generator, Lambda, LambdaHat
+from .generators import Diag, Generator, Lambda, LambdaHat, TensorWord
 
 __all__ = [
     "AbelianSpace",
@@ -102,9 +107,13 @@ class AbelianSpace:
         return [g.matrix for g in self.generators]
 
     def validate(self, tol: float = ACCEPT_TOL):
-        if not all_commute(self.matrices, tol):
+        """Commuting and independent; read off the slot forms when every generator has one."""
+        labels, c = self._forms
+        slot = (labels >= 0).all()
+        if not (slot_commute(labels, c, tol) if slot else all_commute(self.matrices, tol)):
             raise NotAbelianError("space generators do not commute")
-        if span_rank(self.matrices) != len(self.generators):
+        rank = _slot_units(labels, c).ranks.sum() if slot else span_rank(self.matrices)
+        if rank != len(self.generators):
             raise InvalidMatrixError("space generators are linearly dependent")
 
     def span(self) -> np.ndarray:
@@ -114,6 +123,11 @@ class AbelianSpace:
     def _slot(self):
         """slot_form of the generators, or None; kept, as they are immutable."""
         return slot_form(self.matrices)
+
+    @functools.cached_property
+    def _forms(self):
+        """slot_forms of the generators one by one."""
+        return slot_forms(self.matrices)
 
     def __len__(self):
         return len(self.generators)
@@ -202,17 +216,12 @@ def _site_symbols(d: int, diagonal_only: bool) -> List[str]:
 
 
 def _words(n: int, diagonal_only: bool) -> List[Generator]:
-    sites = gen.standard_sites(n)
-    combos = [[]]
-    for d in sites:
-        combos = [c + [s] for c in combos for s in _site_symbols(d, diagonal_only)]
-    out = []
-    for combo in combos:
-        try:
-            out.append(gen.make_tensor_word(combo))
-        except InvalidMatrixError:
-            continue  # the all-identity word
-    return out
+    symbols = [_site_symbols(d, diagonal_only) for d in gen.standard_sites(n)]
+    mats = gen.word_matrices([[gen.site_factors(s)[1] for s in syms] for syms in symbols])
+    # Each site lists its identity first, so word 0 is the all-identity word,
+    # the one word that is not traceless.
+    words = zip(itertools.product(*symbols), mats)
+    return [Generator(TensorWord(combo), n, m) for combo, m in itertools.islice(words, 1, None)]
 
 
 def standard_basis(n: int) -> List[Generator]:
@@ -278,9 +287,18 @@ def diagonalize_abelian(space) -> np.ndarray:
 # Algorithm: quotient algebra construction
 # ---------------------------------------------------------------------------
 
-def _collect_conjugates(seed: np.ndarray, center: np.ndarray, pool: np.ndarray) -> List[int]:
-    """Pool indices of the generators [seed, center] produces, in center order, first found first."""
-    matches = basis_match(seed @ center - center @ seed, pool)
+def _collect_conjugates(seed, center, pool) -> List[int]:
+    """Pool indices of the generators [seed, center] produces, in center order, first found first.
+
+    seed is a matrix and center and pool are stacks of them, or all three are
+    (labels, c) slot forms; a commutator then overlaps only the pool
+    generators on its label.
+    """
+    if isinstance(seed, tuple):
+        labels, xs = slot_bracket(seed[0], seed[1], *center)
+        matches = basis_match(xs, pool[1], labels[:, None] == pool[0])
+    else:
+        matches = basis_match(seed @ center - center @ seed, pool)
     for k in matches:
         if k == MATCH_NONE:
             raise BasisNotClosedError("commutator is not proportional to a single basis generator; "
@@ -300,13 +318,27 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     center are matched against the unused pool with one Hilbert-Schmidt
     overlap product (`basis_match`), and so are its first conjugate's.
     Commuting fragment pairs are merged according to the binary partitioning.
+
+    When every generator of the center and the basis has a slot form, as the
+    lambda basis and the word bases with at most one odd site do, the span,
+    membership and commute checks and the matching read those forms;
+    otherwise they run on the dense matrices.
     """
     n = center.dim
     center.validate()
-    cspan = center.span()
-
-    pool = [g for g in basis if g.dim == n and not in_span(g.matrix, cspan)]
-    total = span_rank([g.matrix for g in pool] + center.matrices)
+    basis = [g for g in basis if g.dim == n]
+    labels, c = slot_forms(np.reshape([g.matrix for g in basis], (-1, n, n)))
+    clabels, cc = center._forms
+    slot = (labels >= 0).all() and (clabels >= 0).all()
+    if slot:
+        keep = np.flatnonzero(~_slot_in_span(labels, c, _slot_units(clabels, cc)))
+        total = _slot_units(np.concatenate([labels[keep], clabels]),
+                            np.concatenate([c[keep], cc])).ranks.sum()
+    else:
+        cspan = center.span()
+        keep = [i for i, g in enumerate(basis) if not in_span(g.matrix, cspan)]
+        total = span_rank([basis[i].matrix for i in keep] + center.matrices)
+    pool, labels, c = [basis[i] for i in keep], labels[keep], c[keep]
     if total != n * n - 1:
         raise InvalidMatrixError(
             f"center plus basis span {total} dimensions, expected {n * n - 1}"
@@ -314,57 +346,81 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     if len(center) + len(pool) != n * n - 1:  # validate() checked len(center) is its rank
         raise InvalidMatrixError("basis contains redundant or center-span generators")
 
-    stack = np.array([g.matrix for g in pool])
-    cstack = np.array(center.matrices)
+    stack = None if slot else np.array([g.matrix for g in pool])
+    crows = (clabels, cc) if slot else np.array(center.matrices)
+
+    def rows(ix):
+        """Pool rows ix as slot forms, or as matrices."""
+        return (labels[ix], c[ix]) if slot else stack[ix]
+
     alive = np.ones(len(pool), dtype=bool)
-    raw_pairs: List[Tuple[List[Generator], List[Generator]]] = []
+    raw_pairs: List[Tuple[List[int], List[int]]] = []
     while alive.any():
         live = np.flatnonzero(alive)
-        seed, rows = live[0], stack[live]
-        hats = live[_collect_conjugates(stack[seed], cstack, rows)]
+        seed, live_rows = live[0], rows(live)
+        hats = live[_collect_conjugates(rows(seed), crows, live_rows)]
         if not len(hats):
             raise NotMaximalError(f"{pool[seed]!r} commutes with the whole center; "
                                   "center is not maximal abelian")
-        back = live[_collect_conjugates(stack[hats[0]], cstack, rows)]
+        back = live[_collect_conjugates(rows(hats[0]), crows, live_rows)]
         ws = [seed] + [i for i in back if i != seed]
         if len(ws) != len(hats):
             raise BasisNotClosedError(
                 "reversing step produced a different count; pair sizes disagree"
             )
-        raw_pairs.append(([pool[i] for i in ws], [pool[i] for i in hats]))
+        raw_pairs.append((ws, list(hats)))
         alive[ws] = alive[hats] = False
 
-    merged = _merge_pairs(raw_pairs)
-    spaces = [space for ws, hats, _ in merged for space in (ws, hats)]
-    if not all(all_commute([g.matrix for g in space], ACCEPT_TOL) for space in spaces):
+    merged = _merge_pairs(raw_pairs, labels, c)
+    spaces = [ix for ws, hats, _ in merged for ix in (ws, hats)]
+    if not all(slot_commute(labels[ix], c[ix], ACCEPT_TOL) if slot
+               else all_commute([pool[i].matrix for i in ix], ACCEPT_TOL) for ix in spaces):
         raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")
     p = max(1, (n - 1).bit_length())
-    pairs = _label_pairs(merged, p)
+    pairs = _label_pairs([([pool[i] for i in ws], [pool[i] for i in hats], label)
+                          for ws, hats, label in merged], p)
     qa = QuotientAlgebra(center=center, pairs=tuple(pairs), dim=n, p=p)
     if qa.generator_count() != n * n - 1:
         raise InvalidMatrixError("constructed algebra has the wrong generator count")
     return qa
 
 
-def _merge_pairs(raw_pairs):
+def _slot_units(labels, c) -> SlotTable:
+    """slot_table of per-matrix forms, one unit per label. One block, so its
+    ranks sum to span_rank of the matrices (the same singular value rule)."""
+    return slot_table([slot_groups(zip(labels.tolist(), c[:, None]))])
+
+
+def _slot_in_span(labels, c, table: SlotTable) -> np.ndarray:
+    """in_span of each form against the span of the table's units, label by label."""
+    vecs, norms = c.view(float), np.linalg.norm(c, axis=1)
+    resid = norms.copy()  # no unit on its label: the whole form is off the span
+    for label, rows in zip(table.labels, table.rows):
+        on = labels == label
+        resid[on] = np.linalg.norm(vecs[on] - (vecs[on] @ rows.T) @ rows, axis=1)
+    return (norms == 0) | (resid < SOLVE_TOL * norms)
+
+
+def _merge_pairs(raw_pairs, labels, c):
     """Merge commuting fragments sharing one binary-partitioning string.
 
-    Fragments are grouped by the label of their slot_form, and every labeled
-    fragment is oriented with its real side as W (the binary-consistent
-    option, never the superposition variant), so the unhatted components of
-    a group merge together. Fragments with no label, or on the diagonal, pass
-    through untouched. Each merged pair comes with its label, or None.
+    Fragments are pool index lists (ws, hats), grouped by the common label of
+    their generators' slot forms, and every labeled fragment is oriented with
+    its real side as W (the binary-consistent option, never the superposition
+    variant), so the unhatted components of a group merge together.
+    Fragments with no common label, or on the diagonal, pass through
+    untouched. Each merged pair comes with its label, or None.
     """
-    groups: Dict[object, List[Tuple[List[Generator], List[Generator]]]] = {}
+    groups: Dict[object, List[Tuple[List[int], List[int]]]] = {}
     for ws, hats in raw_pairs:
-        form = slot_form([g.matrix for g in ws + hats])
-        if form is None or form[0] == 0:
+        found = labels[ws + hats]
+        if found[0] <= 0 or (found != found[0]).any():
             groups[("opaque", len(groups))] = [(ws, hats)]
             continue
-        if not np.real([g.matrix for g in ws]).any():
+        if not c[ws].real.any():
             ws, hats = hats, ws
-        groups.setdefault(form[0], []).append((ws, hats))
-    return [([g for ws, _ in frags for g in ws], [g for _, hats in frags for g in hats],
+        groups.setdefault(int(found[0]), []).append((ws, hats))
+    return [([i for ws, _ in frags for i in ws], [i for _, hats in frags for i in hats],
              key if isinstance(key, int) else None) for key, frags in groups.items()]
 
 

@@ -184,14 +184,16 @@ def qa_from_json(obj: Dict[str, Any]) -> QuotientAlgebra:
 # ---------------------------------------------------------------------------
 
 def split_to_json(split: CartanSplit) -> Dict[str, Any]:
+    hats = split.hat_selection()
     return {
         "choice_bits": split.choice_bits,
         "t": [
-            {"label": s.binary_label, "hat": s.hat, "generators": space_to_json(s)}
+            {"label": s.binary_label, "hat": hats[s.binary_label], "generators": space_to_json(s)}
             for s in split.t
         ],
         "p": [
-            {"label": s.binary_label, "hat": s.hat, "generators": space_to_json(s)}
+            {"label": s.binary_label, "hat": not hats[s.binary_label],
+             "generators": space_to_json(s)}
             for s in split.p_part
         ],
         "center": space_to_json(split.chosen_center),
@@ -214,7 +216,7 @@ def sequence_to_json(seq: DecompositionSequence) -> Dict[str, Any]:
         ],
         "final": space_to_json(seq.final),
         "final_label": seq.final.binary_label,
-        "final_hat": seq.final.hat,
+        "final_hat": seq.hat_selection[seq.final.binary_label],
     }
 
 

@@ -25,6 +25,7 @@ from cartankak._linalg import (
     frob,
     in_span,
     random_special_unitary,
+    slot_forms,
     span_rank,
 )
 from cartankak.errors import (
@@ -125,7 +126,10 @@ def loop_build(center, basis):
         raw_pairs.append((ws, hats))
         used = {id(g) for g in ws + hats}
         remaining = [g for g in remaining if id(g) not in used]
-    merged = partition._merge_pairs(raw_pairs)
+    at = {id(g): i for i, g in enumerate(pool)}
+    merged = partition._merge_pairs([([at[id(g)] for g in ws], [at[id(g)] for g in hats])
+                                     for ws, hats in raw_pairs], *slot_forms([g.matrix for g in pool]))
+    merged = [([pool[i] for i in ws], [pool[i] for i in hats], lab) for ws, hats, lab in merged]
     spaces = [space for ws, hats, _ in merged for space in (ws, hats)]
     if not all(all_commute([g.matrix for g in space], ACCEPT_TOL) for space in spaces):
         raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")

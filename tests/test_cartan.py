@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cartankak import cartan
+from cartankak import cartan, serialize
 from cartankak._linalg import all_commute, frob, project_residual, span_rows, spans_equal
 from cartankak.cartan import (
     build_cartan_split,
@@ -390,6 +390,22 @@ class TestSequenceBuild:
         assert rows(got) == rows(want)
         assert got.global_phase == want.global_phase
         assert got.reconstruction_error < 1e-8
+
+    def test_hat_readers_follow_the_pair_side(self):
+        # The same unhatted algebra: hat_selection, the split JSON's per-space
+        # hat and the sequence JSON's final_hat read which side of its pair a
+        # space is, so they match the standard build.
+        qa = standard_quotient_algebra(4)
+        plain = replace(qa, pairs=tuple(
+            ConjugatePair(pair.w, replace(pair.w_hat, hat=False), pair.binary_label)
+            for pair in qa.pairs))
+        for bits in enumerate_t_choices(qa):
+            want, got = build_cartan_split(qa, bits), build_cartan_split(plain, bits)
+            assert got.hat_selection() == want.hat_selection()
+            assert serialize.split_to_json(got) == serialize.split_to_json(want)
+        seqs = [build_decomposition_sequence(x) for x in (qa, plain)]
+        assert seqs[0].final.hat and not seqs[1].final.hat
+        assert serialize.sequence_to_json(seqs[1]) == serialize.sequence_to_json(seqs[0])
 
 
 class TestSequenceGuards:

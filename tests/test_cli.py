@@ -183,6 +183,9 @@ PINNED_BUILDS = {
     16: ("40aed6f0ec42567451871eb1c40207e7f3eefa57b812504a596528fc2f7e5c17",
         "edabad0215e40da0ec55a4a00a1a6648d62b54c330e9ee0cb5571f1b1b72aed3",
         "ad5b9c485eb2660502af495cf77fbf045feaabcc4a974ee98bb638d529322c16"),
+    32: ("0dd644a90df9cddc4d12bbd88787f8264dcc20cbd9314f872e32664e04aa2c5e",
+         "ad45980887276947a938ea22e633765a3a90de1cf34df06987d59148abaaf822",
+         "58fff1ce7743c48c3d76e875ca844e80c01414ca035106800bc4d060bb28a442"),
 }
 
 

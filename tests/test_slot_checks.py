@@ -1,10 +1,16 @@
-"""Closure and Cartan checks in XOR-slot coordinates against the dense path.
+"""Closure, Cartan and build checks in XOR-slot coordinates against the dense path.
 
 verify_closure and CartanSplit.validate run in slot coordinates when every
 space sits on the slots (i, i ^ l) of one label, and on dense matrices
 otherwise. A space keeps its slot form as AbelianSpace._slot; patching that to
 None forces the dense path, which is the oracle here. Patching
 commutator_residuals to raise proves the slot path ran.
+
+build_quotient_algebra and AbelianSpace.validate read the per-matrix slot
+forms (slot_forms) when every generator has one. Their dense routines
+(in_span, span_rank, all_commute) are the oracle; patching them to raise
+proves the slot path ran, and patching slot_forms to find no form forces the
+dense path.
 """
 
 import functools
@@ -15,16 +21,38 @@ import pytest
 
 import cartankak.cartan as cartan
 import cartankak.partition as partition
-from cartankak._linalg import random_special_unitary, slot_form, span_rank, span_rows
+from cartankak._linalg import (
+    ACCEPT_TOL,
+    all_commute,
+    in_span,
+    random_special_unitary,
+    slot_commute,
+    slot_form,
+    slot_forms,
+    span_rank,
+    span_rows,
+)
 from cartankak.cartan import build_cartan_split, enumerate_t_choices
-from cartankak.errors import InvalidChoiceError
+from cartankak.errors import (
+    BasisNotClosedError,
+    CartanKakError,
+    InvalidChoiceError,
+    InvalidMatrixError,
+    NotMaximalError,
+)
+from cartankak.generators import make_tensor_word
 from cartankak.partition import (
     AbelianSpace,
     ConjugatePair,
     QuotientAlgebra,
+    build_quotient_algebra,
     conjugate_quotient_algebra,
+    intrinsic_center,
     intrinsic_quotient_algebra,
+    lambda_basis,
+    standard_basis,
     standard_quotient_algebra,
+    standard_word_center,
     verify_closure,
 )
 
@@ -152,3 +180,128 @@ def test_span_rank_matches_span_rows(n, kind):
         assert span_rank(space.matrices) == span_rows(space.matrices).shape[0] == len(space)
     every = [m for space in spaces for m in space.matrices]
     assert span_rank(every) == span_rows(every).shape[0] == n * n - 1
+
+
+def word(*sites):
+    return make_tensor_word(list(sites))
+
+
+# An X-word center of su(8): every generator on its own non-zero label.
+X_CENTER = [("p1", "p0", "p0"), ("p0", "p1", "p0"), ("p0", "p0", "p1"), ("p1", "p1", "p0"),
+            ("p1", "p0", "p1"), ("p0", "p1", "p1"), ("p1", "p1", "p1")]
+
+
+def build_inputs(kind, n):
+    if kind == "x-center":
+        return AbelianSpace(tuple(word(*s) for s in X_CENTER)), standard_basis(8)
+    if kind == "word":
+        return standard_word_center(n), standard_basis(n)
+    return intrinsic_center(n), lambda_basis(n)
+
+
+BUILD_CASES = ([("word", n) for n in DIMS if n not in (9, 15)]
+               + [("lambda", n) for n in DIMS] + [("x-center", 8)])
+
+
+def slot_rank(labels, c):
+    return partition._slot_units(labels, c).ranks.sum()
+
+
+def no_dense_build(monkeypatch):
+    for name in ("in_span", "span_rank", "all_commute"):
+        monkeypatch.setattr(partition, name, no_dense)
+
+
+def no_forms(stack):
+    return np.full(len(stack), -1), np.zeros((len(stack), 2), dtype=complex)
+
+
+def build_outcome(center, basis):
+    try:
+        qa = build_quotient_algebra(AbelianSpace(center.generators), basis)  # a fresh _forms
+    except CartanKakError as exc:
+        return type(exc), str(exc)
+    return layout(qa)
+
+
+def layout(qa):
+    return [(pair.binary_label, [g.label_str for g in pair.w.generators],
+             [g.label_str for g in pair.w_hat.generators]) for pair in qa.pairs]
+
+
+@pytest.mark.parametrize("kind, n", BUILD_CASES)
+def test_build_checks_decide_as_the_dense_routines(kind, n, monkeypatch):
+    center, basis = build_inputs(kind, n)
+    labels, c = slot_forms([g.matrix for g in basis])
+    clabels, cc = center._forms
+    assert (labels >= 0).all() and (clabels >= 0).all()
+    cspan = center.span()
+    dense_in = [in_span(g.matrix, cspan) for g in basis]
+    assert partition._slot_in_span(labels, c, partition._slot_units(clabels, cc)).tolist() == dense_in
+    assert slot_rank(clabels, cc) == span_rank(center.matrices) == len(center)
+    every = np.concatenate([labels, clabels]), np.concatenate([c, cc])
+    assert slot_rank(*every) == span_rank([g.matrix for g in basis] + center.matrices)
+    # The commute check: the built spaces commute, a pair's two sides and the
+    # center with one side do not.
+    qa = (build_quotient_algebra(center, basis) if kind == "x-center"
+          else algebra("intrinsic" if kind == "lambda" else "standard", n))
+    pair = qa.pairs[-1]
+    sets = [qa.center.matrices] + [s.matrices for p in qa.pairs for s in p.spaces]
+    sets += [pair.all_matrices(), qa.center.matrices + pair.w.matrices]
+    for mats in sets:
+        assert slot_commute(*slot_forms(mats), ACCEPT_TOL) == all_commute(mats, ACCEPT_TOL)
+    assert not any(all_commute(mats, ACCEPT_TOL) for mats in sets[-2:])
+    # The whole build then runs without a dense check.
+    want = build_outcome(center, basis)
+    no_dense_build(monkeypatch)
+    assert build_outcome(center, basis) == want
+    if kind == "lambda" or n not in (10, 14):
+        assert layout(qa) == want
+
+
+def test_dependent_space_fails_validate_on_both_paths(monkeypatch):
+    space = standard_quotient_algebra(8).pairs[0].w
+    twice = AbelianSpace(space.generators + space.generators[:1])
+    with monkeypatch.context() as m:
+        no_dense_build(m)
+        with pytest.raises(InvalidMatrixError, match="linearly dependent"):
+            twice.validate()
+    monkeypatch.setattr(partition, "slot_forms", no_forms)
+    with pytest.raises(InvalidMatrixError, match="linearly dependent"):
+        AbelianSpace(twice.generators).validate()
+
+
+SLOT_RAISES = {
+    "span count": (lambda: (standard_word_center(4), standard_basis(4)[1:]),
+                   InvalidMatrixError, "center plus basis span 14 dimensions, expected 15"),
+    "redundant": (lambda: (standard_word_center(4), standard_basis(4) + standard_basis(4)[:1]),
+                  InvalidMatrixError, "basis contains redundant or center-span generators"),
+    "not commuting": (lambda: (AbelianSpace((word("g1"), word("g8"))), standard_basis(3)),
+                      BasisNotClosedError, "a conjugate space does not commute"),
+    "not maximal": (lambda: (AbelianSpace((word("p3", "p0"),)), standard_basis(4)),
+                    NotMaximalError, "commutes with the whole center"),
+    "several words": (lambda: (standard_word_center(10), standard_basis(10)),
+                      BasisNotClosedError, "not proportional to a single basis generator"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLOT_RAISES))
+def test_build_raises_on_the_slot_path_as_on_the_dense_one(case, monkeypatch):
+    inputs, error, message = SLOT_RAISES[case]
+    with monkeypatch.context() as m:
+        m.setattr(partition, "slot_forms", no_forms)
+        dense = build_outcome(*inputs())
+    no_dense_build(monkeypatch)
+    slot = build_outcome(*inputs())
+    assert slot == dense
+    assert slot[0] is error and message in slot[1]
+
+
+def test_word_basis_at_9_takes_the_dense_path(monkeypatch):
+    center, basis = build_inputs("word", 9)
+    assert (slot_forms([g.matrix for g in basis])[0] == -1).any()
+    calls = []
+    monkeypatch.setattr(partition, "in_span", lambda *a: calls.append(1) or in_span(*a))
+    with pytest.raises(BasisNotClosedError, match="not proportional to a single basis generator"):
+        build_quotient_algebra(center, basis)
+    assert len(calls) == len(basis)

@@ -6,6 +6,8 @@ per-entry loops and union-find of the KAK frame, and the scan over the whole
 standard word basis for locality.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -53,26 +55,19 @@ def walk_fragment_label(gens):
     return patterns.pop() if patterns is not None and len(patterns) == 1 else None
 
 
-def walk_hat_parity(ws):
-    kinds = {type(label) for g in ws for _, label in to_lambda_basis(g.matrix)}
-    if kinds == {Lambda}:
-        return False
-    return True if kinds == {LambdaHat} else None
-
-
-def walk_merge_pairs(raw_pairs):
-    """partition._merge_pairs with the walk's labels and hat parity."""
-    groups = {}
-    for ws, hats in raw_pairs:
-        key = walk_fragment_label(ws + hats)
-        if key is None:
-            groups[("opaque", len(groups))] = [(ws, hats)]
-            continue
-        if walk_hat_parity(ws):
-            ws, hats = hats, ws
-        groups.setdefault(key, []).append((ws, hats))
-    return [([g for ws, _ in frags for g in ws], [g for _, hats in frags for g in hats],
-             key if isinstance(key, int) else None) for key, frags in groups.items()]
+def walk_slot_forms(stack):
+    """partition.slot_forms with the walk's labels (-1 where a d term occurs or the
+    patterns differ). The entries are one column, 1 for a generator with a lambda
+    term and 1j for one with lambdahat terms only, so _merge_pairs orients each
+    fragment by the walk's hat parity. A center of d terms gets -1 labels, so
+    the build takes the dense path."""
+    labels, entries = [], []
+    for m in stack:
+        terms = [label for _, label in to_lambda_basis(m)]
+        patterns = walk_patterns([SimpleNamespace(matrix=m)])
+        labels.append(patterns.pop() if patterns is not None and len(patterns) == 1 else -1)
+        entries.append(1.0 if any(isinstance(t, Lambda) for t in terms) else 1j)
+    return np.array(labels), np.array(entries, dtype=complex)[:, None]
 
 
 def walk_subscript_rows(qa):
@@ -197,7 +192,7 @@ def test_pair_labels_and_order_match_the_walk(n, std_seq, monkeypatch):
                 build_quotient_algebra(intrinsic_center(n), lambda_basis(n)[::-1])]
 
     from_forms = builds()
-    monkeypatch.setattr(partition, "_merge_pairs", walk_merge_pairs)
+    monkeypatch.setattr(partition, "slot_forms", walk_slot_forms)
     for built, walked in zip(from_forms, builds(), strict=True):
         for (lab, ws, hats), (lab_w, ws_w, hats_w) in zip(pair_layout(built), pair_layout(walked),
                                                           strict=True):
