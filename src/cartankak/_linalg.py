@@ -27,10 +27,8 @@ ANGLE_PRUNE_TOL = 1e-12
 # Accepted inputs (unitary, Hermitian, traceless, commuting, diagonalized; Tr(t p)): abs, *n, *max.
 ACCEPT_TOL = 1e-10
 # Postconditions of a numeric solve (reassembly, spans, expansions, closure, frame
-# antisymmetry): abs, *n, *max.
+# antisymmetry; the determinant phase a single-level split absorbs): abs, *n, *max.
 SOLVE_TOL = 1e-9
-# kak_single_level's input has determinant 1: absolute.
-DET_TOL = 1e-8
 # CLI decompose exits 0 when reconstruction_error is below this: absolute.
 RECON_TOL = 1e-8
 # The phase directions of a slot agree mod pi: absolute, in radians.
@@ -186,31 +184,19 @@ def slot_support(mats, tol):
 
 
 # ---------------------------------------------------------------------------
-# XOR-slot form. A stack whose entries all sit on the slots (i, i ^ l) of one
-# label l is the (k, M) stack c[k, i] = m_k[i, i ^ l], M = 2^p >= N, zero where
-# an index passes N. [label a, label b] then sits on label a ^ b.
+# XOR-slot form. A matrix whose entries all sit on the slots (i, i ^ l) of one
+# label l is the M-vector c[i] = m[i, i ^ l], M = 2^p >= N, zero where an index
+# passes N. [label a, label b] then sits on label a ^ b.
 # ---------------------------------------------------------------------------
 
-def slot_form(mats):
-    """(label, c) for a stack on the slots of one label (0: the diagonal), else None.
-
-    Exact: every entry off the label's slots must be exactly zero, in either
-    triangle, so the dense matrices are the form's zero-padded embedding.
-    """
-    stack = np.asarray(mats)
-    weight = np.abs(stack).sum(axis=0)  # zero exactly where every matrix is
-    (label,), _ = slot_forms(weight[None])
-    if label < 0 or not weight.any():
-        return None
-    return int(label), _slot_entries(stack, np.full(len(stack), label))
-
-
 def slot_forms(stack):
-    """slot_form of each matrix of a (k, N, N) stack on its own: (labels, c).
+    """The XOR-slot form of each matrix of a (k, N, N) stack: (labels, c).
 
     labels[q] is the label of matrix q, or -1 when its entries sit on more
     than one label (a zero matrix has label 0); c is the (k, M) stack of
-    entries c[q, i] = m_q[i, i ^ labels[q]]. One vectorized pass.
+    entries c[q, i] = m_q[i, i ^ labels[q]]. Exact: an entry off the label's
+    slots, in either triangle, must be exactly zero for a label, so each
+    matrix is its form's zero-padded embedding. One vectorized pass.
     """
     stack = np.asarray(stack)
     k, n = len(stack), stack.shape[-1]
@@ -260,14 +246,6 @@ def slot_commute(labels, c, tol=STRUCT_TOL) -> bool:
     return True
 
 
-def slot_groups(forms):
-    """The forms merged by label, in label order: the spans they add up to per label."""
-    groups: dict = {}
-    for label, c in forms:
-        groups.setdefault(label, []).append(c)
-    return [(label, np.concatenate(cs)) for label, cs in sorted(groups.items())]
-
-
 class SlotTable(NamedTuple):
     """Units in slot form, zero-padded to one generator count K."""
 
@@ -299,6 +277,9 @@ def slot_table(blocks) -> SlotTable:
     return SlotTable(labels, counts, coef, vt * keep[..., None], keep.sum(axis=1))
 
 
+_CHUNK_ENTRIES = 1 << 15  # commutator entries per slot_commutator_residuals chunk
+
+
 def _row_norms(v):
     return np.sqrt(np.einsum("...d,...d->...", v, v))
 
@@ -309,49 +290,49 @@ def slot_shift(coef, labels):
     return coef[np.arange(q)[:, None, None], np.arange(k)[:, None], np.arange(m) ^ labels[:, None, None]]
 
 
-def slot_commutator_residuals(table: SlotTable, left, right, targets) -> np.ndarray:
-    """commutator_residuals in slot form, for a batch of unit pairs.
+def slot_commutator_residuals(table: SlotTable, left, right, targets):
+    """commutator_residuals in slot form, for a batch of unit pairs, chunk by chunk.
 
     Item q commutes every generator of unit left[q] (label a) with every one
     of unit right[q] (label b): -i[x, y] sits on label a ^ b with entries
     -i (c_x[i] c_y[i ^ a] - c_y[i] c_x[i ^ b]), O(M) per commutator. Its
-    residual is the smallest over the units u with targets[q, u] (a (Q, U)
-    mask); a unit on another label gives 1, as the dense projection of a
-    disjoint support does, and so does no unit. Returns (Q, K, K) for the
-    table's unit size K; padding entries are 0. Items run sorted by their
-    two unit sizes, in chunks of one size pair and about 2^14 commutator
-    entries.
+    residual is the smallest over the units targets[q] (a (Q, T) array, -1
+    for none), each of which must sit on label a ^ b; no unit gives 1, as
+    the dense projection onto a disjoint support does. Items run sorted by
+    their two unit sizes kl, kr, in chunks of one size pair and about
+    _CHUNK_ENTRIES commutator entries, which keeps a chunk's buffers in
+    cache; each chunk yields (its item indices, its (len, kl, kr) residuals).
     """
-    left, right = np.asarray(left, dtype=int), np.asarray(right, dtype=int)
-    hits = np.asarray(targets) & (table.labels == (table.labels[left] ^ table.labels[right])[:, None])
-    width = max(1, hits.sum(axis=1).max(initial=0))
-    units = np.argsort(~hits, axis=1, kind="stable")[:, :width]  # the hits first
-    on = np.take_along_axis(hits, units, axis=1)
+    left, right, targets = (np.asarray(a, dtype=int) for a in (left, right, targets))
+    on = targets >= 0
     kl, kr = table.counts[left], table.counts[right]
-    kt = np.where(on, table.ranks[units], 0).max(axis=1)
+    kt = np.where(on, table.ranks[targets], 0).max(axis=1, initial=0)
     order = np.lexsort((kr, kl))
-    _, k, m = table.coef.shape
-    out = np.zeros((len(left), k, k))
-    chunk = np.cumsum(kl[order] * kr[order] * m) >> 14
-    cuts = (np.diff(chunk) != 0) | (np.diff(kl[order]) != 0) | (np.diff(kr[order]) != 0)
-    for c in np.split(order, np.flatnonzero(cuts) + 1):
-        a, b, t = kl[c[0]], kr[c[0]], max(1, kt[c].max())
-        x, y = -1j * table.coef[left[c], :a], table.coef[right[c], :b]
-        xs, ys = slot_shift(x, table.labels[right[c]]), slot_shift(y, table.labels[left[c]])
-        rows = table.rows[units[c], :t] * on[c, :, None, None]  # (Q, T, t, 2M)
-        out[c, :a, :b] = _slot_residual_chunk(x, y, xs, ys, rows)
-    return out
+    m = table.coef.shape[2]
+    for run in np.split(order, np.flatnonzero(np.diff(kl[order]) | np.diff(kr[order])) + 1):
+        a, b = kl[run[0]], kr[run[0]]
+        step = max(1, _CHUNK_ENTRIES // (a * b * m))
+        work = np.empty((2, min(step, len(run)), a, b, m), complex)  # reused by every chunk
+        for c in (run[lo : lo + step] for lo in range(0, len(run), step)):
+            t = max(1, kt[c].max())
+            x, y = -1j * table.coef[left[c], :a], table.coef[right[c], :b]
+            xs, ys = slot_shift(x, table.labels[right[c]]), slot_shift(y, table.labels[left[c]])
+            rows = table.rows[targets[c], :t] * on[c, :, None, None]  # (Q, T, t, 2M)
+            yield c, _slot_residual_chunk(x, y, xs, ys, rows, work[:, : len(c)])
 
 
-def _slot_residual_chunk(x, y, xs, ys, rows) -> np.ndarray:
-    """The (Q, Kl, Kr) residuals of -i x and y with their xor-shifted copies xs, ys."""
-    comm = x[:, :, None] * ys[:, None]  # -i [x, y]
-    comm -= y[:, None] * xs[:, :, None]
-    vecs = comm.reshape(len(x), -1, x.shape[-1]).view(float)  # (re, im) interleaved, as the rows
+def _slot_residual_chunk(x, y, xs, ys, rows, work) -> np.ndarray:
+    """The (Q, Kl, Kr) residuals of -i x and y with their xor-shifted copies xs, ys,
+    written through the two (Q, Kl, Kr, M) buffers of work."""
+    comm = np.multiply(x[:, :, None], ys[:, None], out=work[0])  # -i [x, y]
+    comm -= np.multiply(y[:, None], xs[:, :, None], out=work[1])
+    # (re, im) interleaved, as the rows
+    vecs, spare = (w.reshape(len(x), -1, x.shape[-1]).view(float) for w in work)
     norms = _row_norms(vecs)
     best = np.inf
     for r in np.swapaxes(rows, 0, 1):
-        resid = _row_norms(vecs - (vecs @ np.swapaxes(r, 1, 2)) @ r)
+        np.matmul(vecs @ np.swapaxes(r, 1, 2), r, out=spare)
+        resid = _row_norms(np.subtract(vecs, spare, out=spare))
         best = np.minimum(best, resid / np.maximum(norms, STRUCT_TOL))
     return np.where(norms < STRUCT_TOL, 0.0, best).reshape(comm.shape[:3])
 

@@ -21,13 +21,8 @@ from ._linalg import (
     SOLVE_TOL,
     STRUCT_TOL,
     all_commute,
-    commutator_residuals,
     frob,
     in_span,
-    slot_commutator_residuals,
-    slot_groups,
-    slot_shift,
-    slot_table,
     span_fingerprint,
     span_rows,
     spans_equal,
@@ -45,6 +40,7 @@ from .generators import Generator
 from .partition import (
     AbelianSpace,
     QuotientAlgebra,
+    _span_residuals,
     bits_of,
     build_quotient_algebra,
     conjugate_quotient_algebra,
@@ -101,61 +97,27 @@ class CartanSplit:
     def validate(self, tol: float = SOLVE_TOL):
         """Check all four Cartan conditions and the dimension count.
 
-        When every space sits on the slots of one label (its slot_form), the
-        checks run per label in slot coordinates; otherwise, as for
-        conjugated or hand-mixed spaces, on the dense matrices.
+        The ranks of t and p and the worst residuals of [t,t] in t, [t,p] in p
+        and [p,p] in t come from one _span_residuals batch, in slot
+        coordinates when every generator has a slot form.
         """
-        spaces = self.t + self.p_part + (self.chosen_center,)
-        forms = [s._slot for s in spaces]
-        if all(form is not None for form in forms):
-            measures = _slot_measures(forms[: len(self.t)], forms[len(self.t) :])
-        else:
-            measures = _dense_measures(self.t_matrices(), self.p_matrices())
+        ranks, residuals = _span_residuals([self.t, self.p_part + (self.chosen_center,)],
+                                           [(0, 0, [0]), (0, 1, [1]), (1, 1, [0])])
         n = self.dim
-        if next(measures) != n * n - 1:
+        if sum(ranks) != n * n - 1:
             raise InvalidChoiceError("t and p do not fill su(N)")
-        for msg in ("[t,t] not in t", "[t,p] not in p", "[p,p] not in t"):
-            if next(measures) > tol:
+        for msg, res in zip(("[t,t] not in t", "[t,p] not in p", "[p,p] not in t"), residuals):
+            if res.max(initial=0.0) > tol:
                 raise InvalidChoiceError(msg)
-        if next(measures) > ACCEPT_TOL:
-            raise InvalidChoiceError("Tr(t p) != 0")
-
-
-def _dense_measures(t_mats, p_mats):
-    """validate's measures in check order: rank t + rank p, the worst residual of
-    [t,t] in t, [t,p] in p and [p,p] in t, then max |Tr(t p)|. Lazy, so a
-    failed check skips the rest."""
-    t_rows, p_rows = span_rows(t_mats), span_rows(p_mats)
-    yield t_rows.shape[0] + p_rows.shape[0]
-    for left, right, rows in ((t_mats, t_mats, t_rows), (t_mats, p_mats, p_rows),
-                              (p_mats, p_mats, t_rows)):
-        yield commutator_residuals(left, right, rows).max(initial=0.0)
-    # Tr(a b) = vec(a) . vec(b^T)
-    t_vecs = np.reshape(t_mats, (len(t_mats), -1))
-    p_vecs = np.reshape(np.transpose(p_mats, (0, 2, 1)), (len(p_mats), -1))
-    yield np.abs(t_vecs @ p_vecs.T).max()
-
-
-def _slot_measures(t_forms, p_forms):
-    """_dense_measures from slot forms: t and p merged per label, every
-    bracket of two labels a, b checked against the one unit on label a ^ b,
-    and Tr(x y) = sum_i c_x[i] c_y[i ^ l] for x, y on one label l (0 across
-    labels)."""
-    t_groups, p_groups = slot_groups(t_forms), slot_groups(p_forms)
-    table = slot_table([t_groups, p_groups])
-    yield int(table.ranks.sum())
-    nt, nu = len(t_groups), len(table.labels)
-    t, p = np.arange(nt), np.arange(nt, nu)
-    # [y, x] = -[x, y]: within t and within p one order of each pair of units is enough.
-    for (lu, ru), target in ((np.triu_indices(nt), t),
-                             ([a.ravel() for a in np.meshgrid(t, p, indexing="ij")], p),
-                             (nt + np.array(np.triu_indices(nu - nt)), t)):
-        mask = np.zeros((len(lu), nu), dtype=bool)
-        mask[:, target] = True
-        yield slot_commutator_residuals(table, lu, ru, mask).max(initial=0.0)
-    tu, pu = np.nonzero(table.labels[t][:, None] == table.labels[p][None, :])
-    shifted = slot_shift(table.coef[p[pu]], table.labels[p[pu]])
-    yield np.abs(table.coef[t[tu]] @ np.swapaxes(shifted, 1, 2)).max(initial=0.0)
+        # Tr(a b) for Hermitian a, b is the real inner product of their entries,
+        # so each space of t meets p on its own support only.
+        p = self.p_matrices()
+        p = np.reshape(p, (len(p), -1)).view(float)
+        for space in self.t:
+            t = np.reshape(space.matrices, (len(space), -1)).view(float)
+            on = t.any(axis=0)
+            if np.abs(t[:, on] @ p[:, on].T).max() > ACCEPT_TOL:
+                raise InvalidChoiceError("Tr(t p) != 0")
 
 
 def _parity(x: int) -> int:

@@ -26,7 +26,6 @@ from . import generators as gen
 from ._linalg import (
     ACCEPT_TOL,
     ANGLE_PRUNE_TOL,
-    DET_TOL,
     PHASE_TOL,
     SOLVE_TOL,
     STRUCT_TOL,
@@ -720,7 +719,8 @@ def kak_single_level(u: np.ndarray, split: CartanSplit):
     sum of its spaces' square slot-coefficient ranks (F puts each on its own k
     slots, together on every slot). `a` is in the center's span: the level-1 angle
     solve over the frame diagonals of a center F diagonalizes. The frame is built
-    on every call. The input must have unit determinant (see ingest_unitary).
+    on every call. The input must have unit determinant, its phase within SOLVE_TOL
+    (see ingest_unitary).
     """
     u = np.asarray(u, dtype=complex)
     n = split.dim
@@ -728,7 +728,7 @@ def kak_single_level(u: np.ndarray, split: CartanSplit):
         raise DimensionMismatchError("unitary does not match the split dimension")
     if not is_unitary(u):
         raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
-    if abs(np.linalg.det(u) - 1.0) > DET_TOL:
+    if abs(np.angle(np.linalg.det(u))) > SOLVE_TOL:  # _ai_step's eigenphases sum to this phase
         raise InvalidMatrixError("determinant is not 1; run ingest_unitary first")
     frame = _build_frame(split.qa, {s.binary_label: s for s in split.t})
     blocks = (_slot_coefficients(frame.images(s), frame.slots[s.binary_label]) for s in split.t)
@@ -771,16 +771,10 @@ def factor_abelian_exponential(
     phases = np.angle(np.diag(d))
     eigcols = np.array([np.real(np.diag(w @ g.matrix @ dagger(w))) for g in space.generators])
     a = np.vstack([eigcols, np.ones(n)]).T  # unknowns: omegas then the phase
-    target = phases.copy()
-    for _ in range(64):
-        sol, *_ = np.linalg.lstsq(a, target, rcond=None)
-        resid = target - a @ sol
-        wraps = np.round(resid / (2.0 * np.pi))
-        if not wraps.any():
-            break
-        target = target - 2.0 * np.pi * wraps
-    else:
-        raise NotInSpanError("phase branches did not stabilize")
+    # A phase the fit misses by more than pi moves by its multiple of 2 pi, once.
+    sol, *_ = np.linalg.lstsq(a, phases, rcond=None)
+    target = phases - 2.0 * np.pi * np.round((phases - a @ sol) / (2.0 * np.pi))
+    sol, *_ = np.linalg.lstsq(a, target, rcond=None)
     if frob(a @ sol - target) > SOLVE_TOL * n:
         raise NotInSpanError("phases do not lie in the space span")
     tree_index = "0" * max(1, (n - 1).bit_length() + 1)

@@ -36,9 +36,7 @@ from ._linalg import (
     slot_bracket,
     slot_commutator_residuals,
     slot_commute,
-    slot_form,
     slot_forms,
-    slot_groups,
     slot_table,
     span_rank,
     span_rows,
@@ -120,13 +118,8 @@ class AbelianSpace:
         return span_rows(self.matrices)
 
     @functools.cached_property
-    def _slot(self):
-        """slot_form of the generators, or None; kept, as they are immutable."""
-        return slot_form(self.matrices)
-
-    @functools.cached_property
     def _forms(self):
-        """slot_forms of the generators one by one."""
+        """slot_forms of the generators; kept, as they are immutable."""
         return slot_forms(self.matrices)
 
     def __len__(self):
@@ -385,10 +378,15 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     return qa
 
 
+def _by_label(labels):
+    """(label, matrix indices) for each label of per-matrix forms, in label order."""
+    return [(label, np.flatnonzero(labels == label)) for label in sorted(set(labels.tolist()))]
+
+
 def _slot_units(labels, c) -> SlotTable:
     """slot_table of per-matrix forms, one unit per label. One block, so its
     ranks sum to span_rank of the matrices (the same singular value rule)."""
-    return slot_table([slot_groups(zip(labels.tolist(), c[:, None]))])
+    return slot_table([[(label, c[ix]) for label, ix in _by_label(labels)]])
 
 
 def _slot_in_span(labels, c, table: SlotTable) -> np.ndarray:
@@ -511,11 +509,12 @@ def standard_quotient_algebra(n: int) -> QuotientAlgebra:
 # ---------------------------------------------------------------------------
 
 def _pair_slots(pair: ConjugatePair) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
-    """The label l of a pair's slot_form and the 1-based slots (i, i xor l), i < i xor l, it fills."""
-    form = slot_form(pair.all_matrices())
-    if form is None:
+    """The common label l of a pair's slot forms and the 1-based slots (i, i xor l), i < i xor l,
+    they fill."""
+    labels, c = map(np.concatenate, zip(pair.w._forms, pair.w_hat._forms))
+    label = labels[0]
+    if label < 0 or (labels != label).any():
         raise NotBinaryPartitionedError("pair generators are not on the slots of one binary string")
-    label, c = form
     if label == 0:
         raise NotBinaryPartitionedError("pair generators are diagonal; no subscript pattern")
     i = np.flatnonzero(c.any(axis=0))
@@ -564,6 +563,69 @@ def _space_name(qa_label: Optional[str], hat: bool, fallback: str) -> str:
     return ("W^_" if hat else "W_") + lab
 
 
+def _span_residuals(groups, items, unions=()):
+    """The ranks of the groups' and the unions' spans, and each item's commutator residuals.
+
+    A group is a sequence of AbelianSpaces taken as one list of generators,
+    a union a sequence of group indices, and an item (left, right, targets)
+    holds group indices. The ranks come group by group, then union by
+    union. An item's residuals are the (len(left), len(right))
+    commutator_residuals of the two groups' generators against each target
+    group's span, the smallest over the targets.
+
+    When every generator has its own slot form (AbelianSpace._forms), each
+    group splits into one unit per label. Supports on different labels are
+    Hilbert-Schmidt orthogonal, so a span's rank is the sum of its units'
+    ranks (one singular value threshold per span), and a commutator on label
+    l projects onto a span through the span's unit on l alone. Otherwise
+    every span and commutator is dense.
+    """
+    forms = [tuple(map(np.concatenate, zip(*(s._forms for s in g)))) for g in groups]
+    if any((labels < 0).any() for labels, _ in forms):
+        mats = [[m for s in g for m in s.matrices] for g in groups]
+        rows = [span_rows(ms) for ms in mats]
+        return ([len(r) for r in rows] + [span_rank(m for g in u for m in mats[g]) for u in unions],
+                [np.min([commutator_residuals(mats[left], mats[right], rows[t]) for t in targets],
+                        axis=0) for left, right, targets in items])
+    units = [_by_label(labels) for labels, _ in forms]
+    count = np.array([len(us) for us in units])  # units per group, numbered group by group
+    first = np.cumsum(count) - count
+    table = slot_table([[(label, c[ix]) for label, ix in us] for us, (_, c) in zip(units, forms)])
+    ranks = [table.ranks[u : u + len(us)].sum() for u, us in zip(first, units)]
+    ranks += [_slot_units(*map(np.concatenate, zip(*(forms[g] for g in u)))).ranks.sum()
+              for u in unions]
+    unit_of = np.full((len(groups), table.coef.shape[2]), -1)  # the unit of (group, label)
+    at = np.full(table.coef.shape[:2], -1)  # each unit row's generator within its group
+    for g, us in enumerate(units):
+        for u, (label, ix) in enumerate(us, first[g]):
+            unit_of[g, label], at[u, : len(ix)] = u, ix
+    # Every unit of an item's left group against every unit of its right group.
+    left, right = np.array([it[:2] for it in items]).T
+    targets = np.full((len(items), max(len(it[2]) for it in items)), -1)
+    for q, (_, _, ts) in enumerate(items):
+        targets[q, : len(ts)] = ts
+    pairs = count[left] * count[right]
+    item = np.repeat(np.arange(len(items)), pairs)
+    k = np.arange(len(item)) - (np.cumsum(pairs) - pairs)[item]
+    lu = first[left[item]] + k // count[right[item]]
+    ru = first[right[item]] + k % count[right[item]]
+    # [y, x] = -[x, y]: a group against itself needs one order of each pair of units.
+    mirror = left[item] == right[item]
+    keep = ~mirror | (lu <= ru)
+    item, lu, ru, mirror = item[keep], lu[keep], ru[keep], mirror[keep]
+    label = (table.labels[lu] ^ table.labels[ru])[:, None]
+    tu = np.where(targets[item] >= 0, unit_of[targets[item], label], -1)
+    sizes = np.array([len(labels) for labels, _ in forms])
+    full = np.zeros((len(items), sizes[left].max(), sizes[right].max()))
+    for c, res in slot_commutator_residuals(table, lu, ru, tu):
+        _, a, b = res.shape
+        i, rows, cols = item[c, None, None], at[lu[c], :a, None], at[ru[c], None, :b]
+        full[i, rows, cols] = res
+        m = mirror[c]
+        full[i[m], cols[m], rows[m]] = res[m]
+    return ranks, [full[q, : sizes[a], : sizes[b]] for q, (a, b) in enumerate(zip(left, right))]
+
+
 def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport:
     """Check every conjugate-pair and cross-pair commutator lands where closure says.
 
@@ -572,9 +634,10 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
     space; when binary labels exist the target must be the xor-labeled pair
     with hat parity flipped exactly when the operand hats agree.
 
-    When every space sits on the slots of one label (its slot_form), as the
-    standard and intrinsic algebras do, the checks run in slot coordinates;
-    otherwise, as for conjugated algebras, on the dense matrices.
+    The ranks and residuals come from _span_residuals: in slot coordinates
+    when every generator has a slot form, as in the standard and intrinsic
+    algebras and every word algebra; on the dense matrices otherwise, as for
+    conjugated algebras.
     """
     # Space 0 is the center; pair idx has W at 1 + 2 idx and W^ at 2 + 2 idx.
     spaces = [qa.center] + [space for pair in qa.pairs for space in pair.spaces]
@@ -609,24 +672,9 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
     # Disjointness: each space is internally independent and the counts sum to
     # the full rank, so pairwise intersections are trivial exactly when the
     # joint rank of all generators equals the generator count.
-    forms = [space._slot for space in spaces]
-    if all(form is not None for form in forms):
-        joint = slot_table([slot_groups(forms)]).ranks.sum()
-        table = slot_table([[form] for form in forms])
-        mask = np.zeros((len(specs), len(spaces)), dtype=bool)
-        for q, spec in enumerate(specs):
-            mask[q, spec[3]] = True
-        batch = slot_commutator_residuals(table, [s[1] for s in specs], [s[2] for s in specs], mask)
-        residuals = [r[: len(spaces[s[1]]), : len(spaces[s[2]])] for r, s in zip(batch, specs)]
-    else:
-        joint = span_rank(m for space in spaces for m in space.matrices)
-        spans = [space.span() for space in spaces]
-        residuals = [
-            np.min([commutator_residuals(spaces[left].matrices, spaces[right].matrices, spans[t])
-                    for t in targets], axis=0)
-            for _, left, right, targets, _, _ in specs
-        ]
-
+    ranks, residuals = _span_residuals([[space] for space in spaces],
+                                       [spec[1:4] for spec in specs], [range(len(spaces))])
+    joint = ranks[-1]
     disjoint = 0.0 if joint == sum(map(len, spaces)) else 1.0
     checks = [ClosureCheck("disjoint", "all spaces", "", "trivial intersections",
                            disjoint, disjoint < tol)]

@@ -75,6 +75,17 @@ class TestPartition:
         assert f"error: cannot write {out}: " in capsys.readouterr().err
         assert [f.name for f in tmp_path.rglob(".cartankak-*")] == []
 
+    def test_closure_failure_exits_1(self, tmp_path, monkeypatch, caplog):
+        import cartankak.cli as cli
+        from cartankak.partition import ClosureCheck, ClosureReport
+
+        failed = ClosureReport((ClosureCheck("disjoint", "all spaces", "", "", 1.0, False),), 1e-9)
+        monkeypatch.setattr(cli, "verify_closure", lambda qa: failed)
+        out = tmp_path / "qa4.json"
+        assert main(["partition", "--dim", "4", "--output", str(out)]) == 1
+        assert not out.exists()
+        assert "constructed algebra failed closure (max residual 1.00e+00)" in caplog.text
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["partition", "--dim", "6", "--output", str(a)])
@@ -250,6 +261,10 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert "reconstruction_error" in err
 
+    def test_missing_input_exits_2(self, caplog):
+        assert main(["decompose", "--dim", "4"]) == 2
+        assert "decompose needs --input" in caplog.text
+
     def test_non_unitary_exits_2(self, tmp_path):
         inp = write_json(
             tmp_path / "m.json", serialize.matrix_to_json(np.ones((4, 4)))
@@ -408,6 +423,14 @@ class TestVerify:
 
     def test_missing_input_exits_2(self):
         assert main(["verify"]) == 2
+
+    def test_object_without_pairs_is_malformed_input(self, tmp_path, capsys):
+        qa, _ = self._qa_file(tmp_path, 4)
+        payload = serialize.qa_to_json(qa)
+        del payload["pairs"]
+        path = write_json(tmp_path / "no_pairs.json", payload)
+        assert main(["verify", "--input", path]) == 2
+        assert "error: malformed input ('pairs')" in capsys.readouterr().err
 
 
 class TestOptions:

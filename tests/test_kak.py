@@ -172,6 +172,22 @@ class TestKakSingleLevel:
         with pytest.raises(InvalidMatrixError, match="determinant is not 1"):
             kak_single_level(np.exp(0.3j) * np.eye(4), split)
 
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_determinant_gate_is_what_the_split_accepts(self, scale, word_qa):
+        # The split's eigenphases sum to the determinant's phase, which the
+        # gate bounds by SOLVE_TOL: inside it the input factors, outside it is
+        # invalid input, never an internal failure.
+        split = build_cartan_split(word_qa(4), "00")
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            u = random_special_unitary(4, rng) * np.exp(0.25j * scale * SOLVE_TOL)
+            if scale < 1:
+                k1, a, k2 = kak_single_level(u, split)
+                assert frob(k1 @ expm_hermitian(a) @ k2 - u) < 1e-9
+            else:
+                with pytest.raises(InvalidMatrixError, match="determinant is not 1"):
+                    kak_single_level(u, split)
+
     def test_slot_with_two_phase_directions(self, word_qa):
         # I x X and I x Y share the slots (1,2) and (3,4), 90 degrees apart.
         space = AbelianSpace((word("p0", "p1"), word("p0", "p2")), False, "01")
@@ -314,6 +330,18 @@ class TestFactorAbelianExponential:
         v = expm_hermitian(word("p0", "p3").matrix, 0.3)
         with pytest.raises(NotInSpanError, match="^phases do not lie in the space span$"):
             factor_abelian_exponential(v, AbelianSpace((word("p3", "p0"),)))
+
+    def test_one_2pi_move_fits_a_wrapped_phase(self):
+        # exp(0.3i) exp(2.5i g8 x Z) has phases 0.3 +- 2.5 * 2/sqrt(3), one past pi.
+        # The fit of the principal phases misses; after one 2 pi move it fits.
+        g = word("g8", "p3")
+        v = np.exp(0.3j) * expm_hermitian(g.matrix, 2.5)
+        a = np.vstack([np.real(np.diag(g.matrix)), np.ones(6)]).T
+        sol, *_ = np.linalg.lstsq(a, np.angle(np.diag(v)), rcond=None)
+        assert frob(a @ sol - np.angle(np.diag(v))) > 1.0
+        factors, phase = factor_abelian_exponential(v, AbelianSpace((g,)))
+        product = expm_hermitian(sum(f.angle * f.generator.matrix for f in factors), 1.0)
+        assert frob(product * phase - v) < 1e-9
 
     @pytest.mark.xfail(strict=True, raises=NotInSpanError,
                        reason="phases that wrap past pi in a space of fewer than N - 1 "

@@ -1,25 +1,26 @@
 """Closure, Cartan and build checks in XOR-slot coordinates against the dense path.
 
-verify_closure and CartanSplit.validate run in slot coordinates when every
-space sits on the slots (i, i ^ l) of one label, and on dense matrices
-otherwise. A space keeps its slot form as AbelianSpace._slot; patching that to
-None forces the dense path, which is the oracle here. Patching
+verify_closure and CartanSplit.validate take their ranks and residuals from
+partition._span_residuals. It runs in slot coordinates when every generator
+has a slot form (AbelianSpace._forms), splitting each space into one unit per
+label, and on dense matrices otherwise. Patching _forms to find no form
+forces the dense path, which is the oracle here. Patching
 commutator_residuals to raise proves the slot path ran.
 
-build_quotient_algebra and AbelianSpace.validate read the per-matrix slot
-forms (slot_forms) when every generator has one. Their dense routines
+build_quotient_algebra and AbelianSpace.validate read the same per-matrix
+slot forms (slot_forms) when every generator has one. Their dense routines
 (in_span, span_rank, all_commute) are the oracle; patching them to raise
 proves the slot path ran, and patching slot_forms to find no form forces the
 dense path.
 """
 
 import functools
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import cartankak.cartan as cartan
 import cartankak.partition as partition
 from cartankak._linalg import (
     ACCEPT_TOL,
@@ -27,7 +28,6 @@ from cartankak._linalg import (
     in_span,
     random_special_unitary,
     slot_commute,
-    slot_form,
     slot_forms,
     span_rank,
     span_rows,
@@ -69,8 +69,12 @@ def no_dense(*args):
     raise AssertionError("the dense commutator path ran")
 
 
+def no_forms(stack):
+    return np.full(len(stack), -1), np.zeros((len(stack), 2), dtype=complex)
+
+
 def force_dense(monkeypatch):
-    monkeypatch.setattr(AbelianSpace, "_slot", property(lambda self: None))
+    monkeypatch.setattr(AbelianSpace, "_forms", property(lambda self: no_forms(self.matrices)))
 
 
 def outcome(split):
@@ -93,7 +97,6 @@ def swapped(split, k):
 def test_checks_take_the_slot_path(n, kind, monkeypatch):
     qa = algebra(kind, n)
     monkeypatch.setattr(partition, "commutator_residuals", no_dense)
-    monkeypatch.setattr(cartan, "commutator_residuals", no_dense)
     report = verify_closure(qa)
     assert report.passed and report.max_residual < 1e-13
     for bits in enumerate_t_choices(qa):
@@ -106,7 +109,7 @@ def test_slot_and_dense_validate_agree(n, monkeypatch):
     splits = [build_cartan_split(qa, bits, validate=False) for bits in enumerate_t_choices(qa)]
     cases = splits + [swapped(s, k) for s in splits[:2] for k in (0, len(qa.pairs) - 1)]
     with monkeypatch.context() as m:
-        m.setattr(cartan, "commutator_residuals", no_dense)
+        m.setattr(partition, "commutator_residuals", no_dense)
         slot = [outcome(s) for s in cases]
     force_dense(monkeypatch)
     assert [outcome(s) for s in cases] == slot
@@ -118,9 +121,8 @@ def test_slot_and_dense_validate_agree(n, monkeypatch):
 def test_conjugated_algebra_takes_the_dense_path(monkeypatch):
     qa = algebra("standard", 4)
     moved = conjugate_quotient_algebra(qa, random_special_unitary(4, np.random.default_rng(4)))
-    assert moved.pairs[0].w._slot is None
+    assert (moved.pairs[0].w._forms[0] < 0).all()
     monkeypatch.setattr(partition, "slot_commutator_residuals", no_dense)
-    monkeypatch.setattr(cartan, "slot_commutator_residuals", no_dense)
     assert verify_closure(moved, tol=1e-8).passed
     build_cartan_split(moved, "00")
 
@@ -148,18 +150,61 @@ def test_dependent_algebra_fails_disjoint_on_both_paths(n, monkeypatch):
     assert max(abs(a.residual - b.residual) for a, b in zip(slot.checks, dense.checks)) < 1e-15
 
 
+def x_center(n):
+    """The X-word center of su(n), n = 2^k: every word of p0 and p1 but the identity,
+    each generator on its own non-zero label."""
+    sites = [("p0", "p1")] * (n.bit_length() - 1)
+    return AbelianSpace(tuple(word(*w) for w in itertools.islice(itertools.product(*sites), 1, None)))
+
+
+def check_rows(report):
+    return [(c.kind, c.left, c.right, c.target, c.ok) for c in report.checks]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_x_word_center_takes_the_slot_path(n, monkeypatch):
+    # Its spaces mix labels, so each splits into one unit per label.
+    qa = build_quotient_algebra(x_center(n), standard_basis(n))
+    spaces = [qa.center] + [space for pair in qa.pairs for space in pair.spaces]
+    assert all(len(set(space._forms[0].tolist())) > 1 for space in spaces)
+    splits = [build_cartan_split(qa, bits, validate=False) for bits in enumerate_t_choices(qa)]
+    cases = splits + [swapped(s, k) for s in splits[:2] for k in (0, len(qa.pairs) - 1)]
+    # Every residual of a valid and of a swapped split, in generator order: a
+    # misplaced entry would differ by O(1), rounding by about 1e-15.
+    batches = [([s.t, s.p_part + (s.chosen_center,)], [(0, 0, [0]), (0, 1, [1]), (1, 1, [0])])
+               for s in (cases[0], cases[-1])]
+    with monkeypatch.context() as m:
+        m.setattr(partition, "commutator_residuals", no_dense)
+        slot, slot_outcomes = verify_closure(qa), [outcome(s) for s in cases]
+        slot_batches = [partition._span_residuals(*batch) for batch in batches]
+    force_dense(monkeypatch)
+    dense = verify_closure(qa)
+    assert check_rows(slot) == check_rows(dense) and slot.passed
+    assert max(abs(a.residual - b.residual) for a, b in zip(slot.checks, dense.checks)) < 1e-15
+    assert [outcome(s) for s in cases] == slot_outcomes
+    for (ranks, residuals), batch in zip(slot_batches, batches):
+        dense_ranks, dense_residuals = partition._span_residuals(*batch)
+        assert ranks == dense_ranks
+        for a, b in zip(residuals, dense_residuals, strict=True):
+            assert a.shape == b.shape and np.abs(a - b).max() < 1e-14
+    assert max(r.max() for r in slot_batches[1][1]) > 0.5
+    assert slot_outcomes[: len(splits)] == ["ok"] * len(splits)
+    assert "ok" not in slot_outcomes[len(splits) :]
+
+
 class TestSlotForm:
     def test_center_is_label_zero(self):
         qa = algebra("standard", 8)
-        label, c = slot_form(qa.center.matrices)
-        assert label == 0
+        labels, c = slot_forms(qa.center.matrices)
+        assert (labels == 0).all()
         assert np.array_equal(c, np.array([np.diag(m) for m in qa.center.matrices]))
 
     def test_padding_past_n(self):
         qa = algebra("intrinsic", 5)
         pair = qa.pairs[-1]
-        label, c = slot_form(pair.w.matrices)
-        assert label == int(pair.binary_label, 2) and c.shape == (len(pair.w), 8)
+        labels, c = slot_forms(pair.w.matrices)
+        assert (labels == int(pair.binary_label, 2)).all() and c.shape == (len(pair.w), 8)
+        label = labels[0]
         for m, row in zip(pair.w.matrices, c):
             for i in range(8):
                 j = i ^ label
@@ -168,7 +213,8 @@ class TestSlotForm:
     def test_one_entry_off_the_label_is_not_a_form(self):
         m = np.array(algebra("standard", 4).pairs[0].w.matrices)
         m[0, 3, 0] = 1e-300  # below every tolerance, in the lower triangle only
-        assert slot_form(m) is None
+        labels, c = slot_forms(m)
+        assert labels[0] == -1 and not c[0].any() and (labels[1:] >= 0).all()
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDS))
@@ -210,10 +256,6 @@ def slot_rank(labels, c):
 def no_dense_build(monkeypatch):
     for name in ("in_span", "span_rank", "all_commute"):
         monkeypatch.setattr(partition, name, no_dense)
-
-
-def no_forms(stack):
-    return np.full(len(stack), -1), np.zeros((len(stack), 2), dtype=complex)
 
 
 def build_outcome(center, basis):

@@ -28,6 +28,10 @@ For each dimension N and each repeat it times, in a fresh process:
                      build_cartan_split(qa, "0" * p, validate=False)
   cs_calls           cs_decompose_so calls of one more warm recursive_decompose,
                      counted by wrapping kak.cs_decompose_so outside the timed calls
+  closure_x_s        verify_closure of the X-word center's algebra (every word of
+                     p0 and p1 but the identity, each on its own label), built
+                     over the word basis outside the timing; only for N = 2^k <= 16
+  validate_x_s       one CartanSplit.validate of that algebra's "0" * p split
 
 and, once per repeat rather than per dimension,
 
@@ -70,7 +74,7 @@ PLANS = 5  # fresh sequences whose plan build is timed per repeat
 SEED = 0
 STAGES = ("algebra_s", "closure_s", "validate_s", "sequence_s", "sequences_s",
           "first_decompose_ms", "decompose_ms", "plan_ms", "to_json_ms", "factors_ms",
-          "reconstruct_ms", "single_level_ms", "cs_calls")
+          "reconstruct_ms", "single_level_ms", "cs_calls", "closure_x_s", "validate_x_s")
 
 
 def timed(fn, *args):
@@ -103,6 +107,12 @@ def build_every_sequence(ck, qa):
     strings = [[format(b, f"0{p - k}b") for b in range(1 << (p - k))] for k in range(p)]
     for choices in itertools.product(*strings):
         ck.cartan.build_decomposition_sequence(qa, list(choices))
+
+
+def x_center(ck, n):
+    """The X-word center of su(n), n = 2^k: every word of p0 and p1 but the identity."""
+    words = itertools.islice(itertools.product(("p0", "p1"), repeat=n.bit_length() - 1), 1, None)
+    return ck.partition.AbelianSpace(tuple(ck.generators.make_tensor_word(w) for w in words))
 
 
 def run_dim(ck, n):
@@ -139,6 +149,11 @@ def run_dim(ck, n):
     }
     if n <= 16:
         stages["sequences_s"] = timed(build_every_sequence, ck, qa)[1]
+    if n <= 16 and n & (n - 1) == 0:
+        qa_x = ck.partition.build_quotient_algebra(x_center(ck, n), ck.partition.standard_basis(n))
+        stages["closure_x_s"] = timed(ck.partition.verify_closure, qa_x)[1]
+        split_x = ck.cartan.build_cartan_split(qa_x, "0" * qa_x.p, validate=False)
+        stages["validate_x_s"] = timed(split_x.validate)[1]
     return stages, max(f.reconstruction_error for f in facts)
 
 
@@ -147,6 +162,7 @@ def import_cartankak(src):
     sys.path.insert(0, src)
     import cartankak._linalg  # noqa: F401
     import cartankak.cartan  # noqa: F401
+    import cartankak.generators  # noqa: F401
     import cartankak.kak  # noqa: F401
     import cartankak.partition  # noqa: F401
     import cartankak.serialize  # noqa: F401
