@@ -16,15 +16,15 @@ from .errors import DecompositionError, InvalidMatrixError
 # ---------------------------------------------------------------------------
 # Tolerances: every threshold the package compares against, named by what it
 # guards. Each comment gives the scalings its sites use (absolute, *n for an
-# n x n matrix, *max(1, |x|), or *s[0], the largest singular value). Sites keep
-# their own scaling and their own < or <=; a name fixes only the value.
+# n x n matrix, *max(1, |x|), or *s[0], the largest singular value). Hermitian,
+# traceless and commuting each have one predicate below, accepting when below.
 # ---------------------------------------------------------------------------
 
-# Exact zeros (traces, supports, expansion terms, null spaces): absolute, *n, *max(1, |m|), *s[0].
+# Exact zeros (supports, terms, null spaces; Hermitian, traceless, commuting): abs, *n, *s[0], *max.
 STRUCT_TOL = 1e-12
 # A factor whose angle is below this is not emitted: absolute.
 ANGLE_PRUNE_TOL = 1e-12
-# Accepted inputs (unitary, Hermitian, traceless, commuting, diagonalized; Tr(t p)): abs, *n, *max.
+# Accepted inputs (unitary, diagonalized; Tr(t p)): absolute, *n, *max(1, |m|).
 ACCEPT_TOL = 1e-10
 # Postconditions of a numeric solve (reassembly, spans, expansions, closure, frame
 # antisymmetry; the determinant phase a single-level split absorbs): abs, *n, *max.
@@ -45,17 +45,26 @@ def frob(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def is_hermitian(m, tol=STRUCT_TOL) -> bool:
-    return frob(m - dagger(m)) < tol * max(1.0, frob(m))
+def is_hermitian(m) -> bool:
+    """|m - m^dag| < STRUCT_TOL max(1, |m|); |m| is formed only when needed."""
+    r = frob(m - dagger(m))
+    return r < STRUCT_TOL or r < STRUCT_TOL * frob(m)
 
 
-def is_unitary(m, tol=ACCEPT_TOL) -> bool:
+def is_traceless(m) -> bool:
+    """|Tr m| < STRUCT_TOL max(1, |m|); |m| is formed only when needed."""
+    r = abs(np.trace(m))
+    return r < STRUCT_TOL or r < STRUCT_TOL * frob(m)
+
+
+def commute(comm, a, b):
+    """|[a, b]| < STRUCT_TOL max(1, |a| |b|) from the three Frobenius norms; arrays broadcast."""
+    return comm < STRUCT_TOL * np.maximum(1.0, a * b)
+
+
+def is_unitary(m) -> bool:
     n = m.shape[0]
-    return frob(m @ dagger(m) - np.eye(n)) < tol * n
-
-
-def commutator(a, b):
-    return a @ b - b @ a
+    return frob(m @ dagger(m) - np.eye(n)) < ACCEPT_TOL * n
 
 
 def mat_to_vec(m) -> np.ndarray:
@@ -169,16 +178,16 @@ def span_fingerprint(mats) -> bytes:
     return rounded.tobytes() + bytes([rows.shape[0]])
 
 
-def slot_support(mats, tol):
+def slot_support(mats):
     """Where a stack of matrices is non-zero: (slots, diagonal).
 
     slots are the sorted 0-based (i, j), i < j, at which some matrix has a
-    real or imaginary part above tol; diagonal says whether some diagonal
-    entry does. For lambda-basis expansions, a slot is one lambda_ij or
+    real or imaginary part above SOLVE_TOL; diagonal says whether some
+    diagonal entry does. For lambda-basis expansions, a slot is one lambda_ij or
     lambdahat_ij subscript pair and the diagonal is the d part.
     """
     stack = np.asarray(mats)
-    hit = ((np.abs(stack.real) > tol) | (np.abs(stack.imag) > tol)).any(axis=0)
+    hit = ((np.abs(stack.real) > SOLVE_TOL) | (np.abs(stack.imag) > SOLVE_TOL)).any(axis=0)
     rows, cols = np.nonzero(np.triu(hit, 1))
     return tuple(zip(rows.tolist(), cols.tolist())), bool(np.diagonal(hit).any())
 
@@ -232,7 +241,7 @@ def slot_bracket(la, ca, lb, cb):
                      - cb * np.take_along_axis(ca, i ^ lb[..., None], axis=-1))
 
 
-def slot_commute(labels, c, tol=STRUCT_TOL) -> bool:
+def slot_commute(labels, c) -> bool:
     """all_commute of a stack given by its slot_forms (every label >= 0): the
     norm of each slot_bracket, in row chunks of about 2^16 entries."""
     k, m = c.shape
@@ -241,7 +250,7 @@ def slot_commute(labels, c, tol=STRUCT_TOL) -> bool:
     for lo in range(0, k, step):
         a = slice(lo, lo + step)
         _, comm = slot_bracket(labels[a, None], c[a, None], labels, c)
-        if (np.linalg.norm(comm, axis=2) > tol * np.maximum(1.0, norms[a, None] * norms)).any():
+        if not commute(np.linalg.norm(comm, axis=2), norms[a, None], norms).all():
             return False
     return True
 
@@ -337,13 +346,10 @@ def _slot_residual_chunk(x, y, xs, ys, rows, work) -> np.ndarray:
     return np.where(norms < STRUCT_TOL, 0.0, best).reshape(comm.shape[:3])
 
 
-def all_commute(mats, tol=STRUCT_TOL) -> bool:
+def all_commute(mats) -> bool:
     mats = list(mats)
-    for i, a in enumerate(mats):
-        for b in mats[i + 1 :]:
-            if frob(commutator(a, b)) > tol * max(1.0, frob(a) * frob(b)):
-                return False
-    return True
+    return all(commute(frob(a @ b - b @ a), frob(a), frob(b))
+               for i, a in enumerate(mats) for b in mats[i + 1 :])
 
 
 def joint_eigenbasis(mats):
@@ -390,7 +396,7 @@ def simultaneous_diagonalize(mats):
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     n = mats[0].shape[0]
-    if not all(is_hermitian(m, ACCEPT_TOL) for m in mats):
+    if not all(map(is_hermitian, mats)):
         raise InvalidMatrixError("matrix is not Hermitian")
 
     vecs = joint_eigenbasis(mats)

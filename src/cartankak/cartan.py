@@ -94,12 +94,12 @@ class CartanSplit:
         whatever the space's own hat flag says."""
         return {s.binary_label: s is self.qa.pair_by_label(s.binary_label).w_hat for s in self.t}
 
-    def validate(self, tol: float = SOLVE_TOL):
+    def validate(self):
         """Check all four Cartan conditions and the dimension count.
 
         The ranks of t and p and the worst residuals of [t,t] in t, [t,p] in p
-        and [p,p] in t come from one _span_residuals batch, in slot
-        coordinates when every generator has a slot form.
+        and [p,p] in t, none above SOLVE_TOL, come from one _span_residuals
+        batch, in slot coordinates when every generator has a slot form.
         """
         ranks, residuals = _span_residuals([self.t, self.p_part + (self.chosen_center,)],
                                            [(0, 0, [0]), (0, 1, [1]), (1, 1, [0])])
@@ -107,7 +107,7 @@ class CartanSplit:
         if sum(ranks) != n * n - 1:
             raise InvalidChoiceError("t and p do not fill su(N)")
         for msg, res in zip(("[t,t] not in t", "[t,p] not in p", "[p,p] not in t"), residuals):
-            if res.max(initial=0.0) > tol:
+            if res.max(initial=0.0) > SOLVE_TOL:
                 raise InvalidChoiceError(msg)
         # Tr(a b) for Hermitian a, b is the real inner product of their entries,
         # so each space of t meets p on its own support only.
@@ -218,9 +218,8 @@ def extend_to_maximal_abelian(space: AbelianSpace, center: AbelianSpace) -> Abel
     for c in center.generators:
         if len(current) == target:
             break
-        if all(frob(c.matrix @ g.matrix - g.matrix @ c.matrix) < ACCEPT_TOL for g in current):
-            if independent(c.matrix):
-                current.append(c)
+        if all(all_commute([c.matrix, g.matrix]) for g in current) and independent(c.matrix):
+            current.append(c)
     if len(current) < target:
         for vec in _center_commutant(space, center):
             if len(current) == target:
@@ -238,20 +237,13 @@ def extend_to_maximal_abelian(space: AbelianSpace, center: AbelianSpace) -> Abel
 
 def _center_commutant(space: AbelianSpace, center: AbelianSpace) -> List[np.ndarray]:
     """Basis of {c in span(center): [c, space] = 0}."""
-    cols = []
-    for c in center.matrices:
-        stacked = []
-        for g in space.matrices:
-            comm = c @ g - g @ c
-            stacked.append(np.concatenate([comm.real.ravel(), comm.imag.ravel()]))
-        cols.append(np.concatenate(stacked))
-    a = np.array(cols).T
-    if a.size == 0:
-        return []
+    c, g = np.array(center.matrices)[:, None], np.array(space.matrices)
+    comm = (c @ g - g @ c).reshape(len(c), len(g), -1)
     # a has 2 N^2 rows per space generator and one column per center
     # generator, so vt is square and its last rows span the null space.
+    a = np.concatenate([comm.real, comm.imag], axis=2).reshape(len(c), -1).T
     _, s, vt = np.linalg.svd(a, full_matrices=False)
-    tolerance = max(a.shape) * (s[0] if s.size else 0.0) * STRUCT_TOL
+    tolerance = max(a.shape) * s[0] * STRUCT_TOL
     null_dim = int(np.sum(s <= max(tolerance, STRUCT_TOL)))
     out = []
     for row in vt[vt.shape[0] - null_dim :]:
@@ -445,7 +437,7 @@ def build_decomposition_sequence(
     if len(available) != 1:
         raise InvalidChoiceError(f"recursion left {len(available)} labels, expected 1")
     final = space_of(available[0])
-    if not all_commute(final.matrices, ACCEPT_TOL):
+    if not all_commute(final.matrices):
         raise NotAbelianError("final level space is not abelian")
     return DecompositionSequence(qa=qa, levels=tuple(levels), final=final, hat_selection=hats)
 

@@ -21,7 +21,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import ACCEPT_TOL, STRUCT_TOL, frob, is_hermitian
+from ._linalg import STRUCT_TOL, is_hermitian, is_traceless
 from .errors import (
     DimensionMismatchError,
     InvalidMatrixError,
@@ -105,6 +105,7 @@ Label = Union[Lambda, LambdaHat, Diag, OrthoDiag, TensorWord]
 
 _LABEL_RE = re.compile(r"^(lambda|lambdahat|d)\((\d+),(\d+)\)$")
 _ORTHO_RE = re.compile(r"^orthod\((\d+)\)$")
+_SITE_SEP = re.compile(r",(?![^(]*\))")  # a comma outside parentheses, as in d5(1,2),p1
 
 
 def parse_label(text: str) -> Label:
@@ -118,7 +119,7 @@ def parse_label(text: str) -> Label:
     if m:
         return OrthoDiag(int(m.group(1)))
     if text.startswith("tensor:"):
-        return TensorWord(tuple(text[len("tensor:"):].split(",")))
+        return TensorWord(tuple(_SITE_SEP.split(text[len("tensor:"):])))
     raise UnsupportedLabelError(f"cannot parse generator label {text!r}")
 
 
@@ -246,7 +247,7 @@ class Generator:
             )
         if not is_hermitian(m):
             raise InvalidMatrixError("generator matrix is not Hermitian")
-        if abs(np.trace(m)) >= STRUCT_TOL:
+        if not is_traceless(m):
             raise InvalidMatrixError("generator matrix is not traceless")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -326,7 +327,7 @@ def make_tensor_word(symbols: Sequence[str]) -> Generator:
     if not symbols:
         raise UnsupportedLabelError("empty tensor word")
     matrix = word_matrices([[site_factors(sym)[1]] for sym in symbols])[0]
-    if abs(np.trace(matrix)) >= STRUCT_TOL:
+    if not is_traceless(matrix):
         raise InvalidMatrixError(
             "tensor word is not traceless (every site is identity-like)"
         )
@@ -434,31 +435,32 @@ def commutator_symbolic(a: Union[Generator, Label], b: Union[Generator, Label]) 
 # Lambda-basis expansion
 # ---------------------------------------------------------------------------
 
-def to_lambda_basis(m: np.ndarray, tol: float = STRUCT_TOL) -> List[Tuple[float, Label]]:
+def to_lambda_basis(m: np.ndarray) -> List[Tuple[float, Label]]:
     """Expand a Hermitian traceless matrix over {lambda_ij, lambdahat_ij, d_1l}.
 
     The expansion is exact: off-diagonal entries give the lambda/lambdahat
     coefficients directly and the diagonal solves the triangular d_1l system.
+    Terms whose coefficient is not above STRUCT_TOL are left out.
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[0]
     if m.shape != (n, n):
         raise InvalidMatrixError("matrix is not square")
-    if not is_hermitian(m, ACCEPT_TOL):
+    if not is_hermitian(m):
         raise InvalidMatrixError("matrix is not Hermitian")
-    if abs(np.trace(m)) > ACCEPT_TOL * max(1.0, frob(m)):
+    if not is_traceless(m):
         raise InvalidMatrixError("matrix is not traceless")
     terms: List[Tuple[float, Label]] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             entry = m[i - 1, j - 1]
-            if abs(entry.real) > tol:
+            if abs(entry.real) > STRUCT_TOL:
                 terms.append((float(entry.real), Lambda(i, j)))
-            if abs(entry.imag) > tol:
+            if abs(entry.imag) > STRUCT_TOL:
                 terms.append((float(-entry.imag), LambdaHat(i, j)))
     # d_1l has diagonal (+1 at 1, -1 at l): coefficient of d_1l is -m[l-1,l-1].
     for l in range(2, n + 1):
         c = -float(np.real(m[l - 1, l - 1]))
-        if abs(c) > tol:
+        if abs(c) > STRUCT_TOL:
             terms.append((c, Diag(1, l)))
     return terms

@@ -221,7 +221,7 @@ def _binary_phase_frame(n: int, images: np.ndarray):
     covers every slot, so phi_j = -delta_0j; the other slots must agree mod
     pi, or the structure is not conjugate to a binary-partitioned one.
     """
-    slots, _ = slot_support(images, SOLVE_TOL)
+    slots, _ = slot_support(images)
     deltas = []
     for i, j in slots:
         z = images[:, i, j]
@@ -263,7 +263,7 @@ def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
         lab: np.array([u_a @ g.matrix @ dagger(u_a) for g in sp.generators])
         for lab, sp in spaces.items()
     }
-    slots = {lab: slot_support(images, SOLVE_TOL)[0] for lab, images in raw_images.items()}
+    slots = {lab: slot_support(images)[0] for lab, images in raw_images.items()}
     for lab, images in raw_images.items():
         if len(slots[lab]) != len(images):
             raise DecompositionError(

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import generators as gen
 from ._linalg import (
-    ACCEPT_TOL,
     MATCH_NONE,
     MATCH_OFF_LINE,
     MATCH_ZERO,
@@ -104,11 +103,11 @@ class AbelianSpace:
     def matrices(self) -> List[np.ndarray]:
         return [g.matrix for g in self.generators]
 
-    def validate(self, tol: float = ACCEPT_TOL):
+    def validate(self):
         """Commuting and independent; read off the slot forms when every generator has one."""
         labels, c = self._forms
         slot = (labels >= 0).all()
-        if not (slot_commute(labels, c, tol) if slot else all_commute(self.matrices, tol)):
+        if not (slot_commute(labels, c) if slot else all_commute(self.matrices)):
             raise NotAbelianError("space generators do not commute")
         rank = _slot_units(labels, c).ranks.sum() if slot else span_rank(self.matrices)
         if rank != len(self.generators):
@@ -271,8 +270,8 @@ def diagonalize_abelian(space) -> np.ndarray:
         raise InvalidMatrixError("matrices must share one square shape")
     if all(frob(m - np.diag(np.diag(m))) < STRUCT_TOL * max(1.0, frob(m)) for m in mats):
         return np.eye(n, dtype=complex)  # diagonal matrices commute
-    if not all_commute(mats, ACCEPT_TOL):
-        raise NotAbelianError(f"input set is not abelian (commutator norm > {ACCEPT_TOL:g})")
+    if not all_commute(mats):
+        raise NotAbelianError("input set is not abelian")
     return simultaneous_diagonalize(mats)
 
 
@@ -366,8 +365,8 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
 
     merged = _merge_pairs(raw_pairs, labels, c)
     spaces = [ix for ws, hats, _ in merged for ix in (ws, hats)]
-    if not all(slot_commute(labels[ix], c[ix], ACCEPT_TOL) if slot
-               else all_commute([pool[i].matrix for i in ix], ACCEPT_TOL) for ix in spaces):
+    if not all(slot_commute(labels[ix], c[ix]) if slot
+               else all_commute([pool[i].matrix for i in ix]) for ix in spaces):
         raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")
     p = max(1, (n - 1).bit_length())
     pairs = _label_pairs([([pool[i] for i in ws], [pool[i] for i in hats], label)
@@ -491,17 +490,16 @@ def intrinsic_quotient_algebra(n: int) -> QuotientAlgebra:
 def standard_quotient_algebra(n: int) -> QuotientAlgebra:
     """Intrinsic quotient algebra in the friendliest representation for n.
 
-    Tries the tensor-word basis first. When its commutators with the word
-    center leave the basis (N in {9, 10, 14, 15} for N <= 16; the word basis
-    closes at N in {2..8, 11, 12, 13, 16}), builds the lambda-representation
-    algebra at n itself. That algebra equals the removing process applied to
-    the su(2^p) one, 2^(p-1) < n <= 2^p: same pair labels and order, same
-    generator matrices.
+    The word basis for one prime site, or when every site is 2 but at most one
+    3 (as a trial build finds for N = 2..32): Pauli products stay single words;
+    for d >= 5 the products of the d(1, l) symbols, and the products across two
+    odd sites, leave the basis. Otherwise the lambda representation at n, equal
+    to the removing process applied to su(2^p), 2^(p-1) < n <= 2^p.
     """
-    try:
+    sites = gen.standard_sites(n)
+    if len(sites) == 1 or sites[0] <= 3 and set(sites[1:]) <= {2}:
         return build_quotient_algebra(standard_word_center(n), standard_basis(n))
-    except BasisNotClosedError:
-        return intrinsic_quotient_algebra(n)
+    return intrinsic_quotient_algebra(n)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +624,7 @@ def _span_residuals(groups, items, unions=()):
     return ranks, [full[q, : sizes[a], : sizes[b]] for q, (a, b) in enumerate(zip(left, right))]
 
 
-def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport:
+def verify_closure(qa: QuotientAlgebra) -> ClosureReport:
     """Check every conjugate-pair and cross-pair commutator lands where closure says.
 
     Within a pair the center acts as the zero element ([W,A] in W^, [W^,A] in
@@ -637,7 +635,7 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
     The ranks and residuals come from _span_residuals: in slot coordinates
     when every generator has a slot form, as in the standard and intrinsic
     algebras and every word algebra; on the dense matrices otherwise, as for
-    conjugated algebras.
+    conjugated algebras. A check passes below SOLVE_TOL, the report's tol.
     """
     # Space 0 is the center; pair idx has W at 1 + 2 idx and W^ at 2 + 2 idx.
     spaces = [qa.center] + [space for pair in qa.pairs for space in pair.spaces]
@@ -674,14 +672,14 @@ def verify_closure(qa: QuotientAlgebra, tol: float = SOLVE_TOL) -> ClosureReport
     # joint rank of all generators equals the generator count.
     ranks, residuals = _span_residuals([[space] for space in spaces],
                                        [spec[1:4] for spec in specs], [range(len(spaces))])
-    joint = ranks[-1]
-    disjoint = 0.0 if joint == sum(map(len, spaces)) else 1.0
+    disjoint = float(ranks[-1] != sum(map(len, spaces)))
     checks = [ClosureCheck("disjoint", "all spaces", "", "trivial intersections",
-                           disjoint, disjoint < tol)]
+                           disjoint, disjoint < SOLVE_TOL)]
     for (kind, left, right, _, tname, each), res in zip(specs, residuals):
         values = res.ravel().tolist() if each else [float(res.max())]
-        checks += [ClosureCheck(kind, names[left], names[right], tname, r, r < tol) for r in values]
-    return ClosureReport(tuple(checks), tol)
+        checks += [ClosureCheck(kind, names[left], names[right], tname, r, r < SOLVE_TOL)
+                   for r in values]
+    return ClosureReport(tuple(checks), SOLVE_TOL)
 
 
 # ---------------------------------------------------------------------------

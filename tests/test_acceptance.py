@@ -121,7 +121,7 @@ def test_criterion_3_closure_exhaustive(word_qa, lambda_qa):
     """Every cross-pair commutator lands in the xor-labeled pair, < 1e-9."""
     worst = 0.0
     for qa in (word_qa(4), word_qa(6), word_qa(8), lambda_qa(6), lambda_qa(8)):
-        report = verify_closure(qa, tol=1e-9)
+        report = verify_closure(qa)
         worst = max(worst, report.max_residual)
         if not report.passed:
             _report(3, False, f"closure failed at {report.failures()[0]}")
@@ -139,7 +139,7 @@ def test_criterion_4_split_enumeration(word_qa):
         for bits in choices:
             split = build_cartan_split(qa, bits)
             try:
-                split.validate(tol=1e-9)
+                split.validate()
             except CartanKakError as exc:
                 ok = False
                 messages.append(f"su({n}) split {bits}: {exc}")
@@ -258,7 +258,7 @@ def test_criterion_9_isomorphism_transport(word_qa):
     qa = word_qa(8)
     u = random_special_unitary(8, np.random.default_rng(2026))
     moved = conjugate_quotient_algebra(qa, u)
-    report = verify_closure(moved, tol=1e-8)
+    report = verify_closure(moved)
     _report(
         9,
         report.passed,

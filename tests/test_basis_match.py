@@ -15,7 +15,6 @@ import pytest
 
 from cartankak import kak, partition
 from cartankak._linalg import (
-    ACCEPT_TOL,
     MATCH_NONE,
     MATCH_OFF_LINE,
     MATCH_ZERO,
@@ -131,7 +130,7 @@ def loop_build(center, basis):
                                      for ws, hats in raw_pairs], *slot_forms([g.matrix for g in pool]))
     merged = [([pool[i] for i in ws], [pool[i] for i in hats], lab) for ws, hats, lab in merged]
     spaces = [space for ws, hats, _ in merged for space in (ws, hats)]
-    if not all(all_commute([g.matrix for g in space], ACCEPT_TOL) for space in spaces):
+    if not all(all_commute([g.matrix for g in space]) for space in spaces):
         raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")
     return partition._label_pairs(merged, max(1, (n - 1).bit_length()))
 

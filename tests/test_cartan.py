@@ -44,7 +44,7 @@ def assert_centers_maximal(seq, n):
     for k in range(1, seq.depth + 2):
         center = seq.center(k)
         assert len(center) == n - 1
-        center.validate(1e-10)
+        center.validate()
 
 
 class TestEnumerateChoices:
@@ -205,7 +205,7 @@ class TestExtendToMaximalAbelian:
         space = qa.pair_by_label("001").w
         ext = extend_to_maximal_abelian(space, qa.center)
         assert len(ext) == 7
-        ext.validate(1e-10)  # pairwise commuting and independent
+        ext.validate()  # pairwise commuting and independent
         ext_rows = span_rows(ext.matrices)
         assert all(project_residual(m, ext_rows) < 1e-12 for m in space.matrices)
 
@@ -215,7 +215,7 @@ class TestExtendToMaximalAbelian:
         qa = lambda_qa(8)
         ext = extend_to_maximal_abelian(qa.pair_by_label("001").w_hat, qa.center)
         assert len(ext) == 7
-        ext.validate(1e-10)
+        ext.validate()
 
 
 class TestShellEnumeration:
@@ -237,7 +237,7 @@ class TestShellEnumeration:
     def test_all_members_maximal_abelian(self):
         for member in enumerate_maximal_abelian(4, 2):
             assert len(member) == 3
-            member.validate(1e-10)
+            member.validate()
 
     @pytest.mark.parametrize("shells", [2, 3])
     def test_su3_members_abelian_via_transport(self, shells, monkeypatch):
@@ -252,14 +252,14 @@ class TestShellEnumeration:
         assert built and set(built) == {3}
         for member in members:
             assert len(member) == 2
-            member.validate(1e-10)
+            member.validate()
 
 
 class TestDecompositionSequences:
     def test_su4_default_final_abelian(self, word_qa):
         seq = build_decomposition_sequence(word_qa(4))
         assert len(seq.levels) == 2
-        assert all_commute(seq.final.matrices, 1e-12)
+        assert all_commute(seq.final.matrices)
         assert len(seq.final) == 2
 
     def test_su8_level_shape(self, word_qa):
@@ -334,7 +334,7 @@ class TestDecompositionSequences:
         for level1 in ("00", "01", "10", "11"):
             for level2 in ("0", "1"):
                 seq = build_decomposition_sequence(qa, [level1, level2])
-                assert all_commute(seq.final.matrices, 1e-12)
+                assert all_commute(seq.final.matrices)
 
 
 class TestFinalLevelSize:
@@ -344,7 +344,7 @@ class TestFinalLevelSize:
         assert len(seq.final) == 2
         ext = seq.center(3)
         assert len(ext) == 3
-        ext.validate(1e-10)
+        ext.validate()
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_final_extended_reaches_n_minus_1(self, n, word_qa):

@@ -433,6 +433,28 @@ class TestVerify:
         assert "error: malformed input ('pairs')" in capsys.readouterr().err
 
 
+class TestEveryDimensionReadsBack:
+    """Both representations at N = 2..16: the algebra's JSON reads back to the
+    same bytes, and verify passes on it (on partition's own output for the
+    standard algebra)."""
+
+    @pytest.mark.parametrize("build", [standard_quotient_algebra, intrinsic_quotient_algebra],
+                             ids=["standard", "intrinsic"])
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_verify_passes_and_the_json_round_trips(self, n, build, tmp_path):
+        text = serialize.dumps(serialize.qa_to_json(build(n)))
+        again = serialize.qa_from_json(json.loads(text))
+        assert serialize.dumps(serialize.qa_to_json(again)) == text
+        qa, report = tmp_path / "qa.json", tmp_path / "report.json"
+        if build is standard_quotient_algebra:
+            assert main(["partition", "--dim", str(n), "--output", str(qa)]) == 0
+            assert qa.read_text() == text
+        else:
+            qa.write_text(text)
+        assert main(["verify", "--input", str(qa), "--output", str(report)]) == 0
+        assert json.loads(report.read_text())["passed"] is True
+
+
 class TestOptions:
     # Each option here is one that this subcommand does not read.
     @pytest.mark.parametrize("argv", [

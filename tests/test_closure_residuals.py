@@ -153,9 +153,9 @@ def loop_structural_labels(merged, p):
     return [bits_of(lab, p) for lab in labels]
 
 
-def assert_same_report(qa, tol=SOLVE_TOL):
-    report = verify_closure(qa, tol)
-    want = loop_closure_checks(qa, tol)
+def assert_same_report(qa):
+    report = verify_closure(qa)
+    want = loop_closure_checks(qa)
     assert len(report.checks) == len(want)
     for c, (kind, left, right, target, residual, ok) in zip(report.checks, want):
         assert (c.kind, c.left, c.right, c.target) == (kind, left, right, target)

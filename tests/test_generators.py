@@ -17,6 +17,7 @@ from cartankak.generators import (
     Lambda,
     LambdaHat,
     OrthoDiag,
+    TensorWord,
     commutator_numeric,
     commutator_symbolic,
     generator_from_label,
@@ -26,7 +27,11 @@ from cartankak.generators import (
     make_lambda_hat,
     make_ortho_diag,
     make_tensor_word,
+    parse_label,
+    site_factors,
+    standard_sites,
     to_lambda_basis,
+    word_site_count,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -327,3 +332,62 @@ class TestAlgebraProperties:
                 + (c @ a - a @ c) @ b - b @ (c @ a - a @ c)
             )
             assert np.linalg.norm(jac) < 1e-10
+
+
+class TestLabelsReadBack:
+    @pytest.mark.parametrize("symbols", [("d5(1,2)",), ("l7(2,3)", "i2", "lh7(1,4)"), ("p1", "g3")])
+    def test_tensor_label_splits_at_commas_outside_parentheses(self, symbols):
+        label = TensorWord(symbols)
+        assert parse_label(str(label)) == label
+        assert generator_from_label(str(label), make_tensor_word(symbols).dim).label == label
+
+    def test_unknown_label_text(self):
+        with pytest.raises(UnsupportedLabelError, match="cannot parse generator label"):
+            parse_label("sigma(1,2)")
+
+    def test_unknown_label_object(self):
+        with pytest.raises(UnsupportedLabelError, match="unknown label"):
+            generator_from_label(3, 2)
+
+
+class TestOutsideInputIsRejected:
+    """Every check of outside input in generators.py, reached once."""
+
+    def test_identity_site_below_two(self):
+        with pytest.raises(UnsupportedLabelError, match="at least 2"):
+            site_factors("i1")
+
+    @pytest.mark.parametrize("symbol", ["l5(3,2)", "d5(1,6)", "lh5(0,1)"])
+    def test_site_subscripts_out_of_range(self, symbol):
+        with pytest.raises(InvalidSubscriptError, match="out of range"):
+            site_factors(symbol)
+
+    def test_dimension_below_two(self):
+        with pytest.raises(InvalidSubscriptError, match="at least 2"):
+            standard_sites(1)
+
+    def test_matrix_shape_other_than_dim(self):
+        with pytest.raises(DimensionMismatchError, match="does not match dim"):
+            Generator(None, 3, np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("l", [1, 4])
+    def test_ortho_diag_out_of_range(self, l):
+        with pytest.raises(InvalidSubscriptError, match="out of range"):
+            make_ortho_diag(l, 3)
+
+    def test_tensor_label_of_another_dim(self):
+        with pytest.raises(DimensionMismatchError, match="tensor word has dim 4, expected 8"):
+            generator_from_label("tensor:p1,p3", 8)
+
+    def test_site_count_needs_a_tensor_word(self):
+        with pytest.raises(UnsupportedLabelError, match="does not carry a tensor word"):
+            word_site_count(make_lambda(1, 2, 3))
+
+    def test_hs_inner_of_two_dims(self):
+        with pytest.raises(DimensionMismatchError, match="dims differ"):
+            hs_inner(make_lambda(1, 2, 2), make_lambda(1, 2, 3))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_expansion_of_a_non_square_matrix(self, shape):
+        with pytest.raises(InvalidMatrixError, match="not square"):
+            to_lambda_basis(np.zeros(shape))

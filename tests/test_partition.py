@@ -252,7 +252,7 @@ class TestVerifyClosure:
         qa = word_qa(8)
         u = random_special_unitary(8, np.random.default_rng(23))
         moved = conjugate_quotient_algebra(qa, u)
-        report = verify_closure(moved, tol=1e-8)
+        report = verify_closure(moved)
         assert report.passed
 
     def test_closure_xor_targets(self, word_qa):
@@ -462,4 +462,21 @@ class TestLambdaAlgebras:
                 serialize.qa_to_json(lambda_qa(n))
             )
         assert built == [9, 15]
+
+    def test_representation_rule_matches_a_trial_build(self, monkeypatch):
+        """standard_quotient_algebra reads its representation off the sites; a
+        trial word build succeeds exactly where it picks the word basis."""
+        picked, build = [], partition.build_quotient_algebra
+        monkeypatch.setattr(partition, "build_quotient_algebra",
+                            lambda center, basis: picked.append(center.dim) or build(center, basis))
+        monkeypatch.setattr(partition, "intrinsic_quotient_algebra", lambda n: None)
+        trial = []
+        for n in range(2, 25):
+            partition.standard_quotient_algebra(n)
+            try:
+                build(standard_word_center(n), standard_basis(n))
+                trial.append(n)
+            except BasisNotClosedError:
+                pass
+        assert picked == trial == [2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16, 17, 19, 23, 24]
 

@@ -23,7 +23,6 @@ import pytest
 
 import cartankak.partition as partition
 from cartankak._linalg import (
-    ACCEPT_TOL,
     all_commute,
     in_span,
     random_special_unitary,
@@ -123,7 +122,7 @@ def test_conjugated_algebra_takes_the_dense_path(monkeypatch):
     moved = conjugate_quotient_algebra(qa, random_special_unitary(4, np.random.default_rng(4)))
     assert (moved.pairs[0].w._forms[0] < 0).all()
     monkeypatch.setattr(partition, "slot_commutator_residuals", no_dense)
-    assert verify_closure(moved, tol=1e-8).passed
+    assert verify_closure(moved).passed
     build_cartan_split(moved, "00")
 
 
@@ -291,8 +290,8 @@ def test_build_checks_decide_as_the_dense_routines(kind, n, monkeypatch):
     sets = [qa.center.matrices] + [s.matrices for p in qa.pairs for s in p.spaces]
     sets += [pair.all_matrices(), qa.center.matrices + pair.w.matrices]
     for mats in sets:
-        assert slot_commute(*slot_forms(mats), ACCEPT_TOL) == all_commute(mats, ACCEPT_TOL)
-    assert not any(all_commute(mats, ACCEPT_TOL) for mats in sets[-2:])
+        assert slot_commute(*slot_forms(mats)) == all_commute(mats)
+    assert not any(all_commute(mats) for mats in sets[-2:])
     # The whole build then runs without a dense check.
     want = build_outcome(center, basis)
     no_dense_build(monkeypatch)
