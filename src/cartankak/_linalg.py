@@ -178,20 +178,6 @@ def span_fingerprint(mats) -> bytes:
     return rounded.tobytes() + bytes([rows.shape[0]])
 
 
-def slot_support(mats):
-    """Where a stack of matrices is non-zero: (slots, diagonal).
-
-    slots are the sorted 0-based (i, j), i < j, at which some matrix has a
-    real or imaginary part above SOLVE_TOL; diagonal says whether some
-    diagonal entry does. For lambda-basis expansions, a slot is one lambda_ij or
-    lambdahat_ij subscript pair and the diagonal is the d part.
-    """
-    stack = np.asarray(mats)
-    hit = ((np.abs(stack.real) > SOLVE_TOL) | (np.abs(stack.imag) > SOLVE_TOL)).any(axis=0)
-    rows, cols = np.nonzero(np.triu(hit, 1))
-    return tuple(zip(rows.tolist(), cols.tolist())), bool(np.diagonal(hit).any())
-
-
 # ---------------------------------------------------------------------------
 # XOR-slot form. A matrix whose entries all sit on the slots (i, i ^ l) of one
 # label l is the M-vector c[i] = m[i, i ^ l], M = 2^p >= N, zero where an index

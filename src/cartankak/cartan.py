@@ -209,8 +209,6 @@ def extend_to_maximal_abelian(space: AbelianSpace, center: AbelianSpace) -> Abel
     space.validate()
     target = n - 1
     current: List[Generator] = list(space.generators)
-    if len(current) > target:
-        raise NotMaximalError("space already exceeds the maximal abelian size")
 
     def independent(mat) -> bool:
         return not in_span(mat, span_rows([g.matrix for g in current]))

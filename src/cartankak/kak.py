@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,7 @@ from ._linalg import (
     expm_hermitian,
     frob,
     is_unitary,
-    slot_support,
+    slot_forms,
 )
 from .cartan import CartanSplit, DecompositionSequence
 from .errors import (
@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedLabelError,
 )
 from .generators import Diag, Generator, Lambda, LambdaHat, TensorWord
-from .partition import AbelianSpace, diagonalize_abelian, standard_basis
+from .partition import AbelianSpace, diagonalize_abelian, label_int, standard_basis
 
 __all__ = [
     "GateFactor",
@@ -210,76 +210,129 @@ def _locality_or_none(g: Generator) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
-# Frames: diagonalize the center, rotate t onto the antisymmetric generators
+# The frame: one per algebra, every generator on its own pair's XOR slots
 # ---------------------------------------------------------------------------
 
-def _binary_phase_frame(n: int, images: np.ndarray):
-    """Diagonal unitary V with V G V^dag antisymmetric-imaginary for all images.
-
-    Each off-diagonal slot carries a one-dimensional direction, and V needs
-    phi_i - phi_j = delta_ij = -pi/2 - arg(direction) (mod pi). A level-1 t
-    covers every slot, so phi_j = -delta_0j; the other slots must agree mod
-    pi, or the structure is not conjugate to a binary-partitioned one.
-    """
-    slots, _ = slot_support(images)
-    deltas = []
-    for i, j in slots:
-        z = images[:, i, j]
-        delta = (-np.pi / 2.0 - np.angle(z[np.abs(z) >= SOLVE_TOL])) % np.pi
-        diff = np.abs(delta - delta[0])
-        if np.any(np.minimum(diff, np.abs(diff - np.pi)) > PHASE_TOL):
-            raise DecompositionError(f"slot ({i + 1},{j + 1}) carries two phase directions")
-        deltas.append(delta[0])
-    if len(slots) != n * (n - 1) // 2:
-        raise DecompositionError("t does not span so(N) in the frame")
-    rows, cols = np.array(slots).T
-    phi = np.zeros(n)
-    phi[1:] -= deltas[: n - 1]  # slots (0, 1) .. (0, n - 1) come first
-    diff = (phi[rows] - phi[cols] - deltas) % np.pi
-    if np.any(np.minimum(diff, np.pi - diff) > PHASE_TOL):
-        raise DecompositionError("slot phases are inconsistent; structure is not "
-                                 "binary-partitioned in any diagonal gauge")
-    return np.diag(np.exp(1j * phi))
+def _in_frame(g: Optional[np.ndarray], mats) -> np.ndarray:
+    """G m G^dag for each m of a stack (a copy of m when G is None), every entry below
+    STRUCT_TOL |m| set to exact zero: the one rule that reads slots in the frame."""
+    mats = np.array(mats, dtype=complex) if g is None else g @ np.asarray(mats) @ dagger(g)
+    size = np.abs(mats)
+    mats[size < STRUCT_TOL * np.sqrt(np.einsum("kij,kij->k", size, size))[:, None, None]] = 0.0
+    return mats
 
 
 @dataclass(frozen=True)
-class _Frame:
-    """Conjugation frame plus the slot bookkeeping of the chosen spaces."""
+class _SlotFrame:
+    """G = P U: U diagonalizes an algebra's center and the index order P puts every
+    pair on the XOR slots (i, i ^ l) of its own label l. matrix is G, or None when
+    G is the identity. It holds no reference to the algebra."""
 
-    matrix: np.ndarray  # F with F (center) F^dag diagonal, F t F^dag antisymmetric
-    slots: Dict[str, Tuple[Tuple[int, int], ...]]  # label -> 0-based (i, j) slots
+    matrix: Optional[np.ndarray]
+    cache: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary)
 
-    def images(self, space: AbelianSpace) -> List[np.ndarray]:
-        return [self.matrix @ g.matrix @ dagger(self.matrix) for g in space.generators]
+    def forms(self, space: AbelianSpace):
+        """The slot forms (labels, c) of a space's generators in the frame, kept per space."""
+        if space not in self.cache:
+            self.cache[space] = slot_forms(_in_frame(self.matrix, space.matrices))
+        return self.cache[space]
 
-    def diagonals(self, center: AbelianSpace) -> np.ndarray:
-        """Row a: the real diagonal of generator a's image; a center's level-1 coefficients."""
-        return np.array([np.real(np.diag(m)) for m in self.images(center)])
+    def entries(self, space: AbelianSpace, label: int) -> np.ndarray:
+        """c[a, i]: generator a's entry (i, i ^ label) in the frame, 0 if it is on another label."""
+        labels, c = self.forms(space)
+        return np.where((labels == label)[:, None], c, 0.0)
 
 
-def _build_frame(qa, spaces: Dict[str, AbelianSpace]) -> _Frame:
-    u_a = diagonalize_abelian(qa.center)
-    raw_images = {
-        lab: np.array([u_a @ g.matrix @ dagger(u_a) for g in sp.generators])
-        for lab, sp in spaces.items()
-    }
-    slots = {lab: slot_support(images)[0] for lab, images in raw_images.items()}
-    for lab, images in raw_images.items():
-        if len(slots[lab]) != len(images):
-            raise DecompositionError(
-                f"space {lab} covers {len(slots[lab])} slots for {len(images)} generators"
-            )
-    every = [s for ss in slots.values() for s in ss]
-    if len(set(every)) != len(every):
+def _build_slot_frame(qa) -> _SlotFrame:
+    """Find P by walking the partner maps of the pairs labeled 2^r in U's eigenframe: from a
+    start at position 0, position x takes the partner under x's lowest bit of position x
+    less that bit. The first start that puts every generator on its pair's label gives P."""
+    n, u = qa.dim, diagonalize_abelian(qa.center)
+    u = None if np.array_equal(u, np.eye(n)) else u
+    spaces = [(0, qa.center)] + [(label_int(pair.binary_label) if pair.binary_label else -2, s)
+                                 for pair in qa.pairs for s in pair.spaces]  # -2: on no label
+    hits = [sum(((_in_frame(u, s.matrices) != 0).any(axis=0) for label, s in spaces
+                 if label == 1 << r), np.zeros((n, n))) > 0 for r in range(qa.p)]
+    # partner[r][a], -1 where a has none; the extra last -1 answers a = -1
+    partner = [np.where(h.sum(axis=1) == 1, h.argmax(axis=1), -1).tolist() + [-1] for h in hits]
+    for start in range(n):
+        order = [start]
+        for x in range(1, n):
+            order.append(partner[(x & -x).bit_length() - 1][order[x & (x - 1)]])
+        if sorted(order) == list(range(n)):
+            g = np.eye(n)[order] if u is None else u[order]
+            frame = _SlotFrame(None if np.array_equal(g, np.eye(n)) else g)
+            if all((frame.forms(s)[0] == label).all() for label, s in spaces):
+                return frame
+    raise DecompositionError("no index order puts every generator on its pair's XOR slots")
+
+
+_FRAMES: "weakref.WeakKeyDictionary[object, _SlotFrame]" = weakref.WeakKeyDictionary()
+
+
+def _frame_of(qa) -> _SlotFrame:
+    """The algebra's frame, built on first use and cached while the algebra lives."""
+    frame = _FRAMES.get(qa)
+    return frame if frame is not None else _FRAMES.setdefault(qa, _build_slot_frame(qa))
+
+
+def _label_rows(n: int, label: int) -> np.ndarray:
+    """The rows i < i ^ label < n: one per slot of the label, in slot order."""
+    i = np.arange(n)
+    return i[(i < i ^ label) & (i ^ label < n)]
+
+
+def _phased(v: np.ndarray, labels, c: np.ndarray) -> np.ndarray:
+    """The entries of V g V^dag, V = diag(v), for forms (labels, c); a label broadcasts."""
+    vm = np.zeros(c.shape[-1], dtype=complex)
+    vm[: len(v)] = v
+    return vm * c * np.conj(vm[np.arange(len(vm)) ^ np.reshape(labels, (-1, 1))])
+
+
+def _slot_coefficients(v: np.ndarray, n: int, label: int, c: np.ndarray) -> np.ndarray:
+    """c[a, s]: expansion of V g_a V^dag over the antisymmetric generators of the label's slots."""
+    return -np.imag(_phased(v, label, c)[:, _label_rows(n, label)])
+
+
+def _t_phases(n: int, t_forms: Dict[str, tuple]) -> np.ndarray:
+    """v with V g V^dag antisymmetric-imaginary, V = diag(v), for every g of t, whose
+    spaces' frame forms t_forms holds by label. Each slot carries a direction, and
+    phi_i - phi_j = delta_ij = -pi/2 - arg(direction) (mod pi). A level-1 t covers
+    every slot, so phi_j = -delta_0j, and the other slots must agree mod pi."""
+    labs = list(t_forms)
+    labels, c = (np.concatenate(x) for x in zip(*t_forms.values()))
+    owner = np.repeat(np.arange(len(labs)), [len(f[0]) for f in t_forms.values()])
+    q, i = np.nonzero(c)  # every upper entry, in space and generator order
+    q, i = q[i < i ^ labels[q]], i[i < i ^ labels[q]]
+    slot = i * n + (i ^ labels[q])
+    own = np.bincount(np.unique(owner[q] * n * n + slot) // (n * n), minlength=len(labs))
+    for lab, covered, size in zip(labs, own, np.bincount(owner, minlength=len(labs))):
+        if covered != size:
+            raise DecompositionError(f"space {lab} covers {covered} slots for {size} generators")
+    delta = (-np.pi / 2.0 - np.angle(c[q, i])) % np.pi
+    slots, first = np.unique(slot, return_index=True)
+    if own.sum() != len(slots):
         raise DecompositionError("two chosen spaces overlap on a slot")
-    v = _binary_phase_frame(qa.dim, np.concatenate(list(raw_images.values())))
-    for lab, images in raw_images.items():
-        g = v @ images @ dagger(v)
-        resid = (np.linalg.norm(g + np.swapaxes(g, 1, 2), axis=(1, 2))
-                 + np.linalg.norm(np.diagonal(g, axis1=1, axis2=2), axis=1))
-        if np.any(resid > SOLVE_TOL * np.maximum(1.0, np.linalg.norm(g, axis=(1, 2)))):
-            raise DecompositionError(f"space {lab} image is not antisymmetric in the frame")
-    return _Frame(matrix=v @ u_a, slots=slots)
+    diff = np.abs(delta - delta[first[np.searchsorted(slots, slot)]])
+    if np.any(bad := np.minimum(diff, np.abs(diff - np.pi)) > PHASE_TOL):
+        i, j = divmod(int(slot[bad].min()), n)
+        raise DecompositionError(f"slot ({i + 1},{j + 1}) carries two phase directions")
+    if len(slots) != n * (n - 1) // 2:
+        raise DecompositionError("t does not span so(N) in the frame")
+    phi = np.concatenate([[0.0], 0.0 - delta[first[: n - 1]]])  # slots (0, 1) .. (0, n - 1) first
+    diff = (phi[slots // n] - phi[slots % n] - delta[first]) % np.pi
+    if np.any(np.minimum(diff, np.pi - diff) > PHASE_TOL):
+        raise DecompositionError("slot phases are inconsistent; structure is not "
+                                 "binary-partitioned in any diagonal gauge")
+    v = np.exp(1j * phi)
+    g = _phased(v, labels, c)  # g + g^T sits on the same slots; a diagonal counts twice
+    resid = np.linalg.norm(g + np.take_along_axis(g, np.arange(g.shape[1]) ^ labels[:, None],
+                                                  axis=1), axis=1)
+    bad = resid > SOLVE_TOL * np.maximum(1.0, np.linalg.norm(g, axis=1))
+    if bad.any():
+        raise DecompositionError(f"space {labs[owner[np.argmax(bad)]]} image is not "
+                                 "antisymmetric in the frame")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +383,6 @@ def _ai_step(m: np.ndarray):
 # Angle extraction and expansion over basis generators
 # ---------------------------------------------------------------------------
 
-def _slot_coefficients(images: Sequence[np.ndarray], slots) -> np.ndarray:
-    """c[a, s]: expansion of image a over the antisymmetric slot generators."""
-    rows, cols = np.array(slots).T
-    return -np.imag(np.array(images)[:, rows, cols])
-
-
 def _solve_expansion(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Angles omega[b] with c^T omega[b] = phi[b], for c from _slot_coefficients.
 
@@ -365,48 +412,33 @@ def _solve_diagonal_expansion(e: np.ndarray, target) -> np.ndarray:
 # The plan: everything the recursion needs that depends only on the sequence
 # ---------------------------------------------------------------------------
 
-def _components(n: int, slots) -> List[List[int]]:
-    """Index components of the graph whose edges are the given slots."""
-    rows, cols = np.array(slots).T
-    reach = np.eye(n, dtype=bool)
-    reach[rows, cols] = reach[cols, rows] = True
-    for _ in range(n.bit_length()):  # each squaring doubles the path length
-        reach = reach @ reach
-    return [list(c) for c in sorted({tuple(np.flatnonzero(r).tolist()) for r in reach})]
+def _cosets(n: int, group) -> List[List[int]]:
+    """The cosets x ^ group cut to [0, n), by least index: the components of a level."""
+    return [list(c) for c in sorted({tuple(sorted(x ^ h for h in group if x ^ h < n))
+                                     for x in range(n)})]
 
 
 @dataclass(frozen=True)
 class _Block:
     """One abelian block of the tree: its space, how to expand angles over it, and
-    the shape of its exponentials.
-
-    `kind` is read off the support: "diagonal" when every entry is on the
-    diagonal; "pairs" when no entry is, each row has at most one and the
-    pattern is symmetric, so row i's one entry (i, j) pairs it with row j;
-    else "dense" (a conjugated or transported space).
+    the shape of its exponentials. In the frame its generators sit on the slots
+    (i, i ^ label): on the diagonal for label 0, else on disjoint pairs of rows.
     """
 
     space: AbelianSpace
     localities: Tuple[Optional[str], ...]
-    coefficients: np.ndarray  # level 1: diagonals of the images; else _slot_coefficients
-    support: np.ndarray  # flat positions where some generator matrix is nonzero
-    values: np.ndarray  # values[a]: generator a's entries at those positions
-    kind: str
+    coefficients: np.ndarray  # level 1: the diagonals in the frame; else _slot_coefficients
+    support: np.ndarray  # flat positions of the label's slots
+    values: np.ndarray  # values[a]: generator a's entries at those positions, in the frame
+    label: int
 
     @classmethod
-    def of(cls, space: AbelianSpace, coefficients: np.ndarray) -> "_Block":
-        flat = np.reshape(space.matrices, (len(space.generators), -1))
-        support = np.flatnonzero(np.any(flat != 0, axis=0))
-        rows, cols = np.divmod(support, space.dim)
-        if np.array_equal(rows, cols):
-            kind = "diagonal"
-        elif (np.all(rows != cols) and np.all(np.diff(rows) > 0)  # rows ascend with support
-              and np.array_equal(support, np.sort(cols * space.dim + rows))):
-            kind = "pairs"
-        else:
-            kind = "dense"
+    def of(cls, space: AbelianSpace, coefficients: np.ndarray, label: int,
+           entries: np.ndarray) -> "_Block":
+        """entries[a, i]: generator a's entry (i, i ^ label) in the frame."""
+        rows = np.flatnonzero(np.arange(space.dim) ^ label < space.dim)
         return cls(space, tuple(_locality_or_none(g) for g in space.generators), coefficients,
-                   support, flat[:, support], kind)
+                   rows * space.dim + (rows ^ label), entries[:, rows], label)
 
     def rows(self, idx: str, angles: Sequence[float]) -> List[tuple]:
         """GateFactor fields per angle not below ANGLE_PRUNE_TOL, numbered from 1."""
@@ -417,30 +449,23 @@ class _Block:
         return rows
 
     def exponentials(self, angles: np.ndarray) -> np.ndarray:
-        """exp(i sum_a angles[b, a] G_a) for every row b, as a (B, N, N) stack.
+        """exp(i sum_a angles[b, a] G_a) in the frame for every row b, as a (B, N, N) stack.
 
         Angles below ANGLE_PRUNE_TOL count as 0, as in the factors. A diagonal
         block is an elementwise phase. A pairs block is a set of disjoint
         rotations: with e the exponent, E^2 = |e|^2 on each pair, so
-        exp(iE) = cos|e| on its diagonal and i sin|e| / |e| e off it. Only a
-        dense block goes through expm_hermitian. A row whose every angle is
-        pruned is the exact identity.
+        exp(iE) = cos|e| on its diagonal and i sin|e| / |e| e off it.
         """
         n = self.space.dim
         kept = ~(np.abs(angles) < ANGLE_PRUNE_TOL)
         e = np.where(kept, angles, 0.0) @ self.values  # each row's exponent on the support
         x = np.zeros((len(angles), n * n), dtype=complex)
         x[:, :: n + 1] = 1.0
-        if self.kind == "diagonal":
+        if self.label == 0:
             x[:, self.support] = np.exp(1j * e.real)
-        elif self.kind == "pairs":
+        else:
             x[:, self.support // n * (n + 1)] = np.cos(np.abs(e))
             x[:, self.support] = 1j * np.sinc(np.abs(e) / np.pi) * e
-        else:
-            dense = np.zeros_like(x)
-            dense[:, self.support] = e
-            busy = kept.any(axis=1)
-            x[busy] = expm_hermitian(dense[busy].reshape(-1, n, n)).reshape(-1, n * n)
         return x.reshape(-1, n, n)
 
 
@@ -468,39 +493,43 @@ def _square(rows: np.ndarray) -> tuple:
 class _Plan:
     """What recursive_decompose needs of a sequence, built once per sequence.
 
-    Holds the frame, the index components at every level, the CS groups of
-    every level (its components stacked by block shape), for every abelian
-    block its coefficient matrix, generator entries and localities, and the
-    order in which the tree's nodes are emitted. Building it runs the checks
-    that depend only on the sequence; the level pass (_walk) runs the ones
-    that depend on the input.
+    Holds the level-1 frame F = V G, the CS groups of every level (its index
+    components stacked by block shape; with H_k the group of 0 and level k's t
+    labels, these are the cosets of H_k cut to [0, N)), for every abelian block
+    its coefficient matrix, entries and localities, and the order in which the
+    tree's nodes are emitted. Building it runs the checks that depend only on the
+    sequence; the level pass (_walk) runs the ones that depend on the input.
     """
 
-    def __init__(self, seq: DecompositionSequence, frame: _Frame):
-        self.n, self.p, self.frame = seq.dim, seq.qa.p, frame
-        self.frame_dag = dagger(frame.matrix)
-        chosen = [lv.chosen_labels for lv in seq.levels] + [(seq.final.binary_label,)]
-        self.components = {
-            level: _components(self.n, [s for lab in labels for s in frame.slots[lab]])
-            for level, labels in enumerate(chosen, start=1)
-        }
+    def __init__(self, seq: DecompositionSequence, frame: _SlotFrame, v: np.ndarray):
+        self.n, self.p, self.back = seq.dim, seq.qa.p, frame.matrix
+        self.f = np.diag(v) if frame.matrix is None else v[:, None] * frame.matrix  # F = V G
+        self.f_dag = dagger(self.f)
+        groups = [{0, *map(label_int, lv.chosen_labels)} for lv in seq.levels]
         level1 = seq.levels[0].center_core
-        self.blocks = {1: _Block.of(level1, frame.diagonals(level1))}
+        center = frame.entries(level1, 0)
+        self.blocks = {1: _Block.of(level1, np.real(_phased(v, 0, center))[:, : self.n], 0, center)}
         self.units, self.groups = {}, {}  # single-row components; CS groups of the rest
         for level in range(2, self.p + 1):
-            spec, comps = seq.levels[level - 1], self.components[level - 1]
-            center_slots = frame.slots[spec.label]
+            spec, comps = seq.levels[level - 1], _cosets(self.n, groups[level - 2])
+            alpha, h = label_int(spec.label), groups[level - 1]
+            if ({a ^ b for a in h for b in h} != h or alpha in h
+                    or h | {alpha ^ x for x in h} != groups[level - 2]):
+                raise DecompositionError(
+                    f"level {level}: the t labels and 0 are not an index-2 subgroup of "
+                    f"level {level - 1}'s without the center label {spec.label}")
             self.units[level] = np.array([c[0] for c in comps if len(c) == 1], dtype=int)
             shapes: Dict[Tuple[int, int], list] = {}  # (p, q) -> the fields of its components
-            for fields in (self._layout(c, center_slots, level) for c in comps if len(c) > 1):
+            for fields in (self._layout(c, h, alpha, level) for c in comps if len(c) > 1):
                 shapes.setdefault((len(fields[2]), len(fields[3])), []).append(fields)
             self.groups[level] = [
                 _CSGroup(*(np.array(field) for field in zip(*same))) for same in shapes.values()
             ]
-            self.blocks[level] = self._slot_block(spec.center_core, center_slots)
-        final_slots = frame.slots[seq.final.binary_label]
-        self.final_rows, self.final_cols = np.array(final_slots).T
-        self.blocks[self.p + 1] = self._slot_block(seq.final, final_slots)
+            self.blocks[level] = self._slot_block(spec.center_core, alpha, frame, v)
+        final = label_int(seq.final.binary_label)
+        self.final_rows = _label_rows(self.n, final)
+        self.final_cols = self.final_rows ^ final
+        self.blocks[self.p + 1] = self._slot_block(seq.final, final, frame, v)
         # Node j of level k (2^(k-1) nodes) sits at in-order position (2j + 1) 2^(p + 1 - k);
         # each of 1 .. 2^(p+1) - 1 has exactly one such form, so the positions are all distinct.
         order = sorted(
@@ -510,56 +539,39 @@ class _Plan:
         )
         self.order = [(level, j, format(pos, f"0{self.p + 1}b")) for pos, level, j in order]
 
-    def _slot_block(self, space: AbelianSpace, slots) -> _Block:
-        c = _slot_coefficients(self.frame.images(space), slots)
+    def _slot_block(self, space: AbelianSpace, label: int, frame: _SlotFrame,
+                    v: np.ndarray) -> _Block:
+        entries = frame.entries(space, label)
+        c = _slot_coefficients(v, self.n, label, entries)
         if c.shape[0] != c.shape[1]:
             raise DecompositionError(
                 f"{c.shape[0]} generators vs {c.shape[1]} slots; bases disagree"
             )
-        return _Block.of(space, c)
+        return _Block.of(space, c, label, entries)
 
-    def _layout(self, comp: List[int], center_slots, level: int) -> tuple:
-        """The _CSGroup fields of one component of level - 1 at `level`, or raise."""
+    def _layout(self, comp: List[int], h, alpha: int, level: int) -> tuple:
+        """The _CSGroup fields of one component of level - 1 at `level`, or raise: its
+        sides are the cosets of h, paired by x -> x ^ alpha, each cut to [0, N)."""
         branch = "L" * (level - 1)  # the first branch of the tree that reaches the level
-        subs = [c for c in self.components[level] if set(c) <= set(comp)]
-        if len(subs) == 1:
+        side1 = [x for x in comp if x ^ comp[0] in h]
+        side2 = [x for x in comp if x ^ comp[0] not in h]
+        if not side2:
             raise DecompositionError(
                 f"level {level}, branch {branch}: component {comp} does not split; "
                 "no center slot reaches it"
             )
-        if len(subs) != 2:
+        slots = _label_rows(self.n, alpha).tolist()  # pairs: each center slot's side-1 end first
+        pairs = [(i, i ^ alpha) if i in side1 else (i ^ alpha, i) for i in slots if i in comp]
+        if len(pairs) != min(len(side1), len(side2)):
             raise DecompositionError(
-                f"level {level}, branch {branch}: component {comp} splits into "
-                f"{len(subs)} parts"
-            )
-        side1, side2 = (set(subs[0]), set(subs[1]))
-        matched = [s for s in center_slots if s[0] in comp and s[1] in comp]
-        b1, b2 = [], []
-        for (i, j) in matched:
-            a, b = (i, j) if i in side1 else (j, i)
-            if a not in side1 or b not in side2:
-                raise DecompositionError(
-                    f"level {level}, branch {branch}: center slot "
-                    f"({i + 1},{j + 1}) does not cross the two sub-blocks"
-                )
-            b1.append(a)
-            b2.append(b)
-        if len(matched) != min(len(side1), len(side2)):
-            raise DecompositionError(
-                f"level {level}, branch {branch}: {len(matched)} center slots "
+                f"level {level}, branch {branch}: {len(pairs)} center slots "
                 f"cannot pair blocks of sizes {len(side1)} and {len(side2)}"
             )
-        b1 += sorted(side1 - set(b1))
-        b2 += sorted(side2 - set(b2))
-        pairs = list(zip(b1, b2))
-        return (
-            b1 + b2,
-            np.array([c for c in range(self.n) if c not in comp], dtype=int),  # int if empty
-            b1,
-            b2,
-            [center_slots.index((min(i, j), max(i, j))) for i, j in pairs],
-            [-1.0 if i < j else 1.0 for i, j in pairs],
-        )
+        b1 = [a for a, _ in pairs] + [x for x in side1 if x not in dict(pairs)]
+        b2 = [b for _, b in pairs] + [x for x in side2 if x not in dict(pairs).values()]
+        outside = np.array([c for c in range(self.n) if c not in comp], dtype=int)  # int if empty
+        return (b1 + b2, outside, b1, b2, [slots.index(min(pair)) for pair in pairs],
+                [-1.0 if a < b else 1.0 for a, b in pairs])
 
 
 _PLANS: "weakref.WeakKeyDictionary[DecompositionSequence, _Plan]" = weakref.WeakKeyDictionary()
@@ -636,7 +648,7 @@ def _walk(plan: _Plan, u_su: np.ndarray) -> Dict[int, np.ndarray]:
     in depth-first order. The angles are not pruned; the factors and the
     block exponentials prune them the same way.
     """
-    o1, lam, o2 = _ai_step(plan.frame.matrix @ u_su @ plan.frame_dag)
+    o1, lam, o2 = _ai_step(plan.f @ u_su @ plan.f_dag)
     angles = {1: _solve_diagonal_expansion(plan.blocks[1].coefficients, lam)[None]}
     nodes = np.real(np.stack([o1, o2]))
     for level in range(2, plan.p + 1):
@@ -650,12 +662,12 @@ def _tree_product(plan: _Plan, angles: Dict[int, np.ndarray]) -> np.ndarray:
 
     Bottom-up, one stacked step per level: the product over node j's subtree
     is P(left) X(node) P(right), and node j's children are nodes 2j and
-    2j + 1 of the next level.
+    2j + 1 of the next level. It is formed in the algebra's frame G, then moved back.
     """
     total = plan.blocks[plan.p + 1].exponentials(angles[plan.p + 1])
     for level in range(plan.p, 0, -1):
         total = total[0::2] @ plan.blocks[level].exponentials(angles[level]) @ total[1::2]
-    return total[0]
+    return total[0] if plan.back is None else dagger(plan.back) @ total[0] @ plan.back
 
 
 def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorization:
@@ -668,10 +680,9 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
     is the Frobenius distance of the closed-form block product
     (_tree_product) from u.
 
-    The first call along `seq` builds its plan (frame, components, CS groups,
-    coefficient matrices, localities, block kinds) and later calls reuse it.
-    The result holds the plan and the angle arrays; its factors and blocks
-    are built when first read.
+    The first call along `seq` builds its plan in the algebra's frame, and
+    later calls reuse it. The result holds the plan and the angle arrays;
+    its factors and blocks are built when first read.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (seq.dim, seq.dim):
@@ -680,12 +691,13 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
         )
     u_su, phase = ingest_unitary(u)
     plan = _PLANS.get(seq)
-    if plan is None:  # the frame's errors carry no "decomposition failed" prefix
-        spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
-        frame = _build_frame(seq.qa, spaces)
+    if plan is None:  # the frame's and the phases' errors carry no "decomposition failed" prefix
+        frame = _frame_of(seq.qa)
+        v = _t_phases(seq.dim, {lab: frame.forms(seq.space_at(lab))
+                                for lab in seq.levels[0].chosen_labels})
     try:
         if plan is None:
-            plan = _PLANS[seq] = _Plan(seq, frame)
+            plan = _PLANS[seq] = _Plan(seq, frame, v)
         angles = _walk(plan, u_su)
     except DecompositionError as exc:
         raise DecompositionError(f"decomposition failed: {exc}") from exc
@@ -713,14 +725,13 @@ def reconstruct(fact: Factorization, dim: int) -> np.ndarray:
 def kak_single_level(u: np.ndarray, split: CartanSplit):
     """One KAK step U = K1 exp(i a) K2 for a Cartan split: recursive_decompose's level 1.
 
-    The same frame F and split F U F^dag = O1 D O2 (_ai_step checks the reassembly);
-    K = F^dag O F, a = -i F^dag log(D) F. K is in exp(t): O is real with det +1,
-    F maps t onto imaginary antisymmetric matrices, and t has rank N(N-1)/2, the
-    sum of its spaces' square slot-coefficient ranks (F puts each on its own k
-    slots, together on every slot). `a` is in the center's span: the level-1 angle
-    solve over the frame diagonals of a center F diagonalizes. The frame is built
-    on every call. The input must have unit determinant, its phase within SOLVE_TOL
-    (see ingest_unitary).
+    The same frame F = V G (G the algebra's, V read off the split's t on each call)
+    and split F U F^dag = O1 D O2 (_ai_step checks the reassembly); K = F^dag O F,
+    a = -i F^dag log(D) F. K is in exp(t): O is real with det +1, F maps t onto
+    imaginary antisymmetric matrices, and t has rank N(N-1)/2, the sum of its
+    spaces' slot-coefficient ranks. `a` is in the center's span: the level-1 angle
+    solve over the frame diagonals. The input must have unit determinant, its phase
+    within SOLVE_TOL (see ingest_unitary).
     """
     u = np.asarray(u, dtype=complex)
     n = split.dim
@@ -730,14 +741,17 @@ def kak_single_level(u: np.ndarray, split: CartanSplit):
         raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
     if abs(np.angle(np.linalg.det(u))) > SOLVE_TOL:  # _ai_step's eigenphases sum to this phase
         raise InvalidMatrixError("determinant is not 1; run ingest_unitary first")
-    frame = _build_frame(split.qa, {s.binary_label: s for s in split.t})
-    blocks = (_slot_coefficients(frame.images(s), frame.slots[s.binary_label]) for s in split.t)
+    frame = _frame_of(split.qa)
+    v = _t_phases(n, {s.binary_label: frame.forms(s) for s in split.t})
+    blocks = (_slot_coefficients(v, n, lab, frame.entries(s, lab))
+              for s in split.t for lab in (label_int(s.binary_label),))
     if sum(_rank(np.linalg.svd(c, compute_uv=False)) for c in blocks) != n * (n - 1) // 2:
         raise DecompositionError("t does not span so(N) in the frame")
-    f = frame.matrix
+    f = np.diag(v) if frame.matrix is None else v[:, None] * frame.matrix
     o1, lam, o2 = _ai_step(f @ u @ dagger(f))
+    center = _phased(v, 0, frame.entries(split.chosen_center, 0))
     try:
-        _solve_diagonal_expansion(frame.diagonals(split.chosen_center), lam)
+        _solve_diagonal_expansion(np.real(center)[:, :n], lam)
     except NotInSpanError:
         raise DecompositionError("abelian part leaves the center span") from None
     return tuple(dagger(f) @ x.astype(complex) @ f for x in (o1, np.diag(lam), o2))
@@ -778,11 +792,11 @@ def factor_abelian_exponential(
     if frob(a @ sol - target) > SOLVE_TOL * n:
         raise NotInSpanError("phases do not lie in the space span")
     tree_index = "0" * max(1, (n - 1).bit_length() + 1)
-    block = _Block.of(space, eigcols)
+    block = _Block.of(space, eigcols, 0, eigcols)  # diagonal in w's frame
     factors = list(itertools.starmap(GateFactor, block.rows(tree_index, sol[:-1].tolist())))
     phase = complex(np.exp(1j * sol[-1]))
-    # The factors commute, so their product is one exponential.
+    # The factors commute, so their product is one exponential, here read in w's frame.
     check = block.exponentials(sol[None, :-1])[0]
-    if frob(check * phase - v) > SOLVE_TOL * n:
+    if frob(check * phase - d) > SOLVE_TOL * n:
         raise NotInSpanError("abelian expansion does not reproduce the input")
     return factors, phase

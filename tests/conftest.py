@@ -10,7 +10,7 @@ from scipy.stats import special_ortho_group  # noqa: E402
 
 from cartankak._linalg import random_special_unitary
 from cartankak.cartan import build_decomposition_sequence
-from cartankak.kak import _build_frame
+from cartankak.kak import _PLANS, recursive_decompose
 from cartankak.partition import (
     build_quotient_algebra,
     intrinsic_quotient_algebra,
@@ -65,7 +65,7 @@ def std_seq():
 def near_collision(std_seq):
     """Exact SU(n) inputs whose level-1 eigenphases nearly collide.
 
-    u = F^dag O1 diag(exp(i lam)) O2 F with F the level-1 frame and seeded
+    u = F^dag O1 diag(exp(i lam)) O2 F with F the plan's level-1 frame and seeded
     special orthogonal O1, O2. lam0 + lam1 = pi/6 + delta makes the pi/6
     combination of Re/Im of M M^T nearly degenerate, and lam2 + lam3 = delta
     does the same for its real part. With quarter=True, lam0 and lam1 are
@@ -75,8 +75,8 @@ def near_collision(std_seq):
 
     def make(n, delta, seed, quarter=False):
         seq = std_seq(n)
-        spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
-        f = _build_frame(seq.qa, spaces).matrix
+        recursive_decompose(np.eye(n), seq)
+        f = _PLANS[seq].f
         rng = np.random.default_rng(seed)
         o1 = special_ortho_group.rvs(n, random_state=rng)
         o2 = special_ortho_group.rvs(n, random_state=rng)

@@ -1,14 +1,21 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cartankak import serialize
-from cartankak.cartan import CartanSplit
+from cartankak.cartan import (
+    CartanSplit,
+    build_cartan_split,
+    build_decomposition_sequence,
+    enumerate_t_choices,
+)
 from cartankak._linalg import random_special_unitary
 from cartankak.cli import main
 from cartankak.generators import make_tensor_word
@@ -453,6 +460,49 @@ class TestEveryDimensionReadsBack:
             qa.write_text(text)
         assert main(["verify", "--input", str(qa), "--output", str(report)]) == 0
         assert json.loads(report.read_text())["passed"] is True
+
+    @pytest.mark.parametrize("build", [standard_quotient_algebra, intrinsic_quotient_algebra],
+                             ids=["standard", "intrinsic"])
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_splits_and_sequences_read_back(self, n, build):
+        """The algebra read back from its JSON writes every split to the same bytes,
+        and a sequence read back from its JSON writes itself to the same bytes, for
+        the default sequence and the all-ones one."""
+        qa = build(n)
+        again = serialize.qa_from_json(json.loads(serialize.dumps(serialize.qa_to_json(qa))))
+        for bits in enumerate_t_choices(qa):
+            text = serialize.dumps(serialize.split_to_json(build_cartan_split(qa, bits, False)))
+            assert serialize.dumps(serialize.split_to_json(
+                build_cartan_split(again, bits, False))) == text, bits
+        for choices in (None, ["1" * (qa.p - k) for k in range(qa.p)]):
+            text = serialize.dumps(serialize.sequence_to_json(
+                build_decomposition_sequence(qa, choices)))
+            seq = serialize.sequence_from_json(json.loads(text), qa)
+            assert serialize.dumps(serialize.sequence_to_json(seq)) == text, choices
+
+    @pytest.mark.parametrize("n, center", [(4, None), (8, None), (9, None), (16, None),
+                                           (4, "x-word"), (8, "x-word")])
+    def test_decompose_artifact_rebuilds_its_input(self, n, center, tmp_path):
+        """The product of expm(i angle G) over the artifact's factors, each G read from
+        its label or matrix, times the global phase, is as far from the input as
+        the artifact's reconstruction_error says."""
+        u = np.exp(0.5j) * random_special_unitary(n, np.random.default_rng(2100 + n))
+        args = ["decompose", "--dim", str(n), "--output", str(tmp_path / "f.json"),
+                "--input", write_json(tmp_path / "u.json", serialize.matrix_to_json(u))]
+        if center:  # every word of p0 and p1 but the identity: a center that is not diagonal
+            words = itertools.islice(itertools.product(("p0", "p1"), repeat=n.bit_length() - 1),
+                                     1, None)
+            space = [serialize.generator_to_json(word(*w)) for w in words]
+            args += ["--center", write_json(tmp_path / "c.json", space)]
+        assert main(args) == 0
+        artifact = json.loads((tmp_path / "f.json").read_text())
+        rebuilt = np.eye(n, dtype=complex)
+        for f in artifact["factors"]:
+            g = serialize.generator_from_json(f["generator"]).matrix
+            rebuilt = rebuilt @ scipy.linalg.expm(1j * f["angle"] * g)
+        rebuilt *= complex(*artifact["global_phase"])
+        assert artifact["factors"]
+        assert abs(np.linalg.norm(rebuilt - u) - artifact["reconstruction_error"]) < 1e-12
 
 
 class TestOptions:

@@ -3,13 +3,14 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from cartankak import kak, serialize
+from cartankak import cartan, kak, serialize
 from cartankak._linalg import (
     SOLVE_TOL,
     expm_hermitian,
@@ -18,7 +19,12 @@ from cartankak._linalg import (
     random_special_unitary,
     span_rows,
 )
-from cartankak.cartan import build_cartan_split, build_decomposition_sequence, enumerate_t_choices
+from cartankak.cartan import (
+    build_cartan_split,
+    build_decomposition_sequence,
+    enumerate_maximal_abelian,
+    enumerate_t_choices,
+)
 from cartankak.errors import (
     DecompositionError,
     DimensionMismatchError,
@@ -38,6 +44,7 @@ from cartankak.kak import (
 )
 from cartankak.partition import (
     AbelianSpace,
+    build_quotient_algebra,
     conjugate_quotient_algebra,
     intrinsic_quotient_algebra,
     standard_basis,
@@ -193,6 +200,23 @@ class TestKakSingleLevel:
         space = AbelianSpace((word("p0", "p1"), word("p0", "p2")), False, "01")
         bad = dataclasses.replace(build_cartan_split(word_qa(4), "00"), t=(space,))
         with pytest.raises(DecompositionError, match=r"^slot \(1,2\) carries two phase directions$"):
+            kak_single_level(np.eye(4), bad)
+
+    def test_spaces_overlapping_on_a_slot(self, word_qa):
+        split = build_cartan_split(word_qa(4), "00")
+        first = split.t[0]
+        twin = AbelianSpace(first.generators, first.hat, "10")
+        bad = dataclasses.replace(split, t=(first, twin) + split.t[2:])
+        with pytest.raises(DecompositionError, match="^two chosen spaces overlap on a slot$"):
+            kak_single_level(np.eye(4), bad)
+
+    def test_space_with_a_diagonal_generator(self, word_qa):
+        # Z x I covers no slot, so space 01 still covers 2 slots for 2 generators.
+        split = build_cartan_split(word_qa(4), "00")
+        first = split.t[0]
+        space = AbelianSpace((first.generators[0], word("p3", "p0")), first.hat, "01")
+        bad = dataclasses.replace(split, t=(space,) + split.t[1:])
+        with pytest.raises(DecompositionError, match="^space 01 image is not antisymmetric"):
             kak_single_level(np.eye(4), bad)
 
     def test_t_short_of_so_n(self, word_qa):
@@ -517,9 +541,10 @@ class TestRecursiveDecompose:
             assert fact.reconstruction_error < 1e-8
 
     @pytest.mark.parametrize("algebra", [standard_quotient_algebra, intrinsic_quotient_algebra])
-    @pytest.mark.parametrize("n", [4, 5, 8, 9])
+    @pytest.mark.parametrize("n", range(2, 17))
     def test_transported_algebra(self, algebra, n):
-        """A moved algebra takes the dense frame (its center is not diagonal); it
+        """A moved algebra's frame diagonalizes its center and reorders the indices
+        (at N = 6 and 12 few generators have an XOR form in the plain eigenframe); it
         factors, and a warm call repeats the cold one bit for bit."""
         rng = np.random.default_rng(1600 + n)
         seq = build_decomposition_sequence(
@@ -529,6 +554,53 @@ class TestRecursiveDecompose:
         cold = recursive_decompose(u, seq)
         assert cold.reconstruction_error < 1e-8
         assert fingerprint(recursive_decompose(u, seq)) == fingerprint(cold)
+
+
+def frame_cases():
+    """(algebra, unmoved): both builds at N = 2..16, as built and moved by a seeded
+    Haar SU(N), and the X-word centers of su(4), su(8) and su(16)."""
+    for name, build in (("standard", standard_quotient_algebra),
+                        ("intrinsic", intrinsic_quotient_algebra)):
+        for n in range(2, 17):
+            yield pytest.param(lambda b=build, n=n: b(n), True, id=f"{name}-{n}")
+            yield pytest.param(lambda b=build, n=n: conjugate_quotient_algebra(
+                b(n), random_special_unitary(n, np.random.default_rng(1800 + n))), False,
+                id=f"moved-{name}-{n}")
+    for n in (4, 8, 16):
+        words = itertools.islice(itertools.product(("p0", "p1"), repeat=n.bit_length() - 1), 1, None)
+        yield pytest.param(lambda n=n, words=tuple(words): build_quotient_algebra(AbelianSpace(
+            tuple(make_tensor_word(list(w)) for w in words)), standard_basis(n)), False,
+            id=f"x-word-{n}")
+
+
+def assert_on_own_labels(qa):
+    """G g G^dag sits on the XOR slots of g's pair label (the center's on 0), up to
+    entries below STRUCT_TOL |g|, with G the algebra's frame."""
+    n, g = qa.dim, kak._frame_of(qa).matrix
+    g = np.eye(n) if g is None else g
+    xor = np.bitwise_xor.outer(np.arange(n), np.arange(n))
+    for label, space in [(0, qa.center)] + [(int(pair.binary_label, 2), s)
+                                            for pair in qa.pairs for s in pair.spaces]:
+        for m in space.matrices:
+            image = g @ m @ g.conj().T
+            assert np.abs(np.where(xor == label, 0, image)).max() < 1e-12 * frob(m)
+            assert np.abs(image[xor == label]).max() > 0.1 * frob(m)
+
+
+@pytest.mark.parametrize("make, unmoved", frame_cases())
+def test_frame_puts_every_generator_on_its_own_label(make, unmoved):
+    """The frame is exact, it is the identity for an unmoved build, and the
+    algebra factors along its default sequence."""
+    qa = make()
+    assert_on_own_labels(qa)
+    assert (kak._frame_of(qa).matrix is None) == unmoved
+    u = random_special_unitary(qa.dim, np.random.default_rng(1900 + qa.dim))
+    assert recursive_decompose(u, build_decomposition_sequence(qa)).reconstruction_error < 1e-8
+
+
+def test_frame_of_every_maximal_abelian_algebra_of_su4():
+    for member in enumerate_maximal_abelian(4, 3):
+        assert_on_own_labels(cartan._structure_of_center(member, 4))
 
 
 WORD_DIMS = [2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16]  # standard_quotient_algebra closes in words
@@ -576,18 +648,35 @@ class TestPlanReuse:
         assert fingerprint(warm)[0] != fingerprint(by_default)[0]
         assert kak._PLANS[default] is not kak._PLANS[other]
 
-    def test_frame_is_built_once_per_sequence(self, std_seq, monkeypatch):
+    def test_frame_is_built_once_per_algebra(self, monkeypatch):
+        """Five sequences and every single-level split of one (moved) algebra share one frame."""
         built = []
-        original = kak._build_frame
-        monkeypatch.setattr(
-            kak, "_build_frame", lambda qa, spaces: built.append(1) or original(qa, spaces)
-        )
-        seq = build_decomposition_sequence(std_seq(8).qa)
-        rng = np.random.default_rng(62)
-        for _ in range(5):
-            fact = recursive_decompose(random_special_unitary(8, rng), seq)
+        original = kak._build_slot_frame
+        monkeypatch.setattr(kak, "_build_slot_frame", lambda qa: built.append(1) or original(qa))
+        u = random_special_unitary(8, np.random.default_rng(62))
+        qa = conjugate_quotient_algebra(standard_quotient_algebra(8), u)
+        rng = np.random.default_rng(63)
+        for choices in (None, ["011", "10", "1"], ["110", "11", "0"], ["001", "01", "0"],
+                        ["100", "00", "1"]):
+            fact = recursive_decompose(random_special_unitary(8, rng),
+                                       build_decomposition_sequence(qa, choices))
             assert fact.reconstruction_error < 1e-8
+        u = random_special_unitary(8, rng)
+        for bits in enumerate_t_choices(qa):
+            k1, a, k2 = kak_single_level(u, build_cartan_split(qa, bits, validate=False))
+            assert frob(k1 @ expm_hermitian(a) @ k2 - u) < 1e-9
         assert len(built) == 1
+
+    def test_frame_does_not_keep_its_algebra_alive(self, std_seq):
+        qa = dataclasses.replace(std_seq(4).qa)
+        seq = build_decomposition_sequence(qa)
+        recursive_decompose(np.eye(4), seq)
+        kak_single_level(np.eye(4), build_cartan_split(qa, "00", validate=False))
+        assert qa in kak._FRAMES
+        refs = weakref.ref(qa), weakref.ref(seq)
+        del qa, seq
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_plan_does_not_keep_its_sequence_alive(self, std_seq):
         seq = build_decomposition_sequence(std_seq(4).qa)
@@ -613,6 +702,11 @@ def with_space(seq, label, space):
     return dataclasses.replace(seq, qa=dataclasses.replace(seq.qa, pairs=pairs))
 
 
+def not_a_subgroup(level, label):
+    return (f"level {level}: the t labels and 0 are not an index-2 subgroup of "
+            f"level {level - 1}'s without the center label {label}")
+
+
 class TestPlanBuildChecks:
     """Hand-built sequences reach the checks that run once, when the plan is built."""
 
@@ -623,19 +717,21 @@ class TestPlanBuildChecks:
     @pytest.mark.parametrize(
         "level,changes,message",
         [
+            # H_2 = H_1: index 1.
             (2, lambda seq: {"chosen_labels": seq.levels[0].chosen_labels},
-             r"level 2, branch L: component \[0, 1, 2, 3, 4, 5, 6, 7\] does not split; "
-             "no center slot reaches it"),
-            (2, lambda seq: {"chosen_labels": ("100",)},
-             r"level 2, branch L: component \[0, 1, 2, 3, 4, 5, 6, 7\] splits into 4 parts"),
-            (2, lambda seq: {"label": "010"},
-             r"level 2, branch L: center slot \(1,3\) does not cross the two sub-blocks"),
-            (3, lambda seq: {"label": "001"},
-             "level 3, branch LL: 0 center slots cannot pair blocks of sizes 2 and 2"),
+             not_a_subgroup(2, "001")),
+            # H_2 = {0, 100}: index 4.
+            (2, lambda seq: {"chosen_labels": ("100",)}, not_a_subgroup(2, "001")),
+            # The center label 010 lies in H_2 = {0, 010, 100, 110}.
+            (2, lambda seq: {"label": "010"}, not_a_subgroup(2, "010")),
+            # The center label 001 is not in H_2.
+            (3, lambda seq: {"label": "001"}, not_a_subgroup(3, "001")),
+            # H_2 = {0, 010, 100, 101} is not closed.
+            (2, lambda seq: {"chosen_labels": ("010", "100", "101")}, not_a_subgroup(2, "001")),
             (2, lambda seq: {"center_core": AbelianSpace(seq.levels[1].center_core.generators[:3])},
              "3 generators vs 4 slots; bases disagree"),
         ],
-        ids=["no split", "four parts", "no cross", "no pairing", "bases"],
+        ids=["no split", "four parts", "no cross", "no pairing", "not closed", "bases"],
     )
     def test_level_checks(self, level, changes, message, seq8):
         bad = with_level(seq8, level, **changes(seq8))
@@ -644,6 +740,21 @@ class TestPlanBuildChecks:
                 recursive_decompose(np.eye(8), bad)
             assert bad not in kak._PLANS
 
+    @pytest.mark.parametrize("bits, message", [
+        ("0", r"component \[2, 3\] does not split; no center slot reaches it"),
+        ("1", "0 center slots cannot pair blocks of sizes 1 and 1"),
+    ], ids=["no split", "no pairing"])
+    def test_cut_cosets(self, bits, message, std_seq):
+        """At N = 6 the cosets are cut to [0, 6), so a sequence whose labels pass the
+        subgroup check can still leave a component unsplit or its sides unpaired.
+        With centers 010 and 100, the level-2 component {2, 3} has no label-100 slot."""
+        seq = std_seq(6)
+        bad = build_decomposition_sequence(seq.qa, ["000", "00", bits], level_centers=[
+            seq.space_at("010"), seq.space_at("100")])
+        with pytest.raises(DecompositionError,
+                           match=f"^decomposition failed: level 3, branch LL: {message}$"):
+            recursive_decompose(np.eye(6), bad)
+
     def test_singular_slot_coefficients(self, seq8):
         # The solve runs on every call, so this check fires on a cached plan too.
         bad = with_level(seq8, 2, label="011")
@@ -651,13 +762,16 @@ class TestPlanBuildChecks:
             with pytest.raises(DecompositionError, match="slot coefficient matrix is singular$"):
                 recursive_decompose(np.eye(8), bad)
 
+    NO_FRAME = "^no index order puts every generator on its pair's XOR slots$"
+
     def test_overlapping_spaces(self, std_seq):
+        # Pair 10 holds label-01 generators, so no order puts it on its own label.
         seq = std_seq(4)
         bad = with_space(seq, "10", seq.space_at("01"))
         for _ in range(2):
-            with pytest.raises(DecompositionError, match="^two chosen spaces overlap on a slot$"):
+            with pytest.raises(DecompositionError, match=self.NO_FRAME):
                 recursive_decompose(np.eye(4), bad)
-            assert bad not in kak._PLANS
+            assert bad not in kak._PLANS and bad.qa not in kak._FRAMES
 
     def test_flipped_hat_selection(self, std_seq):
         seq = std_seq(4)
@@ -677,7 +791,7 @@ class TestPlanBuildChecks:
         )
         bad = with_space(seq, "01", space)
         for _ in range(2):
-            with pytest.raises(DecompositionError, match="^space 01 image is not antisymmetric"):
+            with pytest.raises(DecompositionError, match=self.NO_FRAME):
                 recursive_decompose(np.eye(4), bad)
 
     def test_space_short_of_its_slots(self, std_seq):
@@ -895,7 +1009,7 @@ class TestGuardsAreReached:
 
 
 def moved_sequence(algebra, n):
-    """The default sequence of algebra(n) moved by a seeded Haar unitary: every block dense."""
+    """The default sequence of algebra(n) moved by a seeded Haar unitary."""
     rng = np.random.default_rng(1600 + n)
     return build_decomposition_sequence(
         conjugate_quotient_algebra(algebra(n), random_special_unitary(n, rng)))
@@ -906,7 +1020,7 @@ BLOCK_CASES = (
     [pytest.param("standard", False, n, id=str(n)) for n in range(2, 17)]
     + [pytest.param("intrinsic", False, n, id=f"intrinsic-{n}") for n in range(2, 17)]
     + [pytest.param(build, True, n, id=f"moved-{build}-{n}")
-       for build in ALGEBRAS for n in (4, 5, 8, 9)]
+       for build in ALGEBRAS for n in (4, 5, 6, 8, 9, 12)]
 )
 
 
@@ -926,14 +1040,13 @@ def test_block_reconstruction_matches_reconstruct(build, moved, n, std_seq):
 
 
 def test_every_block_kind_is_reached(std_seq):
-    """The word center is diagonal and a label's space is pairs; a moved algebra is dense."""
-    for seq in (std_seq(16), std_seq(9)):
-        recursive_decompose(np.eye(seq.dim), seq)
-        kinds = {level: b.kind for level, b in kak._PLANS[seq].blocks.items()}
-        assert kinds == {1: "diagonal", **{level: "pairs" for level in range(2, len(kinds) + 1)}}
+    """In the frame the level-1 center is diagonal and every later block sits on the
+    slot pairs of its label, for a moved algebra too."""
     moved = moved_sequence(standard_quotient_algebra, 8)
-    recursive_decompose(np.eye(8), moved)
-    assert {b.kind for b in kak._PLANS[moved].blocks.values()} == {"dense"}
+    for seq in (std_seq(16), std_seq(9), moved):
+        recursive_decompose(np.eye(seq.dim), seq)
+        labels = {level: b.label for level, b in kak._PLANS[seq].blocks.items()}
+        assert labels[1] == 0 and 0 not in list(labels.values())[1:]
 
 
 class TestColumns:

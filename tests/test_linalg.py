@@ -7,7 +7,6 @@ from scipy.stats import ortho_group, special_ortho_group
 
 from cartankak._linalg import (
     CLUSTER_TOL,
-    SOLVE_TOL,
     _cs_two_svd,
     _fix_determinants,
     complex_symmetric_eigenbasis,
@@ -15,7 +14,6 @@ from cartankak._linalg import (
     frob,
     joint_eigenbasis,
     rotation_middle,
-    slot_support,
 )
 from cartankak.errors import DecompositionError, InvalidMatrixError
 
@@ -377,21 +375,3 @@ class TestComplexSymmetricEigenbasis:
         a, b = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
         with pytest.raises(DecompositionError, match="did not diagonalize"):
             complex_symmetric_eigenbasis(a + a.T + 1j * (b + b.T))
-
-
-class TestSlotSupport:
-    def test_slots_and_diagonal_of_a_stack(self):
-        a = np.zeros((4, 4), dtype=complex)
-        a[0, 2] = a[2, 0] = 1.0
-        b = np.zeros((4, 4), dtype=complex)
-        b[1, 3], b[3, 1] = -1j, 1j
-        assert slot_support([a, b]) == (((0, 2), (1, 3)), False)
-        assert slot_support([a, np.diag([1.0, -1.0, 0.0, 0.0])]) == (((0, 2),), True)
-
-    def test_real_and_imaginary_parts_are_tested_separately(self):
-        z = np.zeros((2, 2), dtype=complex)
-        z[0, 1] = 0.8 * SOLVE_TOL * (1 + 1j)
-        z[1, 0] = np.conj(z[0, 1])
-        assert abs(z[0, 1]) > SOLVE_TOL
-        assert slot_support([z]) == ((), False)
-        assert slot_support([2 * z]) == (((0, 1),), False)

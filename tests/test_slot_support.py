@@ -28,7 +28,6 @@ from cartankak.partition import (
     binary_label_of,
     bits_of,
     build_quotient_algebra,
-    diagonalize_abelian,
     intrinsic_center,
     lambda_basis,
     standard_basis,
@@ -255,22 +254,29 @@ def test_decompose_never_scans_the_word_basis(n, std_seq, refuse_word_scan):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_frame_matches_the_per_entry_loops(n, std_seq):
+    """The label arithmetic of the frame and plan reads what the per-entry loops read
+    off the dense images: the phases, each space's slots and coefficients, and the
+    index components of every level."""
     seq = std_seq(n)
     spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
-    frame = kak._build_frame(seq.qa, spaces)
-    u_a = diagonalize_abelian(seq.qa.center)
-    raw = {lab: [u_a @ g.matrix @ dagger(u_a) for g in sp.generators] for lab, sp in spaces.items()}
+    recursive_decompose(np.eye(n), seq)
+    frame, plan = kak._frame_of(seq.qa), kak._PLANS[seq]
+    assert frame.matrix is None  # a diagonal center in binary order
+    raw = {lab: [g.matrix for g in sp.generators] for lab, sp in spaces.items()}
     v = loop_phase_frame(n, list(raw.values()))
-    assert np.array_equal(frame.matrix, v @ u_a)
+    assert np.array_equal(plan.f, v)
+    slots = {}
     for lab, images in raw.items():
         rotated = [v @ g @ dagger(v) for g in images]
-        assert frame.slots[lab] == loop_space_slots(rotated, n)
+        label = int(lab, 2)
+        slots[lab] = tuple((i, i ^ label) for i in kak._label_rows(n, label).tolist())
+        assert slots[lab] == loop_space_slots(rotated, n)
+        entries = frame.entries(spaces[lab], label)
         np.testing.assert_array_equal(
-            kak._slot_coefficients(rotated, frame.slots[lab]),
-            loop_slot_coefficients(rotated, frame.slots[lab]),
+            kak._slot_coefficients(np.diag(v), n, label, entries),
+            loop_slot_coefficients(rotated, slots[lab]),
         )
-    plan = kak._Plan(seq, frame)
-    chosen = [level.chosen_labels for level in seq.levels] + [(seq.final.binary_label,)]
-    for level, labels in enumerate(chosen, start=1):
-        edges = [s for lab in labels for s in frame.slots[lab]]
-        assert plan.components[level] == union_find_components(n, edges)
+    for level in seq.levels:
+        edges = [s for lab in level.chosen_labels for s in slots[lab]]
+        group = {0, *(int(lab, 2) for lab in level.chosen_labels)}
+        assert kak._cosets(n, group) == union_find_components(n, edges)

@@ -14,9 +14,12 @@ For each dimension N and each repeat it times, in a fresh process:
                      for N <= 16 (N=32 would have 32,768)
   first_decompose_ms the first recursive_decompose along the new sequence
   decompose_ms       median of the next 10 calls (seeded Haar inputs)
-  plan_ms            median over 5 fresh default sequences of the plan build
-                     alone, kak._build_frame plus kak._Plan: what only the
-                     first call along a sequence pays
+  plan_ms            median over 5 fresh default sequences, each over a fresh
+                     copy of the algebra, of the plan build alone: the
+                     algebra's frame (built uncached), the t phases and
+                     kak._Plan, what the first call along a new algebra pays
+                     (a tree from before the per-algebra frame: kak._build_frame
+                     plus kak._Plan)
   to_json_ms         median serialize.factorization_to_json + dumps of each
                      result of those calls, the first thing read of it
   factors_ms         median first read of .factors on the same results (the
@@ -25,7 +28,8 @@ For each dimension N and each repeat it times, in a fresh process:
                      zero where the call itself builds them)
   reconstruct_ms     median of the public per-factor reconstruct
   single_level_ms    median kak_single_level call on the same inputs, along
-                     build_cartan_split(qa, "0" * p, validate=False)
+                     build_cartan_split(qa, "0" * p, validate=False); the
+                     algebra's frame is cached by then
   cs_calls           cs_decompose_so calls of one more warm recursive_decompose,
                      counted by wrapping kak.cs_decompose_so outside the timed calls
   closure_x_s        verify_closure of the X-word center's algebra (every word of
@@ -56,6 +60,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -96,8 +101,12 @@ def cs_calls(ck, u, seq):
 
 def build_plan(ck, seq):
     """What the first recursive_decompose along seq builds before its level pass."""
-    spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
-    return ck.kak._Plan(seq, ck.kak._build_frame(seq.qa, spaces))
+    kak, spaces = ck.kak, {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
+    if hasattr(kak, "_build_frame"):  # a frame per sequence
+        return kak._Plan(seq, kak._build_frame(seq.qa, spaces))
+    frame = kak._frame_of(seq.qa)
+    phases = kak._t_phases(seq.dim, {lab: frame.forms(s) for lab, s in spaces.items()})
+    return kak._Plan(seq, frame, phases)
 
 
 def build_every_sequence(ck, qa):
@@ -122,7 +131,7 @@ def run_dim(ck, n):
     split = ck.cartan.build_cartan_split(qa, "0" * qa.p, validate=False)
     _, validate_s = timed(split.validate)
     seq, sequence_s = timed(ck.cartan.build_decomposition_sequence, qa)
-    fresh = [ck.cartan.build_decomposition_sequence(qa) for _ in range(PLANS)]
+    fresh = [ck.cartan.build_decomposition_sequence(dataclasses.replace(qa)) for _ in range(PLANS)]
     plans = [timed(build_plan, ck, other)[1] for other in fresh]
     rng = np.random.default_rng(SEED + n)
     us = [ck._linalg.random_special_unitary(n, rng) for _ in range(UNITARIES + 1)]
