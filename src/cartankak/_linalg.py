@@ -108,24 +108,25 @@ def project_residual(m, basis_rows) -> float:
     return float(np.linalg.norm(resid) / nv)
 
 
-def commutator_residuals(left, right, rows) -> np.ndarray:
-    """project_residual(-1j [a, b], rows) for every a in left (axis 0), b in right (axis 1).
+def commutator_residuals(left, right, rows):
+    """project_residual(-1j [a, b], rows) for every a in left (axis 0), b in right (axis 1),
+    and the norms |[a, b]|.
 
     [Hermitian, Hermitian] is i times a Hermitian matrix and spans use real
-    coefficients, hence the -1j. An entry is 0 where |[a, b]| < STRUCT_TOL.
+    coefficients, hence the -1j. A residual is 0 where |[a, b]| < STRUCT_TOL.
     The right operand is stacked and the left one looped over: a full
     left x right stack of commutators is ~75 MB for p x p at N=16 and grows
     as N^6.
     """
     stack = np.asarray(right, dtype=complex)
-    out = np.zeros((len(left), len(stack)))
+    out, sizes = np.zeros((2, len(left), len(stack)))
     for i, a in enumerate(left):
         flat = (-1j * (a @ stack - stack @ a)).reshape(len(stack), -1)
         vecs = np.concatenate([flat.real, flat.imag], axis=1)
-        norms = np.linalg.norm(vecs, axis=1)
+        sizes[i] = norms = np.linalg.norm(vecs, axis=1)
         resid = np.linalg.norm(vecs - (vecs @ rows.T) @ rows, axis=1)
         out[i] = np.where(norms < STRUCT_TOL, 0.0, resid / np.maximum(norms, STRUCT_TOL))
-    return out
+    return out, sizes
 
 
 MATCH_ZERO, MATCH_NONE, MATCH_OFF_LINE = -1, -2, -3
@@ -296,7 +297,8 @@ def slot_commutator_residuals(table: SlotTable, left, right, targets):
     the dense projection onto a disjoint support does. Items run sorted by
     their two unit sizes kl, kr, in chunks of one size pair and about
     _CHUNK_ENTRIES commutator entries, which keeps a chunk's buffers in
-    cache; each chunk yields (its item indices, its (len, kl, kr) residuals).
+    cache; each chunk yields its item indices, its (len, kl, kr) residuals
+    and the norms of those commutators.
     """
     left, right, targets = (np.asarray(a, dtype=int) for a in (left, right, targets))
     on = targets >= 0
@@ -313,12 +315,12 @@ def slot_commutator_residuals(table: SlotTable, left, right, targets):
             x, y = -1j * table.coef[left[c], :a], table.coef[right[c], :b]
             xs, ys = slot_shift(x, table.labels[right[c]]), slot_shift(y, table.labels[left[c]])
             rows = table.rows[targets[c], :t] * on[c, :, None, None]  # (Q, T, t, 2M)
-            yield c, _slot_residual_chunk(x, y, xs, ys, rows, work[:, : len(c)])
+            yield (c, *_slot_residual_chunk(x, y, xs, ys, rows, work[:, : len(c)]))
 
 
-def _slot_residual_chunk(x, y, xs, ys, rows, work) -> np.ndarray:
-    """The (Q, Kl, Kr) residuals of -i x and y with their xor-shifted copies xs, ys,
-    written through the two (Q, Kl, Kr, M) buffers of work."""
+def _slot_residual_chunk(x, y, xs, ys, rows, work):
+    """The (Q, Kl, Kr) residuals and norms of the commutators of -i x and y, with their
+    xor-shifted copies xs, ys, written through the two (Q, Kl, Kr, M) buffers of work."""
     comm = np.multiply(x[:, :, None], ys[:, None], out=work[0])  # -i [x, y]
     comm -= np.multiply(y[:, None], xs[:, :, None], out=work[1])
     # (re, im) interleaved, as the rows
@@ -329,7 +331,8 @@ def _slot_residual_chunk(x, y, xs, ys, rows, work) -> np.ndarray:
         np.matmul(vecs @ np.swapaxes(r, 1, 2), r, out=spare)
         resid = _row_norms(np.subtract(vecs, spare, out=spare))
         best = np.minimum(best, resid / np.maximum(norms, STRUCT_TOL))
-    return np.where(norms < STRUCT_TOL, 0.0, best).reshape(comm.shape[:3])
+    shape = comm.shape[:3]
+    return np.where(norms < STRUCT_TOL, 0.0, best).reshape(shape), norms.reshape(shape)
 
 
 def all_commute(mats) -> bool:

@@ -10,6 +10,7 @@ maximal abelian subalgebras.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -40,7 +41,7 @@ from .generators import Generator
 from .partition import (
     AbelianSpace,
     QuotientAlgebra,
-    _span_residuals,
+    _closure_of,
     bits_of,
     build_quotient_algebra,
     conjugate_quotient_algebra,
@@ -95,29 +96,38 @@ class CartanSplit:
         return {s.binary_label: s is self.qa.pair_by_label(s.binary_label).w_hat for s in self.t}
 
     def validate(self):
-        """Check all four Cartan conditions and the dimension count.
+        """Check all four Cartan conditions and the dimension count off a closure table.
 
-        The ranks of t and p and the worst residuals of [t,t] in t, [t,p] in p
-        and [p,p] in t, none above SOLVE_TOL, come from one _span_residuals
-        batch, in slot coordinates when every generator has a slot form.
+        [t,t] and [p,p] must land in t, [t,p] in p. A split of the algebra's
+        own spaces reads the algebra's table, which verify_closure reads too;
+        any other split measures its own, each entry targeting every space of
+        the side it must land on. An entry whose targets lie on that side
+        passes below SOLVE_TOL; any other one only when its commutators vanish.
         """
-        ranks, residuals = _span_residuals([self.t, self.p_part + (self.chosen_center,)],
-                                           [(0, 0, [0]), (0, 1, [1]), (1, 1, [0])])
+        spaces, table = self.t + self.p_part + (self.chosen_center,), self.qa._closure
+        side = [0] * len(self.t) + [1] * (len(spaces) - len(self.t))
+        if self.qa.labeled and sorted(map(id, spaces)) == sorted(map(id, table.spaces)):
+            of = dict(zip(map(id, spaces), side))
+            side = [of[id(space)] for space in table.spaces]
+        else:
+            table = _closure_of(spaces, None, [
+                (None, i, j, [k for k, s in enumerate(side) if s == (side[i] + side[j]) & 1], "")
+                for i, j in itertools.combinations_with_replacement(range(len(spaces)), 2)])
         n = self.dim
-        if sum(ranks) != n * n - 1:
+        if sum(table.ranks[:-1]) != n * n - 1 or table.ranks[-1] != n * n - 1:
             raise InvalidChoiceError("t and p do not fill su(N)")
-        for msg, res in zip(("[t,t] not in t", "[t,p] not in p", "[p,p] not in t"), residuals):
-            if res.max(initial=0.0) > SOLVE_TOL:
+        failed = set()  # 0: [t,t], 1: [t,p], 2: [p,p], each to land on side kind & 1
+        for (_, left, right, targets, _), worst, norm in zip(table.specs, table.worst, table.norms):
+            kind = side[left] + side[right]
+            landed = targets and all(side[k] == kind & 1 for k in targets)
+            if worst > SOLVE_TOL if landed else norm >= STRUCT_TOL:
+                failed.add(kind)
+        for kind, msg in enumerate(("[t,t] not in t", "[t,p] not in p", "[p,p] not in t")):
+            if kind in failed:
                 raise InvalidChoiceError(msg)
-        # Tr(a b) for Hermitian a, b is the real inner product of their entries,
-        # so each space of t meets p on its own support only.
-        p = self.p_matrices()
-        p = np.reshape(p, (len(p), -1)).view(float)
-        for space in self.t:
-            t = np.reshape(space.matrices, (len(space), -1)).view(float)
-            on = t.any(axis=0)
-            if np.abs(t[:, on] @ p[:, on].T).max() > ACCEPT_TOL:
-                raise InvalidChoiceError("Tr(t p) != 0")
+        side = np.array(side)
+        if table.trace[np.ix_(side == 0, side == 1)].max() > ACCEPT_TOL:
+            raise InvalidChoiceError("Tr(t p) != 0")
 
 
 def _parity(x: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -171,6 +171,11 @@ class QuotientAlgebra:
 
     def generator_count(self) -> int:
         return len(self.center) + sum(2 * len(p.w) for p in self.pairs)
+
+    @functools.cached_property
+    def _closure(self):
+        """The closure table (_algebra_closure), built on first use and kept."""
+        return _algebra_closure(self)
 
     def __repr__(self):
         return f"QuotientAlgebra(su({self.dim}), {len(self.pairs)} pairs)"
@@ -424,7 +429,7 @@ def _merge_pairs(raw_pairs, labels, c):
 def _label_pairs(merged, p) -> List[ConjugatePair]:
     labeled = [bits_of(value, p) if value is not None else None for _, _, value in merged]
     if any(lab is None for lab in labeled):
-        labeled = _structural_labels(merged, p)
+        merged, labeled = _structural_labels(merged, p)
     used = [lab for lab in labeled if lab is not None]
     if len(set(used)) != len(used):
         raise NotBinaryPartitionedError("two pairs carry the same binary string")
@@ -438,12 +443,16 @@ def _label_pairs(merged, p) -> List[ConjugatePair]:
     return pairs
 
 
-def _structural_labels(merged, p) -> List[Optional[str]]:
+def _structural_labels(merged, p):
     """Assign binary strings from the pair multiplication structure alone.
 
     Works when subscript patterns are unavailable (non-diagonal centers):
     pick successive pairs as the 2^r representatives, close the labeling
-    under [pair_i, pair_j] -> pair_{i xor j}, and verify consistency.
+    under [pair_i, pair_j] -> pair_{i xor j}, and verify consistency. Then
+    hat parity fixes the sides of every pair c off a power of 2: in
+    ascending c, W and W^ swap unless -i[W_a, W_b] lands in W^_c, where
+    a = c & -c and b = c ^ a. Returns the merged pairs so oriented and
+    their labels.
     """
     count = len(merged)
     spans = [span_rows([g.matrix for g in ws + hats]) for ws, hats, _ in merged]
@@ -451,7 +460,7 @@ def _structural_labels(merged, p) -> List[Optional[str]]:
     def target(i: int, j: int) -> Optional[int]:
         left = [g.matrix for g in merged[i][0][:1] + merged[i][1][:1]]
         right = [g.matrix for g in merged[j][0] + merged[j][1]]
-        hits = np.array([commutator_residuals(left, right, s) < SOLVE_TOL for s in spans])
+        hits = np.array([commutator_residuals(left, right, s)[0] < SOLVE_TOL for s in spans])
         for hit in hits.reshape(count, -1).T:
             ks = np.flatnonzero(hit)
             if len(ks) == 1 and ks[0] not in (i, j):
@@ -478,8 +487,14 @@ def _structural_labels(merged, p) -> List[Optional[str]]:
                         labels[t] = labels[a] ^ labels[b]
                         changed = True
     if any(lab is None or lab == 0 or lab >= (1 << p) for lab in labels):
-        return [None] * count
-    return [bits_of(lab, p) for lab in labels]
+        return merged, [None] * count
+    at, merged = {lab: k for k, lab in enumerate(labels)}, list(merged)
+    for c in sorted(lab for lab in at if lab & (lab - 1)):
+        ws, hats, value = merged[at[c]]
+        left, right = ([g.matrix for g in merged[at[x]][0]] for x in (c & -c, c ^ (c & -c)))
+        if commutator_residuals(left, right, span_rows([g.matrix for g in hats]))[0].max() > SOLVE_TOL:
+            merged[at[c]] = hats, ws, value
+    return merged, [bits_of(lab, p) for lab in labels]
 
 
 def intrinsic_quotient_algebra(n: int) -> QuotientAlgebra:
@@ -556,129 +571,148 @@ class ClosureReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _space_name(qa_label: Optional[str], hat: bool, fallback: str) -> str:
-    lab = qa_label if qa_label is not None else fallback
-    return ("W^_" if hat else "W_") + lab
+def _span_residuals(spaces, items):
+    """One measurement of a family of spaces and of the commutators between them.
 
-
-def _span_residuals(groups, items, unions=()):
-    """The ranks of the groups' and the unions' spans, and each item's commutator residuals.
-
-    A group is a sequence of AbelianSpaces taken as one list of generators,
-    a union a sequence of group indices, and an item (left, right, targets)
-    holds group indices. The ranks come group by group, then union by
-    union. An item's residuals are the (len(left), len(right))
-    commutator_residuals of the two groups' generators against each target
-    group's span, the smallest over the targets.
+    Returns the spaces' ranks and that of all of them together; per item
+    (left, right, targets) of space indices, the (len(left), len(right))
+    commutator_residuals against each target's span, the smallest over the
+    targets (with none, 1 where a commutator does not vanish), their largest
+    and the largest commutator norm; and the largest |Tr(g h)| between the
+    generators of each two spaces.
 
     When every generator has its own slot form (AbelianSpace._forms), each
-    group splits into one unit per label. Supports on different labels are
+    space splits into one unit per label. Supports on different labels are
     Hilbert-Schmidt orthogonal, so a span's rank is the sum of its units'
-    ranks (one singular value threshold per span), and a commutator on label
-    l projects onto a span through the span's unit on l alone. Otherwise
-    every span and commutator is dense.
+    ranks (one singular value threshold per span), a commutator on label l
+    projects onto a span through the span's unit on l alone, and Tr(g h), the
+    real inner product of the entries, is that of two forms on one label.
+    Otherwise everything is dense.
     """
-    forms = [tuple(map(np.concatenate, zip(*(s._forms for s in g)))) for g in groups]
-    if any((labels < 0).any() for labels, _ in forms):
-        mats = [[m for s in g for m in s.matrices] for g in groups]
-        rows = [span_rows(ms) for ms in mats]
-        return ([len(r) for r in rows] + [span_rank(m for g in u for m in mats[g]) for u in unions],
-                [np.min([commutator_residuals(mats[left], mats[right], rows[t]) for t in targets],
-                        axis=0) for left, right, targets in items])
+    forms = [space._forms for space in spaces]
+    labels, c = map(np.concatenate, zip(*forms))
+    slot = (labels >= 0).all()
+    x = (c if slot else np.reshape([m for s in spaces for m in s.matrices], (len(c), -1))).view(float)
+    starts = np.cumsum([0] + [len(space) for space in spaces[:-1]])
+    trace = np.abs(x @ x.T) * ((labels[:, None] == labels) | ~slot)
+    trace = np.maximum.reduceat(np.maximum.reduceat(trace, starts, axis=0), starts, axis=1)
+    if not slot:
+        mats = [space.matrices for space in spaces]
+        rows = [span_rows(ms) for ms in mats] + [np.zeros((0, x.shape[1]))]  # the last: no target
+        measured = [[commutator_residuals(mats[left], mats[right], rows[t]) for t in targets or [-1]]
+                    for left, right, targets in items]
+        residuals = [np.min([res for res, _ in m], axis=0) for m in measured]
+        return ([len(r) for r in rows[:-1]] + [span_rank(m for ms in mats for m in ms)], residuals,
+                [r.max() for r in residuals], [m[0][1].max() for m in measured], trace)
     units = [_by_label(labels) for labels, _ in forms]
-    count = np.array([len(us) for us in units])  # units per group, numbered group by group
+    count = np.array([len(us) for us in units])  # units per space, numbered space by space
     first = np.cumsum(count) - count
     table = slot_table([[(label, c[ix]) for label, ix in us] for us, (_, c) in zip(units, forms)])
     ranks = [table.ranks[u : u + len(us)].sum() for u, us in zip(first, units)]
-    ranks += [_slot_units(*map(np.concatenate, zip(*(forms[g] for g in u)))).ranks.sum()
-              for u in unions]
-    unit_of = np.full((len(groups), table.coef.shape[2]), -1)  # the unit of (group, label)
-    at = np.full(table.coef.shape[:2], -1)  # each unit row's generator within its group
+    ranks.append(_slot_units(labels, c).ranks.sum())
+    unit_of = np.full((len(spaces), table.coef.shape[2]), -1)  # the unit of (space, label)
+    at = np.full(table.coef.shape[:2], -1)  # each unit row's generator within its space
     for g, us in enumerate(units):
         for u, (label, ix) in enumerate(us, first[g]):
             unit_of[g, label], at[u, : len(ix)] = u, ix
-    # Every unit of an item's left group against every unit of its right group.
+    # Every unit of an item's left space against every unit of its right space.
     left, right = np.array([it[:2] for it in items]).T
-    targets = np.full((len(items), max(len(it[2]) for it in items)), -1)
-    for q, (_, _, ts) in enumerate(items):
-        targets[q, : len(ts)] = ts
+    width = max(1, max(len(it[2]) for it in items))
+    targets = np.array([list(ts) + [-1] * (width - len(ts)) for _, _, ts in items])
     pairs = count[left] * count[right]
     item = np.repeat(np.arange(len(items)), pairs)
     k = np.arange(len(item)) - (np.cumsum(pairs) - pairs)[item]
     lu = first[left[item]] + k // count[right[item]]
     ru = first[right[item]] + k % count[right[item]]
-    # [y, x] = -[x, y]: a group against itself needs one order of each pair of units.
-    mirror = left[item] == right[item]
-    keep = ~mirror | (lu <= ru)
-    item, lu, ru, mirror = item[keep], lu[keep], ru[keep], mirror[keep]
     label = (table.labels[lu] ^ table.labels[ru])[:, None]
     tu = np.where(targets[item] >= 0, unit_of[targets[item], label], -1)
     sizes = np.array([len(labels) for labels, _ in forms])
-    full = np.zeros((len(items), sizes[left].max(), sizes[right].max()))
-    for c, res in slot_commutator_residuals(table, lu, ru, tu):
+    full, norms = np.zeros((len(items), sizes[left].max(), sizes[right].max())), np.zeros(len(items))
+    for c, res, size in slot_commutator_residuals(table, lu, ru, tu):
         _, a, b = res.shape
-        i, rows, cols = item[c, None, None], at[lu[c], :a, None], at[ru[c], None, :b]
-        full[i, rows, cols] = res
-        m = mirror[c]
-        full[i[m], cols[m], rows[m]] = res[m]
-    return ranks, [full[q, : sizes[a], : sizes[b]] for q, (a, b) in enumerate(zip(left, right))]
+        full[item[c, None, None], at[lu[c], :a, None], at[ru[c], None, :b]] = res
+        np.maximum.at(norms, item[c], size.max(axis=(1, 2)))
+    return (ranks, [full[q, : sizes[a], : sizes[b]] for q, (a, b) in enumerate(zip(left, right))],
+            full.max(axis=(1, 2)), norms, trace)
 
 
-def verify_closure(qa: QuotientAlgebra) -> ClosureReport:
-    """Check every conjugate-pair and cross-pair commutator lands where closure says.
+class _Closure(NamedTuple):
+    """A family of spaces, where their commutators must land and _span_residuals of that.
 
-    Within a pair the center acts as the zero element ([W,A] in W^, [W^,A] in
+    specs[k] = (kind, left, right, targets, target name) names two spaces,
+    every unordered pair once and each space with itself, and the spaces
+    their commutators must land in (none: they must vanish). verify_closure
+    reports every kind but None.
+    """
+
+    spaces: Tuple[AbelianSpace, ...]
+    names: Optional[List[str]]
+    specs: List[tuple]
+    ranks: List[int]
+    residuals: List[np.ndarray]
+    worst: List[float]
+    norms: List[float]
+    trace: np.ndarray
+
+
+def _closure_of(spaces, names, specs) -> _Closure:
+    return _Closure(tuple(spaces), names, specs, *_span_residuals(spaces, [s[1:4] for s in specs]))
+
+
+def _algebra_closure(qa: QuotientAlgebra) -> _Closure:
+    """Within a pair the center acts as the zero element ([W,A] in W^, [W^,A] in
     W, [W,W^] in A). Across pairs the commutator must fall inside one single
     space; when binary labels exist the target must be the xor-labeled pair
     with hat parity flipped exactly when the operand hats agree.
-
-    The ranks and residuals come from _span_residuals: in slot coordinates
-    when every generator has a slot form, as in the standard and intrinsic
-    algebras and every word algebra; on the dense matrices otherwise, as for
-    conjugated algebras. A check passes below SOLVE_TOL, the report's tol.
     """
     # Space 0 is the center; pair idx has W at 1 + 2 idx and W^ at 2 + 2 idx.
     spaces = [qa.center] + [space for pair in qa.pairs for space in pair.spaces]
     labels = [pair.binary_label for pair in qa.pairs]
     by_label = {lab: i for i, lab in enumerate(labels) if lab is not None}
-    names = ["A"] + [_space_name(lab, hat, str(i + 1))
+    names = ["A"] + [("W^_" if hat else "W_") + (lab or str(i + 1))
                      for i, lab in enumerate(labels) for hat in (False, True)]
-
-    # (kind, left, right, target spaces, target name, one check per commutator)
     specs = []
     for idx in range(len(qa.pairs)):
         w, h = 1 + 2 * idx, 2 + 2 * idx
-        specs += [("pair-center", w, 0, [h], names[h], True),
-                  ("pair-center", h, 0, [w], names[w], True),
-                  ("pair-pair", w, h, [0], "A", True)]
+        specs += [("pair-center", w, 0, [h], names[h]),
+                  ("pair-center", h, 0, [w], names[w]),
+                  ("pair-pair", w, h, [0], "A")]
     # Without a target label the commutator must still fall in one single space.
     anywhere = list(range(len(spaces)))
-    for i in range(len(qa.pairs)):
-        for j in range(i + 1, len(qa.pairs)):
-            for hi in (False, True):
-                for hj in (False, True):
-                    targets, tname = anywhere, "single third space"
-                    if labels[i] is not None and labels[j] is not None:
-                        tgt = bits_of(label_int(labels[i]) ^ label_int(labels[j]), qa.p)
-                        if tgt in by_label:
-                            targets = [1 + 2 * by_label[tgt] + (not (hi ^ hj))]
-                            tname = names[targets[0]]
-                        else:
-                            tname = f"missing pair {tgt}"
-                    specs.append(("cross-pair", 1 + 2 * i + hi, 1 + 2 * j + hj, targets, tname, False))
+    for i, j in itertools.combinations(range(len(qa.pairs)), 2):
+        for hi, hj in itertools.product((False, True), repeat=2):
+            targets, tname = anywhere, "single third space"
+            if labels[i] is not None and labels[j] is not None:
+                tgt = bits_of(label_int(labels[i]) ^ label_int(labels[j]), qa.p)
+                if tgt in by_label:
+                    targets = [1 + 2 * by_label[tgt] + (not (hi ^ hj))]
+                    tname = names[targets[0]]
+                else:
+                    tname = f"missing pair {tgt}"
+            specs.append(("cross-pair", 1 + 2 * i + hi, 1 + 2 * j + hj, targets, tname))
+    specs += [(None, k, k, [], "") for k in range(len(spaces))]
+    return _closure_of(spaces, names, specs)
 
+
+def verify_closure(qa: QuotientAlgebra) -> ClosureReport:
+    """Check every conjugate-pair and cross-pair commutator lands where closure says.
+
+    Reads the algebra's closure table (QuotientAlgebra._closure): slot
+    coordinates when every generator has a slot form, as in every standard,
+    intrinsic and word algebra, dense ones otherwise, as for conjugated
+    algebras. A check passes below SOLVE_TOL, the report's tol.
+    """
+    table = qa._closure
     # Disjointness: each space is internally independent and the counts sum to
     # the full rank, so pairwise intersections are trivial exactly when the
     # joint rank of all generators equals the generator count.
-    ranks, residuals = _span_residuals([[space] for space in spaces],
-                                       [spec[1:4] for spec in specs], [range(len(spaces))])
-    disjoint = float(ranks[-1] != sum(map(len, spaces)))
+    disjoint = float(table.ranks[-1] != sum(map(len, table.spaces)))
     checks = [ClosureCheck("disjoint", "all spaces", "", "trivial intersections",
                            disjoint, disjoint < SOLVE_TOL)]
-    for (kind, left, right, _, tname, each), res in zip(specs, residuals):
-        values = res.ravel().tolist() if each else [float(res.max())]
-        checks += [ClosureCheck(kind, names[left], names[right], tname, r, r < SOLVE_TOL)
-                   for r in values]
+    for (kind, left, right, _, tname), res, worst in zip(table.specs, table.residuals, table.worst):
+        values = [float(worst)] if kind == "cross-pair" else res.ravel().tolist()
+        checks += [ClosureCheck(kind, table.names[left], table.names[right], tname, r,
+                                r < SOLVE_TOL) for r in values if kind]
     return ClosureReport(tuple(checks), SOLVE_TOL)
 
 

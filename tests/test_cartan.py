@@ -32,6 +32,7 @@ from cartankak.partition import (
     ConjugatePair,
     standard_basis,
     standard_quotient_algebra,
+    verify_closure,
 )
 
 
@@ -254,6 +255,17 @@ class TestShellEnumeration:
             assert len(member) == 2
             member.validate()
 
+
+    @pytest.mark.parametrize("n, shells", [(4, 3), (8, 1)])
+    def test_every_member_closes_and_factors(self, n, shells):
+        # The Bell-type members (su(4): 5, 6, 9, 10, 13, 14) take their pair
+        # labels from structure alone; hat parity then fixes each pair's sides.
+        for i, member in enumerate(enumerate_maximal_abelian(n, shells)):
+            qa = cartan._structure_of_center(member, n)
+            assert verify_closure(qa).passed, i
+            u = random_special_unitary(n, np.random.default_rng(100 + i))
+            fact = recursive_decompose(u, build_decomposition_sequence(qa))
+            assert fact.reconstruction_error < 1e-8, i
 
 class TestDecompositionSequences:
     def test_su4_default_final_abelian(self, word_qa):

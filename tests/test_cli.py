@@ -20,6 +20,7 @@ from cartankak._linalg import random_special_unitary
 from cartankak.cli import main
 from cartankak.generators import make_tensor_word
 from cartankak.partition import (
+    AbelianSpace,
     binary_label_of,
     build_quotient_algebra,
     intrinsic_quotient_algebra,
@@ -403,6 +404,15 @@ class TestVerify:
             format(b, "04b") for b in range(16)
         ]
         assert all(s["ok"] for s in payload["cartan_splits"])
+
+    def test_bell_center_round_trip(self, tmp_path):
+        # The center {p1p1, p2p2, p3p3}: its pairs get labels from structure alone.
+        center = write_json(tmp_path / "bell.json", serialize.space_to_json(AbelianSpace(
+            tuple(word(s, s) for s in ("p1", "p2", "p3")))))
+        qa, report = tmp_path / "qa.json", tmp_path / "report.json"
+        assert main(["partition", "--dim", "4", "--center", center, "--output", str(qa)]) == 0
+        assert main(["verify", "--input", str(qa), "--output", str(report)]) == 0
+        assert all(s["ok"] for s in json.loads(report.read_text())["cartan_splits"])
 
     def test_removed_su6_passes(self, tmp_path, lambda_qa):
         path = write_json(tmp_path / "qa6l.json", serialize.qa_to_json(lambda_qa(6)))

@@ -1,11 +1,13 @@
 """Closure, Cartan and build checks in XOR-slot coordinates against the dense path.
 
-verify_closure and CartanSplit.validate take their ranks and residuals from
-partition._span_residuals. It runs in slot coordinates when every generator
-has a slot form (AbelianSpace._forms), splitting each space into one unit per
-label, and on dense matrices otherwise. Patching _forms to find no form
-forces the dense path, which is the oracle here. Patching
-commutator_residuals to raise proves the slot path ran.
+verify_closure and CartanSplit.validate read the algebra's closure table,
+one partition._span_residuals pass kept on the algebra. It runs in slot
+coordinates when every generator has a slot form (AbelianSpace._forms),
+splitting each space into one unit per label, and on dense matrices
+otherwise. Patching _forms to find no form forces the dense path, which is
+the oracle here. Patching commutator_residuals to raise proves the slot path
+ran. As the table is kept, each path reads a fresh copy of the algebra (over
+the same spaces) and counts the calls of the routine it forces.
 
 build_quotient_algebra and AbelianSpace.validate read the same per-matrix
 slot forms (slot_forms) when every generator has one. Their dense routines
@@ -76,6 +78,18 @@ def force_dense(monkeypatch):
     monkeypatch.setattr(AbelianSpace, "_forms", property(lambda self: no_forms(self.matrices)))
 
 
+def fresh(qa):
+    """A copy of the algebra over the same spaces, without a closure table yet."""
+    return replace(qa)
+
+
+def counted(monkeypatch, name):
+    """Wrap partition.<name> so that each call appends to the returned list."""
+    calls, original = [], getattr(partition, name)
+    monkeypatch.setattr(partition, name, lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
 def outcome(split):
     try:
         split.validate()
@@ -91,30 +105,68 @@ def swapped(split, k):
     return replace(split, t=t, p_part=p)
 
 
+def split_cases(qa):
+    """Every selector split of qa, then four with one pair's spaces swapped."""
+    splits = [build_cartan_split(qa, bits, validate=False) for bits in enumerate_t_choices(qa)]
+    return splits + [swapped(s, k) for s in splits[:2] for k in (0, len(qa.pairs) - 1)]
+
+
+def slot_and_dense(qa, monkeypatch):
+    """(closure report, split outcomes) of fresh copies of qa on the slot path, then on the
+    dense one, each with a check that its routine ran."""
+    runs = []
+    with monkeypatch.context() as m:
+        m.setattr(partition, "commutator_residuals", no_dense)
+        calls = counted(m, "slot_commutator_residuals")
+        copy = fresh(qa)
+        runs.append((verify_closure(copy), [outcome(s) for s in split_cases(copy)], copy))
+        assert calls
+    with monkeypatch.context() as m:
+        force_dense(m)
+        calls = counted(m, "commutator_residuals")
+        copy = fresh(qa)
+        runs.append((verify_closure(copy), [outcome(s) for s in split_cases(copy)], copy))
+        assert calls
+    return runs
+
+
 @pytest.mark.parametrize("kind", sorted(BUILDS))
 @pytest.mark.parametrize("n", DIMS)
 def test_checks_take_the_slot_path(n, kind, monkeypatch):
-    qa = algebra(kind, n)
+    qa = fresh(algebra(kind, n))
     monkeypatch.setattr(partition, "commutator_residuals", no_dense)
+    calls = counted(monkeypatch, "slot_commutator_residuals")
     report = verify_closure(qa)
     assert report.passed and report.max_residual < 1e-13
     for bits in enumerate_t_choices(qa):
         build_cartan_split(qa, bits)  # validates
+    assert calls
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+@pytest.mark.parametrize("n", [8, 9])
+def test_one_residual_pass_serves_closure_and_every_split(n, kind, monkeypatch):
+    qa = fresh(algebra(kind, n))
+    calls = counted(monkeypatch, "_span_residuals")
+    report = verify_closure(qa)
+    # Once the table is built, validate forms no commutator and no span.
+    for name in ("commutator_residuals", "slot_commutator_residuals", "slot_table", "span_rows",
+                 "span_rank"):
+        monkeypatch.setattr(partition, name, no_dense)
+    for bits in enumerate_t_choices(qa):
+        build_cartan_split(qa, bits)  # validates
+    assert verify_closure(qa) == report
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", DIMS)
 def test_slot_and_dense_validate_agree(n, monkeypatch):
-    qa = algebra("standard", n)
-    splits = [build_cartan_split(qa, bits, validate=False) for bits in enumerate_t_choices(qa)]
-    cases = splits + [swapped(s, k) for s in splits[:2] for k in (0, len(qa.pairs) - 1)]
-    with monkeypatch.context() as m:
-        m.setattr(partition, "commutator_residuals", no_dense)
-        slot = [outcome(s) for s in cases]
-    force_dense(monkeypatch)
-    assert [outcome(s) for s in cases] == slot
-    assert slot[: len(splits)] == ["ok"] * len(splits)
+    (_, slot, _), (_, dense, _) = slot_and_dense(algebra("standard", n), monkeypatch)
+    assert dense == slot
+    count = 1 << algebra("standard", n).p
+    assert slot[:count] == ["ok"] * count
     if n > 2:  # su(2) has one pair; swapping it gives the other split
-        assert "ok" not in slot[len(splits) :]
+        assert "ok" not in slot[count:]
 
 
 def test_conjugated_algebra_takes_the_dense_path(monkeypatch):
@@ -122,8 +174,10 @@ def test_conjugated_algebra_takes_the_dense_path(monkeypatch):
     moved = conjugate_quotient_algebra(qa, random_special_unitary(4, np.random.default_rng(4)))
     assert (moved.pairs[0].w._forms[0] < 0).all()
     monkeypatch.setattr(partition, "slot_commutator_residuals", no_dense)
+    calls = counted(monkeypatch, "commutator_residuals")
     assert verify_closure(moved).passed
     build_cartan_split(moved, "00")
+    assert calls
 
 
 @pytest.mark.parametrize("n", [4, 9])
@@ -141,7 +195,9 @@ def test_dependent_algebra_fails_disjoint_on_both_paths(n, monkeypatch):
     )
     slot = verify_closure(broken)
     force_dense(monkeypatch)
-    dense = verify_closure(broken)
+    calls = counted(monkeypatch, "commutator_residuals")
+    dense = verify_closure(fresh(broken))
+    assert calls
     assert not slot.checks[0].ok and not dense.checks[0].ok
     assert [(c.kind, c.left, c.right, c.target, c.ok) for c in slot.checks] == [
         (c.kind, c.left, c.right, c.target, c.ok) for c in dense.checks
@@ -166,29 +222,22 @@ def test_x_word_center_takes_the_slot_path(n, monkeypatch):
     qa = build_quotient_algebra(x_center(n), standard_basis(n))
     spaces = [qa.center] + [space for pair in qa.pairs for space in pair.spaces]
     assert all(len(set(space._forms[0].tolist())) > 1 for space in spaces)
-    splits = [build_cartan_split(qa, bits, validate=False) for bits in enumerate_t_choices(qa)]
-    cases = splits + [swapped(s, k) for s in splits[:2] for k in (0, len(qa.pairs) - 1)]
-    # Every residual of a valid and of a swapped split, in generator order: a
-    # misplaced entry would differ by O(1), rounding by about 1e-15.
-    batches = [([s.t, s.p_part + (s.chosen_center,)], [(0, 0, [0]), (0, 1, [1]), (1, 1, [0])])
-               for s in (cases[0], cases[-1])]
-    with monkeypatch.context() as m:
-        m.setattr(partition, "commutator_residuals", no_dense)
-        slot, slot_outcomes = verify_closure(qa), [outcome(s) for s in cases]
-        slot_batches = [partition._span_residuals(*batch) for batch in batches]
-    force_dense(monkeypatch)
-    dense = verify_closure(qa)
+    (slot, slot_outcomes, slot_qa), (dense, dense_outcomes, dense_qa) = slot_and_dense(qa, monkeypatch)
     assert check_rows(slot) == check_rows(dense) and slot.passed
     assert max(abs(a.residual - b.residual) for a, b in zip(slot.checks, dense.checks)) < 1e-15
-    assert [outcome(s) for s in cases] == slot_outcomes
-    for (ranks, residuals), batch in zip(slot_batches, batches):
-        dense_ranks, dense_residuals = partition._span_residuals(*batch)
-        assert ranks == dense_ranks
-        for a, b in zip(residuals, dense_residuals, strict=True):
-            assert a.shape == b.shape and np.abs(a - b).max() < 1e-14
-    assert max(r.max() for r in slot_batches[1][1]) > 0.5
-    assert slot_outcomes[: len(splits)] == ["ok"] * len(splits)
-    assert "ok" not in slot_outcomes[len(splits) :]
+    assert dense_outcomes == slot_outcomes
+    # Every entry of the two tables, in generator order: a misplaced residual
+    # would differ by O(1), rounding by about 1e-15.
+    a, b = slot_qa._closure, dense_qa._closure
+    assert a.specs == b.specs and a.ranks == b.ranks
+    for x, y in zip(a.residuals, b.residuals, strict=True):
+        assert x.shape == y.shape and np.abs(x - y).max() < 1e-14
+    assert np.allclose(a.norms, b.norms, rtol=1e-13, atol=1e-14)
+    assert np.allclose(a.trace, b.trace, rtol=0, atol=1e-14)
+    assert max(a.norms) > 0.5 and max(a.worst) < 1e-13
+    count = 1 << qa.p
+    assert slot_outcomes[:count] == ["ok"] * count
+    assert "ok" not in slot_outcomes[count:]
 
 
 class TestSlotForm:

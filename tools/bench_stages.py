@@ -7,7 +7,15 @@ For each dimension N and each repeat it times, in a fresh process:
 
   algebra_s          standard_quotient_algebra(N)
   closure_s          verify_closure of that algebra
-  validate_s         one CartanSplit.validate of its "0" * p split
+  validate_s         one CartanSplit.validate of its "0" * p split, after
+                     closure_s: where the algebra keeps its closure table,
+                     this reads it (before it, validate measured its own
+                     commutators)
+  verify_s           what CLI verify pays on a freshly built algebra:
+                     verify_closure, then build_cartan_split (which validates)
+                     for every one of the 2^p selectors
+  verify_splits_s    the second part of verify_s alone: the 2^p validated
+                     splits after verify_closure
   sequence_s         build_decomposition_sequence on that algebra
   sequences_s        build_decomposition_sequence for every choice string:
                      2^(p(p+1)/2) of them, 64 at N=8 and 1,024 at N=16; only
@@ -35,7 +43,8 @@ For each dimension N and each repeat it times, in a fresh process:
   closure_x_s        verify_closure of the X-word center's algebra (every word of
                      p0 and p1 but the identity, each on its own label), built
                      over the word basis outside the timing; only for N = 2^k <= 16
-  validate_x_s       one CartanSplit.validate of that algebra's "0" * p split
+  validate_x_s       one CartanSplit.validate of that algebra's "0" * p split,
+                     after closure_x_s
 
 and, once per repeat rather than per dimension,
 
@@ -77,9 +86,10 @@ DEFAULT_DIMS = "4,6,8,9,12,15,16,32"
 UNITARIES = 10  # warm calls timed per repeat
 PLANS = 5  # fresh sequences whose plan build is timed per repeat
 SEED = 0
-STAGES = ("algebra_s", "closure_s", "validate_s", "sequence_s", "sequences_s",
-          "first_decompose_ms", "decompose_ms", "plan_ms", "to_json_ms", "factors_ms",
-          "reconstruct_ms", "single_level_ms", "cs_calls", "closure_x_s", "validate_x_s")
+STAGES = ("algebra_s", "closure_s", "validate_s", "verify_s", "verify_splits_s", "sequence_s",
+          "sequences_s", "first_decompose_ms", "decompose_ms", "plan_ms", "to_json_ms",
+          "factors_ms", "reconstruct_ms", "single_level_ms", "cs_calls", "closure_x_s",
+          "validate_x_s")
 
 
 def timed(fn, *args):
@@ -124,12 +134,25 @@ def x_center(ck, n):
     return ck.partition.AbelianSpace(tuple(ck.generators.make_tensor_word(w) for w in words))
 
 
+def verify(ck, n):
+    """verify_s and verify_splits_s on a freshly built algebra, built outside the timing."""
+    qa = ck.partition.standard_quotient_algebra(n)
+    start = time.perf_counter()
+    ck.partition.verify_closure(qa)
+    middle = time.perf_counter()
+    for bits in ck.cartan.enumerate_t_choices(qa):
+        ck.cartan.build_cartan_split(qa, bits)
+    end = time.perf_counter()
+    return end - start, end - middle
+
+
 def run_dim(ck, n):
     """One repeat at dimension n: stage times and the worst reconstruction error."""
     qa, algebra_s = timed(ck.partition.standard_quotient_algebra, n)
     _, closure_s = timed(ck.partition.verify_closure, qa)
     split = ck.cartan.build_cartan_split(qa, "0" * qa.p, validate=False)
     _, validate_s = timed(split.validate)
+    verify_s, verify_splits_s = verify(ck, n)
     seq, sequence_s = timed(ck.cartan.build_decomposition_sequence, qa)
     fresh = [ck.cartan.build_decomposition_sequence(dataclasses.replace(qa)) for _ in range(PLANS)]
     plans = [timed(build_plan, ck, other)[1] for other in fresh]
@@ -146,6 +169,8 @@ def run_dim(ck, n):
         "algebra_s": algebra_s,
         "closure_s": closure_s,
         "validate_s": validate_s,
+        "verify_s": verify_s,
+        "verify_splits_s": verify_splits_s,
         "sequence_s": sequence_s,
         "first_decompose_ms": seconds[0] * 1e3,
         "decompose_ms": decompose_ms,
