@@ -41,7 +41,8 @@ from .generators import Generator
 from .partition import (
     AbelianSpace,
     QuotientAlgebra,
-    _closure_of,
+    _Closure,
+    _span_residuals,
     bits_of,
     build_quotient_algebra,
     conjugate_quotient_algebra,
@@ -110,14 +111,14 @@ class CartanSplit:
             of = dict(zip(map(id, spaces), side))
             side = [of[id(space)] for space in table.spaces]
         else:
-            table = _closure_of(spaces, None, [
-                (None, i, j, [k for k, s in enumerate(side) if s == (side[i] + side[j]) & 1], "")
-                for i, j in itertools.combinations_with_replacement(range(len(spaces)), 2)])
+            specs = [(i, j, [k for k, s in enumerate(side) if s == (side[i] + side[j]) & 1])
+                     for i, j in itertools.combinations_with_replacement(range(len(spaces)), 2)]
+            table = _Closure(spaces, None, specs, *_span_residuals(spaces, specs))
         n = self.dim
         if sum(table.ranks[:-1]) != n * n - 1 or table.ranks[-1] != n * n - 1:
             raise InvalidChoiceError("t and p do not fill su(N)")
         failed = set()  # 0: [t,t], 1: [t,p], 2: [p,p], each to land on side kind & 1
-        for (_, left, right, targets, _), worst, norm in zip(table.specs, table.worst, table.norms):
+        for (left, right, targets, *_), worst, norm in zip(table.specs, table.worst, table.norms):
             kind = side[left] + side[right]
             landed = targets and all(side[k] == kind & 1 for k in targets)
             if worst > SOLVE_TOL if landed else norm >= STRUCT_TOL:
@@ -126,7 +127,7 @@ class CartanSplit:
             if kind in failed:
                 raise InvalidChoiceError(msg)
         side = np.array(side)
-        if table.trace[np.ix_(side == 0, side == 1)].max() > ACCEPT_TOL:
+        if table.trace[np.ix_(side == 0, side == 1)].max(initial=0.0) > ACCEPT_TOL:
             raise InvalidChoiceError("Tr(t p) != 0")
 
 

@@ -172,10 +172,8 @@ class QuotientAlgebra:
     def generator_count(self) -> int:
         return len(self.center) + sum(2 * len(p.w) for p in self.pairs)
 
-    @functools.cached_property
-    def _closure(self):
-        """The closure table (_algebra_closure), built on first use and kept."""
-        return _algebra_closure(self)
+    # The closure table (_algebra_closure), built on first use and kept.
+    _closure = functools.cached_property(lambda self: _algebra_closure(self))
 
     def __repr__(self):
         return f"QuotientAlgebra(su({self.dim}), {len(self.pairs)} pairs)"
@@ -478,14 +476,11 @@ def _structural_labels(merged, p):
         while changed:
             changed = False
             known = [k for k in range(count) if labels[k] is not None]
-            for a in known:
-                for b in known:
-                    if a >= b:
-                        continue
-                    t = target(a, b)
-                    if t is not None and labels[t] is None:
-                        labels[t] = labels[a] ^ labels[b]
-                        changed = True
+            for a, b in itertools.combinations(known, 2):
+                t = target(a, b)
+                if t is not None and labels[t] is None:
+                    labels[t] = labels[a] ^ labels[b]
+                    changed = True
     if any(lab is None or lab == 0 or lab >= (1 << p) for lab in labels):
         return merged, [None] * count
     at, merged = {lab: k for k, lab in enumerate(labels)}, list(merged)
@@ -575,19 +570,17 @@ def _span_residuals(spaces, items):
     """One measurement of a family of spaces and of the commutators between them.
 
     Returns the spaces' ranks and that of all of them together; per item
-    (left, right, targets) of space indices, the (len(left), len(right))
-    commutator_residuals against each target's span, the smallest over the
-    targets (with none, 1 where a commutator does not vanish), their largest
-    and the largest commutator norm; and the largest |Tr(g h)| between the
-    generators of each two spaces.
+    (left, right, targets, ...) of space indices, the commutator_residuals
+    against each target's span, the smallest over the targets (with none, 1
+    where a commutator does not vanish), their largest and the largest
+    commutator norm; and the largest |Tr(g h)| between two spaces' generators.
 
     When every generator has its own slot form (AbelianSpace._forms), each
     space splits into one unit per label. Supports on different labels are
     Hilbert-Schmidt orthogonal, so a span's rank is the sum of its units'
-    ranks (one singular value threshold per span), a commutator on label l
-    projects onto a span through the span's unit on l alone, and Tr(g h), the
-    real inner product of the entries, is that of two forms on one label.
-    Otherwise everything is dense.
+    ranks, a commutator on label l projects onto a span through its unit on
+    l alone, and Tr(g h), the real inner product of the entries, is that of
+    two forms on one label. Otherwise everything is dense.
     """
     forms = [space._forms for space in spaces]
     labels, c = map(np.concatenate, zip(*forms))
@@ -600,7 +593,7 @@ def _span_residuals(spaces, items):
         mats = [space.matrices for space in spaces]
         rows = [span_rows(ms) for ms in mats] + [np.zeros((0, x.shape[1]))]  # the last: no target
         measured = [[commutator_residuals(mats[left], mats[right], rows[t]) for t in targets or [-1]]
-                    for left, right, targets in items]
+                    for left, right, targets, *_ in items]
         residuals = [np.min([res for res, _ in m], axis=0) for m in measured]
         return ([len(r) for r in rows[:-1]] + [span_rank(m for ms in mats for m in ms)], residuals,
                 [r.max() for r in residuals], [m[0][1].max() for m in measured], trace)
@@ -618,7 +611,7 @@ def _span_residuals(spaces, items):
     # Every unit of an item's left space against every unit of its right space.
     left, right = np.array([it[:2] for it in items]).T
     width = max(1, max(len(it[2]) for it in items))
-    targets = np.array([list(ts) + [-1] * (width - len(ts)) for _, _, ts in items])
+    targets = np.array([list(it[2]) + [-1] * (width - len(it[2])) for it in items])
     pairs = count[left] * count[right]
     item = np.repeat(np.arange(len(items)), pairs)
     k = np.arange(len(item)) - (np.cumsum(pairs) - pairs)[item]
@@ -637,12 +630,12 @@ def _span_residuals(spaces, items):
 
 
 class _Closure(NamedTuple):
-    """A family of spaces, where their commutators must land and _span_residuals of that.
+    """A family of spaces, where their commutators must land, and _span_residuals of that.
 
-    specs[k] = (kind, left, right, targets, target name) names two spaces,
+    specs[k] = (left, right, targets[, kind, target name]) names two spaces,
     every unordered pair once and each space with itself, and the spaces
     their commutators must land in (none: they must vanish). verify_closure
-    reports every kind but None.
+    reports the specs that have a kind.
     """
 
     spaces: Tuple[AbelianSpace, ...]
@@ -653,10 +646,6 @@ class _Closure(NamedTuple):
     worst: List[float]
     norms: List[float]
     trace: np.ndarray
-
-
-def _closure_of(spaces, names, specs) -> _Closure:
-    return _Closure(tuple(spaces), names, specs, *_span_residuals(spaces, [s[1:4] for s in specs]))
 
 
 def _algebra_closure(qa: QuotientAlgebra) -> _Closure:
@@ -672,26 +661,22 @@ def _algebra_closure(qa: QuotientAlgebra) -> _Closure:
     names = ["A"] + [("W^_" if hat else "W_") + (lab or str(i + 1))
                      for i, lab in enumerate(labels) for hat in (False, True)]
     specs = []
-    for idx in range(len(qa.pairs)):
-        w, h = 1 + 2 * idx, 2 + 2 * idx
-        specs += [("pair-center", w, 0, [h], names[h]),
-                  ("pair-center", h, 0, [w], names[w]),
-                  ("pair-pair", w, h, [0], "A")]
-    # Without a target label the commutator must still fall in one single space.
-    anywhere = list(range(len(spaces)))
+    for w, h in ((1 + 2 * idx, 2 + 2 * idx) for idx in range(len(qa.pairs))):
+        specs += [(w, 0, [h], "pair-center", names[h]), (h, 0, [w], "pair-center", names[w]),
+                  (w, h, [0], "pair-pair", "A")]
+    anywhere = list(range(len(spaces)))  # without a target label: one single space
     for i, j in itertools.combinations(range(len(qa.pairs)), 2):
+        tgt = (bits_of(label_int(labels[i]) ^ label_int(labels[j]), qa.p)
+               if labels[i] is not None and labels[j] is not None else None)
         for hi, hj in itertools.product((False, True), repeat=2):
-            targets, tname = anywhere, "single third space"
-            if labels[i] is not None and labels[j] is not None:
-                tgt = bits_of(label_int(labels[i]) ^ label_int(labels[j]), qa.p)
-                if tgt in by_label:
-                    targets = [1 + 2 * by_label[tgt] + (not (hi ^ hj))]
-                    tname = names[targets[0]]
-                else:
-                    tname = f"missing pair {tgt}"
-            specs.append(("cross-pair", 1 + 2 * i + hi, 1 + 2 * j + hj, targets, tname))
-    specs += [(None, k, k, [], "") for k in range(len(spaces))]
-    return _closure_of(spaces, names, specs)
+            if tgt in by_label:
+                k = 1 + 2 * by_label[tgt] + (not (hi ^ hj))
+                targets, tname = [k], names[k]
+            else:
+                targets, tname = anywhere, "single third space" if tgt is None else f"missing pair {tgt}"
+            specs.append((1 + 2 * i + hi, 1 + 2 * j + hj, targets, "cross-pair", tname))
+    specs += [(k, k, []) for k in range(len(spaces))]
+    return _Closure(tuple(spaces), names, specs, *_span_residuals(spaces, specs))
 
 
 def verify_closure(qa: QuotientAlgebra) -> ClosureReport:
@@ -709,10 +694,12 @@ def verify_closure(qa: QuotientAlgebra) -> ClosureReport:
     disjoint = float(table.ranks[-1] != sum(map(len, table.spaces)))
     checks = [ClosureCheck("disjoint", "all spaces", "", "trivial intersections",
                            disjoint, disjoint < SOLVE_TOL)]
-    for (kind, left, right, _, tname), res, worst in zip(table.specs, table.residuals, table.worst):
-        values = [float(worst)] if kind == "cross-pair" else res.ravel().tolist()
-        checks += [ClosureCheck(kind, table.names[left], table.names[right], tname, r,
-                                r < SOLVE_TOL) for r in values if kind]
+    for (left, right, _, *named), res, worst in zip(table.specs, table.residuals, table.worst):
+        if named:
+            kind, tname = named
+            values = [float(worst)] if kind == "cross-pair" else res.ravel().tolist()
+            checks += [ClosureCheck(kind, table.names[left], table.names[right], tname, r,
+                                    r < SOLVE_TOL) for r in values]
     return ClosureReport(tuple(checks), SOLVE_TOL)
 
 
