@@ -661,8 +661,10 @@ def _algebra_closure(qa: QuotientAlgebra) -> _Closure:
     names = ["A"] + [("W^_" if hat else "W_") + (lab or str(i + 1))
                      for i, lab in enumerate(labels) for hat in (False, True)]
     specs = []
-    for w, h in ((1 + 2 * idx, 2 + 2 * idx) for idx in range(len(qa.pairs))):
-        specs += [(w, 0, [h], "pair-center", names[h]), (h, 0, [w], "pair-center", names[w]),
+    for idx in range(len(qa.pairs)):
+        w, h = 1 + 2 * idx, 2 + 2 * idx
+        specs += [(w, 0, [h], "pair-center", names[h]),
+                  (h, 0, [w], "pair-center", names[w]),
                   (w, h, [0], "pair-pair", "A")]
     anywhere = list(range(len(spaces)))  # without a target label: one single space
     for i, j in itertools.combinations(range(len(qa.pairs)), 2):
