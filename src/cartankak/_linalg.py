@@ -108,27 +108,6 @@ def project_residual(m, basis_rows) -> float:
     return float(np.linalg.norm(resid) / nv)
 
 
-def commutator_residuals(left, right, rows):
-    """project_residual(-1j [a, b], rows) for every a in left (axis 0), b in right (axis 1),
-    and the norms |[a, b]|.
-
-    [Hermitian, Hermitian] is i times a Hermitian matrix and spans use real
-    coefficients, hence the -1j. A residual is 0 where |[a, b]| < STRUCT_TOL.
-    The right operand is stacked and the left one looped over: a full
-    left x right stack of commutators is ~75 MB for p x p at N=16 and grows
-    as N^6.
-    """
-    stack = np.asarray(right, dtype=complex)
-    out, sizes = np.zeros((2, len(left), len(stack)))
-    for i, a in enumerate(left):
-        flat = (-1j * (a @ stack - stack @ a)).reshape(len(stack), -1)
-        vecs = np.concatenate([flat.real, flat.imag], axis=1)
-        sizes[i] = norms = np.linalg.norm(vecs, axis=1)
-        resid = np.linalg.norm(vecs - (vecs @ rows.T) @ rows, axis=1)
-        out[i] = np.where(norms < STRUCT_TOL, 0.0, resid / np.maximum(norms, STRUCT_TOL))
-    return out, sizes
-
-
 MATCH_ZERO, MATCH_NONE, MATCH_OFF_LINE = -1, -2, -3
 
 
@@ -287,7 +266,7 @@ def slot_shift(coef, labels):
 
 
 def slot_commutator_residuals(table: SlotTable, left, right, targets):
-    """commutator_residuals in slot form, for a batch of unit pairs, chunk by chunk.
+    """Commutator residuals against spans in slot form, per batch of unit pairs, in chunks.
 
     Item q commutes every generator of unit left[q] (label a) with every one
     of unit right[q] (label b): -i[x, y] sits on label a ^ b with entries

@@ -41,8 +41,7 @@ from .generators import Generator
 from .partition import (
     AbelianSpace,
     QuotientAlgebra,
-    _Closure,
-    _span_residuals,
+    _closure_table,
     bits_of,
     build_quotient_algebra,
     conjugate_quotient_algebra,
@@ -101,7 +100,8 @@ class CartanSplit:
 
         [t,t] and [p,p] must land in t, [t,p] in p. A split of the algebra's
         own spaces reads the algebra's table, which verify_closure reads too;
-        any other split measures its own, each entry targeting every space of
+        any other split measures its own on the same slot forms (in the
+        algebra's frame when it has one), each entry targeting every space of
         the side it must land on. An entry whose targets lie on that side
         passes below SOLVE_TOL; any other one only when its commutators vanish.
         """
@@ -113,7 +113,7 @@ class CartanSplit:
         else:
             specs = [(i, j, [k for k, s in enumerate(side) if s == (side[i] + side[j]) & 1])
                      for i, j in itertools.combinations_with_replacement(range(len(spaces)), 2)]
-            table = _Closure(spaces, None, specs, *_span_residuals(spaces, specs))
+            table = _closure_table(self.qa, spaces, None, specs)
         n = self.dim
         if sum(table.ranks[:-1]) != n * n - 1 or table.ranks[-1] != n * n - 1:
             raise InvalidChoiceError("t and p do not fill su(N)")

@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,6 @@ from ._linalg import (
     expm_hermitian,
     frob,
     is_unitary,
-    slot_forms,
 )
 from .cartan import CartanSplit, DecompositionSequence
 from .errors import (
@@ -48,7 +47,7 @@ from .errors import (
     UnsupportedLabelError,
 )
 from .generators import Diag, Generator, Lambda, LambdaHat, TensorWord
-from .partition import AbelianSpace, diagonalize_abelian, label_int, standard_basis
+from .partition import AbelianSpace, _SlotFrame, diagonalize_abelian, label_int, standard_basis
 
 __all__ = [
     "GateFactor",
@@ -209,71 +208,11 @@ def _locality_or_none(g: Generator) -> Optional[str]:
         return None
 
 
-# ---------------------------------------------------------------------------
-# The frame: one per algebra, every generator on its own pair's XOR slots
-# ---------------------------------------------------------------------------
-
-def _in_frame(g: Optional[np.ndarray], mats) -> np.ndarray:
-    """G m G^dag for each m of a stack (a copy of m when G is None), every entry below
-    STRUCT_TOL |m| set to exact zero: the one rule that reads slots in the frame."""
-    mats = np.array(mats, dtype=complex) if g is None else g @ np.asarray(mats) @ dagger(g)
-    size = np.abs(mats)
-    mats[size < STRUCT_TOL * np.sqrt(np.einsum("kij,kij->k", size, size))[:, None, None]] = 0.0
-    return mats
-
-
-@dataclass(frozen=True)
-class _SlotFrame:
-    """G = P U: U diagonalizes an algebra's center and the index order P puts every
-    pair on the XOR slots (i, i ^ l) of its own label l. matrix is G, or None when
-    G is the identity. It holds no reference to the algebra."""
-
-    matrix: Optional[np.ndarray]
-    cache: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary)
-
-    def forms(self, space: AbelianSpace):
-        """The slot forms (labels, c) of a space's generators in the frame, kept per space."""
-        if space not in self.cache:
-            self.cache[space] = slot_forms(_in_frame(self.matrix, space.matrices))
-        return self.cache[space]
-
-    def entries(self, space: AbelianSpace, label: int) -> np.ndarray:
-        """c[a, i]: generator a's entry (i, i ^ label) in the frame, 0 if it is on another label."""
-        labels, c = self.forms(space)
-        return np.where((labels == label)[:, None], c, 0.0)
-
-
-def _build_slot_frame(qa) -> _SlotFrame:
-    """Find P by walking the partner maps of the pairs labeled 2^r in U's eigenframe: from a
-    start at position 0, position x takes the partner under x's lowest bit of position x
-    less that bit. The first start that puts every generator on its pair's label gives P."""
-    n, u = qa.dim, diagonalize_abelian(qa.center)
-    u = None if np.array_equal(u, np.eye(n)) else u
-    spaces = [(0, qa.center)] + [(label_int(pair.binary_label) if pair.binary_label else -2, s)
-                                 for pair in qa.pairs for s in pair.spaces]  # -2: on no label
-    hits = [sum(((_in_frame(u, s.matrices) != 0).any(axis=0) for label, s in spaces
-                 if label == 1 << r), np.zeros((n, n))) > 0 for r in range(qa.p)]
-    # partner[r][a], -1 where a has none; the extra last -1 answers a = -1
-    partner = [np.where(h.sum(axis=1) == 1, h.argmax(axis=1), -1).tolist() + [-1] for h in hits]
-    for start in range(n):
-        order = [start]
-        for x in range(1, n):
-            order.append(partner[(x & -x).bit_length() - 1][order[x & (x - 1)]])
-        if sorted(order) == list(range(n)):
-            g = np.eye(n)[order] if u is None else u[order]
-            frame = _SlotFrame(None if np.array_equal(g, np.eye(n)) else g)
-            if all((frame.forms(s)[0] == label).all() for label, s in spaces):
-                return frame
-    raise DecompositionError("no index order puts every generator on its pair's XOR slots")
-
-
-_FRAMES: "weakref.WeakKeyDictionary[object, _SlotFrame]" = weakref.WeakKeyDictionary()
-
-
-def _frame_of(qa) -> _SlotFrame:
-    """The algebra's frame, built on first use and cached while the algebra lives."""
-    frame = _FRAMES.get(qa)
-    return frame if frame is not None else _FRAMES.setdefault(qa, _build_slot_frame(qa))
+def _frame_of_algebra(qa) -> _SlotFrame:
+    """The algebra's frame (QuotientAlgebra._frame); raises when it has none."""
+    if qa._frame is None:
+        raise DecompositionError("no index order puts every generator on its pair's XOR slots")
+    return qa._frame
 
 
 def _label_rows(n: int, label: int) -> np.ndarray:
@@ -692,7 +631,7 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
     u_su, phase = ingest_unitary(u)
     plan = _PLANS.get(seq)
     if plan is None:  # the frame's and the phases' errors carry no "decomposition failed" prefix
-        frame = _frame_of(seq.qa)
+        frame = _frame_of_algebra(seq.qa)
         v = _t_phases(seq.dim, {lab: frame.forms(seq.space_at(lab))
                                 for lab in seq.levels[0].chosen_labels})
     try:
@@ -741,7 +680,7 @@ def kak_single_level(u: np.ndarray, split: CartanSplit):
         raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
     if abs(np.angle(np.linalg.det(u))) > SOLVE_TOL:  # _ai_step's eigenphases sum to this phase
         raise InvalidMatrixError("determinant is not 1; run ingest_unitary first")
-    frame = _frame_of(split.qa)
+    frame = _frame_of_algebra(split.qa)
     v = _t_phases(n, {s.binary_label: frame.forms(s) for s in split.t})
     blocks = (_slot_coefficients(v, n, lab, frame.entries(s, lab))
               for s in split.t for lab in (label_int(s.binary_label),))

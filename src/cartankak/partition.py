@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +28,6 @@ from ._linalg import (
     SlotTable,
     all_commute,
     basis_match,
-    commutator_residuals,
     dagger,
     frob,
     in_span,
@@ -43,6 +43,7 @@ from ._linalg import (
 from .errors import (
     BasisNotClosedError,
     ClosureViolationError,
+    DecompositionError,
     DimensionMismatchError,
     InvalidMatrixError,
     InvalidSubscriptError,
@@ -172,7 +173,9 @@ class QuotientAlgebra:
     def generator_count(self) -> int:
         return len(self.center) + sum(2 * len(p.w) for p in self.pairs)
 
-    # The closure table (_algebra_closure), built on first use and kept.
+    # The frame (_build_slot_frame) and the closure table (_algebra_closure), each
+    # built on first use and kept.
+    _frame = functools.cached_property(lambda self: _build_slot_frame(self))
     _closure = functools.cached_property(lambda self: _algebra_closure(self))
 
     def __repr__(self):
@@ -271,9 +274,17 @@ def diagonalize_abelian(space) -> np.ndarray:
     n = mats[0].shape[0]
     if any(m.shape != (n, n) for m in mats):
         raise InvalidMatrixError("matrices must share one square shape")
+    u = _eigenframe(mats)
+    return np.eye(n, dtype=complex) if u is None else u
+
+
+def _eigenframe(mats, check=True) -> Optional[np.ndarray]:
+    """diagonalize_abelian of matrices of one shape, None for the identity. With
+    check=False non-diagonal matrices are not checked to commute: a frame
+    (_index_frame) needs no such check, as the center must be diagonal in it."""
     if all(frob(m - np.diag(np.diag(m))) < STRUCT_TOL * max(1.0, frob(m)) for m in mats):
-        return np.eye(n, dtype=complex)  # diagonal matrices commute
-    if not all_commute(mats):
+        return None  # diagonal matrices commute
+    if check and not all_commute(mats):
         raise NotAbelianError("input set is not abelian")
     return simultaneous_diagonalize(mats)
 
@@ -373,7 +384,7 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
         raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")
     p = max(1, (n - 1).bit_length())
     pairs = _label_pairs([([pool[i] for i in ws], [pool[i] for i in hats], label)
-                          for ws, hats, label in merged], p)
+                          for ws, hats, label in merged], center, p)
     qa = QuotientAlgebra(center=center, pairs=tuple(pairs), dim=n, p=p)
     if qa.generator_count() != n * n - 1:
         raise InvalidMatrixError("constructed algebra has the wrong generator count")
@@ -424,46 +435,49 @@ def _merge_pairs(raw_pairs, labels, c):
              key if isinstance(key, int) else None) for key, frags in groups.items()]
 
 
-def _label_pairs(merged, p) -> List[ConjugatePair]:
+def _label_pairs(merged, center, p) -> List[ConjugatePair]:
     labeled = [bits_of(value, p) if value is not None else None for _, _, value in merged]
     if any(lab is None for lab in labeled):
-        merged, labeled = _structural_labels(merged, p)
-    used = [lab for lab in labeled if lab is not None]
-    if len(set(used)) != len(used):
-        raise NotBinaryPartitionedError("two pairs carry the same binary string")
+        merged, labeled = _structural_labels(merged, center, p)
     pairs = []
     for (ws, hats, _), lab in zip(merged, labeled):
         w = AbelianSpace(tuple(ws), hat=False, binary_label=lab)
         wh = AbelianSpace(tuple(hats), hat=True, binary_label=lab)
         pairs.append(ConjugatePair(w=w, w_hat=wh, binary_label=lab))
-    if len(used) == len(labeled):
+    if None not in labeled:
         pairs.sort(key=lambda pair: label_int(pair.binary_label))
     return pairs
 
 
-def _structural_labels(merged, p):
+def _structural_labels(merged, center, p):
     """Assign binary strings from the pair multiplication structure alone.
 
-    Works when subscript patterns are unavailable (non-diagonal centers):
-    pick successive pairs as the 2^r representatives, close the labeling
-    under [pair_i, pair_j] -> pair_{i xor j}, and verify consistency. Then
-    hat parity fixes the sides of every pair c off a power of 2: in
-    ascending c, W and W^ swap unless -i[W_a, W_b] lands in W^_c, where
-    a = c & -c and b = c ^ a. Returns the merged pairs so oriented and
-    their labels.
+    Works when subscript patterns are unavailable (non-diagonal centers). In
+    the center's eigenframe U each pair's support is a partner map sigma_k
+    (_partner_map; -1 on a row without a partner, as at N != 2^p). The target
+    of pairs a, b is the one other pair k whose sigma_k agrees with
+    sigma_a o sigma_b wherever that composition moves an index. Pick
+    successive pairs as the 2^r representatives and close the labeling under
+    the targets. The labels must be distinct strings 1 .. 2^p - 1 that a frame
+    G = P U realizes (_index_frame); otherwise there are none. Then hat parity
+    fixes the sides of every pair c off a power of 2, read off the frame forms:
+    in ascending c, W and W^ swap unless -i[W_a, W_b] lands in W^_c, where
+    a = c & -c and b = c ^ a. Returns the merged pairs so oriented and their
+    labels.
     """
-    count = len(merged)
-    spans = [span_rows([g.matrix for g in ws + hats]) for ws, hats, _ in merged]
+    count, n = len(merged), center.dim
+    u = _eigenframe(center.matrices, check=False)  # build_quotient_algebra validated the center
+    sigma = np.array([_partner_map(u, [g.matrix for g in ws + hats], n) for ws, hats, _ in merged])
 
-    def target(i: int, j: int) -> Optional[int]:
-        left = [g.matrix for g in merged[i][0][:1] + merged[i][1][:1]]
-        right = [g.matrix for g in merged[j][0] + merged[j][1]]
-        hits = np.array([commutator_residuals(left, right, s)[0] < SOLVE_TOL for s in spans])
-        for hit in hits.reshape(count, -1).T:
-            ks = np.flatnonzero(hit)
-            if len(ks) == 1 and ks[0] not in (i, j):
-                return int(ks[0])
-        return None
+    @functools.cache
+    def target(a: int, b: int) -> Optional[int]:
+        x = np.flatnonzero(sigma[b] >= 0)
+        y = sigma[a, sigma[b, x]]
+        moved = (y >= 0) & (y != x)
+        hits = (sigma[:, x[moved]] == y[moved]).all(axis=1)
+        hits[[a, b]] = False
+        ks = np.flatnonzero(hits)
+        return int(ks[0]) if moved.any() and len(ks) == 1 else None
 
     labels: List[Optional[int]] = [None] * count
     next_bit = 1
@@ -481,14 +495,22 @@ def _structural_labels(merged, p):
                 if t is not None and labels[t] is None:
                     labels[t] = labels[a] ^ labels[b]
                     changed = True
-    if any(lab is None or lab == 0 or lab >= (1 << p) for lab in labels):
-        return merged, [None] * count
-    at, merged = {lab: k for k, lab in enumerate(labels)}, list(merged)
+    none = merged, [None] * count
+    if any(lab is None or lab == 0 or lab >= (1 << p) for lab in labels) or len(set(labels)) < count:
+        return none
+    at = {lab: k for k, lab in enumerate(labels)}
+    sides = [[AbelianSpace(tuple(side)) for side in pair[:2]] for pair in merged]
+    frame = _index_frame(u, [sigma[at[1 << r]] if 1 << r in at else np.full(n, -1) for r in range(p)],
+                         [(0, center)] + [(lab, s) for lab, pair in zip(labels, sides) for s in pair])
+    if frame is None:
+        return none
+    merged = list(merged)
     for c in sorted(lab for lab in at if lab & (lab - 1)):
-        ws, hats, value = merged[at[c]]
-        left, right = ([g.matrix for g in merged[at[x]][0]] for x in (c & -c, c ^ (c & -c)))
-        if commutator_residuals(left, right, span_rows([g.matrix for g in hats]))[0].max() > SOLVE_TOL:
-            merged[at[c]] = hats, ws, value
+        k, a, b = at[c], at[c & -c], at[c ^ (c & -c)]
+        forms = [frame.forms(space) for space in (sides[a][0], sides[b][0], sides[k][1])]
+        if _span_residuals(forms, [(0, 1, [2])])[2][0] > SOLVE_TOL:
+            ws, hats, value = merged[k]
+            merged[k], sides[k] = (hats, ws, value), sides[k][::-1]
     return merged, [bits_of(lab, p) for lab in labels]
 
 
@@ -536,6 +558,84 @@ def binary_label_of(pair: ConjugatePair) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The frame: one per algebra, every generator on its own pair's XOR slots
+# ---------------------------------------------------------------------------
+
+def _in_frame(g: Optional[np.ndarray], mats) -> np.ndarray:
+    """G m G^dag for each m of a stack (a copy of m when G is None), every entry below
+    STRUCT_TOL |m| set to exact zero: the one rule that reads slots in the frame."""
+    mats = np.array(mats, dtype=complex) if g is None else g @ np.asarray(mats) @ dagger(g)
+    size = np.abs(mats)
+    mats[size < STRUCT_TOL * np.sqrt(np.einsum("kij,kij->k", size, size))[:, None, None]] = 0.0
+    return mats
+
+
+@dataclass(frozen=True)
+class _SlotFrame:
+    """G = P U: U diagonalizes an algebra's center and the index order P puts every
+    pair on the XOR slots (i, i ^ l) of its own label l. matrix is G, or None when
+    G is the identity. It holds no reference to the algebra."""
+
+    matrix: Optional[np.ndarray]
+    cache: weakref.WeakKeyDictionary = field(default_factory=weakref.WeakKeyDictionary)
+
+    def __reduce__(self):  # a copy or a pickle starts with an empty cache
+        return type(self), (self.matrix,)
+
+    def forms(self, space: AbelianSpace):
+        """The slot forms (labels, c) of a space's generators in the frame, kept per space."""
+        if space not in self.cache:
+            self.cache[space] = slot_forms(_in_frame(self.matrix, space.matrices))
+        return self.cache[space]
+
+    def entries(self, space: AbelianSpace, label: int) -> np.ndarray:
+        """c[a, i]: generator a's entry (i, i ^ label) in the frame, 0 if it is on another label."""
+        labels, c = self.forms(space)
+        return np.where((labels == label)[:, None], c, 0.0)
+
+
+def _partner_map(u: Optional[np.ndarray], mats, n: int) -> np.ndarray:
+    """sigma[i]: the one index that row i of the stack's joint support reaches in the
+    frame u (the matrices themselves when u is None), -1 where it reaches none or several."""
+    hit = (_in_frame(u, mats) != 0).any(axis=0) if len(mats) else np.zeros((n, n), dtype=bool)
+    return np.where(hit.sum(axis=1) == 1, hit.argmax(axis=1), -1)
+
+
+def _index_frame(u, partners, spaces) -> Optional[_SlotFrame]:
+    """G = P U, with P found by walking partners[r], the partner map of the pair labeled
+    2^r in U's eigenframe: from a start at position 0, position x takes the partner under
+    x's lowest bit of position x less that bit. The first start that puts every generator
+    of spaces, (label, space) items, on its label gives P; None when no start does."""
+    n = len(partners[0])
+    partner = [list(s) + [-1] for s in partners]  # the extra last -1 answers a = -1
+    for start in range(n):
+        order = [start]
+        for x in range(1, n):
+            order.append(partner[(x & -x).bit_length() - 1][order[x & (x - 1)]])
+        if sorted(order) == list(range(n)):
+            g = np.eye(n)[order] if u is None else u[order]
+            frame = _SlotFrame(None if np.array_equal(g, np.eye(n)) else g)
+            if all((frame.forms(s)[0] == label).all() for label, s in spaces):
+                return frame
+    return None
+
+
+def _build_slot_frame(qa: QuotientAlgebra) -> Optional[_SlotFrame]:
+    """The algebra's frame (QuotientAlgebra._frame), or None when no index order puts
+    every generator on its pair's label: an unlabeled algebra, a pair whose generators
+    are off its label, or a center that does not diagonalize."""
+    try:
+        u = _eigenframe(qa.center.matrices, check=False)
+    except (DecompositionError, InvalidMatrixError):
+        return None
+    spaces = [(0, qa.center)] + [(label_int(pair.binary_label) if pair.binary_label else -2, s)
+                                 for pair in qa.pairs for s in pair.spaces]  # -2: on no label
+    return _index_frame(u, [_partner_map(u, [m for label, s in spaces if label == 1 << r
+                                             for m in s.matrices], qa.dim) for r in range(qa.p)],
+                        spaces)
+
+
+# ---------------------------------------------------------------------------
 # Closure verification
 # ---------------------------------------------------------------------------
 
@@ -566,44 +666,35 @@ class ClosureReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _span_residuals(spaces, items):
+def _span_residuals(forms, items):
     """One measurement of a family of spaces and of the commutators between them.
 
-    Returns the spaces' ranks and that of all of them together; per item
-    (left, right, targets, ...) of space indices, the commutator_residuals
-    against each target's span, the smallest over the targets (with none, 1
-    where a commutator does not vanish), their largest and the largest
-    commutator norm; and the largest |Tr(g h)| between two spaces' generators.
+    forms holds the slot forms (labels, c) of each space's generators, every
+    label >= 0. Returns the spaces' ranks and that of all of them together;
+    per item (left, right, targets, ...) of space indices, the residuals
+    project_residual(-i[g, h], span) against each target's span (0 where
+    |[g, h]| < STRUCT_TOL), the smallest over the targets (with none, 1 where
+    a commutator does not vanish), their largest and the largest commutator
+    norm; and the largest |Tr(g h)| between two spaces' generators.
 
-    When every generator has its own slot form (AbelianSpace._forms), each
-    space splits into one unit per label. Supports on different labels are
-    Hilbert-Schmidt orthogonal, so a span's rank is the sum of its units'
+    Each space splits into one unit per label. Supports on different labels
+    are Hilbert-Schmidt orthogonal, so a span's rank is the sum of its units'
     ranks, a commutator on label l projects onto a span through its unit on
     l alone, and Tr(g h), the real inner product of the entries, is that of
-    two forms on one label. Otherwise everything is dense.
+    two forms on one label.
     """
-    forms = [space._forms for space in spaces]
     labels, c = map(np.concatenate, zip(*forms))
-    slot = (labels >= 0).all()
-    x = (c if slot else np.reshape([m for s in spaces for m in s.matrices], (len(c), -1))).view(float)
-    starts = np.cumsum([0] + [len(space) for space in spaces[:-1]])
-    trace = np.abs(x @ x.T) * ((labels[:, None] == labels) | ~slot)
+    sizes = np.array([len(form[0]) for form in forms])
+    starts, x = np.cumsum(sizes) - sizes, c.view(float)
+    trace = np.abs(x @ x.T) * (labels[:, None] == labels)
     trace = np.maximum.reduceat(np.maximum.reduceat(trace, starts, axis=0), starts, axis=1)
-    if not slot:
-        mats = [space.matrices for space in spaces]
-        rows = [span_rows(ms) for ms in mats] + [np.zeros((0, x.shape[1]))]  # the last: no target
-        measured = [[commutator_residuals(mats[left], mats[right], rows[t]) for t in targets or [-1]]
-                    for left, right, targets, *_ in items]
-        residuals = [np.min([res for res, _ in m], axis=0) for m in measured]
-        return ([len(r) for r in rows[:-1]] + [span_rank(m for ms in mats for m in ms)], residuals,
-                [r.max() for r in residuals], [m[0][1].max() for m in measured], trace)
     units = [_by_label(labels) for labels, _ in forms]
     count = np.array([len(us) for us in units])  # units per space, numbered space by space
     first = np.cumsum(count) - count
     table = slot_table([[(label, c[ix]) for label, ix in us] for us, (_, c) in zip(units, forms)])
     ranks = [table.ranks[u : u + len(us)].sum() for u, us in zip(first, units)]
     ranks.append(_slot_units(labels, c).ranks.sum())
-    unit_of = np.full((len(spaces), table.coef.shape[2]), -1)  # the unit of (space, label)
+    unit_of = np.full((len(forms), table.coef.shape[2]), -1)  # the unit of (space, label)
     at = np.full(table.coef.shape[:2], -1)  # each unit row's generator within its space
     for g, us in enumerate(units):
         for u, (label, ix) in enumerate(us, first[g]):
@@ -619,7 +710,6 @@ def _span_residuals(spaces, items):
     ru = first[right[item]] + k % count[right[item]]
     label = (table.labels[lu] ^ table.labels[ru])[:, None]
     tu = np.where(targets[item] >= 0, unit_of[targets[item], label], -1)
-    sizes = np.array([len(labels) for labels, _ in forms])
     full, norms = np.zeros((len(items), sizes[left].max(), sizes[right].max())), np.zeros(len(items))
     for c, res, size in slot_commutator_residuals(table, lu, ru, tu):
         _, a, b = res.shape
@@ -646,6 +736,18 @@ class _Closure(NamedTuple):
     worst: List[float]
     norms: List[float]
     trace: np.ndarray
+
+
+def _closure_table(qa: QuotientAlgebra, spaces, names, specs) -> _Closure:
+    """The _Closure of specs over spaces, measured on the spaces' forms in the algebra's
+    frame (QuotientAlgebra._frame), or on their own forms (AbelianSpace._forms) when it
+    has none. Closure is invariant under the frame's conjugation."""
+    frame = qa._frame
+    forms = [space._forms if frame is None else frame.forms(space) for space in spaces]
+    for space, (labels, _) in zip(spaces, forms):
+        if (labels < 0).any():
+            raise NotBinaryPartitionedError(f"{space!r} has a generator off every single label")
+    return _Closure(tuple(spaces), names, specs, *_span_residuals(forms, specs))
 
 
 def _algebra_closure(qa: QuotientAlgebra) -> _Closure:
@@ -678,16 +780,18 @@ def _algebra_closure(qa: QuotientAlgebra) -> _Closure:
                 targets, tname = anywhere, "single third space" if tgt is None else f"missing pair {tgt}"
             specs.append((1 + 2 * i + hi, 1 + 2 * j + hj, targets, "cross-pair", tname))
     specs += [(k, k, []) for k in range(len(spaces))]
-    return _Closure(tuple(spaces), names, specs, *_span_residuals(spaces, specs))
+    return _closure_table(qa, spaces, names, specs)
 
 
 def verify_closure(qa: QuotientAlgebra) -> ClosureReport:
     """Check every conjugate-pair and cross-pair commutator lands where closure says.
 
-    Reads the algebra's closure table (QuotientAlgebra._closure): slot
-    coordinates when every generator has a slot form, as in every standard,
-    intrinsic and word algebra, dense ones otherwise, as for conjugated
-    algebras. A check passes below SOLVE_TOL, the report's tol.
+    Reads the algebra's closure table (QuotientAlgebra._closure), measured in
+    slot coordinates: in the algebra's frame, the identity for every standard
+    and intrinsic build, where every generator sits on its pair's label, and
+    for an algebra without a frame (unlabeled, or a pair off its label) on
+    each generator's own slot form. A check passes below SOLVE_TOL, the
+    report's tol.
     """
     table = qa._closure
     # Disjointness: each space is internally independent and the counts sum to
@@ -856,7 +960,12 @@ def subscript_table_of(qa: QuotientAlgebra) -> SubscriptTable:
 # ---------------------------------------------------------------------------
 
 def conjugate_quotient_algebra(qa: QuotientAlgebra, u: np.ndarray) -> QuotientAlgebra:
-    """Transport {Q(C)} to U^dag {Q(C)} U; structure constants are unchanged."""
+    """Transport {Q(C)} to U^dag {Q(C)} U; structure constants are unchanged.
+
+    The moved generators have no slot forms of their own, but the moved
+    algebra's frame (QuotientAlgebra._frame) undoes U, so its closure and
+    splits are measured on the same slot forms.
+    """
     if u.shape != (qa.dim, qa.dim):
         raise DimensionMismatchError("conjugating unitary has the wrong shape")
 

@@ -1,9 +1,13 @@
-"""Closure checks through commutator_residuals against the loops they replaced.
+"""Closure checks and structural labels against the loops they replaced.
 
 The reference oracles below are the old per-commutator computations: one
-commutator, one projection and one comparison per pair of generators in
-verify_closure and in the structural labeling of unlabeled pairs.
+dense commutator, one projection and one comparison per pair of generators
+in verify_closure and in the structural labeling of unlabeled pairs, which
+partition now reads off slot forms and index matchings. The dense
+commutator_residuals (oracle.py) is checked against them too.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -12,14 +16,14 @@ import cartankak.partition as partition
 from cartankak._linalg import (
     SOLVE_TOL,
     STRUCT_TOL,
-    commutator_residuals,
     frob,
     in_span,
     project_residual,
     span_rows,
 )
+from cartankak import cartan
 from cartankak.cartan import enumerate_maximal_abelian
-from cartankak.generators import commutator_numeric
+from cartankak.generators import commutator_numeric, make_tensor_word
 from cartankak.partition import (
     AbelianSpace,
     ConjugatePair,
@@ -28,6 +32,7 @@ from cartankak.partition import (
     label_int,
     verify_closure,
 )
+from oracle import commutator_residuals
 
 WORD_DIMS = [2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16]
 LAMBDA_DIMS = range(2, 17)
@@ -116,11 +121,12 @@ def loop_closure_checks(qa, tol=SOLVE_TOL):
     return checks
 
 
-def loop_structural_labels(merged, p):
+def loop_structural_labels(merged, p, calls):
     count = len(merged)
     spans = [span_rows([g.matrix for g in ws + hats]) for ws, hats, _ in merged]
 
     def target(i, j):
+        calls.append(1)
         for ga in merged[i][0][:1] + merged[i][1][:1]:
             for gb in merged[j][0] + merged[j][1]:
                 res = ga.matrix @ gb.matrix - gb.matrix @ ga.matrix
@@ -213,7 +219,9 @@ class TestVerifyClosureMatchesLoops:
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_single_third_space(self, n, word_qa):
-        report = assert_same_report(strip_labels(word_qa(n)))
+        stripped = strip_labels(word_qa(n))
+        report = assert_same_report(stripped)
+        assert stripped._frame is None  # read on each generator's own slot form
         cross = [c for c in report.checks if c.kind == "cross-pair"]
         assert cross and all(c.target == "single third space" for c in cross)
         assert report.passed
@@ -243,16 +251,27 @@ class TestVerifyClosureMatchesLoops:
         assert report.max_residual > 0.5
 
 
+def x_center(n):
+    """Every word of p0 and p1 but the identity."""
+    words = itertools.islice(itertools.product(("p0", "p1"), repeat=n.bit_length() - 1), 1, None)
+    return AbelianSpace(tuple(make_tensor_word(list(w)) for w in words))
+
+
 def test_structural_labels_match_loops(monkeypatch):
     real = partition._structural_labels
-    seen = []
+    seen, calls = [], []
 
-    def checked(merged, p):
-        got = real(merged, p)
-        assert got[1] == loop_structural_labels(merged, p)
+    def checked(merged, center, p):
+        got = real(merged, center, p)
+        assert got[1] == loop_structural_labels(merged, p, calls)
         seen.append(got[1])
         return got
 
+    members = {n: enumerate_maximal_abelian(n, shells) for n, shells in ((4, 3), (8, 1))}
+    assert [len(found) for found in members.values()] == [15, 15]
     monkeypatch.setattr(partition, "_structural_labels", checked)
-    assert len(enumerate_maximal_abelian(4, 3)) == 15
-    assert seen and any(all(lab is not None for lab in labels) for labels in seen)
+    for n, found in members.items():
+        for member in found + [x_center(n)]:
+            cartan._structure_of_center(member, n)  # a fresh build
+    assert len(seen) == 30 and all(None not in labels for labels in seen)
+    assert calls

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cartankak import cartan, kak, serialize
+from cartankak import cartan, kak, partition, serialize
 from cartankak._linalg import (
     SOLVE_TOL,
     expm_hermitian,
@@ -576,7 +576,7 @@ def frame_cases():
 def assert_on_own_labels(qa):
     """G g G^dag sits on the XOR slots of g's pair label (the center's on 0), up to
     entries below STRUCT_TOL |g|, with G the algebra's frame."""
-    n, g = qa.dim, kak._frame_of(qa).matrix
+    n, g = qa.dim, qa._frame.matrix
     g = np.eye(n) if g is None else g
     xor = np.bitwise_xor.outer(np.arange(n), np.arange(n))
     for label, space in [(0, qa.center)] + [(int(pair.binary_label, 2), s)
@@ -593,7 +593,7 @@ def test_frame_puts_every_generator_on_its_own_label(make, unmoved):
     algebra factors along its default sequence."""
     qa = make()
     assert_on_own_labels(qa)
-    assert (kak._frame_of(qa).matrix is None) == unmoved
+    assert (qa._frame.matrix is None) == unmoved
     u = random_special_unitary(qa.dim, np.random.default_rng(1900 + qa.dim))
     assert recursive_decompose(u, build_decomposition_sequence(qa)).reconstruction_error < 1e-8
 
@@ -651,8 +651,8 @@ class TestPlanReuse:
     def test_frame_is_built_once_per_algebra(self, monkeypatch):
         """Five sequences and every single-level split of one (moved) algebra share one frame."""
         built = []
-        original = kak._build_slot_frame
-        monkeypatch.setattr(kak, "_build_slot_frame", lambda qa: built.append(1) or original(qa))
+        original = partition._build_slot_frame
+        monkeypatch.setattr(partition, "_build_slot_frame", lambda qa: built.append(1) or original(qa))
         u = random_special_unitary(8, np.random.default_rng(62))
         qa = conjugate_quotient_algebra(standard_quotient_algebra(8), u)
         rng = np.random.default_rng(63)
@@ -672,7 +672,7 @@ class TestPlanReuse:
         seq = build_decomposition_sequence(qa)
         recursive_decompose(np.eye(4), seq)
         kak_single_level(np.eye(4), build_cartan_split(qa, "00", validate=False))
-        assert qa in kak._FRAMES
+        assert qa.__dict__["_frame"] is not None  # kept on the algebra
         refs = weakref.ref(qa), weakref.ref(seq)
         del qa, seq
         gc.collect()
@@ -771,7 +771,7 @@ class TestPlanBuildChecks:
         for _ in range(2):
             with pytest.raises(DecompositionError, match=self.NO_FRAME):
                 recursive_decompose(np.eye(4), bad)
-            assert bad not in kak._PLANS and bad.qa not in kak._FRAMES
+            assert bad not in kak._PLANS and bad.qa._frame is None
 
     def test_flipped_hat_selection(self, std_seq):
         seq = std_seq(4)

@@ -1,13 +1,13 @@
-"""Closure, Cartan and build checks in XOR-slot coordinates against the dense path.
+"""Closure, Cartan and build checks in XOR-slot coordinates against dense oracles.
 
-verify_closure and CartanSplit.validate read the algebra's closure table,
-one partition._span_residuals pass kept on the algebra. It runs in slot
-coordinates when every generator has a slot form (AbelianSpace._forms),
-splitting each space into one unit per label, and on dense matrices
-otherwise. Patching _forms to find no form forces the dense path, which is
-the oracle here. Patching commutator_residuals to raise proves the slot path
-ran. As the table is kept, each path reads a fresh copy of the algebra (over
-the same spaces) and counts the calls of the routine it forces.
+verify_closure and CartanSplit.validate read closure tables
+(partition._closure_table): one partition._span_residuals pass over the
+spaces' slot forms, in the algebra's frame, or each generator's own slot
+form (AbelianSpace._forms) when the algebra has no frame. Each space splits
+into one unit per label. The oracle (oracle.read_densely) measures the same
+tables on the spaces' own dense matrices. As the algebra keeps its table,
+each reading uses a fresh copy of the algebra (over the same spaces) and
+counts the calls of the routine it reads through.
 
 build_quotient_algebra and AbelianSpace.validate read the same per-matrix
 slot forms (slot_forms) when every generator has one. Their dense routines
@@ -39,6 +39,7 @@ from cartankak.errors import (
     CartanKakError,
     InvalidChoiceError,
     InvalidMatrixError,
+    NotBinaryPartitionedError,
     NotMaximalError,
 )
 from cartankak.generators import make_tensor_word
@@ -56,6 +57,7 @@ from cartankak.partition import (
     standard_word_center,
     verify_closure,
 )
+from oracle import dense_span_residuals, forbid_dense_commutators, read_densely
 
 DIMS = range(2, 17)
 BUILDS = {"standard": standard_quotient_algebra, "intrinsic": intrinsic_quotient_algebra}
@@ -72,10 +74,6 @@ def no_dense(*args):
 
 def no_forms(stack):
     return np.full(len(stack), -1), np.zeros((len(stack), 2), dtype=complex)
-
-
-def force_dense(monkeypatch):
-    monkeypatch.setattr(AbelianSpace, "_forms", property(lambda self: no_forms(self.matrices)))
 
 
 def fresh(qa):
@@ -112,18 +110,17 @@ def split_cases(qa):
 
 
 def slot_and_dense(qa, monkeypatch):
-    """(closure report, split outcomes) of fresh copies of qa on the slot path, then on the
-    dense one, each with a check that its routine ran."""
+    """(closure report, split outcomes) of fresh copies of qa read on slot forms, then
+    by the dense oracle, each with a check that its routine ran."""
     runs = []
     with monkeypatch.context() as m:
-        m.setattr(partition, "commutator_residuals", no_dense)
+        forbid_dense_commutators(m)
         calls = counted(m, "slot_commutator_residuals")
         copy = fresh(qa)
         runs.append((verify_closure(copy), [outcome(s) for s in split_cases(copy)], copy))
         assert calls
     with monkeypatch.context() as m:
-        force_dense(m)
-        calls = counted(m, "commutator_residuals")
+        calls = read_densely(m)
         copy = fresh(qa)
         runs.append((verify_closure(copy), [outcome(s) for s in split_cases(copy)], copy))
         assert calls
@@ -134,10 +131,11 @@ def slot_and_dense(qa, monkeypatch):
 @pytest.mark.parametrize("n", DIMS)
 def test_checks_take_the_slot_path(n, kind, monkeypatch):
     qa = fresh(algebra(kind, n))
-    monkeypatch.setattr(partition, "commutator_residuals", no_dense)
+    forbid_dense_commutators(monkeypatch)
     calls = counted(monkeypatch, "slot_commutator_residuals")
     report = verify_closure(qa)
     assert report.passed and report.max_residual < 1e-13
+    assert qa._frame.matrix is None  # a standard build's frame is the identity
     for bits in enumerate_t_choices(qa):
         build_cartan_split(qa, bits)  # validates
     assert calls
@@ -150,8 +148,7 @@ def test_one_residual_pass_serves_closure_and_every_split(n, kind, monkeypatch):
     calls = counted(monkeypatch, "_span_residuals")
     report = verify_closure(qa)
     # Once the table is built, validate forms no commutator and no span.
-    for name in ("commutator_residuals", "slot_commutator_residuals", "slot_table", "span_rows",
-                 "span_rank"):
+    for name in ("slot_commutator_residuals", "slot_table", "span_rows", "span_rank"):
         monkeypatch.setattr(partition, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
     for bits in enumerate_t_choices(qa):
         build_cartan_split(qa, bits)  # validates
@@ -169,15 +166,35 @@ def test_slot_and_dense_validate_agree(n, monkeypatch):
         assert "ok" not in slot[count:]
 
 
-def test_conjugated_algebra_takes_the_dense_path(monkeypatch):
-    qa = algebra("standard", 4)
-    moved = conjugate_quotient_algebra(qa, random_special_unitary(4, np.random.default_rng(4)))
+@pytest.mark.parametrize("n", [4, 8])
+def test_conjugated_algebra_reads_its_frame(n, monkeypatch):
+    # The moved generators have no slot form of their own; closure and every split,
+    # own and hand-built, read the frame forms and form no N x N commutator.
+    moved = conjugate_quotient_algebra(algebra("standard", n),
+                                       random_special_unitary(n, np.random.default_rng(n)))
     assert (moved.pairs[0].w._forms[0] < 0).all()
-    monkeypatch.setattr(partition, "slot_commutator_residuals", no_dense)
-    calls = counted(monkeypatch, "commutator_residuals")
-    assert verify_closure(moved).passed
-    build_cartan_split(moved, "00")
-    assert calls
+    (slot, slot_outcomes, copy), (dense, dense_outcomes, _) = slot_and_dense(moved, monkeypatch)
+    assert copy._frame.matrix is not None
+    assert check_rows(slot) == check_rows(dense) and slot.passed
+    assert max(abs(a.residual - b.residual) for a, b in zip(slot.checks, dense.checks)) < 2e-15
+    assert dense_outcomes == slot_outcomes
+    count = 1 << moved.p
+    assert slot_outcomes[:count] == ["ok"] * count and "ok" not in slot_outcomes[count:]
+
+
+def test_space_without_a_form_is_rejected():
+    # Without a frame a space is read on its own forms, and a moved one has none.
+    qa = algebra("standard", 4)
+    moved = conjugate_quotient_algebra(qa, random_special_unitary(4, np.random.default_rng(5)))
+    unlabeled = replace(moved, pairs=tuple(ConjugatePair(p.w, p.w_hat) for p in moved.pairs))
+    assert unlabeled._frame is None
+    with pytest.raises(NotBinaryPartitionedError, match=r"^AbelianSpace\(W_\?, 3 generators\) "
+                       "has a generator off every single label$"):
+        verify_closure(unlabeled)
+    # In a frame, a space that is on no label there is rejected as well.
+    split = build_cartan_split(fresh(qa), "00")
+    with pytest.raises(NotBinaryPartitionedError, match="W_01, 2 generators"):
+        replace(split, p_part=(moved.pairs[0].w,) + split.p_part[1:]).validate()
 
 
 @pytest.mark.parametrize("n", [4, 9])
@@ -194,8 +211,7 @@ def test_dependent_algebra_fails_disjoint_on_both_paths(n, monkeypatch):
         p=qa.p,
     )
     slot = verify_closure(broken)
-    force_dense(monkeypatch)
-    calls = counted(monkeypatch, "commutator_residuals")
+    calls = read_densely(monkeypatch)
     dense = verify_closure(fresh(broken))
     assert calls
     assert not slot.checks[0].ok and not dense.checks[0].ok
@@ -218,13 +234,15 @@ def check_rows(report):
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_x_word_center_takes_the_slot_path(n, monkeypatch):
-    # Its spaces mix labels, so each splits into one unit per label.
+    # Its spaces mix labels in their own forms; in the frame each sits on its pair's label.
     qa = build_quotient_algebra(x_center(n), standard_basis(n))
     spaces = [qa.center] + [space for pair in qa.pairs for space in pair.spaces]
     assert all(len(set(space._forms[0].tolist())) > 1 for space in spaces)
+    assert all(len(set(qa._frame.forms(space)[0].tolist())) == 1 for space in spaces)
     (slot, slot_outcomes, slot_qa), (dense, dense_outcomes, dense_qa) = slot_and_dense(qa, monkeypatch)
     assert check_rows(slot) == check_rows(dense) and slot.passed
-    assert max(abs(a.residual - b.residual) for a, b in zip(slot.checks, dense.checks)) < 1e-15
+    # The frame's entries are rounded, so the residuals move in the last bits.
+    assert max(abs(a.residual - b.residual) for a, b in zip(slot.checks, dense.checks)) < 2e-15
     assert dense_outcomes == slot_outcomes
     a, b = slot_qa._closure, dense_qa._closure
     assert a.specs == b.specs and a.ranks == b.ranks
@@ -239,11 +257,8 @@ def test_x_word_center_takes_the_slot_path(n, monkeypatch):
     spaces = list(a.spaces)
     wrong = [(spec[0], spec[1], [t + 1 if t % 2 else t - 1])
              for spec in a.specs if spec[3:4] == ("cross-pair",) for t in spec[2]]
-    with monkeypatch.context() as m:
-        m.setattr(partition, "commutator_residuals", no_dense)
-        slot_wrong = partition._span_residuals(spaces, wrong)[1]
-    force_dense(monkeypatch)
-    for x, y in zip(slot_wrong, partition._span_residuals(spaces, wrong)[1], strict=True):
+    slot_wrong = partition._span_residuals([slot_qa._frame.forms(s) for s in spaces], wrong)[1]
+    for x, y in zip(slot_wrong, dense_span_residuals(spaces, wrong)[1], strict=True):
         assert x.shape == y.shape and np.abs(x - y).max() < 1e-14
     assert max(x.max() for x in slot_wrong) > 0.5
     count = 1 << qa.p

@@ -260,7 +260,7 @@ def test_frame_matches_the_per_entry_loops(n, std_seq):
     seq = std_seq(n)
     spaces = {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
     recursive_decompose(np.eye(n), seq)
-    frame, plan = kak._frame_of(seq.qa), kak._PLANS[seq]
+    frame, plan = seq.qa._frame, kak._PLANS[seq]
     assert frame.matrix is None  # a diagonal center in binary order
     raw = {lab: [g.matrix for g in sp.generators] for lab, sp in spaces.items()}
     v = loop_phase_frame(n, list(raw.values()))

@@ -6,7 +6,8 @@ hat parity then fixes which space of each pair is W. structural_labels.json
 records, for the X-word centers of su(4), su(8) and su(16) and for every
 member of enumerate_maximal_abelian (4, 3), (8, 1) and (6, 2) whose algebra
 is labeled that way, each pair's label and the label_str of every W-side
-generator, in pair order.
+generator, in pair order. The labels come from index matchings and the
+sides from the frame's slot forms, so a build forms no N x N commutator.
 """
 
 import functools
@@ -20,6 +21,7 @@ import cartankak.partition as partition
 from cartankak import cartan
 from cartankak.generators import make_tensor_word
 from cartankak.partition import AbelianSpace, build_quotient_algebra, standard_basis
+from oracle import forbid_dense_commutators
 
 PINNED = json.loads((Path(__file__).with_name("structural_labels.json")).read_text())
 SHELLS = [(4, 3), (8, 1), (6, 2)]
@@ -57,6 +59,17 @@ def test_x_word_center(n, monkeypatch):
     calls = structural(monkeypatch)
     assert layout(build_quotient_algebra(x_center(n), standard_basis(n))) == PINNED[f"x-word-{n}"]
     assert calls == [True]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_labels_form_no_dense_commutator(n, monkeypatch):
+    center, basis = x_center(n), standard_basis(n)
+    forbid_dense_commutators(monkeypatch)
+    calls, real = [], partition.slot_commutator_residuals
+    monkeypatch.setattr(partition, "slot_commutator_residuals",
+                        lambda *args: calls.append(1) or real(*args))
+    assert layout(build_quotient_algebra(center, basis)) == PINNED[f"x-word-{n}"]
+    assert calls  # hat parity read the frame forms
 
 
 @pytest.mark.parametrize("n, shells", SHELLS, ids=[f"{n}-{s}" for n, s in SHELLS])
