@@ -341,7 +341,12 @@ class LevelSpec:
 
 @dataclass(frozen=True, eq=False)
 class DecompositionSequence:
-    """Ordered designation of centers A_[1..p] plus the final abelian t_[p]."""
+    """Ordered designation of centers A_[1..p] plus the final abelian t_[p].
+
+    Building one also lays out, from the labels alone, the index components that
+    each level splits (`sides`, see _level_sides), and rejects a sequence that no
+    plan can factor.
+    """
 
     qa: QuotientAlgebra
     levels: Tuple[LevelSpec, ...]
@@ -350,6 +355,7 @@ class DecompositionSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "hat_selection", MappingProxyType(dict(self.hat_selection)))
+        object.__setattr__(self, "sides", _level_sides(self.dim, self.levels))
 
     def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied; its dict can
         return type(self), (self.qa, self.levels, self.final, dict(self.hat_selection))
@@ -376,6 +382,63 @@ class DecompositionSequence:
     def space_at(self, label: str) -> AbelianSpace:
         pair = self.qa.pair_by_label(label)
         return pair.w_hat if self.hat_selection[label] else pair.w
+
+
+def _cosets(n: int, group) -> List[List[int]]:
+    """The cosets x ^ group cut to [0, n), by least index: the components of a level."""
+    cosets, seen = [], set()
+    for x in range(n):
+        if x not in seen:  # the least index of its coset
+            cosets.append(sorted(x ^ h for h in group if x ^ h < n))
+            seen.update(cosets[-1])
+    return cosets
+
+
+def _level_sides(n: int, levels) -> Dict[int, tuple]:
+    """DecompositionSequence.sides: level k >= 2 -> (units, sides) of the components of
+    level k - 1, the cosets of H_(k-1) cut to [0, N), where H_k is the group of 0 and
+    level k's t labels. units are the one-row components; each other one has sides
+    (b1, b2) at level k (_component_sides). Raises InvalidChoiceError, from the labels
+    alone, where no plan can factor: H_k is not an index-2 subgroup of H_(k-1) without
+    the center label, or a component does not split or its sides do not pair."""
+    groups = [{0, *map(label_int, lv.chosen_labels)} for lv in levels]
+    out = {}
+    for level in range(2, len(levels) + 1):
+        label, h = levels[level - 1].label, groups[level - 1]
+        alpha = label_int(label)
+        if ({a ^ b for a in h for b in h} != h or alpha in h
+                or h | {alpha ^ x for x in h} != groups[level - 2]):
+            raise InvalidChoiceError(
+                f"level {level}: the t labels and 0 are not an index-2 subgroup of "
+                f"level {level - 1}'s without the center label {label}")
+        comps = _cosets(n, groups[level - 2])
+        out[level] = ([c[0] for c in comps if len(c) == 1],
+                      [_component_sides(n, c, h, alpha, level) for c in comps if len(c) > 1])
+    return out
+
+
+def _component_sides(n: int, comp: List[int], h, alpha: int, level: int) -> tuple:
+    """The sides (b1, b2) of one component at `level`, or raise: side 1 is the
+    component's coset of h, and b1[m] pairs with b2[m] across the center slot
+    (i, i ^ alpha) for m < min(len(b1), len(b2)); the unpaired rows follow."""
+    branch = "L" * (level - 1)  # the first branch of the tree that reaches the level
+    side1 = [x for x in comp if x ^ comp[0] in h]
+    side2 = [x for x in comp if x ^ comp[0] not in h]
+    if not side2:
+        raise InvalidChoiceError(
+            f"level {level}, branch {branch}: component {comp} does not split; "
+            "no center slot reaches it"
+        )
+    pairs = dict((i, i ^ alpha) if i ^ comp[0] in h else (i ^ alpha, i)  # side-1 end first
+                 for i in comp if i < i ^ alpha < n)
+    if len(pairs) != min(len(side1), len(side2)):
+        raise InvalidChoiceError(
+            f"level {level}, branch {branch}: {len(pairs)} center slots "
+            f"cannot pair blocks of sizes {len(side1)} and {len(side2)}"
+        )
+    ends = {b: a for a, b in pairs.items()}
+    return list(pairs) + [x for x in side1 if x not in pairs], list(ends) + [x for x in side2
+                                                                          if x not in ends]
 
 
 def _default_choices(p: int) -> List[str]:

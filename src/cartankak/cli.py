@@ -184,7 +184,7 @@ def cmd_decompose(args) -> int:
     try:
         fact = recursive_decompose(u, seq)
     except DecompositionError as exc:
-        log.error("decomposition failed: %s", exc)
+        log.error("%s", exc)
         return EXIT_DECOMPOSITION_FAILED
     artifact = serialize.factorization_to_json(fact)
     _emit(serialize.dumps(artifact), args.output)
@@ -247,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_center:
             p.add_argument("--center", default="intrinsic",
                            help="'intrinsic' or a JSON file with center generators")
-        p.add_argument("--seed", type=int, default=0,
-                       help="accepted for compatibility; factorizations do not depend on it")
         p.add_argument("--output", help="output file (atomic write); stdout otherwise")
         return p
 

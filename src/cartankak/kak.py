@@ -351,12 +351,6 @@ def _solve_diagonal_expansion(e: np.ndarray, target) -> np.ndarray:
 # The plan: everything the recursion needs that depends only on the sequence
 # ---------------------------------------------------------------------------
 
-def _cosets(n: int, group) -> List[List[int]]:
-    """The cosets x ^ group cut to [0, n), by least index: the components of a level."""
-    return [list(c) for c in sorted({tuple(sorted(x ^ h for h in group if x ^ h < n))
-                                     for x in range(n)})]
-
-
 @dataclass(frozen=True)
 class _Block:
     """One abelian block of the tree: its space, how to expand angles over it, and
@@ -432,35 +426,29 @@ def _square(rows: np.ndarray) -> tuple:
 class _Plan:
     """What recursive_decompose needs of a sequence, built once per sequence.
 
-    Holds the level-1 frame F = V G, the CS groups of every level (its index
-    components stacked by block shape; with H_k the group of 0 and level k's t
-    labels, these are the cosets of H_k cut to [0, N)), for every abelian block
-    its coefficient matrix, entries and localities, and the order in which the
-    tree's nodes are emitted. Building it runs the checks that depend only on the
-    sequence; the level pass (_walk) runs the ones that depend on the input.
+    Holds the level-1 frame F = V G, the CS groups of every level (the index
+    components of DecompositionSequence.sides, stacked by block shape), for every
+    abelian block its coefficient matrix, entries and localities, and the order in
+    which the tree's nodes are emitted. The sequence build ran the checks that
+    read its labels alone; this one runs those that read its spaces, and the
+    level pass (_walk) those that depend on the input.
     """
 
     def __init__(self, seq: DecompositionSequence, frame: _SlotFrame, v: np.ndarray):
         self.n, self.p, self.back = seq.dim, seq.qa.p, frame.matrix
         self.f = np.diag(v) if frame.matrix is None else v[:, None] * frame.matrix  # F = V G
         self.f_dag = dagger(self.f)
-        groups = [{0, *map(label_int, lv.chosen_labels)} for lv in seq.levels]
         level1 = seq.levels[0].center_core
         center = frame.entries(level1, 0)
         self.blocks = {1: _Block.of(level1, np.real(_phased(v, 0, center))[:, : self.n], 0, center)}
         self.units, self.groups = {}, {}  # single-row components; CS groups of the rest
         for level in range(2, self.p + 1):
-            spec, comps = seq.levels[level - 1], _cosets(self.n, groups[level - 2])
-            alpha, h = label_int(spec.label), groups[level - 1]
-            if ({a ^ b for a in h for b in h} != h or alpha in h
-                    or h | {alpha ^ x for x in h} != groups[level - 2]):
-                raise DecompositionError(
-                    f"level {level}: the t labels and 0 are not an index-2 subgroup of "
-                    f"level {level - 1}'s without the center label {spec.label}")
-            self.units[level] = np.array([c[0] for c in comps if len(c) == 1], dtype=int)
+            spec, (units, sides) = seq.levels[level - 1], seq.sides[level]
+            alpha = label_int(spec.label)
+            self.units[level] = np.array(units, dtype=int)
             shapes: Dict[Tuple[int, int], list] = {}  # (p, q) -> the fields of its components
-            for fields in (self._layout(c, h, alpha, level) for c in comps if len(c) > 1):
-                shapes.setdefault((len(fields[2]), len(fields[3])), []).append(fields)
+            for b1, b2 in sides:
+                shapes.setdefault((len(b1), len(b2)), []).append(self._layout(b1, b2, alpha))
             self.groups[level] = [
                 _CSGroup(*(np.array(field) for field in zip(*same))) for same in shapes.values()
             ]
@@ -488,29 +476,13 @@ class _Plan:
             )
         return _Block.of(space, c, label, entries)
 
-    def _layout(self, comp: List[int], h, alpha: int, level: int) -> tuple:
-        """The _CSGroup fields of one component of level - 1 at `level`, or raise: its
-        sides are the cosets of h, paired by x -> x ^ alpha, each cut to [0, N)."""
-        branch = "L" * (level - 1)  # the first branch of the tree that reaches the level
-        side1 = [x for x in comp if x ^ comp[0] in h]
-        side2 = [x for x in comp if x ^ comp[0] not in h]
-        if not side2:
-            raise DecompositionError(
-                f"level {level}, branch {branch}: component {comp} does not split; "
-                "no center slot reaches it"
-            )
-        slots = _label_rows(self.n, alpha).tolist()  # pairs: each center slot's side-1 end first
-        pairs = [(i, i ^ alpha) if i in side1 else (i ^ alpha, i) for i in slots if i in comp]
-        if len(pairs) != min(len(side1), len(side2)):
-            raise DecompositionError(
-                f"level {level}, branch {branch}: {len(pairs)} center slots "
-                f"cannot pair blocks of sizes {len(side1)} and {len(side2)}"
-            )
-        b1 = [a for a, _ in pairs] + [x for x in side1 if x not in dict(pairs)]
-        b2 = [b for _, b in pairs] + [x for x in side2 if x not in dict(pairs).values()]
-        outside = np.array([c for c in range(self.n) if c not in comp], dtype=int)  # int if empty
-        return (b1 + b2, outside, b1, b2, [slots.index(min(pair)) for pair in pairs],
-                [-1.0 if a < b else 1.0 for a, b in pairs])
+    def _layout(self, b1: List[int], b2: List[int], alpha: int) -> tuple:
+        """The _CSGroup fields of a component with sides b1, b2 (DecompositionSequence.sides)."""
+        slots = _label_rows(self.n, alpha).tolist()
+        paired = range(min(len(b1), len(b2)))
+        outside = np.array([c for c in range(self.n) if c not in b1 + b2], dtype=int)  # int if empty
+        return (b1 + b2, outside, b1, b2, [slots.index(min(b1[m], b2[m])) for m in paired],
+                [-1.0 if b1[m] < b2[m] else 1.0 for m in paired])
 
 
 _PLANS: "weakref.WeakKeyDictionary[DecompositionSequence, _Plan]" = weakref.WeakKeyDictionary()

@@ -279,17 +279,18 @@ class TestDecompose:
         )
         assert main(["decompose", "--dim", "4", "--input", inp]) == 2
 
-    def test_internal_failure_exits_3(self, tmp_path, monkeypatch):
+    def test_internal_failure_exits_3(self, tmp_path, monkeypatch, caplog):
         import cartankak.cli as cli
         from cartankak.errors import DecompositionError
 
         def boom(*args, **kwargs):
-            raise DecompositionError("level 2, left branch: synthetic failure")
+            raise DecompositionError("decomposition failed: level 2, branch L: synthetic failure")
 
         monkeypatch.setattr(cli, "recursive_decompose", boom)
         u = random_special_unitary(4, np.random.default_rng(0))
         inp = write_json(tmp_path / "u.json", serialize.matrix_to_json(u))
         assert main(["decompose", "--dim", "4", "--input", inp]) == 3
+        assert caplog.text.count("decomposition failed:") == 1
 
     def test_near_collision_exits_0(self, tmp_path, near_collision):
         u, _ = near_collision(6, 1e-7, 0)
@@ -305,14 +306,18 @@ class TestDecompose:
         assert main(["decompose", "--dim", "8", "--input", inp, "--output", str(out)]) == 0
         assert json.loads(out.read_text())["reconstruction_error"] < 1e-8
 
-    def test_seed_does_not_change_factors(self, tmp_path):
-        u = random_special_unitary(4, np.random.default_rng(5))
-        inp = write_json(tmp_path / "u4.json", serialize.matrix_to_json(u))
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["decompose", "--dim", "4", "--input", inp, "--output", str(a)]) == 0
-        assert main(["decompose", "--dim", "4", "--input", inp, "--output", str(b),
-                     "--seed", "7"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_unfactorable_sequence_exits_2(self, tmp_path, capsys):
+        # At N = 6 the level-1 t space 010 as level 2's center leaves the first level-2
+        # component two center slots for sides of 3 rows: the sequence build rejects it.
+        seq = build_decomposition_sequence(standard_quotient_algebra(6), ["000", "10", "0"])
+        obj = serialize.sequence_to_json(seq)
+        obj["levels"][1].update(label="010", center_core=serialize.space_to_json(seq.space_at("010")))
+        seq_file = write_json(tmp_path / "seq6.json", obj)
+        u = random_special_unitary(6, np.random.default_rng(6))
+        inp = write_json(tmp_path / "u6.json", serialize.matrix_to_json(u))
+        assert main(["decompose", "--dim", "6", "--input", inp, "--sequence", seq_file]) == 2
+        err = capsys.readouterr().err
+        assert "error: level 2, branch L: 2 center slots cannot pair blocks of sizes 3 and 3\n" in err
 
     def test_choice_bits_flag(self, tmp_path):
         u = random_special_unitary(8, np.random.default_rng(3))

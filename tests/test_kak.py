@@ -28,6 +28,7 @@ from cartankak.cartan import (
 from cartankak.errors import (
     DecompositionError,
     DimensionMismatchError,
+    InvalidChoiceError,
     InvalidMatrixError,
     NotInSpanError,
     UnsupportedLabelError,
@@ -708,7 +709,8 @@ def not_a_subgroup(level, label):
 
 
 class TestPlanBuildChecks:
-    """Hand-built sequences reach the checks that run once, when the plan is built."""
+    """Hand-built sequences reach the checks that run once: those that read the labels
+    alone when the sequence is built, the others when its plan is built."""
 
     @pytest.fixture(scope="class")
     def seq8(self):
@@ -734,6 +736,10 @@ class TestPlanBuildChecks:
         ids=["no split", "four parts", "no cross", "no pairing", "not closed", "bases"],
     )
     def test_level_checks(self, level, changes, message, seq8):
+        if message.startswith("level"):  # read off the labels: the sequence build rejects it
+            with pytest.raises(InvalidChoiceError, match=f"^{message}$"):
+                with_level(seq8, level, **changes(seq8))
+            return
         bad = with_level(seq8, level, **changes(seq8))
         for _ in range(2):  # a failed build is not cached, so it fails again
             with pytest.raises(DecompositionError, match=f"^decomposition failed: {message}$"):
@@ -749,11 +755,9 @@ class TestPlanBuildChecks:
         subgroup check can still leave a component unsplit or its sides unpaired.
         With centers 010 and 100, the level-2 component {2, 3} has no label-100 slot."""
         seq = std_seq(6)
-        bad = build_decomposition_sequence(seq.qa, ["000", "00", bits], level_centers=[
-            seq.space_at("010"), seq.space_at("100")])
-        with pytest.raises(DecompositionError,
-                           match=f"^decomposition failed: level 3, branch LL: {message}$"):
-            recursive_decompose(np.eye(6), bad)
+        with pytest.raises(InvalidChoiceError, match=f"^level 3, branch LL: {message}$"):
+            build_decomposition_sequence(seq.qa, ["000", "00", bits], level_centers=[
+                seq.space_at("010"), seq.space_at("100")])
 
     def test_singular_slot_coefficients(self, seq8):
         # The solve runs on every call, so this check fires on a cached plan too.
@@ -802,6 +806,46 @@ class TestPlanBuildChecks:
         for _ in range(2):
             with pytest.raises(DecompositionError, match=message):
                 recursive_decompose(np.eye(4), bad)
+
+
+def override_family(n):
+    """(qa, choices, overrides): every choice string of standard_quotient_algebra(n), with
+    each space of its level-1 t as the level-2 override (none at N = 2)."""
+    qa = standard_quotient_algebra(n)
+    strings = [[format(b, f"0{qa.p - k}b") for b in range(1 << (qa.p - k))] for k in range(qa.p)]
+    for choices in itertools.product(*strings):
+        t = build_cartan_split(qa, choices[0], validate=False).t
+        for override in t if qa.p > 1 else [None]:
+            yield qa, list(choices), [override] if override else []
+
+
+class TestEveryAcceptedSequenceFactors:
+    """A sequence that build_decomposition_sequence accepts factors a seeded input:
+    whatever no plan can factor is rejected, from its labels, when it is built."""
+
+    @staticmethod
+    def accepted(n, family):
+        u = random_special_unitary(n, np.random.default_rng(2600 + n))
+        count = 0
+        for qa, choices, overrides in family:
+            try:
+                seq = build_decomposition_sequence(qa, choices, overrides)
+            except (InvalidChoiceError, NotInSpanError):
+                continue
+            assert recursive_decompose(u, seq).reconstruction_error < 1e-8
+            count += 1
+        return count
+
+    @pytest.mark.parametrize("n, count", [(2, 2), (3, 24), (4, 24), (5, 256), (6, 256), (7, 448),
+                                          (8, 448)])
+    def test_whole_family(self, n, count):
+        assert self.accepted(n, override_family(n)) == count
+
+    @pytest.mark.parametrize("n, count", [(9, 141), (12, 97)])
+    def test_seeded_sample(self, n, count):
+        family = list(override_family(n))  # 15,360 at both
+        sample = np.random.default_rng(2700 + n).choice(len(family), 256, replace=False)
+        assert self.accepted(n, [family[i] for i in sorted(sample)]) == count
 
 
 class TestLevelPass:

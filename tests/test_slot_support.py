@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import cartankak.cartan as cartan
 import cartankak.kak as kak
 import cartankak.partition as partition
 from cartankak._linalg import STRUCT_TOL, dagger, frob, random_special_unitary
@@ -279,4 +280,4 @@ def test_frame_matches_the_per_entry_loops(n, std_seq):
     for level in seq.levels:
         edges = [s for lab in level.chosen_labels for s in slots[lab]]
         group = {0, *(int(lab, 2) for lab in level.chosen_labels)}
-        assert kak._cosets(n, group) == union_find_components(n, edges)
+        assert cartan._cosets(n, group) == union_find_components(n, edges)
