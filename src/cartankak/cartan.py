@@ -344,8 +344,8 @@ class DecompositionSequence:
     """Ordered designation of centers A_[1..p] plus the final abelian t_[p].
 
     Building one also lays out, from the labels alone, the index components that
-    each level splits (`sides`, see _level_sides), and rejects a sequence that no
-    plan can factor.
+    each level splits (`layout`, see _level_layout), and rejects a sequence that
+    no plan can factor.
     """
 
     qa: QuotientAlgebra
@@ -355,7 +355,7 @@ class DecompositionSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "hat_selection", MappingProxyType(dict(self.hat_selection)))
-        object.__setattr__(self, "sides", _level_sides(self.dim, self.levels))
+        object.__setattr__(self, "layout", _level_layout(self.dim, self.levels))
 
     def __reduce__(self):  # a mappingproxy cannot be pickled or deep-copied; its dict can
         return type(self), (self.qa, self.levels, self.final, dict(self.hat_selection))
@@ -394,13 +394,13 @@ def _cosets(n: int, group) -> List[List[int]]:
     return cosets
 
 
-def _level_sides(n: int, levels) -> Dict[int, tuple]:
-    """DecompositionSequence.sides: level k >= 2 -> (units, sides) of the components of
-    level k - 1, the cosets of H_(k-1) cut to [0, N), where H_k is the group of 0 and
-    level k's t labels. units are the one-row components; each other one has sides
-    (b1, b2) at level k (_component_sides). Raises InvalidChoiceError, from the labels
-    alone, where no plan can factor: H_k is not an index-2 subgroup of H_(k-1) without
-    the center label, or a component does not split or its sides do not pair."""
+def _level_layout(n: int, levels) -> Dict[int, tuple]:
+    """DecompositionSequence.layout: level k >= 2 -> (units, layouts) of the components of
+    level k - 1, the cosets of H_(k-1) cut to [0, N), H_k the group of 0 and level k's t
+    labels: the one-row components, and the _component_layout of each other one. Raises
+    InvalidChoiceError, from the labels alone, where no plan can factor: H_k is not an
+    index-2 subgroup of H_(k-1) without the center label, or a component does not split
+    or its sides do not pair."""
     groups = [{0, *map(label_int, lv.chosen_labels)} for lv in levels]
     out = {}
     for level in range(2, len(levels) + 1):
@@ -413,14 +413,15 @@ def _level_sides(n: int, levels) -> Dict[int, tuple]:
                 f"level {level - 1}'s without the center label {label}")
         comps = _cosets(n, groups[level - 2])
         out[level] = ([c[0] for c in comps if len(c) == 1],
-                      [_component_sides(n, c, h, alpha, level) for c in comps if len(c) > 1])
+                      [_component_layout(n, c, h, alpha, level) for c in comps if len(c) > 1])
     return out
 
 
-def _component_sides(n: int, comp: List[int], h, alpha: int, level: int) -> tuple:
-    """The sides (b1, b2) of one component at `level`, or raise: side 1 is the
-    component's coset of h, and b1[m] pairs with b2[m] across the center slot
-    (i, i ^ alpha) for m < min(len(b1), len(b2)); the unpaired rows follow."""
+def _component_layout(n: int, comp: List[int], h, alpha: int, level: int) -> tuple:
+    """The kak._CSGroup fields of one component at `level` (order, outside, b1, b2,
+    theta_at, theta_sign), or raise: side 1 is the component's coset of h, and b1[m]
+    pairs with b2[m] across the center slot (i, i ^ alpha) for m < min(len(b1),
+    len(b2)); the unpaired rows follow."""
     branch = "L" * (level - 1)  # the first branch of the tree that reaches the level
     side1 = [x for x in comp if x ^ comp[0] in h]
     side2 = [x for x in comp if x ^ comp[0] not in h]
@@ -429,16 +430,19 @@ def _component_sides(n: int, comp: List[int], h, alpha: int, level: int) -> tupl
             f"level {level}, branch {branch}: component {comp} does not split; "
             "no center slot reaches it"
         )
-    pairs = dict((i, i ^ alpha) if i ^ comp[0] in h else (i ^ alpha, i)  # side-1 end first
-                 for i in comp if i < i ^ alpha < n)
+    slots = [i for i in range(n) if i < i ^ alpha < n]  # comp is sorted, and so is slots
+    pairs = [(i, i ^ alpha) if i ^ comp[0] in h else (i ^ alpha, i) for i in comp
+             if i < i ^ alpha < n]
     if len(pairs) != min(len(side1), len(side2)):
         raise InvalidChoiceError(
             f"level {level}, branch {branch}: {len(pairs)} center slots "
             f"cannot pair blocks of sizes {len(side1)} and {len(side2)}"
         )
-    ends = {b: a for a, b in pairs.items()}
-    return list(pairs) + [x for x in side1 if x not in pairs], list(ends) + [x for x in side2
-                                                                          if x not in ends]
+    b1, b2 = (list(side) for side in zip(*pairs))
+    b1, b2 = b1 + [x for x in side1 if x not in b1], b2 + [x for x in side2 if x not in b2]
+    outside = np.array([x for x in range(n) if x not in comp], dtype=int)  # int if empty
+    return (b1 + b2, outside, b1, b2, [slots.index(min(pair)) for pair in pairs],
+            [-1.0 if a < b else 1.0 for a, b in pairs])
 
 
 def _default_choices(p: int) -> List[str]:

@@ -427,7 +427,7 @@ class _Plan:
     """What recursive_decompose needs of a sequence, built once per sequence.
 
     Holds the level-1 frame F = V G, the CS groups of every level (the index
-    components of DecompositionSequence.sides, stacked by block shape), for every
+    components of DecompositionSequence.layout, stacked by block shape), for every
     abelian block its coefficient matrix, entries and localities, and the order in
     which the tree's nodes are emitted. The sequence build ran the checks that
     read its labels alone; this one runs those that read its spaces, and the
@@ -443,16 +443,15 @@ class _Plan:
         self.blocks = {1: _Block.of(level1, np.real(_phased(v, 0, center))[:, : self.n], 0, center)}
         self.units, self.groups = {}, {}  # single-row components; CS groups of the rest
         for level in range(2, self.p + 1):
-            spec, (units, sides) = seq.levels[level - 1], seq.sides[level]
-            alpha = label_int(spec.label)
+            spec, (units, layouts) = seq.levels[level - 1], seq.layout[level]
             self.units[level] = np.array(units, dtype=int)
             shapes: Dict[Tuple[int, int], list] = {}  # (p, q) -> the fields of its components
-            for b1, b2 in sides:
-                shapes.setdefault((len(b1), len(b2)), []).append(self._layout(b1, b2, alpha))
+            for fields in layouts:
+                shapes.setdefault((len(fields[2]), len(fields[3])), []).append(fields)
             self.groups[level] = [
                 _CSGroup(*(np.array(field) for field in zip(*same))) for same in shapes.values()
             ]
-            self.blocks[level] = self._slot_block(spec.center_core, alpha, frame, v)
+            self.blocks[level] = self._slot_block(spec.center_core, label_int(spec.label), frame, v)
         final = label_int(seq.final.binary_label)
         self.final_rows = _label_rows(self.n, final)
         self.final_cols = self.final_rows ^ final
@@ -475,14 +474,6 @@ class _Plan:
                 f"{c.shape[0]} generators vs {c.shape[1]} slots; bases disagree"
             )
         return _Block.of(space, c, label, entries)
-
-    def _layout(self, b1: List[int], b2: List[int], alpha: int) -> tuple:
-        """The _CSGroup fields of a component with sides b1, b2 (DecompositionSequence.sides)."""
-        slots = _label_rows(self.n, alpha).tolist()
-        paired = range(min(len(b1), len(b2)))
-        outside = np.array([c for c in range(self.n) if c not in b1 + b2], dtype=int)  # int if empty
-        return (b1 + b2, outside, b1, b2, [slots.index(min(b1[m], b2[m])) for m in paired],
-                [-1.0 if b1[m] < b2[m] else 1.0 for m in paired])
 
 
 _PLANS: "weakref.WeakKeyDictionary[DecompositionSequence, _Plan]" = weakref.WeakKeyDictionary()

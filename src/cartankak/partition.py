@@ -465,9 +465,9 @@ def _structural_labels(merged, center, p):
     a = c & -c and b = c ^ a. Returns the merged pairs so oriented and their
     labels.
     """
-    count, n = len(merged), center.dim
+    count = len(merged)
     u = _eigenframe(center.matrices, check=False)  # build_quotient_algebra validated the center
-    sigma = np.array([_partner_map(u, [g.matrix for g in ws + hats], n) for ws, hats, _ in merged])
+    sigma = np.array([_partner_map(u, [g.matrix for g in ws + hats]) for ws, hats, _ in merged])
 
     @functools.cache
     def target(a: int, b: int) -> Optional[int]:
@@ -498,13 +498,12 @@ def _structural_labels(merged, center, p):
     none = merged, [None] * count
     if any(lab is None or lab == 0 or lab >= (1 << p) for lab in labels) or len(set(labels)) < count:
         return none
-    at = {lab: k for k, lab in enumerate(labels)}
     sides = [[AbelianSpace(tuple(side)) for side in pair[:2]] for pair in merged]
-    frame = _index_frame(u, [sigma[at[1 << r]] if 1 << r in at else np.full(n, -1) for r in range(p)],
-                         [(0, center)] + [(lab, s) for lab, pair in zip(labels, sides) for s in pair])
+    frame = _index_frame(u, [(0, center)] + [(lab, s) for lab, two in zip(labels, sides)
+                                             for s in two], p)
     if frame is None:
         return none
-    merged = list(merged)
+    merged, at = list(merged), {lab: k for k, lab in enumerate(labels)}
     for c in sorted(lab for lab in at if lab & (lab - 1)):
         k, a, b = at[c], at[c & -c], at[c ^ (c & -c)]
         forms = [frame.forms(space) for space in (sides[a][0], sides[b][0], sides[k][1])]
@@ -594,20 +593,23 @@ class _SlotFrame:
         return np.where((labels == label)[:, None], c, 0.0)
 
 
-def _partner_map(u: Optional[np.ndarray], mats, n: int) -> np.ndarray:
-    """sigma[i]: the one index that row i of the stack's joint support reaches in the
-    frame u (the matrices themselves when u is None), -1 where it reaches none or several."""
-    hit = (_in_frame(u, mats) != 0).any(axis=0) if len(mats) else np.zeros((n, n), dtype=bool)
+def _partner_map(u: Optional[np.ndarray], mats) -> np.ndarray:
+    """sigma[i]: the one index that row i of a (k, N, N) stack's joint support reaches in
+    the frame u (the matrices themselves when u is None), -1 where it reaches none or several."""
+    hit = (_in_frame(u, mats) != 0).any(axis=0)
     return np.where(hit.sum(axis=1) == 1, hit.argmax(axis=1), -1)
 
 
-def _index_frame(u, partners, spaces) -> Optional[_SlotFrame]:
-    """G = P U, with P found by walking partners[r], the partner map of the pair labeled
-    2^r in U's eigenframe: from a start at position 0, position x takes the partner under
-    x's lowest bit of position x less that bit. The first start that puts every generator
-    of spaces, (label, space) items, on its label gives P; None when no start does."""
-    n = len(partners[0])
-    partner = [list(s) + [-1] for s in partners]  # the extra last -1 answers a = -1
+def _index_frame(u, spaces, p: int) -> Optional[_SlotFrame]:
+    """G = P U, spaces the (label, space) items of an algebra, with P found by walking the
+    partner maps (_partner_map) of the pairs labeled 2^r in U's eigenframe: from a start
+    at position 0, position x takes the partner under x's lowest bit of position x less
+    that bit. The first start that puts every generator on its label gives P; None when
+    no start does."""
+    n = spaces[0][1].dim
+    partner = [_partner_map(u, np.reshape([m for label, s in spaces if label == 1 << r
+                                           for m in s.matrices], (-1, n, n))).tolist() + [-1]
+               for r in range(p)]  # the extra last -1 answers a = -1
     for start in range(n):
         order = [start]
         for x in range(1, n):
@@ -628,11 +630,9 @@ def _build_slot_frame(qa: QuotientAlgebra) -> Optional[_SlotFrame]:
         u = _eigenframe(qa.center.matrices, check=False)
     except (DecompositionError, InvalidMatrixError):
         return None
-    spaces = [(0, qa.center)] + [(label_int(pair.binary_label) if pair.binary_label else -2, s)
-                                 for pair in qa.pairs for s in pair.spaces]  # -2: on no label
-    return _index_frame(u, [_partner_map(u, [m for label, s in spaces if label == 1 << r
-                                             for m in s.matrices], qa.dim) for r in range(qa.p)],
-                        spaces)
+    return _index_frame(u, [(0, qa.center)] + [
+        (label_int(pair.binary_label) if pair.binary_label else -2, s)  # -2: on no label
+        for pair in qa.pairs for s in pair.spaces], qa.p)
 
 
 # ---------------------------------------------------------------------------

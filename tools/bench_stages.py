@@ -24,10 +24,11 @@ For each dimension N and each repeat it times, in a fresh process:
   decompose_ms       median of the next 10 calls (seeded Haar inputs)
   plan_ms            median over 5 fresh default sequences, each over a fresh
                      copy of the algebra, of the plan build alone: the
-                     algebra's frame (built uncached), the t phases and
-                     kak._Plan, what the first call along a new algebra pays
-                     (a tree from before the per-algebra frame: kak._build_frame
-                     plus kak._Plan)
+                     algebra's frame (QuotientAlgebra._frame, built uncached),
+                     the t phases and kak._Plan, what the first call along a
+                     new algebra pays (a tree from before the frame moved onto
+                     the algebra: kak._frame_of; from before the per-algebra
+                     frame: kak._build_frame plus kak._Plan)
   to_json_ms         median serialize.factorization_to_json + dumps of each
                      result of those calls, the first thing read of it
   factors_ms         median first read of .factors on the same results (the
@@ -40,11 +41,15 @@ For each dimension N and each repeat it times, in a fresh process:
                      algebra's frame is cached by then
   cs_calls           cs_decompose_so calls of one more warm recursive_decompose,
                      counted by wrapping kak.cs_decompose_so outside the timed calls
-  closure_x_s        verify_closure of the X-word center's algebra (every word of
-                     p0 and p1 but the identity, each on its own label), built
-                     over the word basis outside the timing; only for N = 2^k <= 16
+  algebra_x_s        build_quotient_algebra of the X-word center (every word of
+                     p0 and p1 but the identity, each on its own label) over the
+                     word basis; only for N = 2^k <= 16
+  closure_x_s        verify_closure of that algebra
   validate_x_s       one CartanSplit.validate of that algebra's "0" * p split,
                      after closure_x_s
+  closure_moved_s    verify_closure of conjugate_quotient_algebra of the standard
+                     algebra by a seeded Haar SU(N), moved outside the timing;
+                     only for N <= 16
 
 and, once per repeat rather than per dimension,
 
@@ -88,8 +93,8 @@ PLANS = 5  # fresh sequences whose plan build is timed per repeat
 SEED = 0
 STAGES = ("algebra_s", "closure_s", "validate_s", "verify_s", "verify_splits_s", "sequence_s",
           "sequences_s", "first_decompose_ms", "decompose_ms", "plan_ms", "to_json_ms",
-          "factors_ms", "reconstruct_ms", "single_level_ms", "cs_calls", "closure_x_s",
-          "validate_x_s")
+          "factors_ms", "reconstruct_ms", "single_level_ms", "cs_calls", "algebra_x_s",
+          "closure_x_s", "validate_x_s", "closure_moved_s")
 
 
 def timed(fn, *args):
@@ -114,7 +119,7 @@ def build_plan(ck, seq):
     kak, spaces = ck.kak, {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
     if hasattr(kak, "_build_frame"):  # a frame per sequence
         return kak._Plan(seq, kak._build_frame(seq.qa, spaces))
-    frame = kak._frame_of(seq.qa)
+    frame = kak._frame_of(seq.qa) if hasattr(kak, "_frame_of") else seq.qa._frame
     phases = kak._t_phases(seq.dim, {lab: frame.forms(s) for lab, s in spaces.items()})
     return kak._Plan(seq, frame, phases)
 
@@ -183,8 +188,12 @@ def run_dim(ck, n):
     }
     if n <= 16:
         stages["sequences_s"] = timed(build_every_sequence, ck, qa)[1]
+        moved = ck.partition.conjugate_quotient_algebra(
+            ck.partition.standard_quotient_algebra(n), ck._linalg.random_special_unitary(n, rng))
+        stages["closure_moved_s"] = timed(ck.partition.verify_closure, moved)[1]
     if n <= 16 and n & (n - 1) == 0:
-        qa_x = ck.partition.build_quotient_algebra(x_center(ck, n), ck.partition.standard_basis(n))
+        center, basis = x_center(ck, n), ck.partition.standard_basis(n)
+        qa_x, stages["algebra_x_s"] = timed(ck.partition.build_quotient_algebra, center, basis)
         stages["closure_x_s"] = timed(ck.partition.verify_closure, qa_x)[1]
         split_x = ck.cartan.build_cartan_split(qa_x, "0" * qa_x.p, validate=False)
         stages["validate_x_s"] = timed(split_x.validate)[1]
