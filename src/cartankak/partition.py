@@ -495,14 +495,15 @@ def _structural_labels(merged, center, p):
                 if t is not None and labels[t] is None:
                     labels[t] = labels[a] ^ labels[b]
                     changed = True
-    none = merged, [None] * count
-    if any(lab is None or lab == 0 or lab >= (1 << p) for lab in labels) or len(set(labels)) < count:
-        return none
+    unlabeled = merged, [None] * count
+    if (any(lab is None or lab == 0 or lab >= (1 << p) for lab in labels)
+            or len(set(labels)) < count):
+        return unlabeled
     sides = [[AbelianSpace(tuple(side)) for side in pair[:2]] for pair in merged]
     frame = _index_frame(u, [(0, center)] + [(lab, s) for lab, two in zip(labels, sides)
                                              for s in two], p)
     if frame is None:
-        return none
+        return unlabeled
     merged, at = list(merged), {lab: k for k, lab in enumerate(labels)}
     for c in sorted(lab for lab in at if lab & (lab - 1)):
         k, a, b = at[c], at[c & -c], at[c ^ (c & -c)]
@@ -584,8 +585,16 @@ class _SlotFrame:
     def forms(self, space: AbelianSpace):
         """The slot forms (labels, c) of a space's generators in the frame, kept per space."""
         if space not in self.cache:
-            self.cache[space] = slot_forms(_in_frame(self.matrix, space.matrices))
+            self.read([space])
         return self.cache[space]
+
+    def read(self, spaces):
+        """Keep the forms of several spaces, read with one _in_frame and one slot_forms."""
+        spaces = [space for space in spaces if space not in self.cache]
+        if spaces:
+            labels, c = slot_forms(_in_frame(self.matrix, [m for s in spaces for m in s.matrices]))
+            for space, end in zip(spaces, np.cumsum([len(space) for space in spaces])):
+                self.cache[space] = labels[end - len(space) : end], c[end - len(space) : end]
 
     def entries(self, space: AbelianSpace, label: int) -> np.ndarray:
         """c[a, i]: generator a's entry (i, i ^ label) in the frame, 0 if it is on another label."""
@@ -601,8 +610,8 @@ def _partner_map(u: Optional[np.ndarray], mats) -> np.ndarray:
 
 
 def _index_frame(u, spaces, p: int) -> Optional[_SlotFrame]:
-    """G = P U, spaces the (label, space) items of an algebra, with P found by walking the
-    partner maps (_partner_map) of the pairs labeled 2^r in U's eigenframe: from a start
+    """G = P U for the (label, space) items of an algebra, center first, with P found by
+    walking the partner maps (_partner_map) of the pairs labeled 2^r in U's eigenframe: from a start
     at position 0, position x takes the partner under x's lowest bit of position x less
     that bit. The first start that puts every generator on its label gives P; None when
     no start does."""
@@ -617,6 +626,7 @@ def _index_frame(u, spaces, p: int) -> Optional[_SlotFrame]:
         if sorted(order) == list(range(n)):
             g = np.eye(n)[order] if u is None else u[order]
             frame = _SlotFrame(None if np.array_equal(g, np.eye(n)) else g)
+            frame.read([s for _, s in spaces])
             if all((frame.forms(s)[0] == label).all() for label, s in spaces):
                 return frame
     return None

@@ -311,13 +311,15 @@ class TestDecompose:
         # component two center slots for sides of 3 rows: the sequence build rejects it.
         seq = build_decomposition_sequence(standard_quotient_algebra(6), ["000", "10", "0"])
         obj = serialize.sequence_to_json(seq)
-        obj["levels"][1].update(label="010", center_core=serialize.space_to_json(seq.space_at("010")))
+        obj["levels"][1].update(label="010",
+                                center_core=serialize.space_to_json(seq.space_at("010")))
         seq_file = write_json(tmp_path / "seq6.json", obj)
         u = random_special_unitary(6, np.random.default_rng(6))
         inp = write_json(tmp_path / "u6.json", serialize.matrix_to_json(u))
         assert main(["decompose", "--dim", "6", "--input", inp, "--sequence", seq_file]) == 2
         err = capsys.readouterr().err
-        assert "error: level 2, branch L: 2 center slots cannot pair blocks of sizes 3 and 3\n" in err
+        message = "level 2, branch L: 2 center slots cannot pair blocks of sizes 3 and 3"
+        assert f"error: {message}\n" in err
 
     def test_choice_bits_flag(self, tmp_path):
         u = random_special_unitary(8, np.random.default_rng(3))

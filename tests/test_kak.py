@@ -653,7 +653,8 @@ class TestPlanReuse:
         """Five sequences and every single-level split of one (moved) algebra share one frame."""
         built = []
         original = partition._build_slot_frame
-        monkeypatch.setattr(partition, "_build_slot_frame", lambda qa: built.append(1) or original(qa))
+        monkeypatch.setattr(partition, "_build_slot_frame",
+                            lambda qa: built.append(1) or original(qa))
         u = random_special_unitary(8, np.random.default_rng(62))
         qa = conjugate_quotient_algebra(standard_quotient_algebra(8), u)
         rng = np.random.default_rng(63)
