@@ -257,10 +257,17 @@ def test_x_word_center_takes_the_slot_path(n, monkeypatch):
     spaces = list(a.spaces)
     wrong = [(spec[0], spec[1], [t + 1 if t % 2 else t - 1])
              for spec in a.specs if spec[3:4] == ("cross-pair",) for t in spec[2]]
-    slot_wrong = partition._span_residuals([slot_qa._frame.forms(s) for s in spaces], wrong)[1]
-    for x, y in zip(slot_wrong, dense_span_residuals(spaces, wrong)[1], strict=True):
-        assert x.shape == y.shape and np.abs(x - y).max() < 1e-14
-    assert max(x.max() for x in slot_wrong) > 0.5
+    dense_wrong = dense_span_residuals(spaces, wrong)[1]
+    # In the frame, and on the own forms, where each space splits into one unit per label.
+    for forms in ([slot_qa._frame.forms(s) for s in spaces], [s._forms for s in spaces]):
+        ranks, right = partition._span_residuals(forms, a.specs)[:2]
+        assert ranks == b.ranks
+        for x, y in zip(right, b.residuals, strict=True):
+            assert x.shape == y.shape and np.abs(x - y).max() < 1e-14
+        slot_wrong = partition._span_residuals(forms, wrong)[1]
+        for x, y in zip(slot_wrong, dense_wrong, strict=True):
+            assert x.shape == y.shape and np.abs(x - y).max() < 1e-14
+        assert max(x.max() for x in slot_wrong) > 0.5
     count = 1 << qa.p
     assert slot_outcomes[:count] == ["ok"] * count
     assert "ok" not in slot_outcomes[count:]
