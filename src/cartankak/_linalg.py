@@ -6,6 +6,7 @@ routines with Generator/AbelianSpace semantics.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -45,16 +46,29 @@ def frob(m) -> float:
     return float(np.linalg.norm(m))
 
 
-def is_hermitian(m) -> bool:
-    """|m - m^dag| < STRUCT_TOL max(1, |m|); |m| is formed only when needed."""
-    r = frob(m - dagger(m))
-    return r < STRUCT_TOL or r < STRUCT_TOL * frob(m)
+def _frob_each(m):
+    """The Frobenius norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(m) if m.ndim == 2 else np.linalg.norm(m, axis=(-2, -1))
 
 
-def is_traceless(m) -> bool:
-    """|Tr m| < STRUCT_TOL max(1, |m|); |m| is formed only when needed."""
-    r = abs(np.trace(m))
-    return r < STRUCT_TOL or r < STRUCT_TOL * frob(m)
+def _below_scaled(r, m):
+    """r < STRUCT_TOL max(1, |m|) for each matrix m; |m| is formed only when needed."""
+    ok = r < STRUCT_TOL
+    if ok if m.ndim == 2 else ok.all():
+        return ok
+    return ok | (r < STRUCT_TOL * _frob_each(m))
+
+
+def is_hermitian(m):
+    """|m - m^dag| < STRUCT_TOL max(1, |m|), for a matrix or for each matrix of a stack."""
+    m = np.asarray(m)
+    return _below_scaled(_frob_each(m - m.swapaxes(-1, -2).conj()), m)
+
+
+def is_traceless(m):
+    """|Tr m| < STRUCT_TOL max(1, |m|), for a matrix or for each matrix of a stack."""
+    m = np.asarray(m)
+    return _below_scaled(abs(m.trace(axis1=-2, axis2=-1)), m)
 
 
 def commute(comm, a, b):
@@ -112,29 +126,31 @@ MATCH_ZERO, MATCH_NONE, MATCH_OFF_LINE = -1, -2, -3
 
 
 def basis_match(xs, basis, overlaps=None) -> list:
-    """Index of the basis matrix each x is a multiple of, from one HS-overlap product.
+    """Index of the basis vector each x is a multiple of, from one HS-overlap product.
 
-    k when b_k alone overlaps x, |Tr(b_k^dag x)| > SOLVE_TOL |x|, and x is
-    within SOLVE_TOL |x| of its multiple of b_k. Otherwise MATCH_ZERO when
-    |x| < SOLVE_TOL, MATCH_NONE when no or several b_k overlap x, and
-    MATCH_OFF_LINE when one does but x is not a multiple of it. An
-    (len(xs), len(basis)) mask `overlaps` marks the only pairs that may
-    overlap: slot forms on different labels are orthogonal.
+    xs (..., X, D) and basis (..., B, D) hold vectors (flattened matrices or
+    slot forms) along the last axis; leading axes are a batch, each x matched
+    against the basis of its own batch item. k when b_k alone overlaps x,
+    |<b_k, x>| > SOLVE_TOL |x|, and x is within SOLVE_TOL |x| of its multiple
+    of b_k. Otherwise MATCH_ZERO when |x| < SOLVE_TOL, MATCH_NONE when no or
+    several b_k overlap x, and MATCH_OFF_LINE when one does but x is not a
+    multiple of it. A (..., X, B) mask `overlaps` marks the only pairs that
+    may overlap: slot forms on different labels are orthogonal, and a pool
+    row already used is no match. Returns the (..., X) indices as (nested) lists.
     """
-    basis = np.asarray(basis).reshape(len(basis), -1)
-    xs = np.asarray(xs).reshape(len(xs), -1)
-    cols = (basis @ xs.conj().T).conj().T
+    xs, basis = np.asarray(xs), np.asarray(basis)
+    cols = xs @ np.swapaxes(basis, -1, -2).conj()
     if overlaps is not None:
         cols = np.where(overlaps, cols, 0.0)
-    norms = np.linalg.norm(xs, axis=1)
-    hits = np.abs(cols) > SOLVE_TOL * norms[:, None]
-    k = np.argmax(hits, axis=1)
-    out = np.full(len(xs), MATCH_NONE)
-    one = np.flatnonzero((hits.sum(axis=1) == 1) & (norms >= SOLVE_TOL))
-    b = basis[k[one]]
-    scale = cols[one, k[one]] / np.einsum("ij,ij->i", b.conj(), b)
+    norms = np.linalg.norm(xs, axis=-1)
+    hits = np.abs(cols) > SOLVE_TOL * norms[..., None]
+    out = np.full(norms.shape, MATCH_NONE)
+    one = np.nonzero((hits.sum(axis=-1) == 1) & (norms >= SOLVE_TOL))
+    k = hits[one].argmax(axis=1)
+    b = basis[one[:-1] + (k,)]
+    scale = cols[one + (k,)] / np.einsum("ij,ij->i", b.conj(), b)
     off = np.linalg.norm(xs[one] - scale[:, None] * b, axis=1)
-    out[one] = np.where(off <= SOLVE_TOL * norms[one], k[one], MATCH_OFF_LINE)
+    out[one] = np.where(off <= SOLVE_TOL * norms[one], k, MATCH_OFF_LINE)
     out[norms < SOLVE_TOL] = MATCH_ZERO
     return out.tolist()
 
@@ -197,28 +213,39 @@ def slot_bracket(la, ca, lb, cb):
     """The slot form of [a, b] for forms (la, ca), (lb, cb) broadcast against each other.
 
     [a, b] sits on label la ^ lb with entries ca[i] cb[i ^ la] - cb[i] ca[i ^ lb]:
-    O(M) per commutator. Labels have the leading shape, entries one more axis.
+    O(M) per commutator. Labels have the leading shape, entries one more axis;
+    the two leading shapes have one length.
     """
-    la, lb = np.broadcast_arrays(la, lb)
-    shape = la.shape + ca.shape[-1:]
-    ca, cb = np.broadcast_to(ca, shape), np.broadcast_to(cb, shape)
-    i = np.arange(shape[-1])
+    i = np.arange(ca.shape[-1])
     return la ^ lb, (ca * np.take_along_axis(cb, i ^ la[..., None], axis=-1)
                      - cb * np.take_along_axis(ca, i ^ lb[..., None], axis=-1))
 
 
-def slot_commute(labels, c) -> bool:
-    """all_commute of a stack given by its slot_forms (every label >= 0): the
-    norm of each slot_bracket, in row chunks of about 2^16 entries."""
-    k, m = c.shape
+_COMMUTE_ENTRIES = 1 << 13  # commutator entries per slot_commute chunk: 128 kB
+_pairs = functools.cache(lambda k: np.triu_indices(k, 1))  # the (i, j), i < j, of k items
+
+
+def slot_commute(labels, c):
+    """all_commute of a space given by its slot_forms, labels (k,), every one >= 0, and
+    entries c (k, M); or of each space of a stack of S spaces of k generators each,
+    labels (S, k) and c (S, k, M), as (S,) bools. The norm of the slot_bracket of each
+    pair of generators of a space, in chunks of about _COMMUTE_ENTRIES entries."""
+    if labels.ndim == 1:
+        return bool(slot_commute(labels[None], c[None])[0])
+    s, k, m = c.shape
+    if k < 2:
+        return np.ones(s, dtype=bool)
+    labels, c = labels.reshape(-1), c.reshape(-1, m)
     norms = np.linalg.norm(c, axis=1)
-    step = max(1, (1 << 16) // (k * m))
-    for lo in range(0, k, step):
-        a = slice(lo, lo + step)
-        _, comm = slot_bracket(labels[a, None], c[a, None], labels, c)
-        if not commute(np.linalg.norm(comm, axis=2), norms[a, None], norms).all():
-            return False
-    return True
+    left, right = _pairs(k)  # [b, a] = -[a, b]: each pair once
+    ok = np.ones(s, dtype=bool)
+    step = max(1, _COMMUTE_ENTRIES // (len(left) * m))  # spaces per chunk
+    for lo in range(0, s, step):
+        first = k * np.arange(lo, min(lo + step, s))[:, None]
+        a, b = (first + left).ravel(), (first + right).ravel()
+        _, comm = slot_bracket(labels[a], c[a], labels[b], c[b])
+        ok[a[~commute(np.linalg.norm(comm, axis=1), norms[a], norms[b])] // k] = False
+    return ok
 
 
 class SlotTable(NamedTuple):

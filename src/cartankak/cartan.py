@@ -400,7 +400,7 @@ def _level_layout(n: int, levels) -> Dict[int, tuple]:
     labels: the one-row components, and the _component_layout of each other one. Raises
     InvalidChoiceError, from the labels alone, where no plan can factor: H_k is not an
     index-2 subgroup of H_(k-1) without the center label, or a component does not split
-    or its sides do not pair."""
+    or its sides do not pair. One pass over the labels and the indices per level."""
     groups = [{0, *map(label_int, lv.chosen_labels)} for lv in levels]
     out = {}
     for level in range(2, len(levels) + 1):
@@ -411,38 +411,45 @@ def _level_layout(n: int, levels) -> Dict[int, tuple]:
             raise InvalidChoiceError(
                 f"level {level}: the t labels and 0 are not an index-2 subgroup of "
                 f"level {level - 1}'s without the center label {label}")
+        slot = {i: k for k, i in enumerate(i for i in range(n) if i < i ^ alpha < n)}
         comps = _cosets(n, groups[level - 2])
         out[level] = ([c[0] for c in comps if len(c) == 1],
-                      [_component_layout(n, c, h, alpha, level) for c in comps if len(c) > 1])
+                      [_component_layout(n, c, h, alpha, slot, level) for c in comps if len(c) > 1])
     return out
 
 
-def _component_layout(n: int, comp: List[int], h, alpha: int, level: int) -> tuple:
+def _component_layout(n: int, comp: List[int], h, alpha: int, slot, level: int) -> tuple:
     """The kak._CSGroup fields of one component at `level` (order, outside, b1, b2,
     theta_at, theta_sign), or raise: side 1 is the component's coset of h, and b1[m]
     pairs with b2[m] across the center slot (i, i ^ alpha) for m < min(len(b1),
-    len(b2)); the unpaired rows follow."""
+    len(b2)); the unpaired rows, whose partner is past N, follow. slot[i] is the
+    position of slot (i, i ^ alpha) among all of them. One pass over the component."""
     branch = "L" * (level - 1)  # the first branch of the tree that reaches the level
-    side1 = [x for x in comp if x ^ comp[0] in h]
-    side2 = [x for x in comp if x ^ comp[0] not in h]
-    if not side2:
+    b1, b2, rest1, rest2, theta_at, theta_sign = [], [], [], [], [], []
+    for i in comp:
+        side1 = i ^ comp[0] in h  # i ^ alpha is on the other side: alpha is not in h
+        if i in slot:
+            a, b = (i, i ^ alpha) if side1 else (i ^ alpha, i)
+            b1.append(a)
+            b2.append(b)
+            theta_at.append(slot[i])
+            theta_sign.append(-1.0 if a < b else 1.0)
+        elif i ^ alpha not in slot:  # no partner below N
+            (rest1 if side1 else rest2).append(i)
+    size1, size2 = len(b1) + len(rest1), len(b2) + len(rest2)
+    if not size2:
         raise InvalidChoiceError(
             f"level {level}, branch {branch}: component {comp} does not split; "
             "no center slot reaches it"
         )
-    slots = [i for i in range(n) if i < i ^ alpha < n]  # comp is sorted, and so is slots
-    pairs = [(i, i ^ alpha) if i ^ comp[0] in h else (i ^ alpha, i) for i in comp
-             if i < i ^ alpha < n]
-    if len(pairs) != min(len(side1), len(side2)):
+    if len(b1) != min(size1, size2):
         raise InvalidChoiceError(
-            f"level {level}, branch {branch}: {len(pairs)} center slots "
-            f"cannot pair blocks of sizes {len(side1)} and {len(side2)}"
+            f"level {level}, branch {branch}: {len(b1)} center slots "
+            f"cannot pair blocks of sizes {size1} and {size2}"
         )
-    b1, b2 = (list(side) for side in zip(*pairs))
-    b1, b2 = b1 + [x for x in side1 if x not in b1], b2 + [x for x in side2 if x not in b2]
-    outside = np.array([x for x in range(n) if x not in comp], dtype=int)  # int if empty
-    return (b1 + b2, outside, b1, b2, [slots.index(min(pair)) for pair in pairs],
-            [-1.0 if a < b else 1.0 for a, b in pairs])
+    b1, b2, members = b1 + rest1, b2 + rest2, set(comp)
+    outside = np.array([x for x in range(n) if x not in members], dtype=int)
+    return b1 + b2, outside, b1, b2, theta_at, theta_sign
 
 
 def _default_choices(p: int) -> List[str]:
@@ -513,7 +520,7 @@ def build_decomposition_sequence(
     if len(available) != 1:
         raise InvalidChoiceError(f"recursion left {len(available)} labels, expected 1")
     final = space_of(available[0])
-    if not all_commute(final.matrices):
+    if not final.commutes():
         raise NotAbelianError("final level space is not abelian")
     return DecompositionSequence(qa=qa, levels=tuple(levels), final=final, hat_selection=hats)
 

@@ -245,10 +245,7 @@ class Generator:
             raise DimensionMismatchError(
                 f"matrix shape {m.shape} does not match dim {self.dim}"
             )
-        if not is_hermitian(m):
-            raise InvalidMatrixError("generator matrix is not Hermitian")
-        if not is_traceless(m):
-            raise InvalidMatrixError("generator matrix is not traceless")
+        _require(is_hermitian(m), is_traceless(m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -259,6 +256,34 @@ class Generator:
     def __repr__(self):
         name = self.label_str or "<matrix>"
         return f"Generator({name}, dim={self.dim})"
+
+
+def _require(hermitian, traceless):
+    """Generator's message for a matrix that is not Hermitian or not traceless."""
+    if not hermitian:
+        raise InvalidMatrixError("generator matrix is not Hermitian")
+    if not traceless:
+        raise InvalidMatrixError("generator matrix is not traceless")
+
+
+def generators_of_stack(labels, stack) -> List[Generator]:
+    """One Generator per label and matrix of a (k, N, N) stack. Generator's checks run
+    once per chunk of about 2^13 entries (128 kB, so the temporaries stay small), not
+    per matrix, and the first matrix that fails raises what Generator would raise for it."""
+    stack = np.asarray(stack, dtype=complex)
+    step = max(1, (1 << 13) // stack[0].size)
+    for chunk in (stack[lo : lo + step] for lo in range(0, len(stack), step)):
+        hermitian, traceless = is_hermitian(chunk), is_traceless(chunk)
+        bad = np.flatnonzero(~(hermitian & traceless))
+        if len(bad):
+            _require(hermitian[bad[0]], traceless[bad[0]])
+    stack.setflags(write=False)
+    out = []
+    for label, m in zip(labels, stack):
+        g = object.__new__(Generator)
+        g.__dict__.update(label=label, dim=len(m), matrix=m)
+        out.append(g)
+    return out
 
 
 def _check_subscripts(i: int, j: int, n: int):

@@ -180,7 +180,7 @@ def classify_gate(g: Generator) -> str:
     if isinstance(g.label, (Lambda, LambdaHat, Diag)):
         raise UnsupportedLabelError(f"{g.label} is not a word of the site structure")
     words, matrices = _word_basis(g.dim)
-    k = basis_match([g.matrix], matrices)[0]
+    k = basis_match(g.matrix.reshape(1, -1), matrices.reshape(len(matrices), -1))[0]
     if k >= 0:
         return classify_gate(words[k])
     raise UnsupportedLabelError(

@@ -22,7 +22,6 @@ from . import generators as gen
 from ._linalg import (
     MATCH_NONE,
     MATCH_OFF_LINE,
-    MATCH_ZERO,
     SOLVE_TOL,
     STRUCT_TOL,
     SlotTable,
@@ -106,11 +105,9 @@ class AbelianSpace:
 
     def validate(self):
         """Commuting and independent; read off the slot forms when every generator has one."""
-        labels, c = self._forms
-        slot = (labels >= 0).all()
-        if not (slot_commute(labels, c) if slot else all_commute(self.matrices)):
+        if not self.commutes():
             raise NotAbelianError("space generators do not commute")
-        rank = _slot_units(labels, c).ranks.sum() if slot else span_rank(self.matrices)
+        rank = self._units.ranks.sum() if self._slot else span_rank(self.matrices)
         if rank != len(self.generators):
             raise InvalidMatrixError("space generators are linearly dependent")
 
@@ -121,6 +118,21 @@ class AbelianSpace:
     def _forms(self):
         """slot_forms of the generators; kept, as they are immutable."""
         return slot_forms(self.matrices)
+
+    def commutes(self) -> bool:
+        """Whether the generators commute; read off the slot forms when every generator has one."""
+        if len(self) < 2:
+            return True
+        return slot_commute(*self._forms) if self._slot else all_commute(self.matrices)
+
+    @property
+    def _slot(self) -> bool:
+        return bool((self._forms[0] >= 0).all())
+
+    @functools.cached_property
+    def _units(self) -> SlotTable:
+        """_slot_units of the slot forms (every label >= 0); kept, as the forms are."""
+        return _slot_units(*self._forms)
 
     def __len__(self):
         return len(self.generators)
@@ -218,8 +230,8 @@ def _words(n: int, diagonal_only: bool) -> List[Generator]:
     mats = gen.word_matrices([[gen.site_factors(s)[1] for s in syms] for syms in symbols])
     # Each site lists its identity first, so word 0 is the all-identity word,
     # the one word that is not traceless.
-    words = zip(itertools.product(*symbols), mats)
-    return [Generator(TensorWord(combo), n, m) for combo, m in itertools.islice(words, 1, None)]
+    combos = itertools.islice(itertools.product(*symbols), 1, None)
+    return gen.generators_of_stack(map(TensorWord, combos), mats[1:])
 
 
 def standard_basis(n: int) -> List[Generator]:
@@ -293,25 +305,97 @@ def _eigenframe(mats, check=True) -> Optional[np.ndarray]:
 # Algorithm: quotient algebra construction
 # ---------------------------------------------------------------------------
 
-def _collect_conjugates(seed, center, pool) -> List[int]:
-    """Pool indices of the generators [seed, center] produces, in center order, first found first.
-
-    seed is a matrix and center and pool are stacks of them, or all three are
-    (labels, c) slot forms; a commutator then overlaps only the pool
-    generators on its label.
-    """
-    if isinstance(seed, tuple):
-        labels, xs = slot_bracket(seed[0], seed[1], *center)
-        matches = basis_match(xs, pool[1], labels[:, None] == pool[0])
-    else:
-        matches = basis_match(seed @ center - center @ seed, pool)
-    for k in matches:
+def _matched(ks) -> List[int]:
+    """The distinct basis_match indices ks of one generator's commutators with the
+    center, first found first; raises on a commutator that is not a multiple of one
+    pool generator."""
+    for k in ks:
         if k == MATCH_NONE:
             raise BasisNotClosedError("commutator is not proportional to a single basis generator; "
                                       "wrong representation choice for this center")
         if k == MATCH_OFF_LINE:
             raise BasisNotClosedError("commutator leaves the basis span; wrong representation choice")
-    return list(dict.fromkeys(k for k in matches if k != MATCH_ZERO))
+    return list(dict.fromkeys(k for k in ks if k >= 0))
+
+
+def _label_cosets(labels, clabels):
+    """The pool's cosets of the XOR group the center's labels span: a (G, W) table of
+    each coset's pool indices, ascending and padded with 0, and its mask of real rows."""
+    group = np.zeros(1, dtype=int)
+    for label in clabels.tolist():
+        if label not in group:
+            group = np.concatenate([group, group ^ label])
+    key = (labels[:, None] ^ group).min(axis=1)  # the least label of each row's coset
+    cosets = [ix for _, ix in _by_label(key)]
+    sizes = np.array([len(ix) for ix in cosets])
+    table = np.zeros((len(cosets), sizes.max()), dtype=int)
+    for row, ix in zip(table, cosets):
+        row[: len(ix)] = ix
+    return table, np.arange(table.shape[1]) < sizes[:, None]
+
+
+def _conjugate_fragments(pool, center, labels, c, slot):
+    """The (ws, hats) pool index lists of every seed, in seed order: the greedy peel of
+    build_quotient_algebra in lockstep rounds, one seed per coset of the center's label
+    group a round (the pool is one coset without slot forms). A step that fails ends
+    its coset, and the failure of the least seed, the one the greedy order reaches
+    first, is raised."""
+    if slot:
+        clabels, cc = center._forms
+        table, valid = _label_cosets(labels, clabels)
+        row_labels, vecs = labels, c
+
+        def bracket(ix):
+            return slot_bracket(labels[ix, None], c[ix, None], clabels[None], cc[None])
+    else:  # one coset; every row and commutator on one dummy label
+        table, valid = np.arange(len(pool))[None], np.ones((1, len(pool)), dtype=bool)
+        mats, cmats = np.array([g.matrix for g in pool]), np.array(center.matrices)
+        row_labels, vecs = np.zeros(len(pool), dtype=int), mats.reshape(len(pool), -1)
+
+        def bracket(ix):
+            x = mats[ix, None]
+            return (np.zeros((len(ix), len(cmats)), dtype=int),
+                    (x @ cmats - cmats @ x).reshape(len(ix), len(cmats), -1))
+
+    alive, coset_vecs, coset_labels = valid.copy(), vecs[table], row_labels[table]
+
+    def match(ix, cosets):
+        """basis_match of the commutators of pool rows ix, each against its coset's live rows."""
+        xl, xs = bracket(ix)
+        live = (xl[:, :, None] == coset_labels[cosets, None]) & alive[cosets, None]
+        return basis_match(xs, coset_vecs[cosets], live)
+
+    found, failed = [], []  # (seed, ws, hats); (seed, error)
+    active = np.arange(len(table))
+    while len(active := active[alive[active].any(axis=1)]):
+        first = alive[active].argmax(axis=1)
+        steps = []  # (coset, seed position, hats positions)
+        for g, f, ks in zip(active.tolist(), first.tolist(), match(table[active, first], active)):
+            try:
+                hats = _matched(ks)
+                if not hats:
+                    raise NotMaximalError(f"{pool[table[g, f]]!r} commutes with the whole center; "
+                                          "center is not maximal abelian")
+                steps.append((g, f, hats))
+            except (BasisNotClosedError, NotMaximalError) as exc:
+                failed.append((table[g, f], exc))
+                alive[g] = False
+        if not steps:
+            continue
+        cosets = np.array([g for g, _, _ in steps])
+        back = match(table[cosets, [hats[0] for _, _, hats in steps]], cosets)
+        for (g, f, hats), ks in zip(steps, back):
+            try:
+                ws = [f] + [k for k in _matched(ks) if k != f]
+            except BasisNotClosedError as exc:
+                failed.append((table[g, f], exc))
+                alive[g] = False
+                continue
+            found.append((table[g, f], table[g, ws].tolist(), table[g, hats].tolist()))
+            alive[g, ws] = alive[g, hats] = False
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [(ws, hats) for _, ws, hats in sorted(found, key=lambda f: f[0])]
 
 
 def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> QuotientAlgebra:
@@ -320,15 +404,20 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     `basis` must be closed in the sense that each commutator with the center
     is proportional to a single basis element (true for word bases and for
     the lambda basis with a diagonal center); otherwise the construction
-    signals a wrong representation choice. A seed's commutators with the whole
-    center are matched against the unused pool with one Hilbert-Schmidt
-    overlap product (`basis_match`), and so are its first conjugate's.
+    signals a wrong representation choice. The pool is peeled greedily: the
+    first unused generator is a seed, its conjugates (its commutators with
+    the center, matched against the unused pool by Hilbert-Schmidt overlap)
+    form W^, and those of W^'s first generator form W. A commutator [g, a]
+    sits on label l_g ^ l_a, so the peel runs in lockstep rounds, one seed
+    per coset of the center's label group and one batched basis_match per
+    round and side (_conjugate_fragments); the cosets never share a pool
+    generator, so the fragments, and the first error, are the greedy ones.
     Commuting fragment pairs are merged according to the binary partitioning.
 
     When every generator of the center and the basis has a slot form, as the
     lambda basis and the word bases with at most one odd site do, the span,
     membership and commute checks and the matching read those forms;
-    otherwise they run on the dense matrices.
+    otherwise they run on the dense matrices, with the whole pool as one coset.
     """
     n = center.dim
     center.validate()
@@ -337,9 +426,8 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     clabels, cc = center._forms
     slot = (labels >= 0).all() and (clabels >= 0).all()
     if slot:
-        keep = np.flatnonzero(~_slot_in_span(labels, c, _slot_units(clabels, cc)))
-        total = _slot_units(np.concatenate([labels[keep], clabels]),
-                            np.concatenate([c[keep], cc])).ranks.sum()
+        keep = np.flatnonzero(~_slot_in_span(labels, c, center._units))
+        total = _slot_rank(np.concatenate([labels[keep], clabels]), np.concatenate([c[keep], cc]))
     else:
         cspan = center.span()
         keep = [i for i, g in enumerate(basis) if not in_span(g.matrix, cspan)]
@@ -352,43 +440,22 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     if len(center) + len(pool) != n * n - 1:  # validate() checked len(center) is its rank
         raise InvalidMatrixError("basis contains redundant or center-span generators")
 
-    stack = None if slot else np.array([g.matrix for g in pool])
-    crows = (clabels, cc) if slot else np.array(center.matrices)
-
-    def rows(ix):
-        """Pool rows ix as slot forms, or as matrices."""
-        return (labels[ix], c[ix]) if slot else stack[ix]
-
-    alive = np.ones(len(pool), dtype=bool)
-    raw_pairs: List[Tuple[List[int], List[int]]] = []
-    while alive.any():
-        live = np.flatnonzero(alive)
-        seed, live_rows = live[0], rows(live)
-        hats = live[_collect_conjugates(rows(seed), crows, live_rows)]
-        if not len(hats):
-            raise NotMaximalError(f"{pool[seed]!r} commutes with the whole center; "
-                                  "center is not maximal abelian")
-        back = live[_collect_conjugates(rows(hats[0]), crows, live_rows)]
-        ws = [seed] + [i for i in back if i != seed]
-        if len(ws) != len(hats):
-            raise BasisNotClosedError(
-                "reversing step produced a different count; pair sizes disagree"
-            )
-        raw_pairs.append((ws, list(hats)))
-        alive[ws] = alive[hats] = False
-
-    merged = _merge_pairs(raw_pairs, labels, c)
+    merged = _merge_pairs(_conjugate_fragments(pool, center, labels, c, slot), labels, c)
     spaces = [ix for ws, hats, _ in merged for ix in (ws, hats)]
-    if not all(slot_commute(labels[ix], c[ix]) if slot
-               else all_commute([pool[i].matrix for i in ix]) for ix in spaces):
+    if slot:
+        by_size: Dict[int, List[List[int]]] = {}
+        for ix in spaces:
+            by_size.setdefault(len(ix), []).append(ix)
+        commuting = all(slot_commute(labels[ix], c[ix]).all()
+                        for ix in map(np.array, by_size.values()))
+    else:
+        commuting = all(all_commute([pool[i].matrix for i in ix]) for ix in spaces)
+    if not commuting:
         raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")
     p = max(1, (n - 1).bit_length())
     pairs = _label_pairs([([pool[i] for i in ws], [pool[i] for i in hats], label)
                           for ws, hats, label in merged], center, p)
-    qa = QuotientAlgebra(center=center, pairs=tuple(pairs), dim=n, p=p)
-    if qa.generator_count() != n * n - 1:
-        raise InvalidMatrixError("constructed algebra has the wrong generator count")
-    return qa
+    return QuotientAlgebra(center=center, pairs=tuple(pairs), dim=n, p=p)
 
 
 def _by_label(labels):
@@ -400,6 +467,16 @@ def _slot_units(labels, c) -> SlotTable:
     """slot_table of per-matrix forms, one unit per label. One block, so its
     ranks sum to span_rank of the matrices (the same singular value rule)."""
     return slot_table([[(label, c[ix]) for label, ix in _by_label(labels)]])
+
+
+def _slot_rank(labels, c) -> int:
+    """_slot_units(labels, c).ranks.sum(), from one stacked SVD without singular vectors."""
+    units = _by_label(labels)
+    coef = np.zeros((len(units), max(len(ix) for _, ix in units), c.shape[1]), complex)
+    for row, (_, ix) in zip(coef, units):
+        row[: len(ix)] = c[ix]
+    s = np.linalg.svd(coef.view(float), compute_uv=False)
+    return int((s > SOLVE_TOL * max(1.0, s.max())).sum())
 
 
 def _slot_in_span(labels, c, table: SlotTable) -> np.ndarray:
@@ -703,7 +780,7 @@ def _span_residuals(forms, items):
     first = np.cumsum(count) - count
     table = slot_table([[(label, c[ix]) for label, ix in us] for us, (_, c) in zip(units, forms)])
     ranks = [table.ranks[u : u + len(us)].sum() for u, us in zip(first, units)]
-    ranks.append(_slot_units(labels, c).ranks.sum())
+    ranks.append(_slot_rank(labels, c))
     unit_of = np.full((len(forms), table.coef.shape[2]), -1)  # the unit of (space, label)
     at = np.full(table.coef.shape[:2], -1)  # each unit row's generator within its space
     for g, us in enumerate(units):
@@ -751,12 +828,14 @@ class _Closure(NamedTuple):
 def _closure_table(qa: QuotientAlgebra, spaces, names, specs) -> _Closure:
     """The _Closure of specs over spaces, measured on the spaces' forms in the algebra's
     frame (QuotientAlgebra._frame), or on their own forms (AbelianSpace._forms) when it
-    has none. Closure is invariant under the frame's conjugation."""
+    has none. Closure is invariant under the frame's conjugation. A space off the slot
+    forms is named by names ("A", "W_0011", ...), or by its repr when there are none."""
     frame = qa._frame
     forms = [space._forms if frame is None else frame.forms(space) for space in spaces]
-    for space, (labels, _) in zip(spaces, forms):
+    for k, (space, (labels, _)) in enumerate(zip(spaces, forms)):
         if (labels < 0).any():
-            raise NotBinaryPartitionedError(f"{space!r} has a generator off every single label")
+            name = names[k] if names else repr(space)
+            raise NotBinaryPartitionedError(f"{name} has a generator off every single label")
     return _Closure(tuple(spaces), names, specs, *_span_residuals(forms, specs))
 
 

@@ -9,6 +9,7 @@ without the N x N product.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from cartankak.generators import (
     standard_sites,
     word_site_count,
 )
+from cartankak.cartan import enumerate_maximal_abelian
 from cartankak.kak import classify_gate
 from cartankak.partition import (
     build_quotient_algebra,
@@ -102,10 +104,11 @@ def loop_build(center, basis):
     center.validate()
     cspan = center.span()
     pool = [g for g in basis if g.dim == n and not in_span(g.matrix, cspan)]
-    if span_rank([g.matrix for g in pool] + center.matrices) != n * n - 1:
-        raise InvalidMatrixError("span")
+    total = span_rank([g.matrix for g in pool] + center.matrices)
+    if total != n * n - 1:
+        raise InvalidMatrixError(f"center plus basis span {total} dimensions, expected {n * n - 1}")
     if span_rank(center.matrices) + len(pool) != n * n - 1:
-        raise InvalidMatrixError("redundant")
+        raise InvalidMatrixError("basis contains redundant or center-span generators")
     raw_pairs = []
     remaining = list(pool)
     while remaining:
@@ -191,6 +194,68 @@ def test_build_matches_the_loop_on_a_non_diagonal_center():
         same_pairs(build_quotient_algebra(center, basis).pairs, loop_build(center, basis))
 
 
+def x_center(n):
+    """The X-word center of su(n), n = 2^k: every word of p0 and p1 but the identity, each
+    on its own label, so the center's labels span every label and the pool is one coset."""
+    words = itertools.islice(itertools.product(("p0", "p1"), repeat=n.bit_length() - 1), 1, None)
+    return partition.AbelianSpace(tuple(make_tensor_word(w) for w in words))
+
+
+def same_outcome(center, basis):
+    """build_quotient_algebra and loop_build make the same pairs, or raise the same error."""
+    want = outcome(loop_build, center, basis)
+    got = outcome(build_quotient_algebra, partition.AbelianSpace(center.generators), basis)
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        same_pairs(got.pairs, want)
+    return want
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_build_matches_the_loop_on_x_word_centers(n):
+    basis = word_basis(n)
+    for order in (basis, basis[::-1]):
+        same_outcome(x_center(n), order)
+
+
+@pytest.mark.parametrize("n, shells", [(4, 3), (8, 1), (6, 2)])
+def test_build_matches_the_loop_on_every_maximal_abelian_member(n, shells):
+    built = 0
+    for member in enumerate_maximal_abelian(n, shells):
+        for basis in (word_basis(n), lambda_basis(n)):
+            built += not isinstance(same_outcome(member, basis), tuple)
+    assert built  # some members build, and the others raise as the loop does
+
+
+def test_build_raises_the_greedy_first_error_across_rounds():
+    # Center XI: its label group {00, 10} cuts the pool of su(4) into two cosets. In seed
+    # order ZI, IZ, IX, ...: round 1 peels ZI (with YI) in one coset and fails on IX in
+    # the other; round 2 fails on IZ, which the greedy order reaches first.
+    center = partition.AbelianSpace((make_tensor_word(["p1", "p0"]),))
+    words = {g.label_str: g for g in word_basis(4)}
+    first = [words[f"tensor:{w}"] for w in ("p3,p0", "p0,p3", "p0,p1")]
+    basis = first + [g for g in word_basis(4) if g not in first]
+    labels, _ = slot_forms([g.matrix for g in basis])
+    assert (labels >= 0).all() and (center._forms[0] >= 0).all()  # the slot path
+    assert labels[1] ^ labels[2] not in (0, center._forms[0][0])  # IZ and IX: two cosets
+    ix, xi = words["tensor:p0,p1"].matrix, center.generators[0].matrix
+    assert np.array_equal(ix @ xi, xi @ ix)  # IX fails too, in the earlier round
+    want = same_outcome(center, basis)
+    assert want == (NotMaximalError, "Generator(tensor:p0,p3, dim=4) commutes with the whole "
+                                     "center; center is not maximal abelian")
+
+
+def test_standard_build_at_16_takes_two_match_passes(monkeypatch):
+    # Every coset of the diagonal center's (trivial) label group is one conjugate pair:
+    # one round, with one pass for the seeds and one for their first conjugates.
+    calls = []
+    monkeypatch.setattr(partition, "basis_match",
+                        lambda *args: calls.append(1) or basis_match(*args))
+    partition.standard_quotient_algebra(16)
+    assert len(calls) <= 2
+
+
 def algebra_generators(qa):
     gens = list(qa.center.generators)
     return gens + [g for pair in qa.pairs for g in pair.w.generators + pair.w_hat.generators]
@@ -239,4 +304,5 @@ def test_basis_match_outcomes():
     p1, p2, p3 = (make_tensor_word([f"p{k}"]).matrix for k in (1, 2, 3))
     basis = [p1, p3]
     xs = [2j * p3, np.zeros((2, 2)), p1 + p3, p2, p1 + 1e-3 * p2]
-    assert basis_match(xs, basis) == [1, MATCH_ZERO, MATCH_NONE, MATCH_NONE, MATCH_OFF_LINE]
+    flat = np.reshape(xs, (len(xs), -1)), np.reshape(basis, (len(basis), -1))
+    assert basis_match(*flat) == [1, MATCH_ZERO, MATCH_NONE, MATCH_NONE, MATCH_OFF_LINE]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartankak import generators as gen
 from cartankak.errors import (
     DimensionMismatchError,
     InvalidMatrixError,
@@ -33,6 +34,7 @@ from cartankak.generators import (
     to_lambda_basis,
     word_site_count,
 )
+from cartankak.partition import standard_basis
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -154,6 +156,41 @@ class TestTensorWords:
         np.testing.assert_allclose(
             w.matrix, np.kron(SY, np.diag([1.0, -1.0, 0.0])), atol=1e-15
         )
+
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    @pytest.mark.parametrize("broken, message", [
+        ({5: "hermitian"}, "generator matrix is not Hermitian"),
+        ({5: "trace"}, "generator matrix is not traceless"),
+        ({3: "trace", 7: "hermitian"}, "generator matrix is not traceless"),  # the first one fails
+        ({7: "trace", 3: "hermitian"}, "generator matrix is not Hermitian"),
+    ])
+    def test_word_stack_checks_as_each_generator(self, n, broken, message, monkeypatch):
+        """The word basis checks its whole stack at once, in chunks of 2^13 entries (8 words
+        at N=32, where the bad words sit past the first chunks), and raises what one Generator
+        at a time raises for the first bad word."""
+        original, made = gen.word_matrices, []
+        offset = 1 if n < 32 else 301
+
+        def corrupted(sites):
+            stack = original(sites).copy()
+            for k, what in broken.items():
+                stack[offset + k, 0, 1 if what == "hermitian" else 0] += 1e-3
+            made.append(stack)
+            return stack
+
+        monkeypatch.setattr(gen, "word_matrices", corrupted)
+        with pytest.raises(InvalidMatrixError, match=f"^{message}$"):
+            standard_basis(n)
+        with pytest.raises(InvalidMatrixError, match=f"^{message}$"):
+            for m in made[-1][1:]:
+                Generator(None, n, m)
+
+    def test_word_stack_keeps_the_per_object_fields(self):
+        stacked = standard_basis(4)
+        for g in stacked:
+            one = Generator(g.label, g.dim, g.matrix)
+            assert one.label == g.label and one.dim == g.dim and not g.matrix.flags.writeable
+            assert np.array_equal(one.matrix, g.matrix) and repr(one) == repr(g)
 
 
 class TestCommutatorNumeric:

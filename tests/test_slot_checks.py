@@ -188,8 +188,7 @@ def test_space_without_a_form_is_rejected():
     moved = conjugate_quotient_algebra(qa, random_special_unitary(4, np.random.default_rng(5)))
     unlabeled = replace(moved, pairs=tuple(ConjugatePair(p.w, p.w_hat) for p in moved.pairs))
     assert unlabeled._frame is None
-    with pytest.raises(NotBinaryPartitionedError, match=r"^AbelianSpace\(W_\?, 3 generators\) "
-                       "has a generator off every single label$"):
+    with pytest.raises(NotBinaryPartitionedError, match="^A has a generator off every single label$"):
         verify_closure(unlabeled)
     # In a frame, a space that is on no label there is rejected as well.
     split = build_cartan_split(fresh(qa), "00")

@@ -6,6 +6,11 @@
 For each dimension N and each repeat it times, in a fresh process:
 
   algebra_s          standard_quotient_algebra(N)
+  basis_s            standard_basis(N), the word basis of N's standard sites
+  build_s            build_quotient_algebra of the center and basis that
+                     standard_quotient_algebra(N) builds from (words where it
+                     uses them, else the intrinsic center and lambda basis),
+                     both made outside the timing, the center afresh
   closure_s          verify_closure of that algebra
   validate_s         one CartanSplit.validate of its "0" * p split, after
                      closure_s: where the algebra keeps its closure table,
@@ -91,10 +96,10 @@ DEFAULT_DIMS = "4,6,8,9,12,15,16,32"
 UNITARIES = 10  # warm calls timed per repeat
 PLANS = 5  # fresh sequences whose plan build is timed per repeat
 SEED = 0
-STAGES = ("algebra_s", "closure_s", "validate_s", "verify_s", "verify_splits_s", "sequence_s",
-          "sequences_s", "first_decompose_ms", "decompose_ms", "plan_ms", "to_json_ms",
-          "factors_ms", "reconstruct_ms", "single_level_ms", "cs_calls", "algebra_x_s",
-          "closure_x_s", "validate_x_s", "closure_moved_s")
+STAGES = ("algebra_s", "basis_s", "build_s", "closure_s", "validate_s", "verify_s",
+          "verify_splits_s", "sequence_s", "sequences_s", "first_decompose_ms", "decompose_ms",
+          "plan_ms", "to_json_ms", "factors_ms", "reconstruct_ms", "single_level_ms", "cs_calls",
+          "algebra_x_s", "closure_x_s", "validate_x_s", "closure_moved_s")
 
 
 def timed(fn, *args):
@@ -139,6 +144,14 @@ def x_center(ck, n):
     return ck.partition.AbelianSpace(tuple(ck.generators.make_tensor_word(w) for w in words))
 
 
+def build_inputs(ck, n):
+    """The center and basis standard_quotient_algebra(n) builds from, by its own rule."""
+    part, sites = ck.partition, ck.generators.standard_sites(n)
+    if len(sites) == 1 or sites[0] <= 3 and set(sites[1:]) <= {2}:
+        return part.standard_word_center(n), part.standard_basis(n)
+    return part.intrinsic_center(n), part.lambda_basis(n)
+
+
 def verify(ck, n):
     """verify_s and verify_splits_s on a freshly built algebra, built outside the timing."""
     qa = ck.partition.standard_quotient_algebra(n)
@@ -154,6 +167,8 @@ def verify(ck, n):
 def run_dim(ck, n):
     """One repeat at dimension n: stage times and the worst reconstruction error."""
     qa, algebra_s = timed(ck.partition.standard_quotient_algebra, n)
+    basis_s = timed(ck.partition.standard_basis, n)[1]
+    build_s = timed(ck.partition.build_quotient_algebra, *build_inputs(ck, n))[1]
     _, closure_s = timed(ck.partition.verify_closure, qa)
     split = ck.cartan.build_cartan_split(qa, "0" * qa.p, validate=False)
     _, validate_s = timed(split.validate)
@@ -172,6 +187,8 @@ def run_dim(ck, n):
     single = [timed(ck.kak.kak_single_level, u, split)[1] for u in us[1:]]
     stages = {
         "algebra_s": algebra_s,
+        "basis_s": basis_s,
+        "build_s": build_s,
         "closure_s": closure_s,
         "validate_s": validate_s,
         "verify_s": verify_s,
