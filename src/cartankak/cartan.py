@@ -42,6 +42,7 @@ from .partition import (
     AbelianSpace,
     QuotientAlgebra,
     _closure_table,
+    _xor_cosets,
     bits_of,
     build_quotient_algebra,
     conjugate_quotient_algebra,
@@ -263,28 +264,28 @@ def _center_commutant(space: AbelianSpace, center: AbelianSpace) -> List[np.ndar
     return out
 
 
-def _structure_of_center(center: AbelianSpace, n: int) -> QuotientAlgebra:
+def _structure_of_center(center: AbelianSpace) -> QuotientAlgebra:
     """Quotient algebra of an arbitrary maximal abelian subalgebra.
 
-    Prefers the direct word-basis construction; falls back to the
-    preparation-step transport U A U^dag = C of the intrinsic algebra at n
-    when the word basis is not closed for this center.
+    Validates the center, then prefers the direct word-basis construction;
+    falls back to the preparation-step transport U A U^dag = C of the
+    intrinsic algebra when the word basis is not closed for this center.
     """
+    center.validate()
     try:
-        return build_quotient_algebra(center, standard_basis(n))
+        return build_quotient_algebra(center, standard_basis(center.dim))
     except (BasisNotClosedError, NotMaximalError, InvalidMatrixError):
         pass
     u = diagonalize_abelian(center)
-    moved = conjugate_quotient_algebra(intrinsic_quotient_algebra(n), u)
+    moved = conjugate_quotient_algebra(intrinsic_quotient_algebra(center.dim), u)
     if not spans_equal(moved.center.matrices, center.matrices):
         raise NotMaximalError("center does not diagonalize to the intrinsic one")
-    return QuotientAlgebra(center=center, pairs=moved.pairs, dim=n, p=moved.p)
+    return QuotientAlgebra(center=center, pairs=moved.pairs, dim=center.dim, p=moved.p)
 
 
-def nearest_neighbors(center: AbelianSpace, n: Optional[int] = None) -> List[AbelianSpace]:
+def nearest_neighbors(center: AbelianSpace) -> List[AbelianSpace]:
     """Maximal abelian subalgebras one extension step from `center`."""
-    n = n or center.dim
-    qa = _structure_of_center(center, n)
+    qa = _structure_of_center(center)
     own = span_fingerprint(center.matrices)
     found: Dict[bytes, AbelianSpace] = {}
     for pair in qa.pairs:
@@ -313,7 +314,7 @@ def enumerate_maximal_abelian(n: int, max_shells: int) -> List[AbelianSpace]:
     for _ in range(max_shells):
         fresh: List[AbelianSpace] = []
         for member in frontier:
-            for nb in nearest_neighbors(member, n):
+            for nb in nearest_neighbors(member):
                 fp = span_fingerprint(nb.matrices)
                 if fp not in known:
                     known[fp] = nb
@@ -385,13 +386,10 @@ class DecompositionSequence:
 
 
 def _cosets(n: int, group) -> List[List[int]]:
-    """The cosets x ^ group cut to [0, n), by least index: the components of a level."""
-    cosets, seen = [], set()
-    for x in range(n):
-        if x not in seen:  # the least index of its coset
-            cosets.append(sorted(x ^ h for h in group if x ^ h < n))
-            seen.update(cosets[-1])
-    return cosets
+    """The cosets x ^ group cut to [0, n), by least index: the components of a level.
+    A coset's least member min(x ^ group) is below n, as x is, so it is the least index."""
+    order, sizes = (x.tolist() for x in _xor_cosets(np.arange(n), group))
+    return [order[end - size : end] for end, size in zip(itertools.accumulate(sizes), sizes)]
 
 
 def _level_layout(n: int, levels) -> Dict[int, tuple]:

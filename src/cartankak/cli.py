@@ -19,6 +19,7 @@ from typing import List, Optional
 from . import serialize
 from ._linalg import RECON_TOL
 from .cartan import (
+    _structure_of_center,
     build_cartan_split,
     build_decomposition_sequence,
     enumerate_maximal_abelian,
@@ -27,18 +28,13 @@ from .cartan import (
 from .errors import (
     CartanKakError,
     DecompositionError,
+    DimensionMismatchError,
     InvalidMatrixError,
     NotAbelianError,
     NotMaximalError,
 )
 from .kak import recursive_decompose
-from .partition import (
-    QuotientAlgebra,
-    build_quotient_algebra,
-    standard_basis,
-    standard_quotient_algebra,
-    verify_closure,
-)
+from .partition import QuotientAlgebra, standard_quotient_algebra, verify_closure
 
 log = logging.getLogger("cartankak")
 
@@ -89,8 +85,10 @@ def _build_qa(dim: int, center_spec: str) -> QuotientAlgebra:
         return standard_quotient_algebra(dim)
     obj = _load_json(center_spec)
     center = serialize.space_from_json(obj["generators"] if isinstance(obj, dict) else obj)
+    if center.dim != dim:
+        raise DimensionMismatchError(f"center is in su({center.dim}), --dim is {dim}")
     try:
-        return build_quotient_algebra(center, standard_basis(dim))
+        return _structure_of_center(center)
     except NotAbelianError as exc:
         raise NotAbelianError(f"center not abelian: {exc}") from exc
     except NotMaximalError as exc:

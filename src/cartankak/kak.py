@@ -47,7 +47,7 @@ from .errors import (
     UnsupportedLabelError,
 )
 from .generators import Diag, Generator, Lambda, LambdaHat, TensorWord
-from .partition import AbelianSpace, _SlotFrame, diagonalize_abelian, label_int, standard_basis
+from .partition import AbelianSpace, diagonalize_abelian, label_int, standard_basis
 
 __all__ = [
     "GateFactor",
@@ -208,13 +208,6 @@ def _locality_or_none(g: Generator) -> Optional[str]:
         return None
 
 
-def _frame_of_algebra(qa) -> _SlotFrame:
-    """The algebra's frame (QuotientAlgebra._frame); raises when it has none."""
-    if qa._frame is None:
-        raise DecompositionError("no index order puts every generator on its pair's XOR slots")
-    return qa._frame
-
-
 def _label_rows(n: int, label: int) -> np.ndarray:
     """The rows i < i ^ label < n: one per slot of the label, in slot order."""
     i = np.arange(n)
@@ -244,12 +237,15 @@ def _t_phases(n: int, t_forms: Dict[str, tuple]) -> np.ndarray:
     q, i = np.nonzero(c)  # every upper entry, in space and generator order
     q, i = q[i < i ^ labels[q]], i[i < i ^ labels[q]]
     slot = i * n + (i ^ labels[q])
-    own = np.bincount(np.unique(owner[q] * n * n + slot) // (n * n), minlength=len(labs))
+    key = np.sort(owner[q] * n * n + slot)  # sorts with np.diff masks: np.unique imports numpy.ma
+    own = np.bincount(key[np.diff(key, prepend=-1) != 0] // (n * n), minlength=len(labs))
     for lab, covered, size in zip(labs, own, np.bincount(owner, minlength=len(labs))):
         if covered != size:
             raise DecompositionError(f"space {lab} covers {covered} slots for {size} generators")
     delta = (-np.pi / 2.0 - np.angle(c[q, i])) % np.pi
-    slots, first = np.unique(slot, return_index=True)
+    first = np.argsort(slot, kind="stable")
+    first = first[np.diff(slot[first], prepend=-1) != 0]  # each slot's first entry
+    slots = slot[first]
     if own.sum() != len(slots):
         raise DecompositionError("two chosen spaces overlap on a slot")
     diff = np.abs(delta - delta[first[np.searchsorted(slots, slot)]])
@@ -278,9 +274,22 @@ def _t_phases(n: int, t_forms: Dict[str, tuple]) -> np.ndarray:
 # Level-1 computation: M = O1 D O2 via the symmetric eigendecomposition
 # ---------------------------------------------------------------------------
 
+def _level_one(qa, t: Dict[str, AbelianSpace], center: AbelianSpace):
+    """A level-1 step's frame G (QuotientAlgebra._frame; raises when there is none), v of
+    V = diag(v) read off t, its spaces by label (_t_phases), F = V G, the center's entries
+    in G and the level-1 angle solve's coefficients: the diagonals of V g V^dag, g in it."""
+    frame = qa._frame
+    if frame is None:
+        raise DecompositionError("no index order puts every generator on its pair's XOR slots")
+    v = _t_phases(qa.dim, {lab: frame.forms(space) for lab, space in t.items()})
+    f = np.diag(v) if frame.matrix is None else v[:, None] * frame.matrix
+    entries = frame.entries(center, 0)
+    return frame, v, f, entries, np.real(_phased(v, 0, entries))[:, : qa.dim]
+
+
 def _ai_step(m: np.ndarray):
-    """Split M = O1 diag(exp(i lam)) O2, O1/O2 special orthogonal, sum(lam) = 0."""
-    n = m.shape[0]
+    """Split M = O1 diag(exp(i lam)) O2, O1/O2 special orthogonal, sum(lam) = 0. O1 D O2
+    is M but for rounding and O2's imaginary part, which is dropped if below SOLVE_TOL."""
     s = m @ m.T
     o1, w = complex_symmetric_eigenbasis(s)
     lam = np.angle(w) / 2.0  # branch (-pi/2, pi/2]
@@ -288,17 +297,15 @@ def _ai_step(m: np.ndarray):
         o1 = o1.copy()
         o1[:, 0] = -o1[:, 0]
 
-    def rebuild(lam_vec):
-        d = np.exp(1j * lam_vec)
-        o2 = (np.conj(d)[:, None] * o1.T) @ m
-        return d, o2
+    def rebuild(lam_vec):  # O2 = conj(D) O1^T M
+        return (np.conj(np.exp(1j * lam_vec))[:, None] * o1.T) @ m
 
-    d, o2 = rebuild(lam)
+    o2 = rebuild(lam)
     if np.linalg.det(np.real(o2)) < 0:
         # Flip one eigenphase by pi; pair it with the matching column sign of O1.
         lam = lam.copy()
         lam[0] = lam[0] + np.pi if lam[0] <= 0 else lam[0] - np.pi
-        d, o2 = rebuild(lam)
+        o2 = rebuild(lam)
     # Make the phase vector exactly traceless by 2-pi moves (exp unchanged).
     total = int(round(lam.sum() / (2.0 * np.pi)))
     if total:
@@ -306,16 +313,12 @@ def _ai_step(m: np.ndarray):
         picks = order[::-1][:abs(total)] if total > 0 else order[: abs(total)]
         lam = lam.copy()
         lam[picks] -= 2.0 * np.pi * np.sign(total)
-        d, o2 = rebuild(lam)
+        o2 = rebuild(lam)
     if abs(lam.sum()) > SOLVE_TOL:
         raise DecompositionError("eigenphase vector failed to become traceless")
     if frob(np.imag(o2)) > SOLVE_TOL:
         raise DecompositionError("right orthogonal factor is not real")
-    o2 = np.real(o2)
-    err = frob(o1 @ np.diag(d) @ o2 - m)
-    if err > SOLVE_TOL * n:
-        raise DecompositionError(f"single-level reassembly error {err:.2e}")
-    return o1, lam, o2
+    return o1, lam, np.real(o2)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +437,10 @@ class _Plan:
     level pass (_walk) those that depend on the input.
     """
 
-    def __init__(self, seq: DecompositionSequence, frame: _SlotFrame, v: np.ndarray):
+    def __init__(self, seq: DecompositionSequence, frame, v, f, center, coefficients):  # _level_one's
         self.n, self.p, self.back = seq.dim, seq.qa.p, frame.matrix
-        self.f = np.diag(v) if frame.matrix is None else v[:, None] * frame.matrix  # F = V G
-        self.f_dag = dagger(self.f)
-        level1 = seq.levels[0].center_core
-        center = frame.entries(level1, 0)
-        self.blocks = {1: _Block.of(level1, np.real(_phased(v, 0, center))[:, : self.n], 0, center)}
+        self.f, self.f_dag = f, dagger(f)
+        self.blocks = {1: _Block.of(seq.levels[0].center_core, coefficients, 0, center)}
         self.units, self.groups = {}, {}  # single-row components; CS groups of the rest
         for level in range(2, self.p + 1):
             spec, (units, layouts) = seq.levels[level - 1], seq.layout[level]
@@ -465,8 +465,7 @@ class _Plan:
         )
         self.order = [(level, j, format(pos, f"0{self.p + 1}b")) for pos, level, j in order]
 
-    def _slot_block(self, space: AbelianSpace, label: int, frame: _SlotFrame,
-                    v: np.ndarray) -> _Block:
+    def _slot_block(self, space: AbelianSpace, label: int, frame, v: np.ndarray) -> _Block:
         entries = frame.entries(space, label)
         c = _slot_coefficients(v, self.n, label, entries)
         if c.shape[0] != c.shape[1]:
@@ -594,12 +593,11 @@ def recursive_decompose(u: np.ndarray, seq: DecompositionSequence) -> Factorizat
     u_su, phase = ingest_unitary(u)
     plan = _PLANS.get(seq)
     if plan is None:  # the frame's and the phases' errors carry no "decomposition failed" prefix
-        frame = _frame_of_algebra(seq.qa)
-        v = _t_phases(seq.dim, {lab: frame.forms(seq.space_at(lab))
-                                for lab in seq.levels[0].chosen_labels})
+        level1 = _level_one(seq.qa, {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels},
+                            seq.levels[0].center_core)
     try:
         if plan is None:
-            plan = _PLANS[seq] = _Plan(seq, frame, v)
+            plan = _PLANS[seq] = _Plan(seq, *level1)
         angles = _walk(plan, u_su)
     except DecompositionError as exc:
         raise DecompositionError(f"decomposition failed: {exc}") from exc
@@ -627,9 +625,9 @@ def reconstruct(fact: Factorization, dim: int) -> np.ndarray:
 def kak_single_level(u: np.ndarray, split: CartanSplit):
     """One KAK step U = K1 exp(i a) K2 for a Cartan split: recursive_decompose's level 1.
 
-    The same frame F = V G (G the algebra's, V read off the split's t on each call)
-    and split F U F^dag = O1 D O2 (_ai_step checks the reassembly); K = F^dag O F,
-    a = -i F^dag log(D) F. K is in exp(t): O is real with det +1, F maps t onto
+    The same frame F = V G (_level_one: G the algebra's, V read off the split's t on
+    each call) and split F U F^dag = O1 D O2 (_ai_step); K = F^dag O F, a = -i F^dag
+    log(D) F. K is in exp(t): O is real with det +1, F maps t onto
     imaginary antisymmetric matrices, and t has rank N(N-1)/2, the sum of its
     spaces' slot-coefficient ranks. `a` is in the center's span: the level-1 angle
     solve over the frame diagonals. The input must have unit determinant, its phase
@@ -643,17 +641,15 @@ def kak_single_level(u: np.ndarray, split: CartanSplit):
         raise InvalidMatrixError(f"matrix is not unitary within {ACCEPT_TOL:g}")
     if abs(np.angle(np.linalg.det(u))) > SOLVE_TOL:  # _ai_step's eigenphases sum to this phase
         raise InvalidMatrixError("determinant is not 1; run ingest_unitary first")
-    frame = _frame_of_algebra(split.qa)
-    v = _t_phases(n, {s.binary_label: frame.forms(s) for s in split.t})
+    frame, v, f, _, center = _level_one(split.qa, {s.binary_label: s for s in split.t},
+                                        split.chosen_center)
     blocks = (_slot_coefficients(v, n, lab, frame.entries(s, lab))
               for s in split.t for lab in (label_int(s.binary_label),))
     if sum(_rank(np.linalg.svd(c, compute_uv=False)) for c in blocks) != n * (n - 1) // 2:
         raise DecompositionError("t does not span so(N) in the frame")
-    f = np.diag(v) if frame.matrix is None else v[:, None] * frame.matrix
     o1, lam, o2 = _ai_step(f @ u @ dagger(f))
-    center = _phased(v, 0, frame.entries(split.chosen_center, 0))
     try:
-        _solve_diagonal_expansion(np.real(center)[:, :n], lam)
+        _solve_diagonal_expansion(center, lam)
     except NotInSpanError:
         raise DecompositionError("abelian part leaves the center span") from None
     return tuple(dagger(f) @ x.astype(complex) @ f for x in (o1, np.diag(lam), o2))

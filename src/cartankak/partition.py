@@ -242,10 +242,7 @@ def standard_basis(n: int) -> List[Generator]:
     linearly independent spanning set of n^2 - 1 generators in a fixed
     canonical order (seed order for the construction algorithm).
     """
-    words = _words(n, diagonal_only=False)
-    if len(words) != n * n - 1:
-        raise InvalidMatrixError(f"word basis of su({n}) has wrong size {len(words)}")
-    return words
+    return _words(n, diagonal_only=False)
 
 
 def standard_word_center(n: int) -> AbelianSpace:
@@ -318,20 +315,16 @@ def _matched(ks) -> List[int]:
     return list(dict.fromkeys(k for k in ks if k >= 0))
 
 
-def _label_cosets(labels, clabels):
-    """The pool's cosets of the XOR group the center's labels span: a (G, W) table of
-    each coset's pool indices, ascending and padded with 0, and its mask of real rows."""
-    group = np.zeros(1, dtype=int)
-    for label in clabels.tolist():
+def _xor_cosets(values, span):
+    """The cosets of values under the XOR group span generates, by least member: the
+    positions in values sorted by coset, each coset ascending, and the coset sizes."""
+    group = [0]
+    for label in span:
         if label not in group:
-            group = np.concatenate([group, group ^ label])
-    key = (labels[:, None] ^ group).min(axis=1)  # the least label of each row's coset
-    cosets = [ix for _, ix in _by_label(key)]
-    sizes = np.array([len(ix) for ix in cosets])
-    table = np.zeros((len(cosets), sizes.max()), dtype=int)
-    for row, ix in zip(table, cosets):
-        row[: len(ix)] = ix
-    return table, np.arange(table.shape[1]) < sizes[:, None]
+            group += [g ^ label for g in group]
+    key = (np.asarray(values)[:, None] ^ np.array(group)).min(axis=1)  # each coset's least member
+    sizes = np.bincount(key)
+    return np.argsort(key, kind="stable"), sizes[sizes > 0]
 
 
 def _conjugate_fragments(pool, center, labels, c, slot):
@@ -342,7 +335,10 @@ def _conjugate_fragments(pool, center, labels, c, slot):
     first, is raised."""
     if slot:
         clabels, cc = center._forms
-        table, valid = _label_cosets(labels, clabels)
+        order, sizes = _xor_cosets(labels, clabels.tolist())
+        valid = np.arange(sizes.max()) < sizes[:, None]  # a table of each coset's indices
+        table = np.zeros(valid.shape, dtype=int)
+        table[valid] = order
         row_labels, vecs = labels, c
 
         def bracket(ix):
@@ -453,9 +449,12 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     if not commuting:
         raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")
     p = max(1, (n - 1).bit_length())
-    pairs = _label_pairs([([pool[i] for i in ws], [pool[i] for i in hats], label)
-                          for ws, hats, label in merged], center, p)
-    return QuotientAlgebra(center=center, pairs=tuple(pairs), dim=n, p=p)
+    pairs, frame = _label_pairs([([pool[i] for i in ws], [pool[i] for i in hats], label)
+                                 for ws, hats, label in merged], center, p)
+    qa = QuotientAlgebra(center=center, pairs=tuple(pairs), dim=n, p=p)
+    if frame is not None:  # the G = P U that _build_slot_frame would find again
+        qa.__dict__["_frame"] = frame
+    return qa
 
 
 def _by_label(labels):
@@ -512,18 +511,20 @@ def _merge_pairs(raw_pairs, labels, c):
              key if isinstance(key, int) else None) for key, frags in groups.items()]
 
 
-def _label_pairs(merged, center, p) -> List[ConjugatePair]:
-    labeled = [bits_of(value, p) if value is not None else None for _, _, value in merged]
-    if any(lab is None for lab in labeled):
-        merged, labeled = _structural_labels(merged, center, p)
-    pairs = []
-    for (ws, hats, _), lab in zip(merged, labeled):
-        w = AbelianSpace(tuple(ws), hat=False, binary_label=lab)
-        wh = AbelianSpace(tuple(hats), hat=True, binary_label=lab)
-        pairs.append(ConjugatePair(w=w, w_hat=wh, binary_label=lab))
-    if None not in labeled:
+def _pair(ws, hats, label: Optional[str]) -> ConjugatePair:
+    return ConjugatePair(AbelianSpace(tuple(ws), hat=False, binary_label=label),
+                         AbelianSpace(tuple(hats), hat=True, binary_label=label), label)
+
+
+def _label_pairs(merged, center, p):
+    """The merged fragments' pairs, by label if labeled, and _structural_labels' frame or None."""
+    if any(value is None for _, _, value in merged):
+        pairs, frame = _structural_labels(merged, center, p)
+    else:
+        pairs, frame = [_pair(ws, hats, bits_of(value, p)) for ws, hats, value in merged], None
+    if None not in (pair.binary_label for pair in pairs):
         pairs.sort(key=lambda pair: label_int(pair.binary_label))
-    return pairs
+    return pairs, frame
 
 
 def _structural_labels(merged, center, p):
@@ -538,9 +539,10 @@ def _structural_labels(merged, center, p):
     the targets. The labels must be distinct strings 1 .. 2^p - 1 that a frame
     G = P U realizes (_index_frame); otherwise there are none. Then hat parity
     fixes the sides of every pair c off a power of 2, read off the frame forms:
-    in ascending c, W and W^ swap unless -i[W_a, W_b] lands in W^_c, where
-    a = c & -c and b = c ^ a. Returns the merged pairs so oriented and their
-    labels.
+    W and W^ swap unless -i[W_a, W_b] lands in W^_c, a = c & -c, b = c ^ a;
+    b has a bit fewer, so one _span_residuals call decides each bit count in
+    turn. Returns the pairs so labeled and oriented, in merge order, and the
+    frame, which holds their forms; or the unlabeled pairs and None.
     """
     count = len(merged)
     u = _eigenframe(center.matrices, check=False)  # build_quotient_algebra validated the center
@@ -572,23 +574,26 @@ def _structural_labels(merged, center, p):
                 if t is not None and labels[t] is None:
                     labels[t] = labels[a] ^ labels[b]
                     changed = True
-    unlabeled = merged, [None] * count
+    unlabeled = [_pair(ws, hats, None) for ws, hats, _ in merged], None
     if (any(lab is None or lab == 0 or lab >= (1 << p) for lab in labels)
             or len(set(labels)) < count):
         return unlabeled
-    sides = [[AbelianSpace(tuple(side)) for side in pair[:2]] for pair in merged]
-    frame = _index_frame(u, [(0, center)] + [(lab, s) for lab, two in zip(labels, sides)
-                                             for s in two], p)
+    pairs = [_pair(ws, hats, bits_of(lab, p)) for (ws, hats, _), lab in zip(merged, labels)]
+    frame = _index_frame(u, [(0, center)] + [(lab, s) for lab, pair in zip(labels, pairs)
+                                             for s in pair.spaces], p)
     if frame is None:
         return unlabeled
-    merged, at = list(merged), {lab: k for k, lab in enumerate(labels)}
-    for c in sorted(lab for lab in at if lab & (lab - 1)):
-        k, a, b = at[c], at[c & -c], at[c ^ (c & -c)]
-        forms = [frame.forms(space) for space in (sides[a][0], sides[b][0], sides[k][1])]
-        if _span_residuals(forms, [(0, 1, [2])])[2][0] > SOLVE_TOL:
-            ws, hats, value = merged[k]
-            merged[k], sides[k] = (hats, ws, value), sides[k][::-1]
-    return merged, [bits_of(lab, p) for lab in labels]
+    at = {lab: k for k, lab in enumerate(labels)}
+    for bits in sorted({bin(c).count("1") for c in at} - {1}):
+        cs = [c for c in sorted(at) if bin(c).count("1") == bits]
+        forms = [frame.forms(space) for c in cs for space in
+                 (pairs[at[c & -c]].w, pairs[at[c ^ (c & -c)]].w, pairs[at[c]].w_hat)]
+        worst = _span_residuals(forms, [(3 * j, 3 * j + 1, [3 * j + 2]) for j in range(len(cs))])[2]
+        for c in np.array(cs)[worst > SOLVE_TOL].tolist():
+            old = pairs[at[c]]
+            pairs[at[c]] = new = _pair(old.w_hat.generators, old.w.generators, old.binary_label)
+            frame.cache[new.w], frame.cache[new.w_hat] = frame.forms(old.w_hat), frame.forms(old.w)
+    return pairs, frame
 
 
 def intrinsic_quotient_algebra(n: int) -> QuotientAlgebra:

@@ -168,7 +168,7 @@ def test_criterion_5_appendix_counts():
     shell1 = enumerate_maximal_abelian(4, 1)
     shell2 = enumerate_maximal_abelian(4, 2)
     shell3 = enumerate_maximal_abelian(4, 3)
-    neighbor_counts = {len(nearest_neighbors(m, 4)) for m in shell2}
+    neighbor_counts = {len(nearest_neighbors(m)) for m in shell2}
     ok = (
         len(shell1) == 7  # the starting center plus 6 new neighbors
         and len(shell2) == 15

@@ -135,7 +135,7 @@ def loop_build(center, basis):
     spaces = [space for ws, hats, _ in merged for space in (ws, hats)]
     if not all(all_commute([g.matrix for g in space]) for space in spaces):
         raise BasisNotClosedError("a conjugate space does not commute; wrong representation choice")
-    return partition._label_pairs(merged, center, max(1, (n - 1).bit_length()))
+    return partition._label_pairs(merged, center, max(1, (n - 1).bit_length()))[0]
 
 
 def loop_classify(g):

@@ -24,6 +24,7 @@ from cartankak.errors import (
     NotAbelianError,
     NotBinaryPartitionedError,
     NotInSpanError,
+    NotMaximalError,
 )
 from cartankak.generators import Generator, make_tensor_word
 from cartankak.kak import recursive_decompose
@@ -32,6 +33,7 @@ from cartankak.partition import (
     ConjugatePair,
     standard_basis,
     standard_quotient_algebra,
+    standard_word_center,
     verify_closure,
 )
 
@@ -210,6 +212,11 @@ class TestExtendToMaximalAbelian:
         ext_rows = span_rows(ext.matrices)
         assert all(project_residual(m, ext_rows) < 1e-12 for m in space.matrices)
 
+    def test_space_the_center_cannot_extend(self):
+        # Of the diagonal words only Z x Z commutes with X x X: two generators, not three.
+        with pytest.raises(NotMaximalError, match="^extension reached 2 generators, expected 3$"):
+            extend_to_maximal_abelian(AbelianSpace((word("p1", "p1"),)), standard_word_center(4))
+
     def test_lambda_space_needs_combination(self, lambda_qa):
         # No single d_1l commutes with the whole lambda row; the extension
         # must come from center combinations and still reach N - 1.
@@ -233,7 +240,7 @@ class TestShellEnumeration:
 
     def test_every_member_has_six_neighbors(self):
         for member in enumerate_maximal_abelian(4, 2):
-            assert len(nearest_neighbors(member, 4)) == 6
+            assert len(nearest_neighbors(member)) == 6
 
     def test_all_members_maximal_abelian(self):
         for member in enumerate_maximal_abelian(4, 2):
@@ -261,7 +268,7 @@ class TestShellEnumeration:
         # The Bell-type members (su(4): 5, 6, 9, 10, 13, 14) take their pair
         # labels from structure alone; hat parity then fixes each pair's sides.
         for i, member in enumerate(enumerate_maximal_abelian(n, shells)):
-            qa = cartan._structure_of_center(member, n)
+            qa = cartan._structure_of_center(member)
             assert verify_closure(qa).passed, i
             u = random_special_unitary(n, np.random.default_rng(100 + i))
             fact = recursive_decompose(u, build_decomposition_sequence(qa))

@@ -66,13 +66,32 @@ class TestPartition:
         assert main(["partition", "--dim", "4", "--center", bad]) == 2
         assert "abelian" in capsys.readouterr().err.lower()
 
-    def test_center_leaving_word_basis_exits_2(self, tmp_path):
+    def test_center_leaving_word_basis_is_transported(self, tmp_path):
+        # {g1, g8} leaves the word basis of su(3): the CLI builds its algebra as the
+        # library does, the intrinsic one moved onto the center.
         center = write_json(
             tmp_path / "c3.json",
             [serialize.generator_to_json(word("g1")),
              serialize.generator_to_json(word("g8"))],
         )
-        assert main(["partition", "--dim", "3", "--center", center]) == 2
+        out = tmp_path / "qa3.json"
+        assert main(["partition", "--dim", "3", "--center", center, "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert [g["label"] for g in payload["center"]] == ["tensor:g1", "tensor:g8"]
+        assert [pair["label"] for pair in payload["pairs"]] == ["01", "10", "11"]
+        assert main(["verify", "--input", str(out), "--output", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("generators, message", [
+        ([("p3", "p0")], "center not maximal: center does not diagonalize to the intrinsic one"),
+        ([("p3", "p0"), ("p0", "p3"), ("p3", "p0")], "space generators are linearly dependent"),
+        ([("p3", "p0", "p0"), ("p0", "p3", "p0"), ("p0", "p0", "p3"), ("p3", "p3", "p0"),
+          ("p3", "p0", "p3"), ("p0", "p3", "p3"), ("p3", "p3", "p3")], "center is in su(8), --dim is 4"),
+    ], ids=["not maximal", "dependent", "other dimension"])
+    def test_invalid_center_exits_2(self, generators, message, tmp_path, capsys):
+        center = write_json(tmp_path / "c.json",
+                            [serialize.generator_to_json(word(*g)) for g in generators])
+        assert main(["partition", "--dim", "4", "--center", center]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["taken", "missing/qa.json"])
     def test_unwritable_output_exits_2(self, target, tmp_path, capsys):
@@ -232,6 +251,26 @@ def build_digests(n):
 
 
 class TestMaximalAbelian:
+    @pytest.mark.parametrize("n, shells, sample", [(4, 3, None), (8, 1, None), (6, 2, 3),
+                                                   (9, 1, 3), (12, 1, 2)])
+    def test_every_member_is_a_center(self, n, shells, sample, tmp_path):
+        """partition, splits and decompose exit 0 on each member that maximal-abelian writes
+        (a seeded sample where the whole set takes over a second)."""
+        listing = tmp_path / "members.json"
+        assert main(["maximal-abelian", "--dim", str(n), "--shells", str(shells),
+                     "--output", str(listing)]) == 0
+        members = json.loads(listing.read_text())["members"]
+        if sample:
+            picks = np.random.default_rng(n).choice(len(members), sample, replace=False)
+            members = [members[i] for i in sorted(picks)]
+        u = write_json(tmp_path / "u.json",
+                       serialize.matrix_to_json(random_special_unitary(n, np.random.default_rng(n))))
+        for member in members:
+            center = write_json(tmp_path / "c.json", member)
+            for command in (["partition"], ["splits"], ["decompose", "--input", u]):
+                argv = command + ["--dim", str(n), "--center", center]
+                assert main(argv + ["--output", str(tmp_path / "out.json")]) == 0, member["index"]
+
     def test_su4_fifteen(self, tmp_path):
         out = tmp_path / "maxab.json"
         assert main(
@@ -585,6 +624,30 @@ class TestEntryPoint:
             text=True,
             env={**os.environ, "PYTHONPATH": src},
         )
+        assert result.returncode == 0, result.stderr
+
+    def test_decompose_does_not_import_numpy_ma(self, tmp_path):
+        """A fresh decompose process finds unique slots without np.unique, whose first
+        call imports numpy.ma (about 9 ms)."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import cartankak
+
+        script = (
+            "import sys\n"
+            "from cartankak import cli\n"
+            "d = sys.argv[1]\n"
+            "argv = ['--input', f'{d}/u9.json', '--output', f'{d}/f9.json']\n"
+            "assert cli.main(['decompose', '--dim', '9'] + argv) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+        )
+        u = random_special_unitary(9, np.random.default_rng(9))
+        write_json(tmp_path / "u9.json", serialize.matrix_to_json(u))
+        src = str(Path(cartankak.__file__).resolve().parent.parent)
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src})
         assert result.returncode == 0, result.stderr
 
 

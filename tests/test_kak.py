@@ -368,6 +368,17 @@ class TestFactorAbelianExponential:
         product = expm_hermitian(sum(f.angle * f.generator.matrix for f in factors), 1.0)
         assert frob(product * phase - v) < 1e-9
 
+    def test_expansion_that_misses_the_input_is_rejected(self):
+        # Z x I's exponential moved twice, each time by 0.9 of the tolerance SOLVE_TOL * N:
+        # off the diagonal by a rotation, and on it by phases off the span. Each check
+        # passes alone; the product of the factors misses the input by both.
+        g, eps = word("p3", "p0"), 0.9 * SOLVE_TOL * 4
+        off = expm_hermitian(word("p0", "p1").matrix, eps / 2.0)  # off-diagonal norm eps
+        v = expm_hermitian(g.matrix, 0.4) @ np.diag(np.exp(1j * eps / np.sqrt(2.0) * np.array(
+            [1.0, -1.0, 0.0, 0.0]))) @ off
+        with pytest.raises(NotInSpanError, match="^abelian expansion does not reproduce the input$"):
+            factor_abelian_exponential(v, AbelianSpace((g,)))
+
     @pytest.mark.xfail(strict=True, raises=NotInSpanError,
                        reason="phases that wrap past pi in a space of fewer than N - 1 "
                               "generators need a lattice solve, which the 2 pi rounding is not")
@@ -601,7 +612,7 @@ def test_frame_puts_every_generator_on_its_own_label(make, unmoved):
 
 def test_frame_of_every_maximal_abelian_algebra_of_su4():
     for member in enumerate_maximal_abelian(4, 3):
-        assert_on_own_labels(cartan._structure_of_center(member, 4))
+        assert_on_own_labels(cartan._structure_of_center(member))
 
 
 WORD_DIMS = [2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 16]  # standard_quotient_algebra closes in words
@@ -809,10 +820,10 @@ class TestPlanBuildChecks:
                 recursive_decompose(np.eye(4), bad)
 
 
-def override_family(n):
-    """(qa, choices, overrides): every choice string of standard_quotient_algebra(n), with
-    each space of its level-1 t as the level-2 override (none at N = 2)."""
-    qa = standard_quotient_algebra(n)
+def override_family(n, build=standard_quotient_algebra):
+    """(qa, choices, overrides): every choice string of build(n), with each space of its
+    level-1 t as the level-2 override (none at N = 2)."""
+    qa = build(n)
     strings = [[format(b, f"0{qa.p - k}b") for b in range(1 << (qa.p - k))] for k in range(qa.p)]
     for choices in itertools.product(*strings):
         t = build_cartan_split(qa, choices[0], validate=False).t
@@ -846,6 +857,21 @@ class TestEveryAcceptedSequenceFactors:
     def test_seeded_sample(self, n, count):
         family = list(override_family(n))  # 15,360 at both
         sample = np.random.default_rng(2700 + n).choice(len(family), 256, replace=False)
+        assert self.accepted(n, [family[i] for i in sorted(sample)]) == count
+
+    @pytest.mark.parametrize("n, count", [(2, 2), (3, 24), (4, 24), (5, 256), (6, 256), (7, 448),
+                                          (8, 448)])
+    def test_whole_intrinsic_family(self, n, count):
+        assert self.accepted(n, override_family(n, intrinsic_quotient_algebra)) == count
+
+    @pytest.mark.parametrize("build, n, count", [
+        ("standard", 10, 27), ("standard", 11, 26), ("standard", 13, 24), ("standard", 14, 36),
+        ("standard", 15, 64), ("standard", 16, 64), ("intrinsic", 9, 29), ("intrinsic", 10, 27),
+        ("intrinsic", 11, 26), ("intrinsic", 12, 27), ("intrinsic", 13, 24), ("intrinsic", 14, 36),
+        ("intrinsic", 15, 64), ("intrinsic", 16, 64)])
+    def test_seeded_sample_of_64(self, build, n, count):
+        family = list(override_family(n, ALGEBRAS[build]))  # 15,360 at each
+        sample = np.random.default_rng(2800 + n).choice(len(family), 64, replace=False)
         assert self.accepted(n, [family[i] for i in sorted(sample)]) == count
 
 
@@ -1001,6 +1027,17 @@ class TestLevelPass:
 
 class TestGuardsAreReached:
     """Each input-dependent check of the level pass fires on an input made to fail it."""
+
+    def test_ai_step_postconditions(self):
+        # A phase times the identity: its eigenphases sum to 4 * 0.3, no multiple of 2 pi.
+        with pytest.raises(DecompositionError, match="^eigenphase vector failed to become traceless$"):
+            kak._ai_step(np.exp(0.3j) * np.eye(4))
+        # A complex orthogonal Q (Q Q^T = I, det 1) that is not unitary: M M^T = I, so O1 = I
+        # and D = I, and O2 = Q is not real.
+        q = np.eye(4, dtype=complex)
+        q[:2, :2] = [[np.cosh(0.1), 1j * np.sinh(0.1)], [-1j * np.sinh(0.1), np.cosh(0.1)]]
+        with pytest.raises(DecompositionError, match="^right orthogonal factor is not real$"):
+            kak._ai_step(q)
 
     def test_unit_rows_with_a_top_label_center(self, std_seq):
         # At N=9 only row 8 has the top bit. With label 1000 as the level-2

@@ -14,6 +14,7 @@ from cartankak._linalg import (
     frob,
     joint_eigenbasis,
     rotation_middle,
+    simultaneous_diagonalize,
 )
 from cartankak.errors import DecompositionError, InvalidMatrixError
 
@@ -349,6 +350,14 @@ class TestJointEigenbasis:
         assert frob(v.conj().T @ v - np.eye(4)) < 1e-12
         for m in (m0, m1):
             assert off_diagonal(v.conj().T @ m @ v) < 1e-12
+
+
+def test_simultaneous_diagonalize_rejects_non_commuting_matrices():
+    # The caller checks that the matrices commute; where it does not (a frame of a center
+    # read without the check), X's eigenbasis leaves Z off the diagonal.
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    with pytest.raises(DecompositionError, match="^simultaneous diagonalization did not converge$"):
+        simultaneous_diagonalize([x, z])
 
 
 class TestComplexSymmetricEigenbasis:

@@ -47,7 +47,7 @@ def structural(monkeypatch):
 
     def counted(*args):
         out = real(*args)
-        calls.append(all(lab is not None for lab in out[1]))
+        calls.append(all(pair.binary_label is not None for pair in out[0]))
         return out
 
     monkeypatch.setattr(partition, "_structural_labels", counted)
@@ -79,7 +79,7 @@ def test_enumerated_members(n, shells, monkeypatch):
     labeled = {}
     for i, member in enumerate(found):
         calls.clear()
-        qa = cartan._structure_of_center(member, n)
+        qa = cartan._structure_of_center(member)
         if calls:
             assert calls == [True]
             labeled[f"member-{n}-{shells}-{i}"] = layout(qa)

@@ -124,6 +124,8 @@ def build_plan(ck, seq):
     kak, spaces = ck.kak, {lab: seq.space_at(lab) for lab in seq.levels[0].chosen_labels}
     if hasattr(kak, "_build_frame"):  # a frame per sequence
         return kak._Plan(seq, kak._build_frame(seq.qa, spaces))
+    if hasattr(kak, "_level_one"):  # one level-1 helper for the plan and kak_single_level
+        return kak._Plan(seq, *kak._level_one(seq.qa, spaces, seq.levels[0].center_core))
     frame = kak._frame_of(seq.qa) if hasattr(kak, "_frame_of") else seq.qa._frame
     phases = kak._t_phases(seq.dim, {lab: frame.forms(s) for lab, s in spaces.items()})
     return kak._Plan(seq, frame, phases)
