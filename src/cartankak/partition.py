@@ -898,8 +898,10 @@ def verify_closure(qa: QuotientAlgebra) -> ClosureReport:
         if named:
             kind, tname = named
             values = [float(worst)] if kind == "cross-pair" else res.ravel().tolist()
-            checks += [ClosureCheck(kind, table.names[left], table.names[right], tname, r,
-                                    r < SOLVE_TOL) for r in values]
+            names = dict(kind=kind, left=table.names[left], right=table.names[right], target=tname)
+            for r in values:  # built as generators_of_stack builds Generators: no frozen __init__
+                checks.append(check := object.__new__(ClosureCheck))
+                check.__dict__.update(names, residual=r, ok=r < SOLVE_TOL)
     return ClosureReport(tuple(checks), SOLVE_TOL)
 
 

@@ -9,7 +9,9 @@ exactly and keeps artifacts byte-identical across runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+import functools
+import itertools
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,25 +47,66 @@ def _quote(text: str) -> str:
     return '"' + text + '"'
 
 
+# Text of each exact scalar type: the one set of rules behind every path below.
+_SCALARS = {float: "%.17g".__mod__, str: _quote, int: int.__repr__, type(None): lambda v: "null",
+            bool: lambda v: "true" if v else "false"}
+_RECORD_ROWS = 16  # fewer records format faster one by one than through the checks and a template
+
+
+@functools.lru_cache(maxsize=256)
+def _template(shape: Tuple, leaf: str = "%.17g") -> str:
+    """The %-template of a nested list of `shape` (lengths), or of a record of `shape`
+    (keys, (key, shape) for a dict value), with `leaf` in each slot."""
+    if type(shape[0]) is int:
+        return "[" + ", ".join([_template(shape[1:], leaf) if shape[1:] else leaf] * shape[0]) + "]"
+    return "{" + ", ".join(_quote(k).replace("%", "%%") + ": " + leaf if type(k) is str else
+                           _quote(k[0]).replace("%", "%%") + ": " + _template(k[1], leaf)
+                           for k in shape) + "}"
+
+
+def _grid(value: list) -> Optional[str]:
+    """A non-empty rectangular nested list of exact floats, in one formatting step."""
+    shape, level = [len(value)], value
+    while (kinds := set(map(type, level))) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        level = list(itertools.chain.from_iterable(level))
+    return _template(tuple(shape)) % tuple(level) if kinds == {float} else None
+
+
+def _columns(rows) -> Optional[Tuple[Tuple, List[List[str]]]]:
+    """The shared key order and the text columns of same-keyed dicts with string keys
+    whose values are scalars or such dicts in turn; None for others."""
+    if set(map(type, rows)) != {dict} or len(orders := set(map(tuple, rows))) != 1:
+        return None
+    keys, shape, texts = orders.pop(), [], []
+    if not keys or set(map(type, keys)) != {str}:
+        return None
+    for key, column in zip(keys, zip(*map(dict.values, rows))):
+        kinds = set(map(type, column))
+        if kinds <= _SCALARS.keys():
+            shape.append(key)
+            texts.append(list(map(_SCALARS[kinds.pop()], column)) if len(kinds) == 1
+                         else [_SCALARS[type(v)](v) for v in column])
+        elif (inner := _columns(column)) is not None:
+            shape.append((key, inner[0]))
+            texts += inner[1]
+        else:
+            return None
+    return tuple(shape), texts
+
+
 def _write(value: Any, out: List[str]) -> None:
-    kind = type(value)  # exact floats and strings, the most common values, skip the chain
-    if kind is float:
-        out.append(format(value, ".17g"))
-    elif kind is str:
-        out.append(_quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format(float(value), ".17g"))
-    elif isinstance(value, dict):
+    kind = type(value)  # exact scalars, float grids and records skip the chain
+    if kind in _SCALARS:
+        out.append(_SCALARS[kind](value))
+    elif kind is list and (text := _grid(value)) is not None:
+        out.append(text)
+    elif kind is list and len(value) >= _RECORD_ROWS and (columns := _columns(value)) is not None:
+        out.append("[" + ", ".join(map(_template(columns[0], "%s").__mod__, zip(*columns[1]))) + "]")
+    elif isinstance(value, dict):  # no class is both a container and a scalar: containers first
         out.append("{")
         for k, v in value.items():
             if out[-1] != "{":
@@ -78,6 +121,12 @@ def _write(value: Any, out: List[str]) -> None:
                 out.append(", ")
             _write(item, out)
         out.append("]")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, (int, np.integer)):
+        out.append(_SCALARS[int](int(value)))
+    elif isinstance(value, (float, np.floating)):
+        out.append(_SCALARS[float](float(value)))
     else:
         raise TypeError(f"cannot serialize {type(value)}")
 
@@ -94,11 +143,8 @@ def dumps(value: Any) -> str:
 # ---------------------------------------------------------------------------
 
 def matrix_to_json(m: np.ndarray) -> Dict[str, Any]:
-    m = np.asarray(m, dtype=complex)
-    return {
-        "dim": m.shape[0],
-        "entries": [[[float(x.real), float(x.imag)] for x in row] for row in m],
-    }
+    m = np.ascontiguousarray(m, dtype=complex)
+    return {"dim": m.shape[0], "entries": m.view(float).reshape(m.shape + (2,)).tolist()}
 
 
 def matrix_from_json(obj: Dict[str, Any]) -> np.ndarray:

@@ -6,6 +6,10 @@ partition._span_residuals measured that way on the spaces' own matrices,
 and dense_closure_table the partition._closure_table built from it;
 read_densely patches the latter in, so that verify_closure and
 CartanSplit.validate read the matrices instead of the slot forms.
+
+reference_dumps is the JSON writer by one recursive dispatch per value, the
+reference that serialize.dumps's float-grid and record paths must match byte
+for byte.
 """
 
 import numpy as np
@@ -76,3 +80,54 @@ def forbid_dense_commutators(monkeypatch):
         for name in ("all_commute", "span_rows", "span_rank", "in_span", "commutator_residuals"):
             monkeypatch.setattr(module, name, fail, raising=False)
     monkeypatch.setattr(partition.gen, "commutator_numeric", fail)
+
+
+def _quote(text):
+    if "\\" in text or '"' in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + text + '"'
+
+
+def _write(value, out):
+    """The recursive writer serialize.dumps had before its float-grid and record paths."""
+    kind = type(value)
+    if kind is float:
+        out.append(format(value, ".17g"))
+    elif kind is str:
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, (int, np.integer)):
+        out.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        out.append(format(float(value), ".17g"))
+    elif isinstance(value, dict):
+        out.append("{")
+        for k, v in value.items():
+            if out[-1] != "{":
+                out.append(", ")
+            out.append(_quote(str(k)) + ": ")
+            _write(v, out)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for item in value:
+            if out[-1] != "[":
+                out.append(", ")
+            _write(item, out)
+        out.append("]")
+    else:
+        raise TypeError(f"cannot serialize {type(value)}")
+
+
+def reference_dumps(value):
+    """serialize.dumps by one dispatch per value: the reference its fast paths must match."""
+    out = []
+    _write(value, out)
+    return "".join(out) + "\n"

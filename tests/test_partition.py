@@ -1,5 +1,7 @@
 """Quotient-algebra construction, closure, removal, and subscript tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,15 @@ class TestVerifyClosure:
         report = verify_closure(broken)
         assert not report.passed
         assert any(c.kind == "cross-pair" for c in report.failures())
+
+    def test_checks_are_the_dataclass_built(self, lambda_qa):
+        """Checks built without the frozen __init__ equal, hash and freeze like constructed ones."""
+        for check in verify_closure(lambda_qa(6)).checks:
+            rebuilt = partition.ClosureCheck(check.kind, check.left, check.right, check.target,
+                                             check.residual, check.residual < partition.SOLVE_TOL)
+            assert check == rebuilt and hash(check) == hash(rebuilt) and repr(check) == repr(rebuilt)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                check.ok = not check.ok
 
     def test_conjugation_transport(self, word_qa):
         qa = word_qa(8)

@@ -2,13 +2,20 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cartankak import serialize
 from cartankak._linalg import frob, random_special_unitary
-from cartankak.cartan import build_cartan_split, build_decomposition_sequence
+from cartankak.cartan import (
+    _structure_of_center,
+    build_cartan_split,
+    build_decomposition_sequence,
+    enumerate_maximal_abelian,
+)
+from cartankak.cli import main
 from cartankak.generators import Generator, make_lambda, make_ortho_diag, make_tensor_word
 from cartankak.kak import recursive_decompose
 from cartankak.partition import (
@@ -16,6 +23,7 @@ from cartankak.partition import (
     standard_quotient_algebra,
     verify_closure,
 )
+from oracle import reference_dumps
 
 # sha256 of sequence_to_json for the default sequence of the standard and the
 # intrinsic build, recorded when every level center was extended at build time.
@@ -53,6 +61,71 @@ PINNED_SEQUENCES = {
 }
 
 
+class Float(float):
+    pass
+
+
+class List(list):
+    pass
+
+
+class Dict(dict):
+    pass
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-300, 2**-52, math.nan, math.inf, -math.inf, 0.1, 1e22,
+                  np.pi]
+ROWS = serialize._RECORD_ROWS  # the fewest rows that take a row template
+WRITER_CASES = [
+    SPECIAL_FLOATS, [SPECIAL_FLOATS] * 3, [[[x, -x] for x in SPECIAL_FLOATS]] * 2, [[0.5]],
+    [0, -1, 10**20, True, False], [10**20, 1.0], [1.0, 2], [True, 1.0], [None, 1.0], None,
+    "quote \" and \\ backslash", ["a\"", "b\\"], {"k\"ey": "v\\"},
+    [np.float64(0.1), 0.2], [[np.float64(0.1), 0.2]], [np.int64(3), 4], np.float64(-0.0),
+    [Float(0.1), 0.2], List([0.1, 0.2]), [List([0.1]), [0.2]], Dict(a=0.1), [Dict(a=1), {"a": 2}],
+    (0.1, 0.2), [(0.1, 0.2), [0.3, 0.4]], [], [[]], [[], []], [[0.1], []], [[0.1], [0.2, 0.3]],
+    [[[0.1]], [0.2]], {}, [{}] * ROWS,
+    [{"a": x, "b": "x\"y", "c": None, "d": x > 0, "e": 3, "f": 10**20} for x in SPECIAL_FLOATS * 2],
+    [{"a": 1, "b": 2}] * ROWS + [{"b": 1, "a": 2}], [{"a": 1}] * ROWS + [{"a": 1, "b": 2}],
+    [{"a": {"x": 0.5, "y": "s"}}, {"a": {"x": 1, "y": None}}] * ROWS,
+    [{"a": {"x": 0.5}}] * ROWS + [{"a": {"y": 0.5}}], [{"a": {"x": {"deep": 1}}}] * ROWS,
+    [{"a": [0.1, 0.2]}] * ROWS, [{"a": {"m": [[0.1]]}}] * ROWS, [{"a": 0.1}] * (ROWS - 1),
+    [{"a": 1, "b": np.float64(0.5)}] * ROWS, [{"a": Float(0.5)}] * ROWS, [{"a": (1, 2)}] * ROWS,
+    [{"a%s": 0.1, "100%": "%d"}] * ROWS, [{1: "one", 2: "two"}] * ROWS, [{True: 1}] * ROWS,
+    {1: 0.5, None: [0.25]}, [{"a": 0.1}] * ROWS + [Dict(a=0.2)], [{"a": 0.1}] * ROWS + [0.2],
+]
+
+
+def random_value(rng, depth):
+    """A seeded nested value: float grids, records and every kind of scalar, mixed."""
+    scalars = [lambda: float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)),
+               lambda: SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))],
+               lambda: int(rng.integers(-10**6, 10**6)) * 10**int(rng.integers(0, 20)),
+               lambda: bool(rng.integers(2)), lambda: None,
+               lambda: "".join(rng.choice(list("ab\"\\%"), rng.integers(0, 5))),
+               lambda: np.float64(rng.standard_normal()), lambda: np.int64(rng.integers(9))]
+    kind = rng.integers(6) if depth else 0
+    if kind == 0:
+        return scalars[rng.integers(len(scalars))]()
+    if kind == 1:  # a float grid, sometimes ragged or with one leaf of another kind
+        grid = rng.standard_normal(rng.integers(1, 4, size=rng.integers(1, 4))).tolist()
+        if rng.integers(3) == 0:
+            grid.append(random_value(rng, depth - 1))
+        return grid
+    if kind == 2:  # records, sometimes with a key order or a value that breaks the pattern
+        keys, exact = {"k%d" % i: rng.integers(4) for i in range(rng.integers(1, 4))}, scalars[:6]
+        rows = [{k: (exact[rng.integers(6)]() if flat else
+                     {"x": exact[rng.integers(6)](), "y": exact[rng.integers(6)]()})
+                 for k, flat in keys.items()} for _ in range(rng.choice([2, ROWS, ROWS + 5]))]
+        if rng.integers(3) == 0:
+            rows.append(dict(reversed(rows[0].items())) if rng.integers(2) else
+                        {k: random_value(rng, depth - 1) for k in keys})
+        return rows
+    items = [random_value(rng, depth - 1) for _ in range(rng.integers(0, 4))]
+    if kind == 3:
+        return {("k%d" % i if rng.integers(4) else i): v for i, v in enumerate(items)}
+    return items if kind == 4 else tuple(items)
+
+
 class TestWriter:
     def test_seventeen_significant_digits(self):
         text = serialize.dumps({"angle": np.pi / 4})
@@ -66,6 +139,24 @@ class TestWriter:
     def test_deterministic(self):
         payload = {"x": [np.pi, 1e-300, -0.0], "y": {"z": 2**-52}}
         assert serialize.dumps(payload) == serialize.dumps(payload)
+
+    @pytest.mark.parametrize("value", WRITER_CASES, ids=range(len(WRITER_CASES)))
+    def test_matches_the_reference(self, value):
+        assert serialize.dumps(value) == reference_dumps(value)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_seeded_values_match_the_reference(self, seed):
+        value = random_value(np.random.default_rng(seed), 4)
+        assert serialize.dumps(value) == reference_dumps(value)
+
+    def test_artifact_shapes_take_the_fast_paths(self, word_qa):
+        """Matrix entries are one float grid; the factor rows of N=8 are one record list."""
+        entries = serialize.matrix_to_json(random_special_unitary(8, np.random.default_rng(0)))
+        fact = recursive_decompose(random_special_unitary(8, np.random.default_rng(1)),
+                                   build_decomposition_sequence(word_qa(8)))
+        rows = serialize.factorization_to_json(fact)["factors"]
+        assert serialize._grid(entries["entries"]) is not None
+        assert len(rows) >= ROWS and serialize._columns(rows) is not None
 
 
 class TestMatrixAndGenerator:
@@ -86,6 +177,41 @@ class TestMatrixAndGenerator:
             back = serialize.generator_from_json(obj)
             assert back.label_str == g.label_str
             np.testing.assert_allclose(back.matrix, g.matrix, atol=1e-15)
+
+    def test_matrix_entries_keep_every_value_and_sign(self):
+        u = random_special_unitary(5, np.random.default_rng(2))
+        u[0, 0], u[1, 2] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        for m in (u, u.T, u[::2, ::2], u.real):
+            entries = [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, complex)]
+            obj = serialize.matrix_to_json(m)
+            assert obj == {"dim": m.shape[0], "entries": entries}
+            assert np.array_equal(np.signbit(obj["entries"]), np.signbit(entries))
+            assert all(type(x) is float for row in obj["entries"] for e in row for x in e)
+
+    def test_transported_center_matrices_read_back(self, tmp_path):
+        """The dense generators of a transported su(6) center's splits, written as float
+        grids, read back equal entry for entry."""
+        member = enumerate_maximal_abelian(6, 1)[9]
+        qa = _structure_of_center(member)
+        center = tmp_path / "c.json"
+        center.write_text(serialize.dumps(serialize.space_to_json(member)))
+        out = tmp_path / "splits.json"
+        assert main(["splits", "--dim", "6", "--center", str(center), "--output", str(out)]) == 0
+        splits = json.loads(out.read_text())
+        dense = 0
+        for obj in splits:
+            split = build_cartan_split(qa, obj["choice_bits"])
+            spaces = [*split.t, *split.p_part, split.chosen_center]
+            written = [*obj["t"], *obj["p"], {"generators": obj["center"]}]
+            for space, item in zip(spaces, written):
+                for g, back in zip(space.generators, item["generators"]):
+                    if g.label is None:
+                        dense += 1
+                        m = serialize.matrix_from_json(back["matrix"])
+                        assert np.array_equal(m, g.matrix)
+                        assert np.array_equal(np.signbit(m.view(float)),
+                                              np.signbit(g.matrix.view(float)))
+        assert dense > 0
 
     def test_unlabeled_generator_embeds_matrix(self):
         g = Generator(None, 2, np.diag([1.0, -1.0]))

@@ -36,6 +36,10 @@ For each dimension N and each repeat it times, in a fresh process:
                      frame: kak._build_frame plus kak._Plan)
   to_json_ms         median serialize.factorization_to_json + dumps of each
                      result of those calls, the first thing read of it
+  matrix_json_ms     median serialize.dumps(serialize.matrix_to_json(u)) over the
+                     seeded inputs: what writing one input matrix costs
+  qa_json_ms         median of 10 serialize.dumps(serialize.qa_to_json(qa)) of the
+                     algebra, the body of a partition artifact
   factors_ms         median first read of .factors on the same results (the
                      JSON reads the angle columns, not the factor objects):
                      what a result pays to build its factors on demand (about
@@ -98,8 +102,9 @@ PLANS = 5  # fresh sequences whose plan build is timed per repeat
 SEED = 0
 STAGES = ("algebra_s", "basis_s", "build_s", "closure_s", "validate_s", "verify_s",
           "verify_splits_s", "sequence_s", "sequences_s", "first_decompose_ms", "decompose_ms",
-          "plan_ms", "to_json_ms", "factors_ms", "reconstruct_ms", "single_level_ms", "cs_calls",
-          "algebra_x_s", "closure_x_s", "validate_x_s", "closure_moved_s")
+          "plan_ms", "to_json_ms", "matrix_json_ms", "qa_json_ms", "factors_ms", "reconstruct_ms",
+          "single_level_ms", "cs_calls", "algebra_x_s", "closure_x_s", "validate_x_s",
+          "closure_moved_s")
 
 
 def timed(fn, *args):
@@ -183,6 +188,10 @@ def run_dim(ck, n):
     facts, seconds = zip(*(timed(ck.kak.recursive_decompose, u, seq) for u in us))
     to_json = [timed(lambda f: ck.serialize.dumps(ck.serialize.factorization_to_json(f)), f)[1]
                for f in facts[1:]]
+    matrix_json = [timed(lambda m: ck.serialize.dumps(ck.serialize.matrix_to_json(m)), u)[1]
+                   for u in us[1:]]
+    qa_json = [timed(lambda: ck.serialize.dumps(ck.serialize.qa_to_json(qa)))[1]
+               for _ in range(UNITARIES)]
     factors = [timed(getattr, f, "factors")[1] for f in facts[1:]]
     rebuilt = [timed(ck.kak.reconstruct, f, n)[1] for f in facts[1:]]
     decompose_ms = statistics.median(seconds[1:]) * 1e3
@@ -201,6 +210,8 @@ def run_dim(ck, n):
         "plan_ms": statistics.median(plans) * 1e3,
         "factors_ms": statistics.median(factors) * 1e3,
         "to_json_ms": statistics.median(to_json) * 1e3,
+        "matrix_json_ms": statistics.median(matrix_json) * 1e3,
+        "qa_json_ms": statistics.median(qa_json) * 1e3,
         "reconstruct_ms": statistics.median(rebuilt) * 1e3,
         "single_level_ms": statistics.median(single) * 1e3,
         "cs_calls": cs_calls(ck, us[1], seq),
