@@ -94,9 +94,6 @@ def _rank(s) -> int:
 
 def span_rows(mats) -> np.ndarray:
     """Orthonormal row basis (real coefficients) of the span of `mats`."""
-    mats = list(mats)
-    if not mats:
-        return np.zeros((0, 0))
     rows = np.array([mat_to_vec(m) for m in mats])
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     return vt[:_rank(s)]
@@ -104,9 +101,6 @@ def span_rows(mats) -> np.ndarray:
 
 def span_rank(mats) -> int:
     """span_rows(mats).shape[0], from the singular values alone."""
-    mats = list(mats)
-    if not mats:
-        return 0
     return _rank(np.linalg.svd(np.array([mat_to_vec(m) for m in mats]), compute_uv=False))
 
 

@@ -1,11 +1,12 @@
 """Basis generators of su(N): the lambda representation and tensor-product words.
 
 A generator carries a symbolic label plus its dense N x N Hermitian traceless
-matrix. Off-diagonal lambda generators act like sigma_1 / sigma_2 in the two
-dimensions named by their subscripts; d generators are the +1/-1 diagonal
-pairs. Tensor words are Kronecker products of single-site symbols (Pauli for
-dimension-2 sites, Gell-Mann for dimension-3 sites, lambda-basis symbols for
-any other prime site dimension).
+matrix (formed on first read where it holds its XOR-slot form). Off-diagonal
+lambda generators act like sigma_1 / sigma_2 in the two dimensions named by
+their subscripts; d generators are the +1/-1 diagonal pairs. Tensor words are
+Kronecker products of single-site symbols (Pauli for dimension-2 sites,
+Gell-Mann for dimension-3 sites, lambda-basis symbols for any other prime site
+dimension).
 
 Subscripts are 1-based and normalized to i < j; the sign conventions
 lambda_ij = lambda_ji, lambdahat_kl = -lambdahat_lk and d_kl = -d_lk are
@@ -17,11 +18,11 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import astuple, dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._linalg import STRUCT_TOL, is_hermitian, is_traceless
+from ._linalg import STRUCT_TOL, _row_norms, is_hermitian, is_traceless
 from .errors import (
     DimensionMismatchError,
     InvalidMatrixError,
@@ -233,7 +234,8 @@ def standard_sites(n: int) -> List[int]:
 
 @dataclass(frozen=True, eq=False)
 class Generator:
-    """One su(N) basis element: symbolic label plus its Hermitian matrix."""
+    """One su(N) basis element: symbolic label plus its Hermitian matrix. One of a basis
+    built from labels (_basis) holds its slot form instead and forms matrix on first read."""
 
     label: Union[Label, None]
     dim: int
@@ -248,6 +250,11 @@ class Generator:
         _require(is_hermitian(m), is_traceless(m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    def __getattr__(self, name):  # only a matrix not formed yet is missing from __dict__
+        if name != "matrix" or "_at" not in self.__dict__:
+            raise AttributeError(name)
+        return _matrices([self])[0]
 
     @functools.cached_property  # the label is frozen; serializing a factorization reads it per factor
     def label_str(self) -> Union[str, None]:
@@ -266,24 +273,58 @@ def _require(hermitian, traceless):
         raise InvalidMatrixError("generator matrix is not traceless")
 
 
-def generators_of_stack(labels, stack) -> List[Generator]:
-    """One Generator per label and matrix of a (k, N, N) stack. Generator's checks run
-    once per chunk of about 2^13 entries (128 kB, so the temporaries stay small), not
-    per matrix, and the first matrix that fails raises what Generator would raise for it."""
-    stack = np.asarray(stack, dtype=complex)
-    step = max(1, (1 << 13) // stack[0].size)
-    for chunk in (stack[lo : lo + step] for lo in range(0, len(stack), step)):
-        hermitian, traceless = is_hermitian(chunk), is_traceless(chunk)
-        bad = np.flatnonzero(~(hermitian & traceless))
-        if len(bad):
-            _require(hermitian[bad[0]], traceless[bad[0]])
-    stack.setflags(write=False)
+def _basis(labels, dim: int, table) -> List[Generator]:
+    """Generators of the labels off a table (slots, c, make, keys): generator q has the slot
+    form (slots[q], c[q]), and make([keys[q], ...]) forms matrices as make_* or word_matrices
+    does (_matrices). Generator's checks run on the forms, within STRUCT_TOL max(1, |c|):
+    Hermitian is c[i ^ l] = conj(c[i]) on label l, traceless sum(c) = 0 on label 0. The first
+    form that fails raises what Generator raises for its matrix. Without forms (slots None)
+    the matrices are formed now and checked in chunks of about 2^13 entries (128 kB, so
+    the temporaries stay small)."""
+    slots, c, make, keys = table
+    if slots is None:
+        c, step = make(keys), max(1, (1 << 13) // (dim * dim))
+        c.setflags(write=False)
+        chunks = [c[lo : lo + step] for lo in range(0, len(c), step)]
+        hermitian = np.concatenate([is_hermitian(x) for x in chunks])
+        traceless = np.concatenate([is_traceless(x) for x in chunks])
+    else:
+        tol = STRUCT_TOL * np.maximum(1.0, _row_norms(c.view(float)))
+        mirror = c[np.arange(len(c))[:, None], np.arange(c.shape[1]) ^ slots[:, None]].conj()
+        hermitian = _row_norms((c - mirror).view(float)) < tol
+        traceless = (slots != 0) | (abs(c.sum(axis=1)) < tol)
+    if len(bad := np.flatnonzero(~(hermitian & traceless))):
+        _require(hermitian[bad[0]], traceless[bad[0]])
     out = []
-    for label, m in zip(labels, stack):
-        g = object.__new__(Generator)
-        g.__dict__.update(label=label, dim=len(m), matrix=m)
-        out.append(g)
+    for q, label in enumerate(labels):  # without the frozen __init__, as _matrices sets matrix
+        out.append(g := object.__new__(Generator))
+        d = g.__dict__
+        d["label"], d["dim"] = label, dim
+        if slots is None:
+            d["matrix"] = c[q]
+        else:
+            d["_at"] = table, q
     return out
+
+
+def _matrices(gens) -> List[np.ndarray]:
+    """Each generator's matrix, formed now where it is not yet (one batch per table) and kept."""
+    todo: Dict[int, List[Generator]] = {}
+    for g in gens:
+        if "matrix" not in g.__dict__:
+            todo.setdefault(id(g._at[0]), []).append(g)
+    for group in todo.values():
+        _, _, make, keys = group[0]._at[0]
+        stack = make([keys[g._at[1]] for g in group])
+        stack.setflags(write=False)
+        for g, m in zip(group, stack):
+            g.__dict__["matrix"] = m
+    return [g.matrix for g in gens]
+
+
+def _each(keys) -> np.ndarray:
+    """The matrices make(*args) of (make, *args) keys, as one stack."""
+    return np.array([make(*args) for make, *args in keys])
 
 
 def _check_subscripts(i: int, j: int, n: int):
@@ -330,20 +371,22 @@ def make_ortho_diag(l: int, n: int) -> Generator:
 
 
 def word_matrices(sites: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    """Every Kronecker product of one matrix per site, as one (K, D, D) stack.
+    """The Kronecker product of each word's site matrices, as one (K, D, D) stack.
 
-    sites[s] holds the candidate matrices of site s; the product runs in
-    itertools.product order (the last site varies fastest). One batched outer
+    sites[s] holds site s's matrix of each of the K words. One batched outer
     product per site, with np.kron's operand order, so each matrix is bit for
     bit the np.kron chain of its factors.
     """
     out = np.ones((1, 1, 1), dtype=complex)
-    for mats in sites:
-        mats = np.asarray(mats)
-        k, d, s, e = len(out), out.shape[1], len(mats), mats.shape[1]
-        out = out[:, None, :, None, :, None] * mats[None, :, None, :, None, :]
-        out = out.reshape(k * s, d * e, d * e)
+    for mats in map(np.asarray, sites):
+        k, d, e = len(mats), out.shape[1], mats.shape[1]
+        out = (out[:, :, None, :, None] * mats[:, None, :, None, :]).reshape(k, d * e, d * e)
     return out
+
+
+def _word_stack(sites, keys) -> np.ndarray:
+    """word_matrices of the words whose keys index each site's (k_s, d_s, d_s) stack."""
+    return word_matrices([mats[list(ix)] for mats, ix in zip(sites, zip(*keys))])
 
 
 def make_tensor_word(symbols: Sequence[str]) -> Generator:

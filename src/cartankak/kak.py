@@ -196,7 +196,7 @@ def _word_basis(n: int) -> Tuple[Tuple[Generator, ...], np.ndarray]:
     complex entries, 268 MB at N=64, and an entry holds it twice.
     """
     words = tuple(standard_basis(n))
-    matrices = np.array([w.matrix for w in words])
+    matrices = np.array(gen._matrices(words))
     matrices.flags.writeable = False
     return words, matrices
 

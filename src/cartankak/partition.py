@@ -101,7 +101,7 @@ class AbelianSpace:
 
     @property
     def matrices(self) -> List[np.ndarray]:
-        return [g.matrix for g in self.generators]
+        return gen._matrices(self.generators)
 
     def validate(self):
         """Commuting and independent; read off the slot forms when every generator has one."""
@@ -116,12 +116,13 @@ class AbelianSpace:
 
     @functools.cached_property
     def _forms(self):
-        """slot_forms of the generators; kept, as they are immutable."""
-        return slot_forms(self.matrices)
+        """_forms_of the generators; kept, as they are immutable."""
+        return _forms_of(self.generators, self.dim)
 
     def commutes(self) -> bool:
-        """Whether the generators commute; read off the slot forms when every generator has one."""
-        if len(self) < 2:
+        """Whether the generators commute; read off the slot forms when every generator has one.
+        Forms all on label 0 are diagonal: their brackets are exactly zero."""
+        if len(self) < 2 or self._slot and not self._forms[0].any():
             return True
         return slot_commute(*self._forms) if self._slot else all_commute(self.matrices)
 
@@ -225,13 +226,32 @@ def _site_symbols(d: int, diagonal_only: bool) -> List[str]:
     return syms + off + diag
 
 
-def _words(n: int, diagonal_only: bool) -> List[Generator]:
-    symbols = [_site_symbols(d, diagonal_only) for d in gen.standard_sites(n)]
-    mats = gen.word_matrices([[gen.site_factors(s)[1] for s in syms] for syms in symbols])
+@functools.lru_cache(maxsize=8)
+def _word_table(n: int, diagonal_only: bool):
+    """_basis arguments for the words of n's standard sites. Where every site after the
+    first has dimension 2, a word's slot form is the product of its sites': the labels'
+    bits joined, the entries' outer product (zero past n). Else the table has no forms."""
+    dims = gen.standard_sites(n)
+    symbols = {d: _site_symbols(d, diagonal_only) for d in dims}
+    stacks = {d: np.array([gen.site_factors(s)[1] for s in syms]) for d, syms in symbols.items()}
+    sites = [stacks[d] for d in dims]
     # Each site lists its identity first, so word 0 is the all-identity word,
     # the one word that is not traceless.
-    combos = itertools.islice(itertools.product(*symbols), 1, None)
-    return gen.generators_of_stack(map(TensorWord, combos), mats[1:])
+    words = itertools.islice(itertools.product(*map(symbols.get, dims)), 1, None)
+    labels = tuple(map(TensorWord, words))
+    keys = tuple(itertools.islice(itertools.product(*(range(len(m)) for m in sites)), 1, None))
+    make = functools.partial(gen._word_stack, sites)
+    if any(len(m[0]) != 2 for m in sites[1:]):  # joined site bits are not the matrix index
+        return labels, n, (None, None, make, keys)
+    slots, c = np.zeros(1, dtype=int), np.ones((1, 1), dtype=complex)
+    forms = {d: slot_forms(m) for d, m in stacks.items()}
+    for site_slots, site_c in map(forms.get, dims):
+        slots = (slots[:, None] * site_c.shape[1] | site_slots).ravel()
+        c = (c[:, None, :, None] * site_c[None, :, None, :]).reshape(len(slots), -1)
+    i = np.arange(c.shape[1])
+    c = np.where(np.maximum(i, i ^ slots[:, None]) < n, c, 0j)
+    c.flags.writeable = slots.flags.writeable = False  # shared by every basis of this n
+    return labels, n, (slots[1:], c[1:], make, keys)
 
 
 def standard_basis(n: int) -> List[Generator]:
@@ -242,31 +262,39 @@ def standard_basis(n: int) -> List[Generator]:
     linearly independent spanning set of n^2 - 1 generators in a fixed
     canonical order (seed order for the construction algorithm).
     """
-    return _words(n, diagonal_only=False)
+    return gen._basis(*_word_table(n, False))
 
 
 def standard_word_center(n: int) -> AbelianSpace:
     """The intrinsic center in word form: all diagonal words (identity excluded)."""
-    return AbelianSpace(tuple(_words(n, diagonal_only=True)), hat=False)
+    return AbelianSpace(tuple(gen._basis(*_word_table(n, True))), hat=False)
+
+
+def _subscripted(subscripts, n: int) -> List[Generator]:
+    """The lambda-basis generators of (kind, i, j) subscripts (kind 0, 1, 2: lambda, lambdahat,
+    d; 1-based i < j), slot forms read off the subscripts: the kind's dimension-2 entries at
+    (i, j), (j, i) on label (i - 1) ^ (j - 1), or at (i, i), (j, j) on label 0."""
+    kinds = (Lambda, gen._lambda_matrix), (LambdaHat, gen._lambda_hat_matrix), (Diag, gen._diag_matrix)
+    k, i, j = np.reshape(np.array(subscripts, dtype=int), (-1, 3)).T
+    site_slots, site_c = slot_forms(np.array([make(1, 2, 2) for _, make in kinds]))
+    c = np.zeros((len(k), 1 << max(1, (n - 1).bit_length())), dtype=complex)
+    c[np.arange(len(c)), i - 1], c[np.arange(len(c)), j - 1] = site_c[k].T
+    return gen._basis([kinds[q][0](a, b) for q, a, b in subscripts], n,
+                      (((i - 1) ^ (j - 1)) * site_slots[k], c, gen._each,
+                       [(kinds[q][1], a, b, n) for q, a, b in subscripts]))
 
 
 def intrinsic_center(n: int) -> AbelianSpace:
     """The intrinsic center subalgebra: the N-1 diagonal generators d_1l."""
     if n < 2:
         raise InvalidSubscriptError("dimension must be at least 2")
-    gens = tuple(gen.make_diag(1, l, n) for l in range(2, n + 1))
-    return AbelianSpace(gens, hat=False)
+    return AbelianSpace(tuple(_subscripted([(2, 1, l) for l in range(2, n + 1)], n)), hat=False)
 
 
 def lambda_basis(n: int) -> List[Generator]:
     """The full lambda-representation basis of su(n)."""
-    out: List[Generator] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(gen.make_lambda(i, j, n))
-            out.append(gen.make_lambda_hat(i, j, n))
-    out.extend(gen.make_diag(1, l, n) for l in range(2, n + 1))
-    return out
+    return _subscripted([(k, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                         for k in (0, 1)] + [(2, 1, l) for l in range(2, n + 1)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +316,12 @@ def diagonalize_abelian(space) -> np.ndarray:
 
 
 def _eigenframe(mats, check=True) -> Optional[np.ndarray]:
-    """diagonalize_abelian of matrices of one shape, None for the identity. With
-    check=False non-diagonal matrices are not checked to commute: a frame
-    (_index_frame) needs no such check, as the center must be diagonal in it."""
+    """diagonalize_abelian of matrices of one shape, or of a space (None, without its matrices,
+    when its slot forms are all on label 0), None for the identity. With check=False
+    non-diagonal matrices are not checked to commute: a frame (_index_frame) needs no
+    such check, as the center must be diagonal in it."""
+    if isinstance(mats, AbelianSpace):  # no matrix to read for forms all on label 0
+        mats = [] if mats._slot and not mats._forms[0].any() else mats.matrices
     if all(frob(m - np.diag(np.diag(m))) < STRUCT_TOL * max(1.0, frob(m)) for m in mats):
         return None  # diagonal matrices commute
     if check and not all_commute(mats):
@@ -345,7 +376,7 @@ def _conjugate_fragments(pool, center, labels, c, slot):
             return slot_bracket(labels[ix, None], c[ix, None], clabels[None], cc[None])
     else:  # one coset; every row and commutator on one dummy label
         table, valid = np.arange(len(pool))[None], np.ones((1, len(pool)), dtype=bool)
-        mats, cmats = np.array([g.matrix for g in pool]), np.array(center.matrices)
+        mats, cmats = np.array(gen._matrices(pool)), np.array(center.matrices)
         row_labels, vecs = np.zeros(len(pool), dtype=int), mats.reshape(len(pool), -1)
 
         def bracket(ix):
@@ -418,16 +449,16 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     n = center.dim
     center.validate()
     basis = [g for g in basis if g.dim == n]
-    labels, c = slot_forms(np.reshape([g.matrix for g in basis], (-1, n, n)))
+    labels, c = _forms_of(basis, n)
     clabels, cc = center._forms
     slot = (labels >= 0).all() and (clabels >= 0).all()
     if slot:
         keep = np.flatnonzero(~_slot_in_span(labels, c, center._units))
         total = _slot_rank(np.concatenate([labels[keep], clabels]), np.concatenate([c[keep], cc]))
     else:
-        cspan = center.span()
-        keep = [i for i, g in enumerate(basis) if not in_span(g.matrix, cspan)]
-        total = span_rank([basis[i].matrix for i in keep] + center.matrices)
+        cspan, mats = center.span(), gen._matrices(basis)
+        keep = [i for i, m in enumerate(mats) if not in_span(m, cspan)]
+        total = span_rank([mats[i] for i in keep] + center.matrices)
     pool, labels, c = [basis[i] for i in keep], labels[keep], c[keep]
     if total != n * n - 1:
         raise InvalidMatrixError(
@@ -455,6 +486,15 @@ def build_quotient_algebra(center: AbelianSpace, basis: Sequence[Generator]) -> 
     if frame is not None:  # the G = P U that _build_slot_frame would find again
         qa.__dict__["_frame"] = frame
     return qa
+
+
+def _forms_of(gens, n: int):
+    """slot_forms of the generators' matrices, read off their forms without the matrices
+    when all come from one _basis table."""
+    at = [g.__dict__.get("_at", (None, 0)) for g in gens]
+    if gens and at[0][0] is not None and all(t is at[0][0] for t, _ in at):
+        return tuple(a[[q for _, q in at]] for a in at[0][0][:2])
+    return slot_forms(np.reshape(gen._matrices(gens), (-1, n, n)))
 
 
 def _by_label(labels):
@@ -545,8 +585,9 @@ def _structural_labels(merged, center, p):
     frame, which holds their forms; or the unlabeled pairs and None.
     """
     count = len(merged)
-    u = _eigenframe(center.matrices, check=False)  # build_quotient_algebra validated the center
-    sigma = np.array([_partner_map(u, [g.matrix for g in ws + hats]) for ws, hats, _ in merged])
+    u = _eigenframe(center, check=False)  # build_quotient_algebra validated the center
+    unlabeled = [_pair(ws, hats, None) for ws, hats, _ in merged]
+    sigma = np.array([_partner_map(u, pair.spaces, center.dim) for pair in unlabeled])
 
     @functools.cache
     def target(a: int, b: int) -> Optional[int]:
@@ -574,15 +615,14 @@ def _structural_labels(merged, center, p):
                 if t is not None and labels[t] is None:
                     labels[t] = labels[a] ^ labels[b]
                     changed = True
-    unlabeled = [_pair(ws, hats, None) for ws, hats, _ in merged], None
     if (any(lab is None or lab == 0 or lab >= (1 << p) for lab in labels)
             or len(set(labels)) < count):
-        return unlabeled
+        return unlabeled, None
     pairs = [_pair(ws, hats, bits_of(lab, p)) for (ws, hats, _), lab in zip(merged, labels)]
     frame = _index_frame(u, [(0, center)] + [(lab, s) for lab, pair in zip(labels, pairs)
                                              for s in pair.spaces], p)
     if frame is None:
-        return unlabeled
+        return unlabeled, None
     at = {lab: k for k, lab in enumerate(labels)}
     for bits in sorted({bin(c).count("1") for c in at} - {1}):
         cs = [c for c in sorted(at) if bin(c).count("1") == bits]
@@ -652,6 +692,17 @@ def _in_frame(g: Optional[np.ndarray], mats) -> np.ndarray:
     return mats
 
 
+def _frame_forms(g: Optional[np.ndarray], spaces):
+    """slot_forms(_in_frame(g, the spaces' matrices)); by the same rule off their own slot
+    forms, without the matrices, when G is None and every space has them."""
+    if g is not None or not all(space._slot for space in spaces):
+        return slot_forms(_in_frame(g, [m for space in spaces for m in space.matrices]))
+    labels, c = map(np.concatenate, zip(*(space._forms for space in spaces)))
+    size = np.abs(c)
+    c = np.where(size < STRUCT_TOL * np.sqrt(np.einsum("ki,ki->k", size, size))[:, None], 0j, c)
+    return np.where(c.any(axis=1), labels, 0), c
+
+
 @dataclass(frozen=True)
 class _SlotFrame:
     """G = P U: U diagonalizes an algebra's center and the index order P puts every
@@ -671,10 +722,10 @@ class _SlotFrame:
         return self.cache[space]
 
     def read(self, spaces):
-        """Keep the forms of several spaces, read with one _in_frame and one slot_forms."""
+        """Keep the forms of several spaces, read with one _frame_forms."""
         spaces = [space for space in spaces if space not in self.cache]
         if spaces:
-            labels, c = slot_forms(_in_frame(self.matrix, [m for s in spaces for m in s.matrices]))
+            labels, c = _frame_forms(self.matrix, spaces)
             for space, end in zip(spaces, np.cumsum([len(space) for space in spaces])):
                 self.cache[space] = labels[end - len(space) : end], c[end - len(space) : end]
 
@@ -684,10 +735,17 @@ class _SlotFrame:
         return np.where((labels == label)[:, None], c, 0.0)
 
 
-def _partner_map(u: Optional[np.ndarray], mats) -> np.ndarray:
-    """sigma[i]: the one index that row i of a (k, N, N) stack's joint support reaches in
-    the frame u (the matrices themselves when u is None), -1 where it reaches none or several."""
-    hit = (_in_frame(u, mats) != 0).any(axis=0)
+def _partner_map(u: Optional[np.ndarray], spaces, n: int) -> np.ndarray:
+    """sigma[i]: the one index that row i of the spaces' joint support reaches in the frame
+    u (the matrices themselves when u is None; their slot forms when they have them), -1
+    where it reaches none or several."""
+    hit = np.zeros((n, n), dtype=bool)
+    if spaces and u is None and all(space._slot for space in spaces):
+        labels, c = _frame_forms(None, spaces)
+        q, i = np.nonzero(c)
+        hit[i, i ^ labels[q]] = True
+    elif spaces:
+        hit = (_in_frame(u, [m for space in spaces for m in space.matrices]) != 0).any(axis=0)
     return np.where(hit.sum(axis=1) == 1, hit.argmax(axis=1), -1)
 
 
@@ -698,8 +756,7 @@ def _index_frame(u, spaces, p: int) -> Optional[_SlotFrame]:
     that bit. The first start that puts every generator on its label gives P; None when
     no start does."""
     n = spaces[0][1].dim
-    partner = [_partner_map(u, np.reshape([m for label, s in spaces if label == 1 << r
-                                           for m in s.matrices], (-1, n, n))).tolist() + [-1]
+    partner = [_partner_map(u, [s for label, s in spaces if label == 1 << r], n).tolist() + [-1]
                for r in range(p)]  # the extra last -1 answers a = -1
     for start in range(n):
         order = [start]
@@ -719,7 +776,7 @@ def _build_slot_frame(qa: QuotientAlgebra) -> Optional[_SlotFrame]:
     every generator on its pair's label: an unlabeled algebra, a pair whose generators
     are off its label, or a center that does not diagonalize."""
     try:
-        u = _eigenframe(qa.center.matrices, check=False)
+        u = _eigenframe(qa.center, check=False)
     except (DecompositionError, InvalidMatrixError):
         return None
     return _index_frame(u, [(0, qa.center)] + [
@@ -899,7 +956,7 @@ def verify_closure(qa: QuotientAlgebra) -> ClosureReport:
             kind, tname = named
             values = [float(worst)] if kind == "cross-pair" else res.ravel().tolist()
             names = dict(kind=kind, left=table.names[left], right=table.names[right], target=tname)
-            for r in values:  # built as generators_of_stack builds Generators: no frozen __init__
+            for r in values:  # built as _basis builds Generators: no frozen __init__
                 checks.append(check := object.__new__(ClosureCheck))
                 check.__dict__.update(names, residual=r, ok=r < SOLVE_TOL)
     return ClosureReport(tuple(checks), SOLVE_TOL)
@@ -1066,9 +1123,7 @@ def conjugate_quotient_algebra(qa: QuotientAlgebra, u: np.ndarray) -> QuotientAl
         raise DimensionMismatchError("conjugating unitary has the wrong shape")
 
     def move(space: AbelianSpace) -> AbelianSpace:
-        gens = tuple(
-            Generator(None, qa.dim, dagger(u) @ g.matrix @ u) for g in space.generators
-        )
+        gens = tuple(Generator(None, qa.dim, dagger(u) @ m @ u) for m in space.matrices)
         return AbelianSpace(gens, hat=space.hat, binary_label=space.binary_label)
 
     pairs = tuple(

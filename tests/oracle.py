@@ -10,13 +10,72 @@ CartanSplit.validate read the matrices instead of the slot forms.
 reference_dumps is the JSON writer by one recursive dispatch per value, the
 reference that serialize.dumps's float-grid and record paths must match byte
 for byte.
+
+dense_basis builds the word and lambda bases and their centers densely, as
+the library did before they carried slot forms: every matrix formed, and the
+word stack checked at once (generators_of_stack). Their matrices and
+slot_forms are what the label-built bases must reproduce bit for bit.
 """
+
+import itertools
 
 import numpy as np
 
 import cartankak.cartan as cartan
+import cartankak.generators as gen
 import cartankak.partition as partition
-from cartankak._linalg import STRUCT_TOL, span_rank, span_rows
+from cartankak._linalg import STRUCT_TOL, is_hermitian, is_traceless, span_rank, span_rows
+from cartankak.generators import Generator, TensorWord
+
+
+def word_matrices(sites):
+    """Every Kronecker product of one matrix per site, as one (K, D, D) stack, in
+    itertools.product order (the last site varies fastest)."""
+    out = np.ones((1, 1, 1), dtype=complex)
+    for mats in sites:
+        mats = np.asarray(mats)
+        k, d, s, e = len(out), out.shape[1], len(mats), mats.shape[1]
+        out = out[:, None, :, None, :, None] * mats[None, :, None, :, None, :]
+        out = out.reshape(k * s, d * e, d * e)
+    return out
+
+
+def generators_of_stack(labels, stack):
+    """One Generator per label and matrix of a (k, N, N) stack, Generator's checks run on
+    chunks of the stack; the first matrix that fails raises what Generator would raise."""
+    stack = np.asarray(stack, dtype=complex)
+    step = max(1, (1 << 13) // stack[0].size)
+    for chunk in (stack[lo : lo + step] for lo in range(0, len(stack), step)):
+        hermitian, traceless = is_hermitian(chunk), is_traceless(chunk)
+        bad = np.flatnonzero(~(hermitian & traceless))
+        if len(bad):
+            gen._require(hermitian[bad[0]], traceless[bad[0]])
+    stack.setflags(write=False)
+    out = []
+    for label, m in zip(labels, stack):
+        g = object.__new__(Generator)
+        g.__dict__.update(label=label, dim=len(m), matrix=m)
+        out.append(g)
+    return out
+
+
+def dense_words(n, diagonal_only):
+    symbols = [partition._site_symbols(d, diagonal_only) for d in gen.standard_sites(n)]
+    mats = word_matrices([[gen.site_factors(s)[1] for s in syms] for syms in symbols])
+    combos = itertools.islice(itertools.product(*symbols), 1, None)
+    return generators_of_stack(map(TensorWord, combos), mats[1:])
+
+
+def dense_basis(name, n):
+    """The generators of partition's standard_basis, standard_word_center, lambda_basis or
+    intrinsic_center (by name) at n, each with its matrix formed densely."""
+    if name in ("standard_basis", "standard_word_center"):
+        return dense_words(n, diagonal_only=name == "standard_word_center")
+    center = [gen.make_diag(1, l, n) for l in range(2, n + 1)]
+    if name == "intrinsic_center":
+        return center
+    return [make(i, j, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for make in (gen.make_lambda, gen.make_lambda_hat)] + center
 
 
 def commutator_residuals(left, right, rows):

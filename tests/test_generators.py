@@ -159,30 +159,33 @@ class TestTensorWords:
 
     @pytest.mark.parametrize("n", [4, 16, 32])
     @pytest.mark.parametrize("broken, message", [
-        ({5: "hermitian"}, "generator matrix is not Hermitian"),
-        ({5: "trace"}, "generator matrix is not traceless"),
-        ({3: "trace", 7: "hermitian"}, "generator matrix is not traceless"),  # the first one fails
-        ({7: "trace", 3: "hermitian"}, "generator matrix is not Hermitian"),
+        ({1: "hermitian"}, "generator matrix is not Hermitian"),
+        ({1: "trace"}, "generator matrix is not traceless"),
+        ({0: "trace", 2: "hermitian"}, "generator matrix is not traceless"),  # the first one fails
+        ({2: "trace", 0: "hermitian"}, "generator matrix is not Hermitian"),
     ])
     def test_word_stack_checks_as_each_generator(self, n, broken, message, monkeypatch):
-        """The word basis checks its whole stack at once, in chunks of 2^13 entries (8 words
-        at N=32, where the bad words sit past the first chunks), and raises what one Generator
-        at a time raises for the first bad word."""
-        original, made = gen.word_matrices, []
-        offset = 1 if n < 32 else 301
+        """The word basis checks its slot forms at once and raises what one Generator at a
+        time raises for the matrix of the first bad form. The bad words are diagonal ones
+        (the 21st on at N=32), where a form can fail either check: an entry plus 1e-3j is
+        not Hermitian, plus 1e-3 not traceless."""
+        original, made = gen._basis, []
 
-        def corrupted(sites):
-            stack = original(sites).copy()
+        def corrupted(labels, dim, table):
+            slots, c = table[0], table[1].copy()
+            diagonal = np.flatnonzero(slots == 0)[0 if n < 32 else 20 :]
             for k, what in broken.items():
-                stack[offset + k, 0, 1 if what == "hermitian" else 0] += 1e-3
-            made.append(stack)
-            return stack
+                c[diagonal[k], 0] += 1e-3j if what == "hermitian" else 1e-3
+            made.append((slots, c))
+            return original(labels, dim, (slots, c) + table[2:])
 
-        monkeypatch.setattr(gen, "word_matrices", corrupted)
+        monkeypatch.setattr(gen, "_basis", corrupted)
         with pytest.raises(InvalidMatrixError, match=f"^{message}$"):
             standard_basis(n)
         with pytest.raises(InvalidMatrixError, match=f"^{message}$"):
-            for m in made[-1][1:]:
+            for slot, c in zip(*made[-1]):
+                m = np.zeros((n, n), dtype=complex)
+                m[np.arange(n), np.arange(n) ^ slot] = c[:n]  # the form's matrix
                 Generator(None, n, m)
 
     def test_word_stack_keeps_the_per_object_fields(self):

@@ -10,10 +10,10 @@ each reading uses a fresh copy of the algebra (over the same spaces) and
 counts the calls of the routine it reads through.
 
 build_quotient_algebra and AbelianSpace.validate read the same per-matrix
-slot forms (slot_forms) when every generator has one. Their dense routines
-(in_span, span_rank, all_commute) are the oracle; patching them to raise
-proves the slot path ran, and patching slot_forms to find no form forces the
-dense path.
+slot forms (partition._forms_of) when every generator has one. Their dense
+routines (in_span, span_rank, all_commute) are the oracle; patching them to
+raise proves the slot path ran, and patching _forms_of to find no form forces
+the dense path.
 """
 
 import functools
@@ -72,8 +72,8 @@ def no_dense(*args):
     raise AssertionError("the dense commutator path ran")
 
 
-def no_forms(stack):
-    return np.full(len(stack), -1), np.zeros((len(stack), 2), dtype=complex)
+def no_forms(gens, n):
+    return np.full(len(gens), -1), np.zeros((len(gens), 2), dtype=complex)
 
 
 def fresh(qa):
@@ -388,7 +388,7 @@ def test_dependent_space_fails_validate_on_both_paths(monkeypatch):
         no_dense_build(m)
         with pytest.raises(InvalidMatrixError, match="linearly dependent"):
             twice.validate()
-    monkeypatch.setattr(partition, "slot_forms", no_forms)
+    monkeypatch.setattr(partition, "_forms_of", no_forms)
     with pytest.raises(InvalidMatrixError, match="linearly dependent"):
         AbelianSpace(twice.generators).validate()
 
@@ -411,7 +411,7 @@ SLOT_RAISES = {
 def test_build_raises_on_the_slot_path_as_on_the_dense_one(case, monkeypatch):
     inputs, error, message = SLOT_RAISES[case]
     with monkeypatch.context() as m:
-        m.setattr(partition, "slot_forms", no_forms)
+        m.setattr(partition, "_forms_of", no_forms)
         dense = build_outcome(*inputs())
     no_dense_build(monkeypatch)
     slot = build_outcome(*inputs())

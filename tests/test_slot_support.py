@@ -56,7 +56,7 @@ def walk_fragment_label(gens):
 
 
 def walk_slot_forms(stack):
-    """partition.slot_forms with the walk's labels (-1 where a d term occurs or the
+    """slot_forms of a stack with the walk's labels (-1 where a d term occurs or the
     patterns differ). The entries are one column, 1 for a generator with a lambda
     term and 1j for one with lambdahat terms only, so _merge_pairs orients each
     fragment by the walk's hat parity. A center of d terms gets -1 labels, so
@@ -192,7 +192,8 @@ def test_pair_labels_and_order_match_the_walk(n, std_seq, monkeypatch):
                 build_quotient_algebra(intrinsic_center(n), lambda_basis(n)[::-1])]
 
     from_forms = builds()
-    monkeypatch.setattr(partition, "slot_forms", walk_slot_forms)
+    monkeypatch.setattr(partition, "_forms_of", lambda gens, n: walk_slot_forms(
+        np.reshape([g.matrix for g in gens], (-1, n, n))))
     for built, walked in zip(from_forms, builds(), strict=True):
         for (lab, ws, hats), (lab_w, ws_w, hats_w) in zip(pair_layout(built), pair_layout(walked),
                                                           strict=True):

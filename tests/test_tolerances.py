@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cartankak.generators as gen
 from cartankak._linalg import STRUCT_TOL, all_commute, slot_commute, slot_forms
 from cartankak.errors import InvalidMatrixError
 from cartankak.generators import Generator, to_lambda_basis
@@ -135,10 +136,17 @@ def commuting_case(factor, norm):
 
 
 CASES = {"hermitian": hermitian_case, "traceless": traceless_case, "commuting": commuting_case}
+def on_forms(m):
+    """The checks a basis built from labels runs on its slot forms (generators._basis)."""
+    return gen._basis([None], 2, slot_forms(m[None]) + (None, None))
+
+
 SITES = {
     "hermitian": {"Generator": lambda m: Generator(None, 2, m), "to_lambda_basis": to_lambda_basis,
-                  "simultaneous_diagonalize": lambda m: diagonalize_abelian([m])},
-    "traceless": {"Generator": lambda m: Generator(None, 2, m), "to_lambda_basis": to_lambda_basis},
+                  "simultaneous_diagonalize": lambda m: diagonalize_abelian([m]),
+                  "_basis": on_forms},
+    "traceless": {"Generator": lambda m: Generator(None, 2, m), "to_lambda_basis": to_lambda_basis,
+                  "_basis": on_forms},
     "commuting": {"all_commute": all_commute,
                   "slot_commute": lambda mats: slot_commute(*slot_forms(mats))},
 }

@@ -6,7 +6,14 @@
 For each dimension N and each repeat it times, in a fresh process:
 
   algebra_s          standard_quotient_algebra(N)
-  basis_s            standard_basis(N), the word basis of N's standard sites
+  basis_s            standard_basis(N), the word basis of N's standard sites,
+                     after algebra_s: where the word tables are cached per N
+                     (partition._word_table), this reads the one the build made
+  basis_cold_s       standard_basis(N) once more with that cache cleared first
+                     (a tree without it: basis_s again)
+  algebra_peak_mb    the tracemalloc peak, in MB (10^6 bytes), of one more
+                     standard_quotient_algebra(N), the word table cache cleared
+                     first; not timed
   build_s            build_quotient_algebra of the center and basis that
                      standard_quotient_algebra(N) builds from (words where it
                      uses them, else the intrinsic center and lambda basis),
@@ -60,7 +67,8 @@ For each dimension N and each repeat it times, in a fresh process:
                      algebra by a seeded Haar SU(N), moved outside the timing;
                      only for N <= 16
 
-and, once per repeat rather than per dimension,
+For N > 32 only algebra_s, basis_s, basis_cold_s and algebra_peak_mb are
+recorded. And, once per repeat rather than per dimension,
 
   import_s           wall time of a fresh `python -c "import cartankak.cli"`
   decompose_process_s
@@ -92,6 +100,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -100,7 +109,7 @@ DEFAULT_DIMS = "4,6,8,9,12,15,16,32"
 UNITARIES = 10  # warm calls timed per repeat
 PLANS = 5  # fresh sequences whose plan build is timed per repeat
 SEED = 0
-STAGES = ("algebra_s", "basis_s", "build_s", "closure_s", "validate_s", "verify_s",
+STAGES = ("algebra_s", "basis_s", "basis_cold_s", "algebra_peak_mb", "build_s", "closure_s", "validate_s", "verify_s",
           "verify_splits_s", "sequence_s", "sequences_s", "first_decompose_ms", "decompose_ms",
           "plan_ms", "to_json_ms", "matrix_json_ms", "qa_json_ms", "factors_ms", "reconstruct_ms",
           "single_level_ms", "cs_calls", "algebra_x_s", "closure_x_s", "validate_x_s",
@@ -171,10 +180,32 @@ def verify(ck, n):
     return end - start, end - middle
 
 
+def cold_build(ck, fn, n):
+    """fn(n) timed with partition's per-N word table cache (if it has one) cleared first."""
+    if hasattr(ck.partition, "_word_table"):
+        ck.partition._word_table.cache_clear()
+    return timed(fn, n)[1]
+
+
+def algebra_peak_mb(ck, n):
+    """The tracemalloc peak of a cold standard_quotient_algebra(n), in MB."""
+    tracemalloc.start()
+    try:
+        cold_build(ck, ck.partition.standard_quotient_algebra, n)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def run_dim(ck, n):
     """One repeat at dimension n: stage times and the worst reconstruction error."""
     qa, algebra_s = timed(ck.partition.standard_quotient_algebra, n)
     basis_s = timed(ck.partition.standard_basis, n)[1]
+    built = {"algebra_s": algebra_s, "basis_s": basis_s,
+             "basis_cold_s": cold_build(ck, ck.partition.standard_basis, n),
+             "algebra_peak_mb": algebra_peak_mb(ck, n)}
+    if n > 32:
+        return built, 0.0
     build_s = timed(ck.partition.build_quotient_algebra, *build_inputs(ck, n))[1]
     _, closure_s = timed(ck.partition.verify_closure, qa)
     split = ck.cartan.build_cartan_split(qa, "0" * qa.p, validate=False)
@@ -197,8 +228,7 @@ def run_dim(ck, n):
     decompose_ms = statistics.median(seconds[1:]) * 1e3
     single = [timed(ck.kak.kak_single_level, u, split)[1] for u in us[1:]]
     stages = {
-        "algebra_s": algebra_s,
-        "basis_s": basis_s,
+        **built,
         "build_s": build_s,
         "closure_s": closure_s,
         "validate_s": validate_s,
